@@ -91,10 +91,8 @@ patternAblation()
         DesignPoint design =
             makeDesignPoint(DesignKind::RanaStarE5, retention());
         const double hybrid = runDesign(design, net).energy.total();
-        for (ComputationPattern pattern : {ComputationPattern::ID,
-                                           ComputationPattern::OD,
-                                           ComputationPattern::WD}) {
-            design.options.patterns = {pattern};
+        for (DataflowKind dataflow : legacyDataflows()) {
+            design.options.dataflows = {dataflow};
             row.push_back(
                 ratio(runDesign(design, net).energy.total() / hybrid));
         }
@@ -160,7 +158,7 @@ promotionAblation()
         for (std::size_t i = 0; i < net.size(); ++i) {
             const LayerAnalysis unpromoted = analyzeLayer(
                 design.config, net.layer(i),
-                schedule.layers[i].pattern(),
+                dataflowSpec(schedule.layers[i].dataflow()),
                 schedule.layers[i].tiling(), false);
             counts += layerOperationCounts(
                 design.config, net.layer(i), unpromoted,

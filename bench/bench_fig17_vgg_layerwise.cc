@@ -43,7 +43,7 @@ runFig17VggLayerwise(rana::bench::BenchContext &ctx)
             static_cast<double>(rana.layers[i].counts.ddrAccesses);
         table.row({net.layer(i).name, formatEnergy(od_energy),
                    formatEnergy(rana_energy),
-                   patternName(rana.layers[i].pattern()),
+                   dataflowName(rana.layers[i].dataflow()),
                    ratio(rana_energy / od_energy),
                    od_ddr > 0.0
                        ? formatPercent(1.0 - rana_ddr / od_ddr)

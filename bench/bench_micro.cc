@@ -28,7 +28,7 @@ BM_AnalyzeLayer(benchmark::State &state)
     const ConvLayerSpec layer = makeVgg16().findLayer("conv4_2");
     for (auto _ : state) {
         benchmark::DoNotOptimize(analyzeLayer(
-            config, layer, ComputationPattern::OD, {16, 16, 7, 7}));
+            config, layer, dataflowSpec(DataflowKind::OD), {16, 16, 7, 7}));
     }
 }
 BENCHMARK(BM_AnalyzeLayer);
@@ -67,7 +67,7 @@ BM_TraceSimulateLayer(benchmark::State &state)
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeVgg16().findLayer("conv4_2");
     const LayerAnalysis analysis = analyzeLayer(
-        config, layer, ComputationPattern::OD, {16, 16, 7, 7});
+        config, layer, dataflowSpec(DataflowKind::OD), {16, 16, 7, 7});
     std::uint64_t tiles = 0;
     for (auto _ : state) {
         LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
@@ -85,7 +85,7 @@ BM_RefreshAccounting(benchmark::State &state)
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeVgg16().findLayer("conv4_2");
     const LayerAnalysis analysis = analyzeLayer(
-        config, layer, ComputationPattern::OD, {16, 16, 7, 7});
+        config, layer, dataflowSpec(DataflowKind::OD), {16, 16, 7, 7});
     const LayerRefreshDemand demand = refreshDemand(config, analysis);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

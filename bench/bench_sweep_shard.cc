@@ -140,13 +140,12 @@ runSweepShardBench(rana::bench::BenchContext &ctx)
     const bool clean_identical =
         canonicalSweepJson(sharded.value().report) == reference_json;
 
-    // 3. Chaos run: kill worker 0 on its second cell, stall cell 2
+    // 3. Chaos run: kill the worker that draws cell 0, stall cell 2
     // until the heartbeat timeout fires and corrupt cell 1's first
     // result frame. Every fault retries; nothing may be lost.
     SweepShardConfig chaos = clean;
     chaos.cellTimeoutMs = 20000;
-    chaos.chaos.killWorker = 0;
-    chaos.chaos.killAfterCells = 1;
+    chaos.chaos.killCell = 0;
     chaos.chaos.stallCell = 2;
     chaos.chaos.corruptCell = 1;
     chaos.postmortemDir = "BENCH_postmortem";

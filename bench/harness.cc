@@ -118,7 +118,7 @@ BenchRegistration::BenchRegistration(BenchHarness harness)
 }
 
 int
-benchMain(int argc, char **argv, const char *forced_name)
+benchMain(int argc, char **argv)
 {
     BenchMode mode = BenchMode::Correctness;
     std::string match;
@@ -186,14 +186,7 @@ benchMain(int argc, char **argv, const char *forced_name)
     }
 
     std::vector<std::string> selected;
-    if (forced_name != nullptr) {
-        if (findBench(forced_name) == nullptr) {
-            std::cerr << "rana_bench: alias names unknown harness '"
-                      << forced_name << "'\n";
-            return 1;
-        }
-        selected.push_back(forced_name);
-    } else if (match.empty()) {
+    if (match.empty()) {
         for (const BenchHarness &harness : benchRegistry())
             selected.push_back(harness.name);
     } else {

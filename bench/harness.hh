@@ -9,9 +9,7 @@
  * --mode=perf, and writes one unified BENCH_<harness>.json artifact
  * per harness (harness name, mode, the harness's legacy fields, a
  * "samples" array of perf measurements and the metrics-registry
- * snapshot). Thin bench_<name> alias binaries keep the one-binary-
- * per-figure workflow alive for one release; they call benchMain()
- * with a forced harness name.
+ * snapshot).
  *
  * The shared perf-template line format (one line per sample, emitted
  * in perf mode) is:
@@ -101,7 +99,7 @@ class BenchContext
 /** One registered benchmark harness. */
 struct BenchHarness
 {
-    /** Registry key, e.g. "table1_storage" (binary: bench_<name>). */
+    /** Registry key, e.g. "table1_storage" (--match=<name>). */
     std::string name;
     /** One-line description; the driver prints it as the banner. */
     std::string description;
@@ -157,12 +155,8 @@ struct BenchRegistration
         }                                                             \
     }
 
-/**
- * The driver entry point shared by rana_bench and the bench_<name>
- * alias binaries. `forced_name` (non-null in aliases) runs exactly
- * that harness and ignores --match.
- */
-int benchMain(int argc, char **argv, const char *forced_name);
+/** The rana_bench driver entry point. */
+int benchMain(int argc, char **argv);
 
 // ---------------------------------------------------------------
 // Shared helpers (formerly bench_common.hh).

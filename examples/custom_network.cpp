@@ -49,7 +49,7 @@ main()
         for (bool flag : layer.refreshFlags)
             flags += flag ? '1' : '0';
         table.row(
-            {layer.layerName, patternName(layer.pattern()),
+            {layer.layerName, dataflowName(layer.dataflow()),
              layer.tiling().describe(),
              std::to_string(alloc.banksOf(DataType::Input)) + "/" +
                  std::to_string(alloc.banksOf(DataType::Output)) +

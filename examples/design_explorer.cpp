@@ -40,13 +40,13 @@ main(int argc, char **argv)
         const auto &schedule = result.schedule;
         const std::string mix =
             std::to_string(
-                schedule.patternCount(ComputationPattern::OD)) +
+                schedule.dataflowCount(DataflowKind::OD)) +
             "/" +
             std::to_string(
-                schedule.patternCount(ComputationPattern::WD)) +
+                schedule.dataflowCount(DataflowKind::WD)) +
             "/" +
             std::to_string(
-                schedule.patternCount(ComputationPattern::ID));
+                schedule.dataflowCount(DataflowKind::ID));
         table.row({design.name, formatEnergy(result.energy.total()),
                    formatDouble(result.energy.total() / baseline, 3),
                    formatEnergy(result.energy.computing),

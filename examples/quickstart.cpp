@@ -35,9 +35,9 @@ main()
     std::cout << "Tolerable retention time: "
               << formatTime(result.tolerableRetentionSeconds) << "\n";
     std::cout << "Layers scheduled OD/WD:   "
-              << result.schedule.patternCount(ComputationPattern::OD)
+              << result.schedule.dataflowCount(DataflowKind::OD)
               << "/"
-              << result.schedule.patternCount(ComputationPattern::WD)
+              << result.schedule.dataflowCount(DataflowKind::WD)
               << "\n";
     std::cout << "Execution time:           "
               << formatTime(result.schedule.totalSeconds()) << "\n\n";
@@ -54,7 +54,7 @@ main()
         for (bool flag : layer.refreshFlags)
             flags += flag ? '1' : '0';
         table.row({layer.layerName,
-                   patternName(layer.pattern()),
+                   dataflowName(layer.dataflow()),
                    layer.tiling().describe(),
                    formatTime(lt[0]) + "/" + formatTime(lt[1]) + "/" +
                        formatTime(lt[2]),

@@ -28,7 +28,7 @@ main(int argc, char **argv)
 
     // The paper's Layer-B under OD with Tn = 16.
     const LayerAnalysis analysis = analyzeLayer(
-        config, layer, ComputationPattern::OD, {16, 16, 7, 7});
+        config, layer, dataflowSpec(DataflowKind::OD), {16, 16, 7, 7});
     if (!analysis.feasible) {
         std::cerr << "layer configuration infeasible\n";
         return 1;
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     counting_sim.runLayer(layer, analysis);
 
     std::cout << "Traced " << layer.describe() << " under "
-              << patternName(analysis.pattern)
+              << dataflowName(analysis.dataflow)
               << analysis.tiling.describe() << "\n"
               << "Wrote " << writer.rowsWritten() << " events to "
               << path << "\n\n";

@@ -39,7 +39,7 @@ makeDesignPoint(DesignKind kind, const RetentionDistribution &retention,
 
     if (kind == DesignKind::SramId) {
         design.config = testAcceleratorSram();
-        design.options.patterns = {ComputationPattern::ID};
+        design.options.dataflows = {DataflowKind::ID};
         design.options.policy = RefreshPolicy::None;
         design.options.refreshIntervalSeconds =
             retention.worstCaseRetention();
@@ -53,30 +53,27 @@ makeDesignPoint(DesignKind kind, const RetentionDistribution &retention,
 
     switch (kind) {
       case DesignKind::EdramId:
-        design.options.patterns = {ComputationPattern::ID};
+        design.options.dataflows = {DataflowKind::ID};
         design.failureRate = 0.0;
         design.options.policy = RefreshPolicy::GatedGlobal;
         break;
       case DesignKind::EdramOd:
-        design.options.patterns = {ComputationPattern::OD};
+        design.options.dataflows = {DataflowKind::OD};
         design.failureRate = 0.0;
         design.options.policy = RefreshPolicy::GatedGlobal;
         break;
       case DesignKind::Rana0:
-        design.options.patterns = {ComputationPattern::OD,
-                                   ComputationPattern::WD};
+        design.options.dataflows = hybridDataflows();
         design.failureRate = 0.0;
         design.options.policy = RefreshPolicy::GatedGlobal;
         break;
       case DesignKind::RanaE5:
-        design.options.patterns = {ComputationPattern::OD,
-                                   ComputationPattern::WD};
+        design.options.dataflows = hybridDataflows();
         design.failureRate = 1e-5;
         design.options.policy = RefreshPolicy::GatedGlobal;
         break;
       case DesignKind::RanaStarE5:
-        design.options.patterns = {ComputationPattern::OD,
-                                   ComputationPattern::WD};
+        design.options.dataflows = hybridDataflows();
         design.failureRate = 1e-5;
         design.options.policy = RefreshPolicy::PerBank;
         break;
@@ -114,7 +111,7 @@ daDianNaoDesigns(const RetentionDistribution &retention)
     DesignPoint baseline;
     baseline.name = "DaDianNao";
     baseline.config = daDianNaoNode();
-    baseline.options.patterns = {ComputationPattern::WD};
+    baseline.options.dataflows = {DataflowKind::WD};
     baseline.options.fixedTiling = ddn_tiling;
     baseline.options.policy = RefreshPolicy::GatedGlobal;
     baseline.options.refreshIntervalSeconds =
@@ -123,8 +120,7 @@ daDianNaoDesigns(const RetentionDistribution &retention)
 
     DesignPoint rana0 = baseline;
     rana0.name = "RANA (0)";
-    rana0.options.patterns = {ComputationPattern::OD,
-                              ComputationPattern::WD};
+    rana0.options.dataflows = hybridDataflows();
 
     DesignPoint rana_e5 = rana0;
     rana_e5.name = "RANA (E-5)";

@@ -33,8 +33,7 @@ runRanaPipeline(const NetworkModel &network,
     result.design.name = "RANA pipeline";
     result.design.config = config;
     result.design.failureRate = inputs.tolerableFailureRate;
-    result.design.options.patterns = {ComputationPattern::OD,
-                                      ComputationPattern::WD};
+    result.design.options.dataflows = hybridDataflows();
     result.design.options.policy = inputs.policy;
     result.design.options.refreshIntervalSeconds =
         result.tolerableRetentionSeconds;

@@ -87,18 +87,6 @@ class SchedulerOptionsBuilder
         return *this;
     }
 
-    /**
-     * Computation patterns explored per layer. Compatibility shim
-     * for pre-dataflow call sites: each pattern names its canonical
-     * legacy dataflow; superseded by dataflows() when both are set.
-     */
-    SchedulerOptionsBuilder &
-    patterns(std::vector<ComputationPattern> value)
-    {
-        options_.patterns = std::move(value);
-        return *this;
-    }
-
     /** Refresh policy of the target design's controller. */
     SchedulerOptionsBuilder &policy(RefreshPolicy value)
     {

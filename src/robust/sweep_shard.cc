@@ -364,8 +364,7 @@ corruptEncodedFrame(std::string &bytes)
 
 int
 workerBody(const PreparedSweep &plan, const ShardChaosConfig &chaos,
-           unsigned ordinal, bool chaosArmed, int requestFd,
-           int responseFd)
+           unsigned ordinal, int requestFd, int responseFd)
 {
     // The forked child inherits the parent's registry contents,
     // trace buffer and flight ring copy-on-write. Reset/baseline
@@ -416,7 +415,6 @@ workerBody(const PreparedSweep &plan, const ShardChaosConfig &chaos,
     if (!sendTelemetry(false))
         return kWorkerExitPipe;
 
-    std::uint32_t assignments = 0;
     Frame request;
     while (readFrameBlocking(requestFd, request, nullptr)) {
         if (request.type == FrameType::Shutdown) {
@@ -431,7 +429,6 @@ workerBody(const PreparedSweep &plan, const ShardChaosConfig &chaos,
         }
         if (request.type != FrameType::Assign)
             continue;
-        ++assignments;
         flight.record("assign", request.cell, request.attempt);
 
         Frame heartbeat;
@@ -441,12 +438,13 @@ workerBody(const PreparedSweep &plan, const ShardChaosConfig &chaos,
         if (!writeFrameBlocking(responseFd, heartbeat))
             return kWorkerExitPipe;
 
-        // Chaos: die abruptly on the (killAfterCells+1)-th
-        // assignment of the victim's first incarnation — after the
-        // heartbeat, so the coordinator sees a started cell vanish.
-        if (chaosArmed && chaos.killWorker >= 0 &&
-            ordinal == static_cast<unsigned>(chaos.killWorker) &&
-            assignments > chaos.killAfterCells) {
+        // Chaos: die abruptly on the designated cell's first attempt
+        // — after the heartbeat, so the coordinator sees a started
+        // cell vanish. Retries carry attempt >= 1 and proceed.
+        if (chaos.killCell >= 0 &&
+            request.cell ==
+                static_cast<std::uint32_t>(chaos.killCell) &&
+            request.attempt == 0) {
             flight.record("chaos-kill", request.cell,
                           request.attempt);
             return kWorkerExitChaosKill;
@@ -578,7 +576,7 @@ class ShardCoordinator
             recorder_.setThreadName(
                 TraceRecorder::kHostPid, workerTrack(w),
                 detail::concat("shard worker ", w));
-            spawnSlot(slots_[w], /*firstIncarnation=*/true);
+            spawnSlot(slots_[w]);
         }
 
         while (remaining_ > 0) {
@@ -619,16 +617,14 @@ class ShardCoordinator
         return count;
     }
 
-    void spawnSlot(WorkerSlot &slot, bool firstIncarnation)
+    void spawnSlot(WorkerSlot &slot)
     {
         const PreparedSweep &plan = plan_;
         const ShardChaosConfig chaos = config_.chaos;
         const unsigned ordinal = slot.ordinal;
         Result<WorkerProcess> spawned = WorkerProcess::spawn(
-            [&plan, chaos, ordinal,
-             firstIncarnation](int requestFd, int responseFd) {
-                return workerBody(plan, chaos, ordinal,
-                                  firstIncarnation, requestFd,
+            [&plan, chaos, ordinal](int requestFd, int responseFd) {
+                return workerBody(plan, chaos, ordinal, requestFd,
                                   responseFd);
             });
         if (!spawned.ok()) {
@@ -654,7 +650,7 @@ class ShardCoordinator
         for (WorkerSlot &slot : slots_) {
             if (slot.alive || pending_.empty())
                 continue;
-            spawnSlot(slot, /*firstIncarnation=*/false);
+            spawnSlot(slot);
             if (slot.alive) {
                 ++stats_.respawns;
                 markInstant(workerTrack(slot.ordinal), "respawn");

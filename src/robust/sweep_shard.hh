@@ -23,9 +23,9 @@
  * in the coordinator — degraded, never lost, and still
  * byte-identical because every path runs the same PreparedSweep
  * cell. ShardChaosConfig injects those failures deterministically
- * for tests and CI: kill a chosen worker after K cells, stall a
- * chosen cell's first attempt past the timeout, corrupt a chosen
- * cell's first result frame.
+ * for tests and CI: kill the worker that receives a chosen cell's
+ * first attempt, stall a chosen cell's first attempt past the
+ * timeout, corrupt a chosen cell's first result frame.
  */
 
 #ifndef RANA_ROBUST_SWEEP_SHARD_HH_
@@ -41,16 +41,15 @@ namespace rana {
 
 /**
  * Deterministic fault injection into the shard machinery itself
- * (not into the simulated eDRAM). Index-addressed, not random: the
- * same config produces the same failure at the same point in every
- * run, so recovery is testable byte-for-byte.
+ * (not into the simulated eDRAM). Cell-addressed, not random: each
+ * fault fires on the first attempt of its cell, whichever worker
+ * that attempt lands on, so the same config produces the same
+ * failure in every run and recovery is testable byte-for-byte.
  */
 struct ShardChaosConfig
 {
-    /** Worker ordinal to kill (-1 = off; first incarnation only). */
-    int killWorker = -1;
-    /** The victim dies on receiving its (killAfterCells+1)-th cell. */
-    std::uint32_t killAfterCells = 0;
+    /** Cell whose first attempt kills its worker (-1 = off). */
+    int killCell = -1;
     /** Cell whose first attempt hangs until killed (-1 = off). */
     int stallCell = -1;
     /** Cell whose first result frame is corrupted (-1 = off). */
@@ -59,7 +58,7 @@ struct ShardChaosConfig
     /** Whether any injection is enabled. */
     bool any() const
     {
-        return killWorker >= 0 || stallCell >= 0 || corruptCell >= 0;
+        return killCell >= 0 || stallCell >= 0 || corruptCell >= 0;
     }
 };
 

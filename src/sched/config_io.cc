@@ -16,19 +16,6 @@ namespace rana {
 
 namespace {
 
-Result<ComputationPattern>
-parsePattern(const std::string &token, const std::string &line)
-{
-    if (token == "ID")
-        return ComputationPattern::ID;
-    if (token == "OD")
-        return ComputationPattern::OD;
-    if (token == "WD")
-        return ComputationPattern::WD;
-    return makeError(ErrorCode::ParseError, "bad pattern '", token,
-                     "' in config line: ", line);
-}
-
 Result<RefreshPolicy>
 parsePolicy(const std::string &token, const std::string &line)
 {
@@ -164,25 +151,24 @@ readConfigChecked(std::istream &is)
                 return makeError(ErrorCode::ParseError,
                                  "truncated config line: ", line);
             }
+            Result<DataflowKind> parsed_dataflow =
+                parseDataflowName(dataflow);
             if (format_version == 1) {
-                // v1 predates the dataflow axis: the token is a bare
-                // computation pattern mapped onto its canonical
-                // dataflow.
-                Result<ComputationPattern> parsed_pattern =
-                    parsePattern(dataflow, line);
-                if (!parsed_pattern.ok())
-                    return parsed_pattern.error();
-                layer.dataflow = dataflowOf(parsed_pattern.value());
-            } else {
-                Result<DataflowKind> parsed_dataflow =
-                    parseDataflowName(dataflow);
-                if (!parsed_dataflow.ok()) {
+                // v1 predates the dataflow axis: the token is one of
+                // the paper's pattern names in its config spelling.
+                if (!parsed_dataflow.ok() ||
+                    dataflow != dataflowName(parsed_dataflow.value()) ||
+                    dataflowSpec(parsed_dataflow.value()).systolic) {
                     return makeError(ErrorCode::ParseError,
-                                     "bad dataflow '", dataflow,
+                                     "bad pattern '", dataflow,
                                      "' in config line: ", line);
                 }
-                layer.dataflow = parsed_dataflow.value();
+            } else if (!parsed_dataflow.ok()) {
+                return makeError(ErrorCode::ParseError,
+                                 "bad dataflow '", dataflow,
+                                 "' in config line: ", line);
             }
+            layer.dataflow = parsed_dataflow.value();
             Result<bool> parsed_promote = parseBit(promote, line);
             if (!parsed_promote.ok())
                 return parsed_promote.error();

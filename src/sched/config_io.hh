@@ -19,7 +19,7 @@
  *
  * Version history: v1 predates the dataflow axis and carries a bare
  * computation pattern (ID|OD|WD) per layer. The reader still accepts
- * v1 and maps each pattern onto its canonical dataflow — the legacy
+ * v1 and parses each pattern as a dataflow name — the paper's
  * dataflow names are the pattern names, so a v1 artifact differs
  * from its v2 rewrite only in the header line. The writer always
  * emits v2.
@@ -92,7 +92,7 @@ NetworkConfigRecord readConfigString(const std::string &text);
 /**
  * Rebuild a full NetworkSchedule from a record by re-analyzing each
  * layer of `network` on `config` (the analysis is deterministic
- * given pattern/tiling/promotion, so the rebuilt schedule matches
+ * given dataflow/tiling/promotion, so the rebuilt schedule matches
  * the original). Fails with ErrorCode::Mismatch when the record does
  * not describe the network, ErrorCode::Infeasible when a recorded
  * choice does not fit the hardware.

@@ -140,16 +140,6 @@ evalCacheKey(const AcceleratorConfig &config,
 }
 
 std::string
-evalCacheKey(const AcceleratorConfig &config,
-             const ConvLayerSpec &layer, ComputationPattern pattern,
-             const Tiling &tiling, bool promote_inputs,
-             const SchedulerOptions &options)
-{
-    return evalCacheKey(config, layer, dataflowOf(pattern), tiling,
-                        promote_inputs, options);
-}
-
-std::string
 searchCacheKey(const AcceleratorConfig &config,
                const ConvLayerSpec &layer,
                const SchedulerOptions &options)
@@ -158,7 +148,7 @@ searchCacheKey(const AcceleratorConfig &config,
     oss << "search|";
     appendLayer(oss, layer);
     oss << '|';
-    for (DataflowKind dataflow : effectiveDataflows(options))
+    for (DataflowKind dataflow : options.dataflows)
         oss << dataflowName(dataflow) << '+';
     oss << '|';
     if (options.fixedTiling) {

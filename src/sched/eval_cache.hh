@@ -3,7 +3,7 @@
  * Sharded memoization cache for layer-schedule evaluations.
  *
  * The Table-IV sweeps and `rana_compile --verify` repeatedly
- * evaluate the same design points: the same (layer spec, pattern,
+ * evaluate the same design points: the same (layer spec, dataflow,
  * tiling, hardware, refresh options) tuple reappears across figure
  * harnesses, ablation baselines and schedule rebuilds. Evaluation is
  * deterministic, so the first result can be replayed. The cache
@@ -82,7 +82,7 @@ class EvalCache
 /**
  * Cache key of one explicit (dataflow, tiling, promote) evaluation:
  * layer spec + hardware fingerprint + the SchedulerOptions fields
- * that influence the result (policy, refresh interval). Legacy
+ * that influence the result (policy, refresh interval). The paper's
  * dataflows key under their historical pattern names, so caches
  * persisted before the dataflow axis existed stay valid.
  */
@@ -90,13 +90,6 @@ std::string evalCacheKey(const AcceleratorConfig &config,
                          const ConvLayerSpec &layer,
                          DataflowKind dataflow, const Tiling &tiling,
                          bool promote_inputs,
-                         const SchedulerOptions &options);
-
-/** Compatibility shim keying by the pattern's canonical dataflow. */
-std::string evalCacheKey(const AcceleratorConfig &config,
-                         const ConvLayerSpec &layer,
-                         ComputationPattern pattern,
-                         const Tiling &tiling, bool promote_inputs,
                          const SchedulerOptions &options);
 
 /**

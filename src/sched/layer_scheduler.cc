@@ -81,7 +81,7 @@ Result<LayerSchedule>
 scheduleLayer(const AcceleratorConfig &config, const ConvLayerSpec &layer,
               const SchedulerOptions &options)
 {
-    if (effectiveDataflows(options).empty()) {
+    if (options.dataflows.empty()) {
         return makeError(ErrorCode::InvalidArgument,
                          "scheduler needs at least one dataflow (layer ",
                          layer.name, ")");
@@ -210,16 +210,6 @@ evaluateLayerChoice(const AcceleratorConfig &config,
     return schedule;
 }
 
-Result<LayerSchedule>
-evaluateLayerChoice(const AcceleratorConfig &config,
-                    const ConvLayerSpec &layer,
-                    ComputationPattern pattern, const Tiling &tiling,
-                    const SchedulerOptions &options, bool promote_inputs)
-{
-    return evaluateLayerChoice(config, layer, dataflowOf(pattern),
-                               tiling, options, promote_inputs);
-}
-
 Result<NetworkSchedule>
 scheduleNetwork(const AcceleratorConfig &config,
                 const NetworkModel &network,
@@ -262,12 +252,12 @@ scheduleLayerOrDie(const AcceleratorConfig &config,
 LayerSchedule
 evaluateLayerChoiceOrDie(const AcceleratorConfig &config,
                          const ConvLayerSpec &layer,
-                         ComputationPattern pattern,
+                         DataflowKind dataflow,
                          const Tiling &tiling,
                          const SchedulerOptions &options,
                          bool promote_inputs)
 {
-    return evaluateLayerChoice(config, layer, pattern, tiling, options,
+    return evaluateLayerChoice(config, layer, dataflow, tiling, options,
                                promote_inputs)
         .valueOrDie();
 }

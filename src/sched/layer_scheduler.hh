@@ -3,13 +3,13 @@
  * RANA's layer-based scheduling scheme (Section IV-C3, Figure 13).
  *
  * For each layer, the scheduler explores the configured dataflows
- * (legacy computation patterns and systolic variants — see
+ * (the paper's computation patterns and systolic variants — see
  * sim/dataflow.hh) and tiling parameters, estimates total system
- * energy with
- * the Equation-14 model under the design's refresh policy and
- * interval, and picks the minimum-energy configuration. Applied to a
- * whole network this yields the hybrid computation pattern and the
- * layerwise configurations (pattern, tiling, refresh flags) loaded
+ * energy with the Equation-14 model under the design's refresh
+ * policy and interval, and picks the minimum-energy configuration.
+ * Applied to a whole network this yields the hybrid computation
+ * pattern and the layerwise configurations (dataflow, tiling,
+ * refresh flags) loaded
  * by the accelerator in the execution phase.
  *
  * The search is the dominant wall-clock cost of compilation, and
@@ -63,12 +63,6 @@ Result<LayerSchedule> evaluateLayerChoice(
     DataflowKind dataflow, const Tiling &tiling,
     const SchedulerOptions &options, bool promote_inputs = false);
 
-/** Compatibility shim over the pattern's canonical dataflow. */
-Result<LayerSchedule> evaluateLayerChoice(
-    const AcceleratorConfig &config, const ConvLayerSpec &layer,
-    ComputationPattern pattern, const Tiling &tiling,
-    const SchedulerOptions &options, bool promote_inputs = false);
-
 /**
  * Schedule every layer of a network (the hybrid pattern). Fails with
  * the first failing layer's error.
@@ -85,7 +79,7 @@ LayerSchedule scheduleLayerOrDie(const AcceleratorConfig &config,
 /** evaluateLayerChoice, but fatal() on failure. */
 LayerSchedule evaluateLayerChoiceOrDie(const AcceleratorConfig &config,
                                        const ConvLayerSpec &layer,
-                                       ComputationPattern pattern,
+                                       DataflowKind dataflow,
                                        const Tiling &tiling,
                                        const SchedulerOptions &options,
                                        bool promote_inputs = false);

@@ -45,22 +45,4 @@ NetworkSchedule::dataflowCount(DataflowKind dataflow) const
     return count;
 }
 
-std::size_t
-NetworkSchedule::patternCount(ComputationPattern pattern) const
-{
-    return dataflowCount(dataflowOf(pattern));
-}
-
-std::vector<DataflowKind>
-effectiveDataflows(const SchedulerOptions &options)
-{
-    if (!options.dataflows.empty())
-        return options.dataflows;
-    std::vector<DataflowKind> dataflows;
-    dataflows.reserve(options.patterns.size());
-    for (ComputationPattern pattern : options.patterns)
-        dataflows.push_back(dataflowOf(pattern));
-    return dataflows;
-}
-
 } // namespace rana

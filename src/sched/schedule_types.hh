@@ -24,20 +24,8 @@ namespace rana {
 /** Inputs to the layer-based scheduling scheme. */
 struct SchedulerOptions
 {
-    /**
-     * Dataflows explored per layer. When empty the search space is
-     * derived from `patterns` (the pre-dataflow compatibility axis);
-     * use effectiveDataflows() to resolve the axis a search actually
-     * sweeps. Listing a dataflow here supersedes `patterns`.
-     */
-    std::vector<DataflowKind> dataflows;
-    /**
-     * Computation patterns explored per layer. Compatibility view of
-     * `dataflows`: each pattern names its canonical legacy dataflow.
-     * Ignored when `dataflows` is non-empty.
-     */
-    std::vector<ComputationPattern> patterns = {ComputationPattern::OD,
-                                                ComputationPattern::WD};
+    /** Dataflows explored per layer, in search order. */
+    std::vector<DataflowKind> dataflows = hybridDataflows();
     /** Refresh policy of the target design's controller. */
     RefreshPolicy policy = RefreshPolicy::GatedGlobal;
     /**
@@ -52,7 +40,7 @@ struct SchedulerOptions
     std::optional<Tiling> fixedTiling;
     /**
      * Worker lanes for the design-space search: scheduleNetwork fans
-     * layers and scheduleLayer fans (pattern, tiling) candidates
+     * layers and scheduleLayer fans (dataflow, tiling) candidates
      * across the shared thread pool. 1 = serial on the calling
      * thread; 0 = one lane per hardware thread. The schedule is
      * byte-identical for every value (candidates are reduced in
@@ -67,14 +55,6 @@ struct SchedulerOptions
      */
     bool memoize = true;
 };
-
-/**
- * The dataflow axis a search over `options` sweeps: the explicit
- * dataflow list when set, otherwise the canonical dataflows of the
- * legacy pattern list (preserving its order).
- */
-std::vector<DataflowKind>
-effectiveDataflows(const SchedulerOptions &options);
 
 /**
  * One layer's compiled configuration: the chosen dataflow and tiling,
@@ -94,11 +74,6 @@ struct LayerSchedule
 
     /** Chosen dataflow. */
     DataflowKind dataflow() const { return analysis.dataflow; }
-    /**
-     * Chosen computation pattern. Compatibility shim: only
-     * meaningful for legacy dataflows; prefer dataflow().
-     */
-    ComputationPattern pattern() const { return analysis.pattern; }
     /** Chosen tiling. */
     const Tiling &tiling() const { return analysis.tiling; }
 };
@@ -120,11 +95,6 @@ struct NetworkSchedule
     double totalSeconds() const;
     /** Number of layers scheduled with the given dataflow. */
     std::size_t dataflowCount(DataflowKind dataflow) const;
-    /**
-     * Number of layers scheduled with the given pattern's canonical
-     * dataflow. Compatibility shim over dataflowCount().
-     */
-    std::size_t patternCount(ComputationPattern pattern) const;
 };
 
 } // namespace rana

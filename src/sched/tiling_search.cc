@@ -96,8 +96,7 @@ dataflowChoices(const AcceleratorConfig &config,
         tilings = tilingCandidates(config, layer);
     }
 
-    const std::vector<DataflowKind> dataflows =
-        effectiveDataflows(options);
+    const std::vector<DataflowKind> &dataflows = options.dataflows;
     std::vector<DataflowChoice> choices;
     choices.reserve(tilings.size() * dataflows.size() * 2);
     for (DataflowKind dataflow : dataflows) {

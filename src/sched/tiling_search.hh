@@ -57,7 +57,7 @@ std::vector<Tiling> tilingCandidates(const AcceleratorConfig &config,
 /**
  * The full per-layer search space — the dataflow x tiling product —
  * in the order the serial scheduler visits it: dataflows outer
- * (effectiveDataflows(options) order), tilings inner, the WD
+ * (options.dataflows order), tilings inner, the WD
  * input-promotion variant directly after its unpromoted twin. The
  * scheduler's reduction tie-breaks on this index, which is what
  * keeps the parallel result byte-identical to the serial one.

@@ -11,12 +11,6 @@ namespace rana {
 
 namespace {
 
-constexpr std::size_t kInput = static_cast<std::size_t>(DataType::Input);
-constexpr std::size_t kOutput =
-    static_cast<std::size_t>(DataType::Output);
-constexpr std::size_t kWeight =
-    static_cast<std::size_t>(DataType::Weight);
-
 /** The loop axis a data type does not depend on. */
 LoopAxis
 freeAxis(DataType type)
@@ -31,18 +25,6 @@ freeAxis(DataType type)
     }
     RANA_ASSERT(false, "bad data type");
     return LoopAxis::M;
-}
-
-/** Position of an axis in a loop order. */
-int
-positionOf(const std::array<LoopAxis, 3> &order, LoopAxis axis)
-{
-    for (int i = 0; i < 3; ++i) {
-        if (order[static_cast<std::size_t>(i)] == axis)
-            return i;
-    }
-    RANA_ASSERT(false, "axis missing from loop order");
-    return 0;
 }
 
 /** Residency class implied by a reuse level. */
@@ -62,18 +44,16 @@ residencyOfLevel(int level)
 /** Build one spec; reuse levels and residency derive from the order. */
 DataflowSpec
 makeSpec(DataflowKind kind, const char *name,
-         std::array<LoopAxis, 3> order, bool systolic,
-         DataType stationary)
+         std::array<LoopAxis, 3> order, bool systolic)
 {
     DataflowSpec spec;
     spec.kind = kind;
     spec.name = name;
     spec.order = order;
     spec.systolic = systolic;
-    spec.stationary = stationary;
     for (std::size_t i = 0; i < numDataTypes; ++i) {
         const auto type = static_cast<DataType>(i);
-        const int level = positionOf(order, freeAxis(type));
+        const int level = spec.positionOf(freeAxis(type));
         spec.reuseLevel[i] = level;
         // Outputs at reuse level 2 complete inside the core: their
         // natural residency is one tile, like any level-2 operand.
@@ -88,58 +68,22 @@ specTable()
 {
     static const std::array<DataflowSpec, numDataflowKinds> table = {
         makeSpec(DataflowKind::ID, "ID",
-                 {LoopAxis::M, LoopAxis::RC, LoopAxis::N}, false,
-                 DataType::Input),
+                 {LoopAxis::M, LoopAxis::RC, LoopAxis::N}, false),
         makeSpec(DataflowKind::OD, "OD",
-                 {LoopAxis::N, LoopAxis::M, LoopAxis::RC}, false,
-                 DataType::Output),
+                 {LoopAxis::N, LoopAxis::M, LoopAxis::RC}, false),
         makeSpec(DataflowKind::WD, "WD",
-                 {LoopAxis::RC, LoopAxis::M, LoopAxis::N}, false,
-                 DataType::Weight),
+                 {LoopAxis::RC, LoopAxis::M, LoopAxis::N}, false),
         makeSpec(DataflowKind::SystolicWS, "sys-ws",
-                 {LoopAxis::M, LoopAxis::N, LoopAxis::RC}, true,
-                 DataType::Weight),
+                 {LoopAxis::M, LoopAxis::N, LoopAxis::RC}, true),
         makeSpec(DataflowKind::SystolicIS, "sys-is",
-                 {LoopAxis::RC, LoopAxis::N, LoopAxis::M}, true,
-                 DataType::Input),
+                 {LoopAxis::RC, LoopAxis::N, LoopAxis::M}, true),
         makeSpec(DataflowKind::SystolicOS, "sys-os",
-                 {LoopAxis::N, LoopAxis::RC, LoopAxis::M}, true,
-                 DataType::Output),
+                 {LoopAxis::N, LoopAxis::RC, LoopAxis::M}, true),
     };
     return table;
 }
 
 } // namespace
-
-ComputationPattern
-DataflowSpec::legacyPattern() const
-{
-    switch (kind) {
-      case DataflowKind::ID:
-        return ComputationPattern::ID;
-      case DataflowKind::OD:
-        return ComputationPattern::OD;
-      case DataflowKind::WD:
-        return ComputationPattern::WD;
-      default:
-        break;
-    }
-    RANA_ASSERT(false, "legacyPattern() of a systolic dataflow");
-    return ComputationPattern::ID;
-}
-
-DataType
-DataflowSpec::arrayTile() const
-{
-    if (reuseLevel[kWeight] == 2)
-        return DataType::Weight;
-    RANA_ASSERT(reuseLevel[kInput] == 2 || reuseLevel[kOutput] == 2,
-                "loop order without a level-2 operand");
-    // When outputs complete innermost (ID/WD), weights are still the
-    // per-tile array operand; otherwise the input tile is pinned.
-    return reuseLevel[kInput] == 2 ? DataType::Input
-                                   : DataType::Weight;
-}
 
 const DataflowSpec &
 dataflowSpec(DataflowKind kind)
@@ -147,27 +91,6 @@ dataflowSpec(DataflowKind kind)
     const auto index = static_cast<std::size_t>(kind);
     RANA_ASSERT(index < numDataflowKinds, "bad dataflow kind");
     return specTable()[index];
-}
-
-const DataflowSpec &
-dataflowSpec(ComputationPattern pattern)
-{
-    return dataflowSpec(dataflowOf(pattern));
-}
-
-DataflowKind
-dataflowOf(ComputationPattern pattern)
-{
-    switch (pattern) {
-      case ComputationPattern::ID:
-        return DataflowKind::ID;
-      case ComputationPattern::OD:
-        return DataflowKind::OD;
-      case ComputationPattern::WD:
-        return DataflowKind::WD;
-    }
-    RANA_ASSERT(false, "bad computation pattern");
-    return DataflowKind::ID;
 }
 
 const char *
@@ -210,6 +133,12 @@ std::vector<DataflowKind>
 legacyDataflows()
 {
     return {DataflowKind::ID, DataflowKind::OD, DataflowKind::WD};
+}
+
+std::vector<DataflowKind>
+hybridDataflows()
+{
+    return {DataflowKind::OD, DataflowKind::WD};
 }
 
 } // namespace rana

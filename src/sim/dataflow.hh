@@ -1,7 +1,6 @@
 /**
  * @file
- * First-class dataflow specifications: the search axis behind the
- * computation patterns.
+ * Dataflow specifications: the loop-order axis the scheduler searches.
  *
  * A DataflowSpec fixes the ordering of the three memory-control
  * loops and, derived from it, each data type's residency class,
@@ -9,16 +8,16 @@
  * patterns are three of the six loop-order permutations; the other
  * three are the systolic weight-/input-/output-stationary dataflows
  * (the CADOSys family), which run the same core tile on a skewed
- * systolic schedule with a double-buffered scratchpad:
+ * systolic schedule:
  *
- *   | Dataflow | Loop order (outer..inner) | Stationary | Style    |
- *   |----------|---------------------------|------------|----------|
- *   | ID       | M, RC, N                  | inputs     | legacy   |
- *   | OD       | N, M, RC                  | outputs    | legacy   |
- *   | WD       | RC, M, N                  | weights    | legacy   |
- *   | sys-ws   | M, N, RC                  | weights    | systolic |
- *   | sys-is   | RC, N, M                  | inputs     | systolic |
- *   | sys-os   | N, RC, M                  | outputs    | systolic |
+ *   | Dataflow | Loop order (outer..inner) | Core-pinned tile | Style    |
+ *   |----------|---------------------------|------------------|----------|
+ *   | ID       | M, RC, N                  | outputs          | paper    |
+ *   | OD       | N, M, RC                  | weights          | paper    |
+ *   | WD       | RC, M, N                  | outputs          | paper    |
+ *   | sys-ws   | M, N, RC                  | weights          | systolic |
+ *   | sys-is   | RC, N, M                  | inputs           | systolic |
+ *   | sys-os   | N, RC, M                  | inputs           | systolic |
  *
  * Residency semantics: each data type has exactly one loop axis it
  * does not depend on (inputs: Loop M, weights: Loop RC, outputs:
@@ -29,13 +28,19 @@
  * is reused across). Reordering loops therefore moves refresh
  * exposure between data types without touching the core computing
  * part: e.g. sys-is pins only one input tile (lifetime T1) where WD
- * pins an N-deep input slab for a whole 2nd-level pass (T2).
+ * holds an N-deep input slab for a whole 2nd-level pass (T2).
+ *
+ * All six kinds are priced by one engine (sim/pattern_analytics.hh)
+ * and walked by one simulator (sim/loopnest_simulator.hh). The spec
+ * carries no per-kind pricing flags: everything but the systolic
+ * stall terms follows from the reuse levels. WD input promotion is
+ * a per-evaluation choice, not a spec property: the engine prices it
+ * as inputs at reuse level 0 (see LayerAnalysis::reuseLevels()).
  *
  * Systolic dataflows additionally model the array skew (fill/drain
  * of the peRows x peCols wavefront per tile) and the preload of the
- * array-stationary tile per 1st-level pass, with double-buffered
- * staging hiding the DRAM fetch of the next stationary tile behind
- * the current pass.
+ * core-pinned tile per 1st-level pass; both are exact zeros for the
+ * paper's patterns.
  */
 
 #ifndef RANA_SIM_DATAFLOW_HH_
@@ -52,7 +57,7 @@
 
 namespace rana {
 
-/** The six dataflows: three legacy patterns, three systolic. */
+/** The six dataflows: the paper's three patterns, three systolic. */
 enum class DataflowKind : std::uint8_t {
     ID,
     OD,
@@ -90,15 +95,6 @@ struct DataflowSpec
     /** Whether the core runs a skewed systolic schedule. */
     bool systolic = false;
     /**
-     * Whether per-pass staged tiles are double-buffered (prefetched
-     * one 1st-level pass ahead so DRAM latency hides behind
-     * compute). Always true: OD's weight staging already follows
-     * this convention, and the systolic scratchpad requires it.
-     */
-    bool doubleBuffered = true;
-    /** The operand held stationary on chip across its reuse scan. */
-    DataType stationary = DataType::Input;
-    /**
      * Reuse level p per data type: the position (0 = outermost) of
      * the one loop axis the type does not depend on. Lifetime and
      * natural storage derive from it (see file comment).
@@ -108,10 +104,11 @@ struct DataflowSpec
     std::array<Residency, numDataTypes> residency = {
         Residency::Whole, Residency::Tile, Residency::Slab};
 
-    /** Whether this is one of the paper's ID/OD/WD patterns. */
-    bool legacy() const { return !systolic; }
-    /** The equivalent ComputationPattern (legacy kinds only). */
-    ComputationPattern legacyPattern() const;
+    /** Position (0 = outermost) of a loop axis in the order. */
+    int positionOf(LoopAxis axis) const
+    {
+        return order[0] == axis ? 0 : (order[1] == axis ? 1 : 2);
+    }
     /** Reuse level of one data type. */
     int reuseOf(DataType type) const
     {
@@ -123,13 +120,21 @@ struct DataflowSpec
         return residency[static_cast<std::size_t>(type)];
     }
     /**
-     * The input-or-weight operand whose tile is pinned in the PE
-     * array across the innermost scan (reuse level 2). For systolic
-     * dataflows this is the tile the array preloads per 1st-level
-     * pass; OD's double-buffered weight staging is the legacy
-     * equivalent.
+     * The data type of reuse level 2, whose tile stays pinned in the
+     * core across the innermost loop. When it is an input or weight
+     * (OD, sys-*), that tile is staged once per 1st-level pass and
+     * the systolic array preloads it; when it is the output (ID, WD),
+     * the partial sums accumulate in the core and both operands
+     * stream every tile.
      */
-    DataType arrayTile() const;
+    DataType arrayTile() const
+    {
+        for (std::size_t i = 0; i < numDataTypes; ++i) {
+            if (reuseLevel[i] == 2)
+                return static_cast<DataType>(i);
+        }
+        return DataType::Output;
+    }
     /**
      * Whether outputs accumulate across the outermost loop (reuse
      * level 0): partial sums live a whole 2nd-level pass and the
@@ -145,27 +150,24 @@ struct DataflowSpec
 /** The immutable spec of a dataflow kind. */
 const DataflowSpec &dataflowSpec(DataflowKind kind);
 
-/** The canonical spec of a legacy computation pattern. */
-const DataflowSpec &dataflowSpec(ComputationPattern pattern);
-
-/** The dataflow kind of a legacy computation pattern. */
-DataflowKind dataflowOf(ComputationPattern pattern);
-
 /** Canonical name ("ID", "OD", "WD", "sys-ws", "sys-is", "sys-os"). */
 const char *dataflowName(DataflowKind kind);
 
 /**
- * Parse a canonical dataflow name. Legacy pattern names are accepted
- * both uppercase ("OD", the config-file spelling) and lowercase
- * ("od", the CLI spelling).
+ * Parse a canonical dataflow name. The paper's pattern names are
+ * accepted both uppercase ("OD", the config-file spelling) and
+ * lowercase ("od", the CLI spelling).
  */
 Result<DataflowKind> parseDataflowName(const std::string &token);
 
-/** All six dataflow kinds, legacy first. */
+/** All six dataflow kinds, the paper's patterns first. */
 const std::array<DataflowKind, numDataflowKinds> &allDataflows();
 
-/** The three legacy kinds (ID, OD, WD). */
+/** The paper's three patterns (ID, OD, WD). */
 std::vector<DataflowKind> legacyDataflows();
+
+/** The paper's hybrid pattern (OD, WD), the default search axis. */
+std::vector<DataflowKind> hybridDataflows();
 
 } // namespace rana
 

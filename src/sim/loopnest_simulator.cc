@@ -111,26 +111,27 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                          "cannot simulate layer ", layer.name,
                          ": the analysis is infeasible");
     }
-    if (analysis.spec().systolic)
-        return runLayerSystolic(layer, analysis);
-    const ComputationPattern pattern = analysis.spec().legacyPattern();
+    const DataflowSpec &spec = analysis.spec();
     const Tiling &t = analysis.tiling;
     const TileSizes tiles = tileSizes(layer, t);
     const TripCounts trips = tripCounts(layer, t);
-    const TileTiming timing = tileTiming(config_, layer, t);
-    const auto order = loopOrder(pattern);
-    const std::uint64_t trip0 = tripOf(trips, order[0]);
-    const std::uint64_t trip1 = tripOf(trips, order[1]);
-    const std::uint64_t trip2 = tripOf(trips, order[2]);
+    const SystolicTiming timing =
+        dataflowTileTiming(config_, layer, t, spec);
+    const std::uint64_t trip0 = tripOf(trips, spec.order[0]);
+    const std::uint64_t trip1 = tripOf(trips, spec.order[1]);
+    const std::uint64_t trip2 = tripOf(trips, spec.order[2]);
 
     const double layer_start = now_;
     // Injected timing faults stretch each tile and stall each outer
     // scan. At the default TimingFaults both terms are exact float
     // no-ops (x*1.0 and x+0.0), keeping fault-free timing
-    // bit-identical to the analytical model.
-    const double t_tile = faults_.tileSeconds(timing.seconds);
+    // bit-identical to the analytical model. The systolic preload is
+    // a register-file transfer and stays unstretched; it is an exact
+    // 0.0 for non-systolic dataflows.
+    const double t_tile = faults_.tileSeconds(timing.tile.seconds);
     const double stall = faults_.scanStallSeconds;
-    const double t1 = static_cast<double>(trip2) * t_tile;
+    const double preload_s = timing.preloadSeconds;
+    const double t1 = static_cast<double>(trip2) * t_tile + preload_s;
     const double t2 = static_cast<double>(trip1) * t1;
 
     // Layer configuration load: allocation and refresh flags from
@@ -157,39 +158,70 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     sim_metrics.banksInUsePeak.setMax(
         static_cast<double>(banks_in_use));
 
-    // Per-type staging times following the pattern's natural
-    // residency; fully streamed types are always freshly staged.
+    // Per-type staging follows the natural residency of each reuse
+    // level; fully streamed types are always freshly staged.
     const std::array<double, numDataTypes> phi = {
         analysis.types[kInput].residentFraction,
         analysis.types[kOutput].residentFraction,
         analysis.types[kWeight].residentFraction,
     };
+    const std::array<int, numDataTypes> levels = analysis.reuseLevels();
+    const int p_in = levels[kInput];
+    const int p_out = levels[kOutput];
+    const int p_w = levels[kWeight];
+    const DataType pinned = spec.arrayTile();
+
+    // Current tile index along each loop axis (indexed by LoopAxis).
+    std::array<std::uint64_t, 3> axis_index = {0, 0, 0};
+    const std::uint64_t th = layer.inputPatchH(t.tr);
+    const std::uint64_t tl = layer.inputPatchW(t.tc);
+    // The extent of one staging along an axis: the current tile,
+    // clamped at the layer edge, when the axis is ordered outside the
+    // staged type's reuse level; the full layer extent otherwise.
+    const auto extent = [&](LoopAxis axis, int level,
+                            std::uint64_t tile, std::uint64_t full) {
+        if (spec.positionOf(axis) >= level)
+            return full;
+        return std::min(
+            tile,
+            full - axis_index[static_cast<std::size_t>(axis)] * tile);
+    };
+    // Words one staging of a type brings on chip at the current loop
+    // indices. Spatial patches keep their full halo.
+    const auto staged_input_words = [&]() {
+        return static_cast<double>(
+            extent(LoopAxis::N, p_in, t.tn, layer.n) *
+            (spec.positionOf(LoopAxis::RC) < p_in
+                 ? th * tl
+                 : static_cast<std::uint64_t>(layer.h) * layer.l));
+    };
+    const auto staged_weight_words = [&]() {
+        return static_cast<double>(
+            extent(LoopAxis::M, p_w, t.tm, layer.m) *
+            extent(LoopAxis::N, p_w, t.tn, layer.n) * layer.k *
+            layer.k);
+    };
+
     double input_write = layer_start;
     double weight_write = layer_start;
     controller_.onWrite(DataType::Input, layer_start);
     controller_.onWrite(DataType::Weight, layer_start);
     controller_.onWrite(DataType::Output, layer_start);
 
-    // Event tallies.
+    // Event tallies. Whole-resident types (reuse level 0) stage once
+    // at the layer start.
     double core_load_in = 0.0;
     double core_load_w = 0.0;
     double core_store_out = 0.0;
     double partial_reload_out = 0.0;
-    double natural_in_reads = 0.0;
+    double natural_in_reads = p_in == 0 ? staged_input_words() : 0.0;
+    double natural_w_reads = p_w == 0 ? staged_weight_words() : 0.0;
     double natural_out_writes = 0.0;
     std::array<double, numDataTypes> max_age = {0.0, 0.0, 0.0};
 
     const auto tile_in = static_cast<double>(tiles.input);
     const auto tile_out = static_cast<double>(tiles.output);
     const auto tile_w = static_cast<double>(tiles.weight);
-    const std::uint64_t th = layer.inputPatchH(t.tr);
-    const std::uint64_t tl = layer.inputPatchW(t.tc);
-
-    // Natural (fully resident) input fill: once for ID/OD and for
-    // WD with promoted inputs, one halo patch per RC scan for plain
-    // WD (tallied inside the loop).
-    if (pattern != ComputationPattern::WD || analysis.inputsPromoted)
-        natural_in_reads = static_cast<double>(layer.inputWords());
 
     auto observe_read = [&](DataType type, double now,
                             double write_time) {
@@ -200,43 +232,44 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     };
 
     std::uint64_t tile_index = 0;
+    std::uint64_t pass_index = 0;
     for (std::uint64_t i0 = 0; i0 < trip0; ++i0) {
+        axis_index[static_cast<std::size_t>(spec.order[0])] = i0;
         const double scan_start =
             layer_start + static_cast<double>(i0) * t2 +
             static_cast<double>(i0 + 1) * stall;
-        // Staging at the outer loop boundary.
-        switch (pattern) {
-          case ComputationPattern::ID:
-            // Loop M: the m-group's weights are staged here.
+        // Slab types (reuse level 1) stage at the outer boundary.
+        if (p_in == 1) {
+            input_write = scan_start;
+            controller_.onWrite(DataType::Input, scan_start);
+            natural_in_reads += staged_input_words();
+        }
+        if (p_w == 1) {
             weight_write = scan_start;
             controller_.onWrite(DataType::Weight, scan_start);
-            break;
-          case ComputationPattern::OD:
-            // Loop N: the input slab is staged here.
-            input_write = scan_start;
-            controller_.onWrite(DataType::Input, scan_start);
-            break;
-          case ComputationPattern::WD:
-            if (analysis.inputsPromoted) {
-                // Inputs were staged whole at layer start.
-                break;
-            }
-            // Loop RC: the input halo patch is staged here.
-            input_write = scan_start;
-            controller_.onWrite(DataType::Input, scan_start);
-            natural_in_reads +=
-                static_cast<double>(layer.n) * th * tl;
-            break;
+            natural_w_reads += staged_weight_words();
         }
-        for (std::uint64_t i1 = 0; i1 < trip1; ++i1) {
+        for (std::uint64_t i1 = 0; i1 < trip1; ++i1, ++pass_index) {
+            axis_index[static_cast<std::size_t>(spec.order[1])] = i1;
             const double pass_start =
                 scan_start + static_cast<double>(i1) * t1;
-            if (pattern == ComputationPattern::OD) {
-                // Loop M: the (n, m) weight tile is staged one
-                // 1st-level pass ahead of its use.
+            // A core-pinned operand tile stages at the pass start; its
+            // DRAM fetch was double-buffered one pass ahead.
+            if (pinned == DataType::Input) {
+                input_write = std::max(layer_start, pass_start - t1);
+                controller_.onWrite(DataType::Input, pass_start);
+                core_load_in += tile_in;
+                natural_in_reads += staged_input_words();
+                observe_read(DataType::Input, pass_start,
+                             phi[kInput] > 0.0 ? input_write
+                                               : pass_start);
+                emit(TraceEventKind::CoreLoad, pass_start,
+                     DataType::Input, tiles.input, tile_index);
+            } else if (pinned == DataType::Weight) {
                 weight_write = std::max(layer_start, pass_start - t1);
                 controller_.onWrite(DataType::Weight, pass_start);
                 core_load_w += tile_w;
+                natural_w_reads += staged_weight_words();
                 observe_read(DataType::Weight, pass_start,
                              phi[kWeight] > 0.0 ? weight_write
                                                 : pass_start);
@@ -248,273 +281,14 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                 const double t_start =
                     layer_start +
                     static_cast<double>(i0 + 1) * stall +
-                    static_cast<double>(tile_index) * t_tile;
+                    static_cast<double>(tile_index) * t_tile +
+                    static_cast<double>(pass_index + 1) * preload_s;
                 const double t_end = t_start + t_tile;
                 ++tile_index;
 
-                // OD partial sums reload at the tile start: on every
-                // pass of Loop N but the first, the tile re-read now
-                // was written one full Loop-N pass (t2) ago.
-                if (pattern == ComputationPattern::OD && i0 > 0) {
-                    partial_reload_out += tile_out;
-                    // One full Loop-N pass ago, plus the one scan
-                    // stall inserted between the two passes.
-                    observe_read(DataType::Output, t_start,
-                                 phi[kOutput] > 0.0
-                                     ? t_start - t2 - stall
-                                     : t_start);
-                    emit(TraceEventKind::PartialReload, t_start,
-                         DataType::Output, tiles.output, tile_id);
-                }
-
-                // Inputs stream buffer -> core every tile.
-                core_load_in += tile_in;
-                observe_read(DataType::Input, t_end,
-                             phi[kInput] > 0.0 ? input_write : t_start);
-                emit(TraceEventKind::CoreLoad, t_start,
-                     DataType::Input, tiles.input, tile_id);
-
-                if (pattern != ComputationPattern::OD) {
-                    // Loop N innermost: weights re-read per tile.
-                    core_load_w += tile_w;
-                    observe_read(DataType::Weight, t_end,
-                                 phi[kWeight] > 0.0 ? weight_write
-                                                    : t_start);
-                    emit(TraceEventKind::CoreLoad, t_start,
-                         DataType::Weight, tiles.weight, tile_id);
-                }
-                emit(TraceEventKind::TileCompute, t_end,
-                     DataType::Input, timing.macs, tile_id);
-
-                switch (pattern) {
-                  case ComputationPattern::ID:
-                  case ComputationPattern::WD:
-                    // Outputs complete after the innermost N loop.
-                    if (i2 + 1 == trip2) {
-                        core_store_out += tile_out;
-                        natural_out_writes += tile_out;
-                        controller_.onWrite(DataType::Output, t_end);
-                        emit(TraceEventKind::CoreStore, t_end,
-                             DataType::Output, tiles.output, tile_id);
-                    }
-                    break;
-                  case ComputationPattern::OD:
-                    // Partial sums store on every pass of Loop N.
-                    core_store_out += tile_out;
-                    controller_.onWrite(DataType::Output, t_end);
-                    emit(TraceEventKind::CoreStore, t_end,
-                         DataType::Output, tiles.output, tile_id);
-                    if (i0 + 1 == trip0)
-                        natural_out_writes += tile_out;
-                    break;
-                }
-            }
-        }
-    }
-
-    const double layer_end =
-        layer_start + static_cast<double>(trip0) * stall +
-        static_cast<double>(tile_index) * t_tile;
-    controller_.advanceTo(layer_end);
-    now_ = layer_end;
-    emit(TraceEventKind::LayerEnd, layer_end, DataType::Input, 0,
-         tile_index);
-    sim_metrics.layers.add();
-    sim_metrics.tiles.add(tile_index);
-
-    // Assemble DRAM traffic from the event tallies: resident
-    // fractions stream their complement on every reuse scan.
-    const double natural_w_reads =
-        static_cast<double>(layer.weightWords());
-    const double streamed_out_writes = core_store_out;
-
-    std::array<double, numDataTypes> dram_reads = {0.0, 0.0, 0.0};
-    std::array<double, numDataTypes> dram_writes = {0.0, 0.0, 0.0};
-    dram_reads[kInput] =
-        natural_in_reads +
-        (1.0 - phi[kInput]) * (core_load_in - natural_in_reads);
-    dram_reads[kWeight] =
-        natural_w_reads +
-        (1.0 - phi[kWeight]) * (core_load_w - natural_w_reads);
-    dram_reads[kOutput] = (1.0 - phi[kOutput]) * partial_reload_out;
-    dram_writes[kOutput] =
-        natural_out_writes +
-        (1.0 - phi[kOutput]) * (streamed_out_writes -
-                                natural_out_writes);
-
-    LayerSimResult result;
-    result.layerSeconds = layer_end - layer_start;
-    result.utilization =
-        static_cast<double>(layer.macs()) /
-        (result.layerSeconds * config_.peakMacsPerSecond());
-    result.refreshOps = controller_.refreshOps() - refresh_before;
-    result.violations = controller_.violations() - violations_before;
-    result.guardTrips =
-        guard_ != nullptr ? guard_->stats().trips - guard_trips_before
-                          : 0;
-    result.observedLifetime = max_age;
-
-    double buffer_words = core_load_in + core_load_w + core_store_out +
-                          partial_reload_out;
-    double dram_words = 0.0;
-    for (std::size_t i = 0; i < numDataTypes; ++i)
-        dram_words += dram_reads[i] + dram_writes[i];
-    buffer_words += dram_words; // Fills and drains stage via buffer.
-
-    result.counts.macOps = layer.macs();
-    result.counts.bufferAccesses =
-        static_cast<std::uint64_t>(std::llround(buffer_words));
-    result.counts.ddrAccesses =
-        static_cast<std::uint64_t>(std::llround(dram_words));
-    result.counts.refreshOps = result.refreshOps;
-    return result;
-}
-
-Result<LayerSimResult>
-LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
-                                    const LayerAnalysis &analysis)
-{
-    const DataflowSpec &spec = analysis.spec();
-    const Tiling &t = analysis.tiling;
-    const TileSizes tiles = tileSizes(layer, t);
-    const TripCounts trips = tripCounts(layer, t);
-    const SystolicTiming timing =
-        dataflowTileTiming(config_, layer, t, spec);
-    const std::uint64_t trip0 = tripOf(trips, spec.order[0]);
-    const std::uint64_t trip1 = tripOf(trips, spec.order[1]);
-    const std::uint64_t trip2 = tripOf(trips, spec.order[2]);
-
-    const double layer_start = now_;
-    // Timing faults stretch tiles and stall outer scans exactly like
-    // the legacy walk; the preload is a register-file transfer and
-    // stays unstretched.
-    const double t_tile = faults_.tileSeconds(timing.tile.seconds);
-    const double stall = faults_.scanStallSeconds;
-    const double preload_s = timing.preloadSeconds;
-    const double t1 = static_cast<double>(trip2) * t_tile + preload_s;
-    const double t2 = static_cast<double>(trip1) * t1;
-
-    const LayerRefreshDemand demand = refreshDemand(config_, analysis);
-    const auto flags = refreshFlagsForLayer(demand, interval_);
-    const bool gate_on = flags[0] || flags[1] || flags[2];
-    const std::uint64_t refresh_before = controller_.refreshOps();
-    const std::uint64_t violations_before = controller_.violations();
-    const std::uint64_t guard_trips_before =
-        guard_ != nullptr ? guard_->stats().trips : 0;
-    controller_.beginLayer(demand.allocation, flags, gate_on,
-                           layer_start);
-    if (trace_ != nullptr)
-        trace_->onLayerBegin(layer.name);
-    emit(TraceEventKind::LayerBegin, layer_start, DataType::Input, 0,
-         0);
-    const std::uint64_t banks_in_use =
-        config_.buffer.numBanks - demand.allocation.unusedBanks;
-    emit(TraceEventKind::BankOccupancy, layer_start, DataType::Input,
-         banks_in_use, 0);
-    SimMetrics &sim_metrics = SimMetrics::get();
-    sim_metrics.banksInUse.set(static_cast<double>(banks_in_use));
-    sim_metrics.banksInUsePeak.setMax(
-        static_cast<double>(banks_in_use));
-
-    const std::array<double, numDataTypes> phi = {
-        analysis.types[kInput].residentFraction,
-        analysis.types[kOutput].residentFraction,
-        analysis.types[kWeight].residentFraction,
-    };
-    const int p_in = spec.reuseOf(DataType::Input);
-    const int p_out = spec.reuseOf(DataType::Output);
-    const int p_w = spec.reuseOf(DataType::Weight);
-    const DataType array_tile = spec.arrayTile();
-
-    double input_write = layer_start;
-    double weight_write = layer_start;
-    controller_.onWrite(DataType::Input, layer_start);
-    controller_.onWrite(DataType::Weight, layer_start);
-    controller_.onWrite(DataType::Output, layer_start);
-
-    double core_load_in = 0.0;
-    double core_load_w = 0.0;
-    double core_store_out = 0.0;
-    double partial_reload_out = 0.0;
-    // Whole-resident operands (reuse level 0) stage once up front.
-    double natural_in_reads =
-        p_in == 0 ? static_cast<double>(
-                        analysis.types[kInput].naturalStorageWords)
-                  : 0.0;
-    double natural_w_reads =
-        p_w == 0 ? static_cast<double>(
-                       analysis.types[kWeight].naturalStorageWords)
-                 : 0.0;
-    double natural_out_writes = 0.0;
-    std::array<double, numDataTypes> max_age = {0.0, 0.0, 0.0};
-
-    const auto tile_in = static_cast<double>(tiles.input);
-    const auto tile_out = static_cast<double>(tiles.output);
-    const auto tile_w = static_cast<double>(tiles.weight);
-
-    auto observe_read = [&](DataType type, double now,
-                            double write_time) {
-        controller_.onRead(type, now, write_time);
-        max_age[static_cast<std::size_t>(type)] =
-            std::max(max_age[static_cast<std::size_t>(type)],
-                     now - write_time);
-    };
-
-    std::uint64_t tile_index = 0;
-    for (std::uint64_t i0 = 0; i0 < trip0; ++i0) {
-        const double scan_start =
-            layer_start + static_cast<double>(i0) * t2 +
-            static_cast<double>(i0 + 1) * stall;
-        // Slab operands (reuse level 1) stage at the outer boundary.
-        if (p_in == 1) {
-            input_write = scan_start;
-            controller_.onWrite(DataType::Input, scan_start);
-            natural_in_reads += static_cast<double>(
-                analysis.types[kInput].naturalStorageWords);
-        }
-        if (p_w == 1) {
-            weight_write = scan_start;
-            controller_.onWrite(DataType::Weight, scan_start);
-            natural_w_reads += static_cast<double>(
-                analysis.types[kWeight].naturalStorageWords);
-        }
-        for (std::uint64_t i1 = 0; i1 < trip1; ++i1) {
-            const double pass_start =
-                scan_start + static_cast<double>(i1) * t1;
-            // The array-stationary tile preloads at the pass start;
-            // its DRAM fetch was double-buffered one pass ahead.
-            if (array_tile == DataType::Input) {
-                input_write = std::max(layer_start, pass_start - t1);
-                controller_.onWrite(DataType::Input, pass_start);
-                core_load_in += tile_in;
-                natural_in_reads += tile_in;
-                observe_read(DataType::Input, pass_start,
-                             phi[kInput] > 0.0 ? input_write
-                                               : pass_start);
-                emit(TraceEventKind::CoreLoad, pass_start,
-                     DataType::Input, tiles.input, tile_index);
-            } else {
-                weight_write = std::max(layer_start, pass_start - t1);
-                controller_.onWrite(DataType::Weight, pass_start);
-                core_load_w += tile_w;
-                natural_w_reads += tile_w;
-                observe_read(DataType::Weight, pass_start,
-                             phi[kWeight] > 0.0 ? weight_write
-                                                : pass_start);
-                emit(TraceEventKind::CoreLoad, pass_start,
-                     DataType::Weight, tiles.weight, tile_index);
-            }
-            for (std::uint64_t i2 = 0; i2 < trip2; ++i2) {
-                const std::uint64_t tile_id = tile_index;
-                const double t_start =
-                    pass_start + preload_s +
-                    static_cast<double>(i2) * t_tile;
-                const double t_end = t_start + t_tile;
-                ++tile_index;
-
-                // Partial sums reload on every revisit: one visit
-                // pitch ago (T1 across the 2nd-level loop, T2 plus
-                // the scan stall across the outermost loop).
+                // Partial sums reload on every revisit, written one
+                // visit pitch ago: T1 across the 2nd-level loop, T2
+                // plus the scan stall across the outermost loop.
                 if (p_out == 1 && i1 > 0) {
                     partial_reload_out += tile_out;
                     observe_read(DataType::Output, t_start,
@@ -532,8 +306,8 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
                          DataType::Output, tiles.output, tile_id);
                 }
 
-                // Moving operands stream buffer -> array every tile.
-                if (array_tile != DataType::Input) {
+                // Streaming operands move buffer -> core every tile.
+                if (pinned != DataType::Input) {
                     core_load_in += tile_in;
                     observe_read(DataType::Input, t_end,
                                  phi[kInput] > 0.0 ? input_write
@@ -541,7 +315,7 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
                     emit(TraceEventKind::CoreLoad, t_start,
                          DataType::Input, tiles.input, tile_id);
                 }
-                if (array_tile != DataType::Weight) {
+                if (pinned != DataType::Weight) {
                     core_load_w += tile_w;
                     observe_read(DataType::Weight, t_end,
                                  phi[kWeight] > 0.0 ? weight_write
@@ -563,7 +337,7 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
                              DataType::Output, tiles.output, tile_id);
                     }
                 } else {
-                    // Partial sums drain from the array every tile.
+                    // Partial sums drain from the core every tile.
                     core_store_out += tile_out;
                     controller_.onWrite(DataType::Output, t_end);
                     emit(TraceEventKind::CoreStore, t_end,
@@ -581,7 +355,7 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
     const double layer_end =
         layer_start + static_cast<double>(trip0) * stall +
         static_cast<double>(tile_index) * t_tile +
-        static_cast<double>(trip0 * trip1) * preload_s;
+        static_cast<double>(pass_index) * preload_s;
     controller_.advanceTo(layer_end);
     now_ = layer_end;
     emit(TraceEventKind::LayerEnd, layer_end, DataType::Input, 0,
@@ -589,6 +363,8 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
     sim_metrics.layers.add();
     sim_metrics.tiles.add(tile_index);
 
+    // Assemble DRAM traffic from the event tallies: resident
+    // fractions stream their complement on every reuse scan.
     std::array<double, numDataTypes> dram_reads = {0.0, 0.0, 0.0};
     std::array<double, numDataTypes> dram_writes = {0.0, 0.0, 0.0};
     dram_reads[kInput] =
@@ -616,7 +392,7 @@ LoopNestSimulator::runLayerSystolic(const ConvLayerSpec &layer,
     result.stallSeconds =
         static_cast<double>(tile_index) *
             (timing.skewCycles / config_.frequencyHz) +
-        static_cast<double>(trip0 * trip1) * timing.preloadSeconds;
+        static_cast<double>(pass_index) * timing.preloadSeconds;
 
     double buffer_words = core_load_in + core_load_w + core_store_out +
                           partial_reload_out;

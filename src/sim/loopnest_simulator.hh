@@ -9,15 +9,19 @@
  * the dataflow's natural residency, and driving the event-driven
  * eDRAM refresh controller (which counts refresh operations and
  * detects retention violations: reads of data that aged past the
- * tolerable retention time without a refresh). Systolic dataflows
- * additionally serialize the array-skew stall into every tile and
- * the stationary-tile preload into every 1st-level pass.
+ * tolerable retention time without a refresh). One walk serves all
+ * six dataflows: stagings follow each type's reuse level, and
+ * systolic dataflows additionally serialize the array-skew stall
+ * into every tile and the core-pinned tile's preload into every
+ * 1st-level pass (exact zeros for the paper's patterns).
  *
  * It is the operational counterpart of the closed-form
- * PatternAnalytics model: the test suite asserts that both agree on
- * runtime, traffic, lifetimes and refresh counts across randomized
- * layers, tilings and dataflows, and that correctly scheduled
- * designs never read stale data.
+ * PatternAnalytics model, and an independent one: DRAM stagings are
+ * summed from the loop indices (each staging's clamped channel
+ * extent), not copied from the closed form. The test suite asserts
+ * that both agree on runtime, traffic, lifetimes and refresh counts
+ * across randomized layers, tilings and dataflows, and that
+ * correctly scheduled designs never read stale data.
  */
 
 #ifndef RANA_SIM_LOOPNEST_SIMULATOR_HH_
@@ -60,7 +64,7 @@ struct LayerSimResult
     std::array<double, numDataTypes> observedLifetime = {0.0, 0.0, 0.0};
     /**
      * Time lost to systolic skew and preload stalls (0 for the
-     * legacy patterns).
+     * paper's patterns).
      */
     double stallSeconds = 0.0;
 };
@@ -82,7 +86,7 @@ class LoopNestSimulator
 
     /**
      * Simulate one layer under a previously computed analysis (which
-     * fixes the pattern, tiling and buffer residency). Fails with
+     * fixes the dataflow, tiling and buffer residency). Fails with
      * InvalidArgument when the analysis is infeasible instead of
      * aborting the process.
      */
@@ -137,11 +141,6 @@ class LoopNestSimulator
     /** Emit one event to the attached sink, if any. */
     void emit(TraceEventKind kind, double seconds, DataType type,
               std::uint64_t words, std::uint64_t tile_index);
-
-    /** The generic skewed walk for systolic dataflows. */
-    Result<LayerSimResult>
-    runLayerSystolic(const ConvLayerSpec &layer,
-                     const LayerAnalysis &analysis);
 
     AcceleratorConfig config_;
     RefreshPolicy policy_;

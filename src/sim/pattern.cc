@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of pattern and tiling helpers.
+ * Implementation of the tiling helpers.
  */
 
 #include "sim/pattern.hh"
@@ -21,34 +21,6 @@ ceilDiv(std::uint64_t a, std::uint64_t b)
 }
 
 } // namespace
-
-const char *
-patternName(ComputationPattern pattern)
-{
-    switch (pattern) {
-      case ComputationPattern::ID:
-        return "ID";
-      case ComputationPattern::OD:
-        return "OD";
-      case ComputationPattern::WD:
-        return "WD";
-    }
-    panic("unreachable computation pattern");
-}
-
-std::array<LoopAxis, 3>
-loopOrder(ComputationPattern pattern)
-{
-    switch (pattern) {
-      case ComputationPattern::ID:
-        return {LoopAxis::M, LoopAxis::RC, LoopAxis::N};
-      case ComputationPattern::OD:
-        return {LoopAxis::N, LoopAxis::M, LoopAxis::RC};
-      case ComputationPattern::WD:
-        return {LoopAxis::RC, LoopAxis::M, LoopAxis::N};
-    }
-    panic("unreachable computation pattern");
-}
 
 std::string
 Tiling::describe() const

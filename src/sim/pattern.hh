@@ -1,24 +1,18 @@
 /**
  * @file
- * Computation patterns and tiling parameters (Section IV-C,
- * Figure 10).
+ * Loop axes and tiling parameters of the core computing part
+ * (Section IV-C, Figure 10).
  *
- * A computation pattern is an ordering of the three memory-control
- * loops around the core computing part:
- *
- *   - ID (input dominant):  Loop M (3rd) / Loop RC (2nd) / Loop N (1st)
- *   - OD (output dominant): Loop N (3rd) / Loop M (2nd) / Loop RC (1st)
- *   - WD (weight dominant): Loop RC (3rd) / Loop M (2nd) / Loop N (1st)
- *
- * The ordering determines which data type dominates buffer storage
- * and data lifetime. The tiling <Tm, Tn, Tr, Tc> sets the tile shape
- * processed by the core's local storage per inner iteration.
+ * Three memory-control loops surround the core: Loop M over output
+ * channel tiles, Loop N over input channel tiles and Loop RC over
+ * output spatial tiles. A dataflow (sim/dataflow.hh) orders them; the
+ * tiling <Tm, Tn, Tr, Tc> sets the tile shape processed by the core's
+ * local storage per inner iteration.
  */
 
 #ifndef RANA_SIM_PATTERN_HH_
 #define RANA_SIM_PATTERN_HH_
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -26,31 +20,12 @@
 
 namespace rana {
 
-/** Loop ordering of the memory control part. */
-enum class ComputationPattern {
-    /** Input dominant: the typical pattern, Loop M outermost. */
-    ID,
-    /** Output dominant: Loop N outermost; outputs self-refresh. */
-    OD,
-    /** Weight dominant: Loop RC outermost; weights stay resident. */
-    WD,
-};
-
-/** Short name ("ID", "OD", "WD"). */
-const char *patternName(ComputationPattern pattern);
-
 /** The three memory-control loops. */
 enum class LoopAxis {
     M,
     RC,
     N,
 };
-
-/**
- * Loop order of a pattern from outermost (index 0, the 3rd-level
- * loop) to innermost (index 2, the 1st-level loop).
- */
-std::array<LoopAxis, 3> loopOrder(ComputationPattern pattern);
 
 /** Tiling parameters of the core computing part. */
 struct Tiling

@@ -1,22 +1,38 @@
 /**
  * @file
  * Closed-form buffer-storage / lifetime / memory-traffic analysis of
- * a CONV layer under a computation pattern and tiling (Sections
- * III-B and IV-C).
+ * a CONV layer under a dataflow and tiling (Sections III-B and
+ * IV-C): the one pricing engine for all six dataflows.
  *
- * For the pattern's loop order (L3 outer, L2, L1 inner around the
- * core tile), the model derives for each data type:
+ * Every quantity derives from the dataflow's loop order (L3 outer,
+ * L2, L1 inner around the core tile) through each data type's reuse
+ * level p, the position of the one loop axis the type does not
+ * depend on (sim/dataflow.hh):
  *
- *  - the natural buffer storage requirement (the paper's Equations
- *    1-3 for ID, 6-8 for OD, 11-13 for WD);
- *  - the data lifetime in the buffers (Equations 4-5, 9-10): the
- *    execution time of the loop level at which the type is reused;
- *  - off-chip (DDR) traffic and on-chip buffer traffic. A data
- *    type's tile is re-fetched into the core once per iteration of
- *    the innermost loop it depends on (inputs depend on Loops N and
- *    RC, weights on M and N, outputs on M and RC), which is why OD
- *    re-reads each weight tile only once per (n, m) iteration while
- *    WD re-reads it every output tile.
+ *  - natural buffer storage (the paper's Equations 1-3 for ID, 6-8
+ *    for OD, 11-13 for WD): tile extent along dependence axes
+ *    ordered outside p, full extent along the others;
+ *  - data lifetime (Equations 4-5, 9-10): inputs and weights age
+ *    across the whole reuse scan (T3/T2/T1 for p=0/1/2); partial
+ *    sums age one visit pitch;
+ *  - core traffic: the core-pinned input or weight tile (reuse level
+ *    2: OD weights, the systolic array tile) loads once per
+ *    1st-level pass, every other operand tile once per inner tile;
+ *  - off-chip (DDR) reads, by one staging rule: the channel words
+ *    that exist (ragged M/N edge tiles are clamped, not padded).
+ *    Inputs read N x Nrc x Th x Tl words when Loop RC is ordered
+ *    outside their reuse level (a full halo patch per RC tile, the
+ *    paper's WD form) and N x H x L otherwise; weights read
+ *    M x N x K^2 words once.
+ *
+ * WD input promotion is priced as inputs at reuse level 0 (Whole):
+ * the whole input set is pinned, read once and lives the whole
+ * layer. It is the only per-evaluation override of the spec.
+ *
+ * Systolic dataflows add the array skew to every tile and the
+ * core-pinned tile's preload to every 1st-level pass
+ * (dataflowTileTiming()); both terms are exact zeros for ID/OD/WD,
+ * so those evaluate bit-identically to the paper's closed forms.
  *
  * When the natural storage requirements exceed the buffer capacity,
  * residency degrades: the overflowing type keeps a resident fraction
@@ -90,12 +106,6 @@ struct LayerAnalysis
 {
     /** The analyzed dataflow. */
     DataflowKind dataflow = DataflowKind::ID;
-    /**
-     * Compatibility view of the dataflow: the equivalent computation
-     * pattern. Only meaningful when the dataflow is legacy; systolic
-     * analyses keep the default. Use `dataflow` for dispatch.
-     */
-    ComputationPattern pattern = ComputationPattern::ID;
     Tiling tiling;
 
     /** Whether the configuration fits the hardware at all. */
@@ -132,11 +142,17 @@ struct LayerAnalysis
      */
     bool inputsPromoted = false;
 
-    /** Systolic stall/bandwidth statistics (zeros for legacy). */
+    /** Systolic stall/bandwidth statistics (zeros for ID/OD/WD). */
     SystolicStats systolic;
 
     /** The dataflow's immutable specification. */
     const DataflowSpec &spec() const { return dataflowSpec(dataflow); }
+
+    /**
+     * Reuse level per data type in this evaluation: the spec's,
+     * except that promoted inputs sit at level 0 (Whole).
+     */
+    std::array<int, numDataTypes> reuseLevels() const;
 
     /** Lifetimes as an array for refresh-demand assembly. */
     std::array<double, numDataTypes> lifetimes() const;
@@ -145,13 +161,6 @@ struct LayerAnalysis
 /**
  * Analyze a layer under a dataflow and tiling on the given hardware.
  *
- * Legacy dataflows (ID/OD/WD) evaluate the paper's closed forms
- * unchanged — a canonical spec is byte-identical to the historical
- * pattern enum path. Systolic dataflows evaluate the generic
- * loop-order model (storage/lifetime/traffic derived from each
- * type's reuse level) with the skew and preload stalls of
- * dataflowTileTiming() and fill LayerAnalysis::systolic.
- *
  * The result is marked infeasible when the tile exceeds the core's
  * local storage (Tn*Th*Tl <= Ri, Tm*Tr*Tc <= Ro, Tm*Tn*K^2 <= Rw) or
  * the minimum streamed working set exceeds the buffer.
@@ -159,25 +168,11 @@ struct LayerAnalysis
  * @param promote_inputs WD only: pin the whole input set in spare
  *        buffer capacity (see LayerAnalysis::inputsPromoted). The
  *        variant is infeasible when the promoted set does not fit.
- *        ID and OD inputs already stream from DRAM exactly once, so
- *        promotion is meaningful only for WD; requesting it for
- *        other dataflows is ignored.
+ *        The other dataflows ignore the request.
  */
 LayerAnalysis analyzeLayer(const AcceleratorConfig &config,
                            const ConvLayerSpec &layer,
                            const DataflowSpec &spec,
-                           const Tiling &tiling,
-                           bool promote_inputs = false);
-
-/**
- * Compatibility shim: analyze under a bare computation pattern.
- * Forwards to the canonical DataflowSpec of the pattern; kept so
- * pre-dataflow call sites (and the paper's vocabulary) keep
- * compiling without duplicating the enum-to-spec switch.
- */
-LayerAnalysis analyzeLayer(const AcceleratorConfig &config,
-                           const ConvLayerSpec &layer,
-                           ComputationPattern pattern,
                            const Tiling &tiling,
                            bool promote_inputs = false);
 

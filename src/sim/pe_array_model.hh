@@ -62,32 +62,34 @@ double layerUtilization(const AcceleratorConfig &config,
 /**
  * Timing of one tile under a systolic dataflow's skewed schedule.
  *
- * The legacy patterns keep the dense tile time (RANA never changes
+ * The paper's patterns keep the dense tile time (RANA never changes
  * the core computing part). A systolic dataflow adds two stall
  * terms on top of the same MAC work:
  *
  *  - the array skew: the peRows x peCols wavefront fills and drains
  *    once per tile, costing (peRows + peCols - 2) extra cycles;
- *  - the stationary-tile preload: the array-stationary operand's
- *    tile is written into the PE registers once per 1st-level pass,
- *    one word per column lane per cycle. Double-buffered staging
- *    hides the DRAM fetch, not the register-file preload.
+ *  - the stationary-tile preload: the core-pinned operand's tile
+ *    (DataflowSpec::arrayTile()) is written into the PE registers
+ *    once per 1st-level pass, one word per column lane per cycle.
+ *    Double-buffered staging hides the DRAM fetch, not the
+ *    register-file preload.
  */
 struct SystolicTiming
 {
     /** Per-tile timing with the skew stall folded in. */
     TileTiming tile;
-    /** Skew stall cycles added to every tile (0 for legacy). */
+    /** Skew stall cycles added to every tile (0 for ID/OD/WD). */
     double skewCycles = 0.0;
-    /** Preload cycles paid once per 1st-level pass (0 for legacy). */
+    /** Preload cycles paid once per 1st-level pass (0 for ID/OD/WD). */
     double preloadCycles = 0.0;
     /** Preload time per 1st-level pass in seconds. */
     double preloadSeconds = 0.0;
 };
 
 /**
- * Per-tile timing under a dataflow. Legacy specs return tileTiming()
- * unchanged; systolic specs fold in the skew and preload stalls.
+ * Per-tile timing under a dataflow. Non-systolic specs return
+ * tileTiming() unchanged; systolic specs fold in the skew and
+ * preload stalls.
  */
 SystolicTiming dataflowTileTiming(const AcceleratorConfig &config,
                                   const ConvLayerSpec &layer,

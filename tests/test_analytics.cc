@@ -33,7 +33,7 @@ TEST(Analytics, LayerA_ID_BufferStorage)
     // Section III-B1: at Tm,Tn,Tr,Tc = 1, BS = 785KB.
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layerA(),
-                     ComputationPattern::ID, {1, 1, 1, 1});
+                     dataflowSpec(DataflowKind::ID), {1, 1, 1, 1});
     ASSERT_TRUE(analysis.feasible);
     const std::uint64_t total_words =
         analysis.of(DataType::Input).naturalStorageWords +
@@ -48,7 +48,7 @@ TEST(Analytics, LayerA_ID_InputLifetimeIs2294us)
     // Section III-B2: LTo < LTw < LTi = 2294us.
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layerA(),
-                     ComputationPattern::ID, {16, 16, 1, 14});
+                     dataflowSpec(DataflowKind::ID), {16, 16, 1, 14});
     ASSERT_TRUE(analysis.feasible);
     const auto lt = analysis.lifetimes();
     EXPECT_NEAR(lt[0], 2294 * kUs, 10 * kUs);
@@ -61,7 +61,7 @@ TEST(Analytics, LayerA_OD_LifetimeIs72us)
     // Section IV-C1: OD with Tm,Tn,Tc=16, Tr=1 gives LTo = 72us.
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layerA(),
-                     ComputationPattern::OD, {16, 16, 1, 16});
+                     dataflowSpec(DataflowKind::OD), {16, 16, 1, 16});
     ASSERT_TRUE(analysis.feasible);
     EXPECT_NEAR(analysis.of(DataType::Output).lifetimeSeconds, 72 * kUs,
                 2 * kUs);
@@ -75,7 +75,7 @@ TEST(Analytics, LayerB_OD_LifetimesMatchSection4D2)
     // LTw = 40us.
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layerB(),
-                     ComputationPattern::OD, {16, 16, 1, 14});
+                     dataflowSpec(DataflowKind::OD), {16, 16, 1, 14});
     ASSERT_TRUE(analysis.feasible);
     EXPECT_NEAR(analysis.of(DataType::Input).lifetimeSeconds,
                 1290 * kUs, 15 * kUs);
@@ -91,7 +91,7 @@ TEST(Analytics, LayerB_OD_HalvingTnHalvesLifetime)
     // 1290us to 645us.
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layerB(),
-                     ComputationPattern::OD, {16, 8, 1, 14});
+                     dataflowSpec(DataflowKind::OD), {16, 8, 1, 14});
     ASSERT_TRUE(analysis.feasible);
     EXPECT_NEAR(analysis.of(DataType::Output).lifetimeSeconds,
                 645 * kUs, 10 * kUs);
@@ -103,7 +103,7 @@ TEST(Analytics, BufferStorageEquationsID)
     const ConvLayerSpec layer = makeConv("c", 32, 28, 64, 3, 1, 1);
     const Tiling t{8, 4, 7, 7};
     const auto analysis = analyzeLayer(testAcceleratorEdram(), layer,
-                                       ComputationPattern::ID, t);
+                                       dataflowSpec(DataflowKind::ID), t);
     ASSERT_TRUE(analysis.feasible);
     EXPECT_EQ(analysis.of(DataType::Input).naturalStorageWords,
               layer.inputWords());
@@ -119,7 +119,7 @@ TEST(Analytics, BufferStorageEquationsOD)
     const ConvLayerSpec layer = makeConv("c", 32, 28, 64, 3, 1, 1);
     const Tiling t{8, 4, 7, 7};
     const auto analysis = analyzeLayer(testAcceleratorEdram(), layer,
-                                       ComputationPattern::OD, t);
+                                       dataflowSpec(DataflowKind::OD), t);
     ASSERT_TRUE(analysis.feasible);
     EXPECT_EQ(analysis.of(DataType::Input).naturalStorageWords,
               4u * 28 * 28);
@@ -135,7 +135,7 @@ TEST(Analytics, BufferStorageEquationsWD)
     const ConvLayerSpec layer = makeConv("c", 32, 28, 64, 3, 1, 1);
     const Tiling t{8, 4, 7, 7};
     const auto analysis = analyzeLayer(testAcceleratorEdram(), layer,
-                                       ComputationPattern::WD, t);
+                                       dataflowSpec(DataflowKind::WD), t);
     ASSERT_TRUE(analysis.feasible);
     EXPECT_EQ(analysis.of(DataType::Input).naturalStorageWords,
               32u * 9 * 9); // N * Th * Tl with halo
@@ -154,9 +154,9 @@ TEST(Analytics, OdWeightTrafficFarBelowWd)
     const AcceleratorConfig ddn = daDianNaoNode();
     const Tiling t{64, 64, 1, 1};
     const auto wd =
-        analyzeLayer(ddn, layer, ComputationPattern::WD, t);
+        analyzeLayer(ddn, layer, dataflowSpec(DataflowKind::WD), t);
     const auto od =
-        analyzeLayer(ddn, layer, ComputationPattern::OD, t);
+        analyzeLayer(ddn, layer, dataflowSpec(DataflowKind::OD), t);
     ASSERT_TRUE(wd.feasible);
     ASSERT_TRUE(od.feasible);
     const double wd_weight_loads =
@@ -171,7 +171,7 @@ TEST(Analytics, InfeasibleWhenTileExceedsLocalStorage)
     const ConvLayerSpec layer = makeConv("c", 512, 28, 512, 3, 1, 1);
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::OD, {16, 512, 14, 14});
+                     dataflowSpec(DataflowKind::OD), {16, 512, 14, 14});
     EXPECT_FALSE(analysis.feasible);
     EXPECT_FALSE(analysis.infeasibleReason.empty());
 }
@@ -183,7 +183,7 @@ TEST(Analytics, OdSpillsPartialSumsWhenOutputsExceedCapacity)
     const ConvLayerSpec layer = makeVgg16().findLayer("conv1_2");
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::OD, {16, 16, 4, 16});
+                     dataflowSpec(DataflowKind::OD), {16, 16, 4, 16});
     ASSERT_TRUE(analysis.feasible);
     const TypeAnalysis &out = analysis.of(DataType::Output);
     EXPECT_LT(out.residentFraction, 1.0);
@@ -199,14 +199,14 @@ TEST(Analytics, WdAvoidsTheSpillOnShallowLayers)
     const ConvLayerSpec layer = makeVgg16().findLayer("conv1_2");
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::WD, {16, 16, 4, 16});
+                     dataflowSpec(DataflowKind::WD), {16, 16, 4, 16});
     ASSERT_TRUE(analysis.feasible);
     EXPECT_DOUBLE_EQ(
         analysis.of(DataType::Weight).residentFraction, 1.0);
     EXPECT_DOUBLE_EQ(
         analysis.of(DataType::Output).residentFraction, 1.0);
     const auto od = analyzeLayer(testAcceleratorEdram(), layer,
-                                 ComputationPattern::OD,
+                                 dataflowSpec(DataflowKind::OD),
                                  {16, 16, 4, 16});
     EXPECT_LT(analysis.totalDramWords(), od.totalDramWords());
 }
@@ -215,10 +215,11 @@ TEST(Analytics, NoSpillTrafficEqualsColdTraffic)
 {
     // When everything fits, each operand moves on/off chip once.
     const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
-    for (auto pattern : {ComputationPattern::ID, ComputationPattern::OD,
-                         ComputationPattern::WD}) {
+    for (auto pattern : {DataflowKind::ID, DataflowKind::OD,
+                         DataflowKind::WD}) {
         const auto analysis = analyzeLayer(
-            testAcceleratorEdram(), layer, pattern, {16, 16, 14, 14});
+            testAcceleratorEdram(), layer, dataflowSpec(pattern),
+            {16, 16, 14, 14});
         ASSERT_TRUE(analysis.feasible);
         EXPECT_FALSE(analysis.spilled());
         const double expected_min =
@@ -227,7 +228,7 @@ TEST(Analytics, NoSpillTrafficEqualsColdTraffic)
                                 layer.outputWords());
         EXPECT_GE(analysis.totalDramWords(), expected_min * 0.99);
         EXPECT_LE(analysis.totalDramWords(), expected_min * 1.30)
-            << patternName(pattern);
+            << dataflowName(pattern);
     }
 }
 
@@ -237,15 +238,15 @@ TEST(Analytics, RuntimeIdenticalAcrossPatterns)
     const Tiling t{16, 16, 7, 7};
     const double id =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::ID, t)
+                     dataflowSpec(DataflowKind::ID), t)
             .layerSeconds;
     const double od =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::OD, t)
+                     dataflowSpec(DataflowKind::OD), t)
             .layerSeconds;
     const double wd =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::WD, t)
+                     dataflowSpec(DataflowKind::WD), t)
             .layerSeconds;
     EXPECT_DOUBLE_EQ(id, od);
     EXPECT_DOUBLE_EQ(id, wd);
@@ -256,12 +257,12 @@ TEST(Analytics, OutputLifetimeZeroInIdAndWd)
     const ConvLayerSpec layer = makeConv("c", 64, 28, 64, 3, 1, 1);
     const Tiling t{16, 16, 7, 7};
     EXPECT_DOUBLE_EQ(analyzeLayer(testAcceleratorEdram(), layer,
-                                  ComputationPattern::ID, t)
+                                  dataflowSpec(DataflowKind::ID), t)
                          .of(DataType::Output)
                          .lifetimeSeconds,
                      0.0);
     EXPECT_DOUBLE_EQ(analyzeLayer(testAcceleratorEdram(), layer,
-                                  ComputationPattern::WD, t)
+                                  dataflowSpec(DataflowKind::WD), t)
                          .of(DataType::Output)
                          .lifetimeSeconds,
                      0.0);
@@ -272,7 +273,7 @@ TEST(Analytics, RefreshDemandAssembly)
     const ConvLayerSpec layer = makeConv("c", 64, 28, 64, 3, 1, 1);
     const auto analysis =
         analyzeLayer(testAcceleratorEdram(), layer,
-                     ComputationPattern::OD, {16, 16, 7, 7});
+                     dataflowSpec(DataflowKind::OD), {16, 16, 7, 7});
     ASSERT_TRUE(analysis.feasible);
     const LayerRefreshDemand demand =
         refreshDemand(testAcceleratorEdram(), analysis);
@@ -285,7 +286,7 @@ TEST(Analytics, OperationCountsIncludeRefresh)
     const ConvLayerSpec layer = layerB();
     const auto config = testAcceleratorEdram();
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 16, 1, 16});
     ASSERT_TRUE(analysis.feasible);
     const OperationCounts with_refresh = layerOperationCounts(
@@ -303,7 +304,7 @@ TEST(Analytics, LongerIntervalNeverIncreasesRefresh)
     const ConvLayerSpec layer = layerB();
     const auto config = testAcceleratorEdram();
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 16, 1, 16});
     ASSERT_TRUE(analysis.feasible);
     std::uint64_t previous = ~0ULL;

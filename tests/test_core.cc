@@ -34,16 +34,16 @@ TEST(DesignPoints, TableIvConfigurations)
     EXPECT_EQ(designs[0].options.policy, RefreshPolicy::None);
 
     EXPECT_EQ(designs[1].name, "eD+ID");
-    EXPECT_EQ(designs[1].options.patterns.size(), 1u);
-    EXPECT_EQ(designs[1].options.patterns[0], ComputationPattern::ID);
+    EXPECT_EQ(designs[1].options.dataflows.size(), 1u);
+    EXPECT_EQ(designs[1].options.dataflows[0], DataflowKind::ID);
     EXPECT_NEAR(designs[1].options.refreshIntervalSeconds, 45e-6,
                 1e-9);
 
     EXPECT_EQ(designs[2].name, "eD+OD");
-    EXPECT_EQ(designs[2].options.patterns[0], ComputationPattern::OD);
+    EXPECT_EQ(designs[2].options.dataflows[0], DataflowKind::OD);
 
     EXPECT_EQ(designs[3].name, "RANA (0)");
-    EXPECT_EQ(designs[3].options.patterns.size(), 2u);
+    EXPECT_EQ(designs[3].options.dataflows.size(), 2u);
 
     EXPECT_EQ(designs[4].name, "RANA (E-5)");
     EXPECT_NEAR(designs[4].options.refreshIntervalSeconds, 734e-6,

@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests of the first-class DataflowSpec axis: spec derivation and
- * naming, compatibility of the legacy pattern shims, analytics/trace
- * parity across all six dataflows, config v1/v2 serialization, and
- * byte-identity of the legacy schedules against golden artifacts
- * compiled before the dataflow refactor.
+ * naming, analytics/trace parity of the one pricing engine across
+ * all six dataflows (and promoted WD), ragged-channel staging,
+ * config v1/v2 serialization, and byte-identity of the paper's
+ * schedules against golden artifacts compiled before the dataflow
+ * refactor.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -69,38 +71,18 @@ TEST(Dataflow, SpecsDeriveFromLoopOrder)
                                                : Residency::Tile);
             EXPECT_EQ(spec.residencyOf(type), expected) << spec.name;
         }
-        EXPECT_TRUE(spec.doubleBuffered);
     }
 }
 
 TEST(Dataflow, LegacyKindsMatchPatterns)
 {
-    EXPECT_EQ(dataflowSpec(DataflowKind::ID).legacyPattern(),
-              ComputationPattern::ID);
-    EXPECT_EQ(dataflowSpec(DataflowKind::OD).legacyPattern(),
-              ComputationPattern::OD);
-    EXPECT_EQ(dataflowSpec(DataflowKind::WD).legacyPattern(),
-              ComputationPattern::WD);
-    for (ComputationPattern pattern :
-         {ComputationPattern::ID, ComputationPattern::OD,
-          ComputationPattern::WD}) {
-        const DataflowSpec &spec = dataflowSpec(pattern);
-        EXPECT_TRUE(spec.legacy());
-        EXPECT_FALSE(spec.systolic);
-        // The legacy loop orders are the paper's: spec names equal
-        // pattern names so config artifacts and cache keys carry the
-        // historical spellings.
-        EXPECT_STREQ(spec.name, patternName(pattern));
-        EXPECT_EQ(dataflowOf(pattern), spec.kind);
-        // Loop order matches the pattern's historical order.
-        EXPECT_EQ(spec.order, loopOrder(pattern));
-    }
+    for (DataflowKind kind :
+         {DataflowKind::ID, DataflowKind::OD, DataflowKind::WD})
+        EXPECT_FALSE(dataflowSpec(kind).systolic) << dataflowName(kind);
     for (DataflowKind kind :
          {DataflowKind::SystolicWS, DataflowKind::SystolicIS,
-          DataflowKind::SystolicOS}) {
-        EXPECT_FALSE(dataflowSpec(kind).legacy());
-        EXPECT_TRUE(dataflowSpec(kind).systolic);
-    }
+          DataflowKind::SystolicOS})
+        EXPECT_TRUE(dataflowSpec(kind).systolic) << dataflowName(kind);
     const std::vector<DataflowKind> legacy = legacyDataflows();
     ASSERT_EQ(legacy.size(), 3u);
     EXPECT_EQ(legacy[0], DataflowKind::ID);
@@ -110,19 +92,22 @@ TEST(Dataflow, LegacyKindsMatchPatterns)
 
 TEST(Dataflow, StationarySemantics)
 {
-    // Each systolic dataflow pins its namesake operand: the spec's
-    // stationary type matches the name, and the array-preloaded tile
-    // is the input-or-weight operand of reuse level 2.
-    EXPECT_EQ(dataflowSpec(DataflowKind::SystolicWS).stationary,
-              DataType::Weight);
-    EXPECT_EQ(dataflowSpec(DataflowKind::SystolicIS).stationary,
-              DataType::Input);
-    EXPECT_EQ(dataflowSpec(DataflowKind::SystolicOS).stationary,
-              DataType::Output);
-    EXPECT_EQ(dataflowSpec(DataflowKind::SystolicWS).arrayTile(),
-              DataType::Weight);
-    EXPECT_EQ(dataflowSpec(DataflowKind::SystolicIS).arrayTile(),
-              DataType::Input);
+    // The core-pinned tile is the data type of reuse level 2: OD and
+    // sys-ws pin weights, sys-is and sys-os pin inputs, and ID and WD
+    // accumulate outputs in the core while both operands stream.
+    const std::map<DataflowKind, DataType> pinned = {
+        {DataflowKind::ID, DataType::Output},
+        {DataflowKind::OD, DataType::Weight},
+        {DataflowKind::WD, DataType::Output},
+        {DataflowKind::SystolicWS, DataType::Weight},
+        {DataflowKind::SystolicIS, DataType::Input},
+        {DataflowKind::SystolicOS, DataType::Input},
+    };
+    for (const auto &[kind, type] : pinned) {
+        const DataflowSpec &spec = dataflowSpec(kind);
+        EXPECT_EQ(spec.arrayTile(), type) << spec.name;
+        EXPECT_EQ(spec.reuseOf(type), 2) << spec.name;
+    }
     // Outputs accumulate across the outermost loop exactly for OD
     // and sys-os.
     for (DataflowKind kind : allDataflows()) {
@@ -153,67 +138,14 @@ TEST(Dataflow, NamesRoundTrip)
               std::string::npos);
 }
 
-TEST(Dataflow, EffectiveDataflowsResolvesAxis)
+TEST(Dataflow, DefaultAxisIsTheHybridPattern)
 {
-    SchedulerOptions options;
-    options.patterns = {ComputationPattern::OD,
-                        ComputationPattern::WD};
-    const std::vector<DataflowKind> derived =
-        effectiveDataflows(options);
-    ASSERT_EQ(derived.size(), 2u);
-    EXPECT_EQ(derived[0], DataflowKind::OD);
-    EXPECT_EQ(derived[1], DataflowKind::WD);
-    // An explicit dataflow list supersedes the pattern list.
-    options.dataflows = {DataflowKind::SystolicWS, DataflowKind::ID};
-    const std::vector<DataflowKind> explicit_axis =
-        effectiveDataflows(options);
-    ASSERT_EQ(explicit_axis.size(), 2u);
-    EXPECT_EQ(explicit_axis[0], DataflowKind::SystolicWS);
-    EXPECT_EQ(explicit_axis[1], DataflowKind::ID);
-}
-
-/** Exact (bit-level) equality of two layer analyses. */
-void
-expectAnalysesIdentical(const LayerAnalysis &a, const LayerAnalysis &b)
-{
-    EXPECT_EQ(a.dataflow, b.dataflow);
-    EXPECT_EQ(a.pattern, b.pattern);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.layerSeconds, b.layerSeconds);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.levelSeconds, b.levelSeconds);
-    EXPECT_EQ(a.inputsPromoted, b.inputsPromoted);
-    for (std::size_t t = 0; t < numDataTypes; ++t) {
-        const TypeAnalysis &ta = a.types[t];
-        const TypeAnalysis &tb = b.types[t];
-        EXPECT_EQ(ta.naturalStorageWords, tb.naturalStorageWords);
-        EXPECT_EQ(ta.storageWords, tb.storageWords);
-        EXPECT_EQ(ta.residentFraction, tb.residentFraction);
-        EXPECT_EQ(ta.lifetimeSeconds, tb.lifetimeSeconds);
-        EXPECT_EQ(ta.dramReadWords, tb.dramReadWords);
-        EXPECT_EQ(ta.dramWriteWords, tb.dramWriteWords);
-        EXPECT_EQ(ta.coreLoadWords, tb.coreLoadWords);
-        EXPECT_EQ(ta.coreStoreWords, tb.coreStoreWords);
-    }
-}
-
-TEST(Dataflow, PatternShimIsBitIdentical)
-{
-    // The ComputationPattern overload of analyzeLayer must produce
-    // exactly the analysis of the canonical spec — same floats, not
-    // just close ones.
-    const AcceleratorConfig config = testAcceleratorEdram();
-    const ConvLayerSpec layer = makeConv("c", 64, 28, 64, 3, 1, 1);
-    const Tiling tiling{16, 16, 7, 7};
-    for (ComputationPattern pattern :
-         {ComputationPattern::ID, ComputationPattern::OD,
-          ComputationPattern::WD}) {
-        const LayerAnalysis via_pattern =
-            analyzeLayer(config, layer, pattern, tiling);
-        const LayerAnalysis via_spec = analyzeLayer(
-            config, layer, dataflowSpec(dataflowOf(pattern)), tiling);
-        expectAnalysesIdentical(via_pattern, via_spec);
-    }
+    // Without an explicit axis the scheduler searches the paper's
+    // hybrid OD + WD pattern, in that order.
+    const SchedulerOptions options;
+    ASSERT_EQ(options.dataflows.size(), 2u);
+    EXPECT_EQ(options.dataflows[0], DataflowKind::OD);
+    EXPECT_EQ(options.dataflows[1], DataflowKind::WD);
 }
 
 struct Scenario
@@ -250,15 +182,13 @@ randomScenario(Rng &rng)
     return s;
 }
 
-class DataflowParity
-    : public ::testing::TestWithParam<std::tuple<int, DataflowKind>>
+/**
+ * Analytics/trace parity of one random scenario under one dataflow,
+ * optionally with WD input promotion.
+ */
+void
+expectParity(int seed, DataflowKind kind, bool promote)
 {
-};
-
-TEST_P(DataflowParity, AnalyticsMatchTrace)
-{
-    const int seed = std::get<0>(GetParam());
-    const DataflowKind kind = std::get<1>(GetParam());
     const DataflowSpec &spec = dataflowSpec(kind);
     // Same scenario stream as the legacy SimEquivalence suite so a
     // failure here against a pass there isolates the dataflow.
@@ -269,15 +199,17 @@ TEST_P(DataflowParity, AnalyticsMatchTrace)
     const double interval = 45e-6;
 
     const LayerAnalysis analysis =
-        analyzeLayer(config, s.layer, spec, s.tiling);
+        analyzeLayer(config, s.layer, spec, s.tiling, promote);
     if (!analysis.feasible)
         GTEST_SKIP() << "infeasible scenario";
     EXPECT_EQ(analysis.dataflow, kind);
+    EXPECT_EQ(analysis.inputsPromoted, promote);
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
     const LayerSimResult result = sim.runLayer(s.layer, analysis);
 
-    const std::string label = std::string(spec.name) + " " +
+    const std::string label = std::string(spec.name) +
+                              (promote ? "+promoted " : " ") +
                               s.layer.describe() + " " +
                               s.tiling.describe();
 
@@ -317,9 +249,9 @@ TEST_P(DataflowParity, AnalyticsMatchTrace)
             << label << " " << dataTypeName(static_cast<DataType>(t));
     }
 
-    // Stall accounting: legacy dataflows never stall; systolic ones
-    // report the same total in the trace and the closed form.
-    if (spec.legacy()) {
+    // Stall accounting: the paper's patterns never stall; systolic
+    // ones report the same total in the trace and the closed form.
+    if (!spec.systolic) {
         EXPECT_EQ(result.stallSeconds, 0.0) << label;
         EXPECT_EQ(analysis.systolic.stallSeconds, 0.0) << label;
     } else {
@@ -334,6 +266,17 @@ TEST_P(DataflowParity, AnalyticsMatchTrace)
     }
 }
 
+class DataflowParity
+    : public ::testing::TestWithParam<std::tuple<int, DataflowKind>>
+{
+};
+
+TEST_P(DataflowParity, AnalyticsMatchTrace)
+{
+    expectParity(std::get<0>(GetParam()), std::get<1>(GetParam()),
+                 false);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomScenarios, DataflowParity,
     ::testing::Combine(::testing::Range(0, 16),
@@ -343,6 +286,51 @@ INSTANTIATE_TEST_SUITE_P(
                                          DataflowKind::SystolicWS,
                                          DataflowKind::SystolicIS,
                                          DataflowKind::SystolicOS)));
+
+/** The same parity check for WD with its whole input set promoted. */
+class PromotedWdParity : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(PromotedWdParity, AnalyticsMatchTrace)
+{
+    expectParity(GetParam(), DataflowKind::WD, true);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomScenarios, PromotedWdParity,
+                         ::testing::Range(0, 16));
+
+TEST(DataflowStaging, RaggedChannelTilesChargeOnlyExistingWords)
+{
+    // N = 90 and M = 45 leave ragged edge tiles at Tn = 4, Tm = 8.
+    // Off-chip staging charges the channel words that exist, so each
+    // dataflow's closed form matches its trace exactly, and orders
+    // that stage the same words price the same DRAM traffic: sys-ws
+    // reads inputs and weights once like ID; sys-is and sys-os
+    // re-read the input halo per RC tile like WD.
+    const AcceleratorConfig config = testAcceleratorEdram();
+    const ConvLayerSpec layer = makeConv("r", 90, 36, 45, 5, 1, 2);
+    const Tiling tiling{8, 4, 8, 4};
+    const double interval = 45e-6;
+    std::map<DataflowKind, std::uint64_t> dram_words;
+    for (DataflowKind kind : allDataflows()) {
+        const LayerAnalysis analysis =
+            analyzeLayer(config, layer, dataflowSpec(kind), tiling);
+        ASSERT_TRUE(analysis.feasible) << dataflowName(kind);
+        const OperationCounts counts = layerOperationCounts(
+            config, layer, analysis, RefreshPolicy::PerBank, interval);
+        LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
+        const LayerSimResult traced = sim.runLayer(layer, analysis);
+        EXPECT_EQ(traced.counts.ddrAccesses, counts.ddrAccesses)
+            << dataflowName(kind);
+        dram_words[kind] = counts.ddrAccesses;
+    }
+    EXPECT_EQ(dram_words[DataflowKind::ID], 287010u);
+    EXPECT_EQ(dram_words[DataflowKind::SystolicWS], 287010u);
+    EXPECT_EQ(dram_words[DataflowKind::WD], 559170u);
+    EXPECT_EQ(dram_words[DataflowKind::SystolicIS], 559170u);
+    EXPECT_EQ(dram_words[DataflowKind::SystolicOS], 559170u);
+}
 
 TEST(DataflowConfig, V2RoundTripsSystolicKinds)
 {

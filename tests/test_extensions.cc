@@ -37,7 +37,7 @@ TEST(PerformanceModel, ComputeBoundLayerKeepsRuntime)
     // 3x3 conv with high reuse: compute-bound.
     const ConvLayerSpec layer = makeConv("c", 128, 28, 128, 3, 1, 1);
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 16, 7, 7});
     ASSERT_TRUE(analysis.feasible);
     const PerformanceReport report = evaluatePerformance(
@@ -53,7 +53,7 @@ TEST(PerformanceModel, BandwidthBoundLayerDetected)
     // arithmetic intensity and tiny bandwidth.
     const ConvLayerSpec layer = makeConv("c", 512, 14, 512, 1);
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 64, 1, 14});
     ASSERT_TRUE(analysis.feasible);
     PerformanceParams params;
@@ -73,7 +73,7 @@ TEST(PerformanceModel, RefreshInterferenceIsSmall)
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeVgg16().findLayer("conv4_2");
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 16, 7, 7});
     ASSERT_TRUE(analysis.feasible);
     // Conventional 45us refresh interferes noticeably...
@@ -145,8 +145,8 @@ TEST(ConfigIo, RebuildMatchesOriginalSchedule)
                 schedule.totalEnergy().total(),
                 schedule.totalEnergy().total() * 1e-9);
     for (std::size_t i = 0; i < schedule.layers.size(); ++i) {
-        EXPECT_EQ(rebuilt.layers[i].pattern(),
-                  schedule.layers[i].pattern());
+        EXPECT_EQ(rebuilt.layers[i].dataflow(),
+                  schedule.layers[i].dataflow());
         EXPECT_EQ(rebuilt.layers[i].refreshFlags,
                   schedule.layers[i].refreshFlags);
     }

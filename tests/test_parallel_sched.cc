@@ -149,7 +149,7 @@ TEST(EvalCacheTest, SecondSearchHitsAndReturnsIdenticalSchedule)
     EXPECT_GT(after_second.hits, after_first.hits);
 
     EXPECT_EQ(first.layerName, second.layerName);
-    EXPECT_EQ(first.pattern(), second.pattern());
+    EXPECT_EQ(first.dataflow(), second.dataflow());
     EXPECT_EQ(first.tiling(), second.tiling());
     EXPECT_EQ(first.refreshFlags, second.refreshFlags);
     EXPECT_EQ(first.gateOn, second.gateOn);
@@ -171,7 +171,7 @@ TEST(EvalCacheTest, EvaluateLayerChoiceMemoizes)
     // explicit re-evaluation of that exact choice is a hit.
     const EvalCache::Stats before = EvalCache::global().stats();
     const Result<LayerSchedule> replay = evaluateLayerChoice(
-        config, layer, chosen.pattern(), chosen.tiling(), options,
+        config, layer, chosen.dataflow(), chosen.tiling(), options,
         chosen.analysis.inputsPromoted);
     ASSERT_TRUE(replay.ok());
     EXPECT_GT(EvalCache::global().stats().hits, before.hits);
@@ -227,7 +227,7 @@ TEST(ResultContract, InfeasibleLayerReturnsErrorNotExit)
 TEST(ResultContract, EmptyPatternListIsInvalidArgument)
 {
     SchedulerOptions options = sweepOptions(1, false);
-    options.patterns.clear();
+    options.dataflows.clear();
     const ConvLayerSpec layer = makeConv("c", 8, 7, 8, 3, 1, 1);
     const Result<LayerSchedule> result =
         scheduleLayer(testAcceleratorEdram(), layer, options);
@@ -247,7 +247,7 @@ TEST(ResultContract, InfeasibleEvaluateLayerChoiceReturnsError)
 {
     const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
     const Result<LayerSchedule> result = evaluateLayerChoice(
-        impossibleHardware(), layer, ComputationPattern::OD,
+        impossibleHardware(), layer, DataflowKind::OD,
         Tiling{16, 16, 7, 7}, sweepOptions(1, false));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, ErrorCode::Infeasible);

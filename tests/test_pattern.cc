@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for computation patterns, tilings and the PE array
- * timing model.
+ * Unit tests for the paper's computation patterns (as dataflow
+ * specs), tilings and the PE array timing model.
  */
 
 #include <gtest/gtest.h>
 
 #include "nn/model_zoo.hh"
 #include "sim/accelerator_config.hh"
+#include "sim/dataflow.hh"
 #include "sim/pattern.hh"
 #include "sim/pe_array_model.hh"
 #include "util/units.hh"
@@ -17,17 +18,18 @@ namespace {
 
 TEST(Pattern, LoopOrders)
 {
-    const auto id = loopOrder(ComputationPattern::ID);
+    // The paper's loop orders, outermost (3rd-level loop) first.
+    const auto id = dataflowSpec(DataflowKind::ID).order;
     EXPECT_EQ(id[0], LoopAxis::M);
     EXPECT_EQ(id[1], LoopAxis::RC);
     EXPECT_EQ(id[2], LoopAxis::N);
 
-    const auto od = loopOrder(ComputationPattern::OD);
+    const auto od = dataflowSpec(DataflowKind::OD).order;
     EXPECT_EQ(od[0], LoopAxis::N);
     EXPECT_EQ(od[1], LoopAxis::M);
     EXPECT_EQ(od[2], LoopAxis::RC);
 
-    const auto wd = loopOrder(ComputationPattern::WD);
+    const auto wd = dataflowSpec(DataflowKind::WD).order;
     EXPECT_EQ(wd[0], LoopAxis::RC);
     EXPECT_EQ(wd[1], LoopAxis::M);
     EXPECT_EQ(wd[2], LoopAxis::N);
@@ -35,9 +37,11 @@ TEST(Pattern, LoopOrders)
 
 TEST(Pattern, Names)
 {
-    EXPECT_STREQ(patternName(ComputationPattern::ID), "ID");
-    EXPECT_STREQ(patternName(ComputationPattern::OD), "OD");
-    EXPECT_STREQ(patternName(ComputationPattern::WD), "WD");
+    // The dataflow names of the paper's patterns are the pattern
+    // names, so config artifacts and cache keys keep their spelling.
+    EXPECT_STREQ(dataflowName(DataflowKind::ID), "ID");
+    EXPECT_STREQ(dataflowName(DataflowKind::OD), "OD");
+    EXPECT_STREQ(dataflowName(DataflowKind::WD), "WD");
 }
 
 TEST(Pattern, TripCountsCeil)

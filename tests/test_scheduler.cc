@@ -77,10 +77,10 @@ TEST(Scheduler, MatchesExhaustiveMinimum)
         const LayerSchedule best =
             scheduleLayerOrDie(config, layer, options);
         double exhaustive_min = 1e300;
-        for (ComputationPattern pattern : options.patterns) {
+        for (DataflowKind pattern : options.dataflows) {
             for (const Tiling &t : tilingCandidates(config, layer)) {
                 const auto analysis =
-                    analyzeLayer(config, layer, pattern, t);
+                    analyzeLayer(config, layer, dataflowSpec(pattern), t);
                 if (!analysis.feasible)
                     continue;
                 const auto counts = layerOperationCounts(
@@ -113,11 +113,11 @@ TEST(Scheduler, PicksWdForShallowVggLayers)
     // Layers 2..7 (indices 1..6) have output maps larger than the
     // buffer, so OD would spill partial sums and WD wins.
     for (std::size_t i = 1; i < 7; ++i) {
-        EXPECT_EQ(schedule.layers[i].pattern(), ComputationPattern::WD)
+        EXPECT_EQ(schedule.layers[i].dataflow(), DataflowKind::WD)
             << vgg.layer(i).name;
     }
     // Deep layers prefer OD.
-    EXPECT_EQ(schedule.layers[12].pattern(), ComputationPattern::OD);
+    EXPECT_EQ(schedule.layers[12].dataflow(), DataflowKind::OD);
 }
 
 TEST(Scheduler, FixedTilingIsRespected)
@@ -125,13 +125,13 @@ TEST(Scheduler, FixedTilingIsRespected)
     const AcceleratorConfig ddn = daDianNaoNode();
     SchedulerOptions options;
     options.fixedTiling = Tiling{64, 64, 1, 1};
-    options.patterns = {ComputationPattern::WD};
+    options.dataflows = {DataflowKind::WD};
     options.policy = RefreshPolicy::GatedGlobal;
     options.refreshIntervalSeconds = 45e-6;
     const ConvLayerSpec layer = makeConv("c", 256, 14, 256, 3, 1, 1);
     const LayerSchedule schedule = scheduleLayerOrDie(ddn, layer, options);
     EXPECT_EQ(schedule.tiling(), clampTiling({64, 64, 1, 1}, layer));
-    EXPECT_EQ(schedule.pattern(), ComputationPattern::WD);
+    EXPECT_EQ(schedule.dataflow(), DataflowKind::WD);
 }
 
 TEST(Scheduler, GateFollowsLifetimes)
@@ -179,7 +179,7 @@ TEST(Scheduler, HybridNoWorseThanSinglePattern)
     hybrid.policy = RefreshPolicy::GatedGlobal;
     hybrid.refreshIntervalSeconds = 45e-6;
     SchedulerOptions od_only = hybrid;
-    od_only.patterns = {ComputationPattern::OD};
+    od_only.dataflows = {DataflowKind::OD};
     const double hybrid_energy =
         scheduleNetworkOrDie(config, net, hybrid).totalEnergy().total();
     const double od_energy =
@@ -196,7 +196,7 @@ TEST(Scheduler, EvaluateLayerChoiceMatchesScheduler)
     const ConvLayerSpec layer = makeConv("c", 32, 28, 32, 3, 1, 1);
     const LayerSchedule best = scheduleLayerOrDie(config, layer, options);
     const LayerSchedule same = evaluateLayerChoiceOrDie(
-        config, layer, best.pattern(), best.tiling(), options);
+        config, layer, best.dataflow(), best.tiling(), options);
     EXPECT_DOUBLE_EQ(best.energy.total(), same.energy.total());
 }
 
@@ -215,9 +215,9 @@ TEST(Scheduler, NetworkScheduleAggregates)
         manual += layer.counts;
     EXPECT_EQ(schedule.totalCounts().macOps, manual.macOps);
     EXPECT_EQ(schedule.totalCounts().macOps, net.totalMacs());
-    EXPECT_EQ(schedule.patternCount(ComputationPattern::OD) +
-                  schedule.patternCount(ComputationPattern::WD) +
-                  schedule.patternCount(ComputationPattern::ID),
+    EXPECT_EQ(schedule.dataflowCount(DataflowKind::OD) +
+                  schedule.dataflowCount(DataflowKind::WD) +
+                  schedule.dataflowCount(DataflowKind::ID),
               net.size());
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -123,8 +124,7 @@ TEST(SweepShard, MergeIsByteIdenticalAcrossWorkerCounts)
 TEST(SweepShard, RecoversFromChaosKillByteForByte)
 {
     SweepShardConfig shard = fastShard(2);
-    shard.chaos.killWorker = 0;
-    shard.chaos.killAfterCells = 1;
+    shard.chaos.killCell = 1;
     Result<ShardedSweepResult> sharded = runShardedCampaignSweep(
         ranaDesign(), makeAlexNet(), tinySweep(), shard);
     ASSERT_TRUE(sharded.ok()) << sharded.error().describe();
@@ -306,9 +306,11 @@ TEST(SweepShard, CrashedWorkerLeavesAReadablePostmortem)
 {
     const std::string dir =
         ::testing::TempDir() + "rana_postmortem_test";
+    std::filesystem::remove_all(dir);
+    // Cells are handed out lowest index first, so whichever worker
+    // draws cell 0 dies on its very first assignment.
     SweepShardConfig shard = fastShard(2);
-    shard.chaos.killWorker = 0;
-    shard.chaos.killAfterCells = 1;
+    shard.chaos.killCell = 0;
     shard.postmortemDir = dir;
     Result<ShardedSweepResult> sharded = runShardedCampaignSweep(
         ranaDesign(), makeAlexNet(), tinySweep(), shard);
@@ -318,14 +320,25 @@ TEST(SweepShard, CrashedWorkerLeavesAReadablePostmortem)
     const SweepShardStats &stats = sharded.value().stats;
     ASSERT_EQ(stats.postmortemDumps, 1u);
 
-    std::ifstream in(dir + "/postmortem-worker0-1.json");
-    ASSERT_TRUE(in.good()) << "postmortem file missing";
+    std::vector<std::filesystem::path> dumps;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        dumps.push_back(entry.path());
+    ASSERT_EQ(dumps.size(), 1u) << "expected one postmortem file";
+    std::ifstream in(dumps[0]);
+    ASSERT_TRUE(in.good()) << "postmortem file unreadable";
     std::ostringstream text;
     text << in.rdbuf();
     Result<PostmortemReport> report = parsePostmortem(text.str());
     ASSERT_TRUE(report.ok()) << report.error().describe();
-    EXPECT_EQ(report.value().worker, 0u);
+    EXPECT_LT(report.value().worker, stats.workers);
     EXPECT_EQ(report.value().incident, 1u);
+    EXPECT_EQ(dumps[0].filename().string(),
+              "postmortem-worker" +
+                  std::to_string(report.value().worker) + "-1.json");
+    // The coordinator saw the killed cell start.
+    EXPECT_TRUE(report.value().busy);
+    EXPECT_EQ(report.value().lastCell, 0u);
+    EXPECT_EQ(report.value().lastAttempt, 0u);
     // The victim usually exits with the chaos-kill code (11), but
     // the coordinator SIGKILLs stragglers it declares dead, so a
     // close race may surface as a signal instead.
@@ -333,11 +346,12 @@ TEST(SweepShard, CrashedWorkerLeavesAReadablePostmortem)
     if (report.value().exited) {
         EXPECT_EQ(report.value().exitCode, 11);
     }
-    // The chaos kill fires after one completed cell, so the victim's
-    // last-known snapshot and flight ring are non-empty.
+    // The victim died on its first assignment, after exporting its
+    // startup telemetry: the last-known snapshot holds no completed
+    // cell and the flight ring holds the hello.
     EXPECT_EQ(counterValue(report.value().lastMetrics,
                            "worker_cells_completed_total"),
-              1u);
+              0u);
     EXPECT_FALSE(report.value().flight.empty());
 }
 

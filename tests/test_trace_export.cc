@@ -24,13 +24,13 @@ struct TracedRun
 };
 
 TracedRun
-runTraced(ComputationPattern pattern)
+runTraced(DataflowKind pattern)
 {
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeConv("c", 32, 28, 32, 3, 1, 1);
     TracedRun run;
     run.analysis =
-        analyzeLayer(config, layer, pattern, {16, 16, 7, 7});
+        analyzeLayer(config, layer, dataflowSpec(pattern), {16, 16, 7, 7});
     EXPECT_TRUE(run.analysis.feasible);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
     sim.setTraceSink(&run.sink);
@@ -40,7 +40,7 @@ runTraced(ComputationPattern pattern)
 
 TEST(TraceExport, TileComputeCountMatchesTrips)
 {
-    const TracedRun run = runTraced(ComputationPattern::OD);
+    const TracedRun run = runTraced(DataflowKind::OD);
     const ConvLayerSpec layer = makeConv("c", 32, 28, 32, 3, 1, 1);
     const TripCounts trips = tripCounts(layer, run.analysis.tiling);
     EXPECT_EQ(run.sink.count(TraceEventKind::TileCompute),
@@ -52,9 +52,9 @@ TEST(TraceExport, TileComputeCountMatchesTrips)
 
 TEST(TraceExport, CoreLoadWordsMatchAnalytics)
 {
-    for (ComputationPattern pattern : {ComputationPattern::ID,
-                                       ComputationPattern::OD,
-                                       ComputationPattern::WD}) {
+    for (DataflowKind pattern : {DataflowKind::ID,
+                                       DataflowKind::OD,
+                                       DataflowKind::WD}) {
         const TracedRun run = runTraced(pattern);
         const double analytic_loads =
             run.analysis.of(DataType::Input).coreLoadWords +
@@ -62,13 +62,13 @@ TEST(TraceExport, CoreLoadWordsMatchAnalytics)
         EXPECT_NEAR(static_cast<double>(
                         run.sink.wordsOf(TraceEventKind::CoreLoad)),
                     analytic_loads, analytic_loads * 1e-9)
-            << patternName(pattern);
+            << dataflowName(pattern);
     }
 }
 
 TEST(TraceExport, StoreAndReloadWordsMatchAnalytics)
 {
-    const TracedRun run = runTraced(ComputationPattern::OD);
+    const TracedRun run = runTraced(DataflowKind::OD);
     EXPECT_NEAR(static_cast<double>(
                     run.sink.wordsOf(TraceEventKind::CoreStore)),
                 run.analysis.of(DataType::Output).coreStoreWords,
@@ -81,9 +81,9 @@ TEST(TraceExport, StoreAndReloadWordsMatchAnalytics)
 
 TEST(TraceExport, NoReloadsOutsideOd)
 {
-    const TracedRun id = runTraced(ComputationPattern::ID);
+    const TracedRun id = runTraced(DataflowKind::ID);
     EXPECT_EQ(id.sink.count(TraceEventKind::PartialReload), 0u);
-    const TracedRun wd = runTraced(ComputationPattern::WD);
+    const TracedRun wd = runTraced(DataflowKind::WD);
     EXPECT_EQ(wd.sink.count(TraceEventKind::PartialReload), 0u);
 }
 
@@ -92,7 +92,7 @@ TEST(TraceExport, CsvWriterProducesRows)
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeConv("c", 8, 8, 8, 3, 1, 1);
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {8, 8, 8, 8});
     ASSERT_TRUE(analysis.feasible);
     std::ostringstream oss;
@@ -117,7 +117,7 @@ TEST(TraceExport, DetachedSinkCostsNothing)
     const AcceleratorConfig config = testAcceleratorEdram();
     const ConvLayerSpec layer = makeConv("c", 32, 28, 32, 3, 1, 1);
     const auto analysis = analyzeLayer(config, layer,
-                                       ComputationPattern::OD,
+                                       dataflowSpec(DataflowKind::OD),
                                        {16, 16, 7, 7});
     ASSERT_TRUE(analysis.feasible);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);

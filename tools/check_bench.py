@@ -21,9 +21,9 @@ regression at once.
 
 Gates:
 
-* fault_campaign - the "gate" object bench_fault_campaign emits for
-  the paper's retrained operating point (failure rate 1e-5) must
-  hold the baseline's relative-accuracy floors; tolerance-based
+* fault_campaign - the "gate" object the fault_campaign harness
+  emits for the paper's retrained operating point (failure rate
+  1e-5) must hold the baseline's relative-accuracy floors; tolerance-based
   rather than exact because accuracies differ in the last few ULPs
   across compilers (FMA contraction). The campaign-throughput gate
   (baseline key "campaign_throughput") holds the trial-batched sweep

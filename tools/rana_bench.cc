@@ -12,5 +12,5 @@
 int
 main(int argc, char **argv)
 {
-    return rana::bench::benchMain(argc, argv, nullptr);
+    return rana::bench::benchMain(argc, argv);
 }

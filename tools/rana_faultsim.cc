@@ -58,10 +58,11 @@
  *                        crash/timeout incident under directory P
  *                        (created on first use; see rana_obs)
  *   --chaos SPEC         deterministic shard-fault injection, a
- *                        comma-separated list of kill=W:K (kill
- *                        worker W after K cells), stall=C (hang
- *                        cell C's first attempt) and corrupt=C
- *                        (corrupt cell C's first result frame)
+ *                        comma-separated list of kill=C (kill the
+ *                        worker running cell C's first attempt),
+ *                        stall=C (hang cell C's first attempt) and
+ *                        corrupt=C (corrupt cell C's first result
+ *                        frame)
  *   --metrics-json PATH  write a metrics-registry snapshot to PATH
  *   --chrome-trace PATH  record a Chrome trace_event timeline
  *                        (chrome://tracing / Perfetto) to PATH
@@ -144,7 +145,7 @@ fail(const Error &error)
 }
 
 /**
- * Parse a --chaos spec: comma-separated kill=W:K, stall=C and
+ * Parse a --chaos spec: comma-separated kill=C, stall=C and
  * corrupt=C items.
  */
 Result<ShardChaosConfig>
@@ -162,43 +163,24 @@ parseChaosSpec(const std::string &spec)
         if (equals == std::string::npos) {
             return makeError(ErrorCode::InvalidArgument,
                              "bad chaos item '", item,
-                             "' (expected kill=W:K, stall=C or "
+                             "' (expected kill=C, stall=C or "
                              "corrupt=C)");
         }
         const std::string key = item.substr(0, equals);
         const std::string value = item.substr(equals + 1);
         char *end = nullptr;
-        if (key == "kill") {
-            const std::size_t colon = value.find(':');
-            if (colon == std::string::npos) {
-                return makeError(ErrorCode::InvalidArgument,
-                                 "bad kill spec '", value,
-                                 "' (expected W:K)");
-            }
-            chaos.killWorker = static_cast<int>(
-                std::strtol(value.c_str(), &end, 10));
-            if (end != value.c_str() + colon) {
-                return makeError(ErrorCode::InvalidArgument,
-                                 "bad kill worker in '", value, "'");
-            }
-            const std::string after = value.substr(colon + 1);
-            chaos.killAfterCells = static_cast<std::uint32_t>(
-                std::strtoul(after.c_str(), &end, 10));
-            if (after.empty() ||
-                end != after.c_str() + after.size()) {
-                return makeError(ErrorCode::InvalidArgument,
-                                 "bad kill cell count in '", value,
-                                 "'");
-            }
-        } else if (key == "stall" || key == "corrupt") {
+        if (key == "kill" || key == "stall" || key == "corrupt") {
             const long cell = std::strtol(value.c_str(), &end, 10);
             if (value.empty() ||
                 end != value.c_str() + value.size()) {
                 return makeError(ErrorCode::InvalidArgument, "bad ",
                                  key, " cell '", value, "'");
             }
-            (key == "stall" ? chaos.stallCell : chaos.corruptCell) =
-                static_cast<int>(cell);
+            int &target = key == "kill"
+                              ? chaos.killCell
+                              : (key == "stall" ? chaos.stallCell
+                                                : chaos.corruptCell);
+            target = static_cast<int>(cell);
         } else {
             return makeError(ErrorCode::InvalidArgument,
                              "unknown chaos key '", key, "'");
