@@ -12,6 +12,11 @@
  * search should scale to roughly N until candidate evaluation is no
  * longer the bottleneck.
  *
+ * An ungated "execute" row times the trace simulation of one
+ * compiled schedule (ResNet-50 on RANA(0)) at jobs = 1 and at the
+ * hardware width, as a same-run ratio, and asserts that both runs
+ * produce the identical ExecutionResult.
+ *
  * --repeat (or RANA_SCHED_REPEAT) overrides the per-point repetition
  * count (default 3, best-of is reported).
  */
@@ -48,6 +53,41 @@ timeSchedule(const AcceleratorConfig &config, const NetworkModel &net,
             fatal("scheduler dropped layers");
     }
     return best;
+}
+
+/** Best-of-N wall-clock seconds of one executeScheduleChecked call. */
+double
+timeExecute(const DesignPoint &design, const NetworkModel &net,
+            const NetworkSchedule &schedule, int repeat,
+            ExecutionResult &result)
+{
+    double best = 1e300;
+    for (int i = 0; i < repeat; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        result =
+            executeScheduleChecked(design, net, schedule).valueOrDie();
+        const auto stop = std::chrono::steady_clock::now();
+        best = std::min(
+            best,
+            std::chrono::duration<double>(stop - start).count());
+    }
+    return best;
+}
+
+/** Every field equal, doubles compared exactly. */
+bool
+sameExecution(const ExecutionResult &a, const ExecutionResult &b)
+{
+    return a.counts.macOps == b.counts.macOps &&
+           a.counts.bufferAccesses == b.counts.bufferAccesses &&
+           a.counts.refreshOps == b.counts.refreshOps &&
+           a.counts.ddrAccesses == b.counts.ddrAccesses &&
+           a.energy.computing == b.energy.computing &&
+           a.energy.bufferAccess == b.energy.bufferAccess &&
+           a.energy.refresh == b.energy.refresh &&
+           a.energy.offChipAccess == b.energy.offChipAccess &&
+           a.seconds == b.seconds && a.violations == b.violations &&
+           a.guardTrips == b.guardTrips;
 }
 
 std::string
@@ -153,9 +193,52 @@ runSchedScaling(rana::bench::BenchContext &ctx)
     json.field("entries", static_cast<std::uint64_t>(stats.entries));
     json.endObject();
 
+    // The trace simulation fans the schedule's layers across the
+    // same lanes; one layer per simulator, so the result must not
+    // depend on the lane count.
+    DesignPoint design = makeDesignPoint(
+        DesignKind::Rana0, RetentionDistribution::typical65nm());
+    design.options.jobs = hw;
+    const NetworkModel resnet = makeResNet50();
+    const NetworkSchedule schedule =
+        scheduleNetworkOrDie(design.config, resnet, design.options);
+    ExecutionResult serial_result;
+    ExecutionResult parallel_result;
+    design.options.jobs = 1;
+    const double execute_serial =
+        timeExecute(design, resnet, schedule, repeat, serial_result);
+    design.options.jobs = hw;
+    const double execute_parallel =
+        timeExecute(design, resnet, schedule, repeat, parallel_result);
+    const bool execute_identical =
+        sameExecution(serial_result, parallel_result);
+    const double execute_speedup =
+        execute_serial / std::max(execute_parallel, 1e-9);
+
+    std::cout << "\nexecuteScheduleChecked (" << resnet.name() << " on "
+              << design.name << ", " << resnet.size() << " layers):\n"
+              << "  jobs=1: " << seconds(execute_serial) << "\n"
+              << "  jobs=" << hw << ": " << seconds(execute_parallel)
+              << " (" << times(execute_speedup) << ")\n"
+              << "  identical: " << (execute_identical ? "yes" : "NO")
+              << "\n";
+
+    json.beginObject("execute");
+    json.field("network", resnet.name());
+    json.field("design", design.name);
+    json.field("jobs", static_cast<std::uint64_t>(hw));
+    json.field("serial_seconds", execute_serial);
+    json.field("parallel_seconds", execute_parallel);
+    json.field("speedup", execute_speedup);
+    json.field("identical", execute_identical);
+    json.endObject();
+    if (!execute_identical)
+        fatal("jobs=", hw, " execution differs from the serial one");
+
     ctx.perf("serial_seconds", serial_seconds, "s");
     ctx.perf("parallel_speedup", best_speedup, "x");
     ctx.perf("cache_warm_speedup", cold / std::max(warm, 1e-9), "x");
+    ctx.perf("execute_speedup", execute_speedup, "x");
 }
 
 } // namespace

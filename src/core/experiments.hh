@@ -15,6 +15,7 @@
 #include "edram/reliability_guard.hh"
 #include "nn/network_model.hh"
 #include "sched/layer_scheduler.hh"
+#include "sim/loopnest_simulator.hh"
 #include "sim/performance_model.hh"
 
 namespace rana {
@@ -73,12 +74,43 @@ struct ExecutionResult
 class TraceSink;
 
 /**
- * Checked core of executeSchedule: fails with Mismatch when the
- * schedule does not describe `network` (instead of aborting), runs
- * the simulation under `faults`, and optionally attaches the
- * reliability guard and a trace sink (either may be nullptr). The
- * sink receives every simulator event — the timeline exporter hangs
- * off this parameter.
+ * Simulate every layer of a compiled schedule on the trace simulator
+ * and return the per-layer results in layer order. This is the one
+ * layer executor: executeScheduleChecked and the fault campaign's
+ * simulateExposures both reduce its output.
+ *
+ * Each layer loads its own configuration (allocation, refresh flags,
+ * gate) and so shares nothing with the layer before it but its start
+ * time. A pre-pass chains LoopNestSimulator::layerEnd from 0 to find
+ * every start, then each layer runs on its own simulator started at
+ * that time, fanned across effectiveJobs(design.options) lanes. The
+ * results are bit-identical to one simulator walking the layers in
+ * order, for every lane count. A reliability guard or trace sink
+ * (either may be nullptr) is shared state that sees every layer in
+ * order, so attaching one runs the same per-layer path on one lane.
+ *
+ * Fails with Mismatch when the schedule does not describe `network`,
+ * and with the first infeasible layer's InvalidArgument in layer
+ * order; never aborts.
+ */
+Result<std::vector<LayerSimResult>>
+simulateLayersChecked(const DesignPoint &design,
+                      const NetworkModel &network,
+                      const NetworkSchedule &schedule,
+                      const TimingFaults &faults = TimingFaults{},
+                      ReliabilityGuard *guard = nullptr,
+                      TraceSink *sink = nullptr);
+
+/**
+ * Checked core of executeSchedule: simulates the schedule with
+ * simulateLayersChecked (so `design.options.jobs` also sets the
+ * width of the layer fan-out) and sums the layers in order. Fails
+ * with Mismatch when the schedule does not describe `network`
+ * (instead of aborting), runs the simulation under `faults`, and
+ * optionally attaches the reliability guard and a trace sink (either
+ * may be nullptr; either keeps the run on one lane). The sink
+ * receives every simulator event — the timeline exporter hangs off
+ * this parameter.
  */
 Result<ExecutionResult>
 executeScheduleChecked(const DesignPoint &design,

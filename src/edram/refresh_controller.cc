@@ -142,6 +142,15 @@ RefreshControllerSim::RefreshControllerSim(const BufferGeometry &geometry,
 }
 
 void
+RefreshControllerSim::startAt(double seconds)
+{
+    RANA_ASSERT(now_ == 0.0 && refreshOps_ == 0 && violations_ == 0,
+                "startAt needs a fresh controller");
+    now_ = seconds;
+    nextPulse_ = seconds + divider_.pulsePeriod();
+}
+
+void
 RefreshControllerSim::beginLayer(const BankAllocation &allocation,
                                  const std::array<bool, numDataTypes> &flags,
                                  bool gate_on, double now)

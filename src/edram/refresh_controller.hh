@@ -137,6 +137,16 @@ class RefreshControllerSim
     void attachGuard(ReliabilityGuard *guard) { guard_ = guard; }
 
     /**
+     * Set a fresh controller's clock to `seconds` without issuing
+     * the pulses a run from time 0 would have issued before it. A
+     * layer simulated on its own controller starts here: beginLayer
+     * resets every bank group and restarts the divider, so the
+     * layer's pulses and counters match a walk that reached
+     * `seconds` through the earlier layers.
+     */
+    void startAt(double seconds);
+
+    /**
      * Start a layer at time `now`: install the bank allocation and
      * refresh flags, and mark freshly loaded data as recharged.
      *

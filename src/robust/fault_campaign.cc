@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/experiments.hh"
 #include "energy/technology.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics_registry.hh"
@@ -165,11 +166,6 @@ simulateExposures(const DesignPoint &design,
     // guard, and take each buffered tensor's observed lifetime from
     // the simulator's read events.
     ScopedSpan span("campaign", "simulate");
-    LoopNestSimulator simulator(design.config, design.options.policy,
-                                design.options.refreshIntervalSeconds);
-    simulator.setTimingFaults(config.timingFaults);
-    if (config.traceSink != nullptr)
-        simulator.setTraceSink(config.traceSink);
     Result<std::unique_ptr<GuardPolicy>> policy = makeGuardPolicy(
         config.guardPolicy, design.config.buffer, config.retention,
         design.failureRate, config.seed);
@@ -177,19 +173,20 @@ simulateExposures(const DesignPoint &design,
         return policy.error();
     ReliabilityGuard guard(design.options.refreshIntervalSeconds,
                            std::move(policy).value());
-    if (config.guard) {
-        simulator.attachGuard(&guard);
+    if (config.guard)
         result.guardPolicyName = guard.policy().name();
+    Result<std::vector<LayerSimResult>> simulated = simulateLayersChecked(
+        design, network, schedule, config.timingFaults,
+        config.guard ? &guard : nullptr, config.traceSink);
+    if (!simulated.ok())
+        return simulated.error();
+    const std::vector<LayerSimResult> layer_sims =
+        std::move(simulated).value();
+    for (const LayerSimResult &layer : layer_sims) {
+        result.executionSeconds += layer.layerSeconds;
+        result.retentionViolations += layer.violations;
+        result.refreshOps += layer.refreshOps;
     }
-    std::vector<LayerSimResult> layer_sims;
-    layer_sims.reserve(network.size());
-    for (std::size_t i = 0; i < network.size(); ++i) {
-        layer_sims.push_back(simulator.runLayer(
-            network.layer(i), schedule.layers[i].analysis));
-        result.executionSeconds += layer_sims.back().layerSeconds;
-    }
-    result.retentionViolations = simulator.totalViolations();
-    result.refreshOps = simulator.totalRefreshOps();
     if (config.guard)
         result.guardStats = guard.stats();
 

@@ -380,11 +380,12 @@ runFaultCampaign(const DesignPoint &design, const NetworkModel &network,
 
 /**
  * Campaign phases 1+2: compile the network's schedule for `design`,
- * execute it on the trace simulator under the config's timing faults
- * and (optionally) the runtime guard, and convert each buffered
- * tensor's observed lifetime into a per-(layer, type) exposure.
- * Fails with the scheduler's error when the design cannot run the
- * network.
+ * execute it on the trace simulator (simulateLayersChecked, fanned
+ * across `design.options.jobs` lanes unless the guard or a trace
+ * sink is attached) under the config's timing faults and
+ * (optionally) the runtime guard, and convert each buffered tensor's
+ * observed lifetime into a per-(layer, type) exposure. Fails with
+ * the scheduler's error when the design cannot run the network.
  */
 Result<CampaignExposures>
 simulateExposures(const DesignPoint &design,

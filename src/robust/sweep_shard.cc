@@ -466,6 +466,9 @@ workerBody(const PreparedSweep &plan, const ShardChaosConfig &chaos,
         // jobs_override=1: the forked child must never touch the
         // inherited thread pool (its worker threads do not exist
         // after fork); the serial path is bit-identical anyway.
+        // runCell never simulates: the exposures (and with them the
+        // simulateLayersChecked layer fan-out) were computed by
+        // prepareSweep before the fork.
         flight.record("run", request.cell, request.attempt);
         Result<FaultCampaignReport> cell =
             plan.runCell(request.cell, /*jobs_override=*/1);

@@ -45,13 +45,6 @@ struct CandidateEval
     double layerSeconds = 0.0;
 };
 
-/** Resolve jobs = 0 ("auto") to the hardware width. */
-unsigned
-effectiveJobs(const SchedulerOptions &options)
-{
-    return options.jobs == 0 ? hardwareJobs() : options.jobs;
-}
-
 /** Build the full schedule record for a feasible analysis. */
 LayerSchedule
 makeSchedule(const AcceleratorConfig &config, const ConvLayerSpec &layer,

@@ -5,7 +5,15 @@
 
 #include "sched/schedule_types.hh"
 
+#include "util/thread_pool.hh"
+
 namespace rana {
+
+unsigned
+effectiveJobs(const SchedulerOptions &options)
+{
+    return options.jobs == 0 ? hardwareJobs() : options.jobs;
+}
 
 OperationCounts
 NetworkSchedule::totalCounts() const

@@ -39,12 +39,14 @@ struct SchedulerOptions
      */
     std::optional<Tiling> fixedTiling;
     /**
-     * Worker lanes for the design-space search: scheduleNetwork fans
-     * layers and scheduleLayer fans (dataflow, tiling) candidates
-     * across the shared thread pool. 1 = serial on the calling
-     * thread; 0 = one lane per hardware thread. The schedule is
-     * byte-identical for every value (candidates are reduced in
-     * index order), so this only trades wall-clock time.
+     * Worker lanes of the shared thread pool. They serve the
+     * design-space search (scheduleNetwork fans layers, scheduleLayer
+     * fans (dataflow, tiling) candidates) and the trace simulation
+     * of the compiled schedule (simulateLayersChecked fans layers,
+     * each on its own simulator). 1 = serial on the calling thread;
+     * 0 = one lane per hardware thread. Schedules and simulation
+     * results are byte-identical for every value (items are reduced
+     * in index order), so this only trades wall-clock time.
      */
     unsigned jobs = 1;
     /**
@@ -55,6 +57,9 @@ struct SchedulerOptions
      */
     bool memoize = true;
 };
+
+/** The lanes `options.jobs` asks for, with 0 ("auto") resolved. */
+unsigned effectiveJobs(const SchedulerOptions &options);
 
 /**
  * One layer's compiled configuration: the chosen dataflow and tiling,

@@ -28,7 +28,6 @@ struct SimMetrics
 {
     MetricsRegistry::Counter &layers;
     MetricsRegistry::Counter &tiles;
-    MetricsRegistry::Gauge &banksInUse;
     MetricsRegistry::Gauge &banksInUsePeak;
 
     static SimMetrics &
@@ -39,7 +38,6 @@ struct SimMetrics
                 "sim_layers_simulated_total"),
             MetricsRegistry::global().counter(
                 "sim_tiles_simulated_total"),
-            MetricsRegistry::global().gauge("sim_banks_in_use"),
             MetricsRegistry::global().gauge("sim_banks_in_use_peak"),
         };
         return *metrics;
@@ -73,12 +71,6 @@ LoopNestSimulator::totalRefreshOps() const
     return controller_.refreshOps();
 }
 
-std::uint64_t
-LoopNestSimulator::totalViolations() const
-{
-    return controller_.violations();
-}
-
 void
 LoopNestSimulator::emit(TraceEventKind kind, double seconds,
                         DataType type, std::uint64_t words,
@@ -95,6 +87,29 @@ LoopNestSimulator::emit(TraceEventKind kind, double seconds,
     }
 }
 
+Result<double>
+LoopNestSimulator::layerEnd(const ConvLayerSpec &layer,
+                            const LayerAnalysis &analysis,
+                            double start) const
+{
+    if (!analysis.feasible) {
+        return makeError(ErrorCode::InvalidArgument,
+                         "cannot simulate layer ", layer.name,
+                         ": the analysis is infeasible");
+    }
+    const DataflowSpec &spec = analysis.spec();
+    const TripCounts trips = tripCounts(layer, analysis.tiling);
+    const SystolicTiming timing =
+        dataflowTileTiming(config_, layer, analysis.tiling, spec);
+    const std::uint64_t trip0 = tripOf(trips, spec.order[0]);
+    const std::uint64_t passes = trip0 * tripOf(trips, spec.order[1]);
+    const std::uint64_t tiles = passes * tripOf(trips, spec.order[2]);
+    return start + static_cast<double>(trip0) * faults_.scanStallSeconds +
+           static_cast<double>(tiles) *
+               faults_.tileSeconds(timing.tile.seconds) +
+           static_cast<double>(passes) * timing.preloadSeconds;
+}
+
 LayerSimResult
 LoopNestSimulator::runLayer(const ConvLayerSpec &layer,
                             const LayerAnalysis &analysis)
@@ -106,11 +121,11 @@ Result<LayerSimResult>
 LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                                    const LayerAnalysis &analysis)
 {
-    if (!analysis.feasible) {
-        return makeError(ErrorCode::InvalidArgument,
-                         "cannot simulate layer ", layer.name,
-                         ": the analysis is infeasible");
-    }
+    const double layer_start = now_;
+    const Result<double> end = layerEnd(layer, analysis, layer_start);
+    if (!end.ok())
+        return end.error();
+    const double layer_end = end.value();
     const DataflowSpec &spec = analysis.spec();
     const Tiling &t = analysis.tiling;
     const TileSizes tiles = tileSizes(layer, t);
@@ -121,7 +136,6 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     const std::uint64_t trip1 = tripOf(trips, spec.order[1]);
     const std::uint64_t trip2 = tripOf(trips, spec.order[2]);
 
-    const double layer_start = now_;
     // Injected timing faults stretch each tile and stall each outer
     // scan. At the default TimingFaults both terms are exact float
     // no-ops (x*1.0 and x+0.0), keeping fault-free timing
@@ -154,7 +168,6 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     emit(TraceEventKind::BankOccupancy, layer_start, DataType::Input,
          banks_in_use, 0);
     SimMetrics &sim_metrics = SimMetrics::get();
-    sim_metrics.banksInUse.set(static_cast<double>(banks_in_use));
     sim_metrics.banksInUsePeak.setMax(
         static_cast<double>(banks_in_use));
 
@@ -352,10 +365,6 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
         }
     }
 
-    const double layer_end =
-        layer_start + static_cast<double>(trip0) * stall +
-        static_cast<double>(tile_index) * t_tile +
-        static_cast<double>(pass_index) * preload_s;
     controller_.advanceTo(layer_end);
     now_ = layer_end;
     emit(TraceEventKind::LayerEnd, layer_end, DataType::Input, 0,

@@ -101,11 +101,34 @@ class LoopNestSimulator
     LayerSimResult runLayer(const ConvLayerSpec &layer,
                             const LayerAnalysis &analysis);
 
+    /**
+     * Simulated time at which `layer` ends when it starts at `start`
+     * under `analysis` and the injected timing faults: every scan
+     * stall, tile and systolic preload of the walk, added in one
+     * fixed float expression. runLayerChecked() ends its own layers
+     * through this function, so chaining it from 0 reproduces the
+     * start times of a walk over the earlier layers bit for bit.
+     * Fails with InvalidArgument, as runLayerChecked() does, when the
+     * analysis is infeasible.
+     */
+    Result<double> layerEnd(const ConvLayerSpec &layer,
+                            const LayerAnalysis &analysis,
+                            double start) const;
+
+    /**
+     * Set a fresh simulator's clock to `seconds` without issuing the
+     * refresh pulses before it, so the next layer runs as if the
+     * layers ending at `seconds` had been walked first (see
+     * RefreshControllerSim::startAt).
+     */
+    void startAt(double seconds)
+    {
+        controller_.startAt(seconds);
+        now_ = seconds;
+    }
+
     /** Total refresh ops across all layers simulated so far. */
     std::uint64_t totalRefreshOps() const;
-
-    /** Total retention violations across all layers so far. */
-    std::uint64_t totalViolations() const;
 
     /** Current simulated time in seconds. */
     double now() const { return now_; }

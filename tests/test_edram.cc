@@ -240,6 +240,34 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(40e-6, 45e-6, 450e-6, 1.1e-3,
                                          7.34e-3)));
 
+TEST(RefreshControllerSim, StartAtIssuesNoPulses)
+{
+    // ConventionalAll refreshes every bank on every pulse, so any
+    // pulse issued before the start time would show in the count.
+    const BufferGeometry geometry = edramBuffer(4);
+    RefreshControllerSim walked(geometry, RefreshPolicy::ConventionalAll,
+                                200e6, 45e-6);
+    walked.advanceTo(5e-3);
+    ASSERT_GT(walked.refreshOps(), 0u);
+
+    RefreshControllerSim started(geometry,
+                                 RefreshPolicy::ConventionalAll, 200e6,
+                                 45e-6);
+    started.startAt(5e-3);
+    EXPECT_EQ(started.refreshOps(), 0u);
+    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    started.beginLayer(alloc, {true, false, false}, true, 5e-3);
+    EXPECT_EQ(started.refreshOps(), 0u);
+    // From the start time on it pulses as a walked controller does.
+    walked.beginLayer(alloc, {true, false, false}, true, 5e-3);
+    const std::uint64_t walked_before = walked.refreshOps();
+    started.advanceTo(5e-3 + 450e-6);
+    walked.advanceTo(5e-3 + 450e-6);
+    EXPECT_EQ(started.refreshOps(),
+              walked.refreshOps() - walked_before);
+    EXPECT_GT(started.refreshOps(), 0u);
+}
+
 TEST(RefreshSim, DetectsStaleRead)
 {
     const BufferGeometry geometry = edramBuffer(4);

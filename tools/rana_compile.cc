@@ -16,8 +16,11 @@
  *                        sys-is | sys-ws  (default: the design's
  *                        legacy pattern list)
  *   --failure-rate R     override the tolerable failure rate
- *   --jobs N             scheduler worker lanes (default: one per
- *                        hardware thread; 1 = serial)
+ *   --jobs N             worker lanes of the scheduler search and
+ *                        of the --verify trace simulation's layer
+ *                        fan-out (default: one per hardware thread;
+ *                        1 = serial; --guard or --chrome-trace keep
+ *                        the simulation on one lane)
  *   --output FILE        write the config (default stdout)
  *   --verify FILE        load FILE, rebuild the schedule and execute
  *                        it on the trace simulator
