@@ -21,57 +21,14 @@ constexpr const char *kTelemetrySchema = "rana-telemetry-1";
 constexpr const char *kPostmortemSchema = "rana-postmortem-1";
 constexpr const char *kMetricsSchema = "rana-metrics-1";
 
-std::optional<Error>
-missing(const char *key)
-{
-    return makeError(ErrorCode::ParseError,
-                     "telemetry field missing or mistyped: ", key);
-}
-
-std::optional<Error>
-getString(const JsonValue &object, const char *key, std::string *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isString())
-        return missing(key);
-    *out = value->asString();
-    return std::nullopt;
-}
-
-std::optional<Error>
-getDouble(const JsonValue &object, const char *key, double *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->numberOrSentinel(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getU64(const JsonValue &object, const char *key, std::uint64_t *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->asUint(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getBool(const JsonValue &object, const char *key, bool *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isBool())
-        return missing(key);
-    *out = value->asBool();
-    return std::nullopt;
-}
+constexpr JsonFieldReader kFields("telemetry");
 
 /** Require `schema` to name the expected document kind. */
 std::optional<Error>
 checkSchema(const JsonValue &object, const char *expected)
 {
     std::string schema;
-    if (auto bad = getString(object, "schema", &schema))
+    if (auto bad = kFields.getString(object, "schema", &schema))
         return bad;
     if (schema != expected) {
         return makeError(ErrorCode::ParseError, "not a ", expected,
@@ -109,29 +66,28 @@ parseFlightEvents(const JsonValue &parent,
 {
     const JsonValue *array = parent.find("flight");
     if (array == nullptr || !array->isArray())
-        return missing("flight");
+        return kFields.missing("flight");
     out->clear();
     out->reserve(array->items().size());
     for (const JsonValue &item : array->items()) {
         if (!item.isObject())
-            return missing("flight[]");
+            return kFields.missing("flight[]");
         FlightEvent event;
-        if (auto bad = getU64(item, "seq", &event.seq))
+        if (auto bad = kFields.getU64(item, "seq", &event.seq))
             return bad;
-        if (auto bad =
-                getDouble(item, "ts_micros", &event.tsMicros))
+        if (auto bad = kFields.getDouble(item, "ts_micros", &event.tsMicros))
             return bad;
-        if (auto bad = getString(item, "phase", &event.phase))
+        if (auto bad = kFields.getString(item, "phase", &event.phase))
             return bad;
         std::uint64_t cell = 0;
-        if (auto bad = getU64(item, "cell", &cell))
+        if (auto bad = kFields.getU64(item, "cell", &cell))
             return bad;
         event.cell = static_cast<std::uint32_t>(cell);
         std::uint64_t attempt = 0;
-        if (auto bad = getU64(item, "attempt", &attempt))
+        if (auto bad = kFields.getU64(item, "attempt", &attempt))
             return bad;
         event.attempt = static_cast<std::uint32_t>(attempt);
-        if (auto bad = getU64(item, "frame_seq", &event.frameSeq))
+        if (auto bad = kFields.getU64(item, "frame_seq", &event.frameSeq))
             return bad;
         out->push_back(std::move(event));
     }
@@ -170,41 +126,40 @@ parseTraceEvents(const JsonValue &parent,
 {
     const JsonValue *array = parent.find("trace");
     if (array == nullptr || !array->isArray())
-        return missing("trace");
+        return kFields.missing("trace");
     out->clear();
     out->reserve(array->items().size());
     for (const JsonValue &item : array->items()) {
         if (!item.isObject())
-            return missing("trace[]");
+            return kFields.missing("trace[]");
         TraceRecorder::Event event;
         std::string phase;
-        if (auto bad = getString(item, "ph", &phase))
+        if (auto bad = kFields.getString(item, "ph", &phase))
             return bad;
         if (phase.size() != 1)
-            return missing("trace[].ph");
+            return kFields.missing("trace[].ph");
         event.phase = phase[0];
         std::uint64_t pid = 0;
-        if (auto bad = getU64(item, "pid", &pid))
+        if (auto bad = kFields.getU64(item, "pid", &pid))
             return bad;
         event.pid = static_cast<int>(pid);
         std::uint64_t tid = 0;
-        if (auto bad = getU64(item, "tid", &tid))
+        if (auto bad = kFields.getU64(item, "tid", &tid))
             return bad;
         event.tid = static_cast<int>(tid);
-        if (auto bad = getDouble(item, "ts", &event.tsMicros))
+        if (auto bad = kFields.getDouble(item, "ts", &event.tsMicros))
             return bad;
-        if (auto bad = getDouble(item, "dur", &event.durMicros))
+        if (auto bad = kFields.getDouble(item, "dur", &event.durMicros))
             return bad;
-        if (auto bad = getString(item, "name", &event.name))
+        if (auto bad = kFields.getString(item, "name", &event.name))
             return bad;
-        if (auto bad = getString(item, "cat", &event.category))
+        if (auto bad = kFields.getString(item, "cat", &event.category))
             return bad;
-        if (auto bad = getString(item, "arg_key", &event.argKey))
+        if (auto bad = kFields.getString(item, "arg_key", &event.argKey))
             return bad;
-        if (auto bad =
-                getDouble(item, "arg_value", &event.argValue))
+        if (auto bad = kFields.getDouble(item, "arg_value", &event.argValue))
             return bad;
-        if (auto bad = getString(item, "arg_text", &event.argText))
+        if (auto bad = kFields.getString(item, "arg_text", &event.argText))
             return bad;
         out->push_back(std::move(event));
     }
@@ -233,54 +188,54 @@ parseSnapshotMembers(const JsonValue &object)
     MetricsSnapshot snap;
     const JsonValue *counters = object.find("counters");
     if (counters == nullptr || !counters->isObject())
-        return *missing("counters");
+        return *kFields.missing("counters");
     for (const auto &[name, value] : counters->members()) {
         std::uint64_t out = 0;
         if (!value.asUint(&out))
-            return *missing("counters[]");
+            return *kFields.missing("counters[]");
         snap.counters.push_back({name, out});
     }
     const JsonValue *gauges = object.find("gauges");
     if (gauges == nullptr || !gauges->isObject())
-        return *missing("gauges");
+        return *kFields.missing("gauges");
     for (const auto &[name, value] : gauges->members()) {
         double out = 0.0;
         if (!value.numberOrSentinel(&out))
-            return *missing("gauges[]");
+            return *kFields.missing("gauges[]");
         snap.gauges.push_back({name, out});
     }
     const JsonValue *histograms = object.find("histograms");
     if (histograms == nullptr || !histograms->isObject())
-        return *missing("histograms");
+        return *kFields.missing("histograms");
     for (const auto &[name, value] : histograms->members()) {
         if (!value.isObject())
-            return *missing("histograms[]");
+            return *kFields.missing("histograms[]");
         MetricsSnapshot::HistogramValue histogram;
         histogram.name = name;
         const JsonValue *bounds = value.find("bounds");
         if (bounds == nullptr || !bounds->isArray())
-            return *missing("bounds");
+            return *kFields.missing("bounds");
         for (const JsonValue &bound : bounds->items()) {
             double out = 0.0;
             if (!bound.numberOrSentinel(&out))
-                return *missing("bounds[]");
+                return *kFields.missing("bounds[]");
             histogram.bounds.push_back(out);
         }
         const JsonValue *bucketCounts = value.find("counts");
         if (bucketCounts == nullptr || !bucketCounts->isArray())
-            return *missing("counts");
+            return *kFields.missing("counts");
         for (const JsonValue &count : bucketCounts->items()) {
             double out = 0.0;
             if (!count.numberOrSentinel(&out) || out < 0.0)
-                return *missing("counts[]");
+                return *kFields.missing("counts[]");
             histogram.counts.push_back(
                 static_cast<std::uint64_t>(out));
         }
         if (histogram.counts.size() != histogram.bounds.size() + 1)
-            return *missing("counts (bucket arity)");
-        if (auto bad = getDouble(value, "sum", &histogram.sum))
+            return *kFields.missing("counts (bucket arity)");
+        if (auto bad = kFields.getDouble(value, "sum", &histogram.sum))
             return *bad;
-        if (auto bad = getU64(value, "count", &histogram.count))
+        if (auto bad = kFields.getU64(value, "count", &histogram.count))
             return *bad;
         snap.histograms.push_back(std::move(histogram));
     }
@@ -298,7 +253,7 @@ parseMetricsDocument(const std::string &text)
         return parsed.error();
     const JsonValue &object = parsed.value();
     if (!object.isObject())
-        return *missing("(document root)");
+        return *kFields.missing("(document root)");
     if (auto bad = checkSchema(object, kMetricsSchema))
         return *bad;
     return parseSnapshotMembers(object);
@@ -346,21 +301,21 @@ parseWorkerTelemetry(const std::string &text)
         return parsed.error();
     const JsonValue &object = parsed.value();
     if (!object.isObject())
-        return *missing("(telemetry root)");
+        return *kFields.missing("(telemetry root)");
     if (auto bad = checkSchema(object, kTelemetrySchema))
         return *bad;
     WorkerTelemetry telemetry;
     std::uint64_t worker = 0;
-    if (auto bad = getU64(object, "worker", &worker))
+    if (auto bad = kFields.getU64(object, "worker", &worker))
         return *bad;
     telemetry.worker = static_cast<std::uint32_t>(worker);
-    if (auto bad = getU64(object, "seq", &telemetry.seq))
+    if (auto bad = kFields.getU64(object, "seq", &telemetry.seq))
         return *bad;
-    if (auto bad = getBool(object, "final", &telemetry.finalFrame))
+    if (auto bad = kFields.getBool(object, "final", &telemetry.finalFrame))
         return *bad;
     const JsonValue *metrics = object.find("metrics");
     if (metrics == nullptr || !metrics->isObject())
-        return *missing("metrics");
+        return *kFields.missing("metrics");
     Result<MetricsSnapshot> snap = parseSnapshotMembers(*metrics);
     if (!snap.ok())
         return snap.error();
@@ -411,43 +366,42 @@ parsePostmortem(const std::string &text)
         return parsed.error();
     const JsonValue &object = parsed.value();
     if (!object.isObject())
-        return *missing("(postmortem root)");
+        return *kFields.missing("(postmortem root)");
     if (auto bad = checkSchema(object, kPostmortemSchema))
         return *bad;
     PostmortemReport report;
     std::uint64_t worker = 0;
-    if (auto bad = getU64(object, "worker", &worker))
+    if (auto bad = kFields.getU64(object, "worker", &worker))
         return *bad;
     report.worker = static_cast<std::uint32_t>(worker);
-    if (auto bad = getU64(object, "incident", &report.incident))
+    if (auto bad = kFields.getU64(object, "incident", &report.incident))
         return *bad;
-    if (auto bad = getString(object, "reason", &report.reason))
+    if (auto bad = kFields.getString(object, "reason", &report.reason))
         return *bad;
-    if (auto bad = getBool(object, "exited", &report.exited))
+    if (auto bad = kFields.getBool(object, "exited", &report.exited))
         return *bad;
     std::uint64_t exitCode = 0;
-    if (auto bad = getU64(object, "exit_code", &exitCode))
+    if (auto bad = kFields.getU64(object, "exit_code", &exitCode))
         return *bad;
     report.exitCode = static_cast<int>(exitCode);
-    if (auto bad = getBool(object, "signaled", &report.signaled))
+    if (auto bad = kFields.getBool(object, "signaled", &report.signaled))
         return *bad;
     std::uint64_t termSignal = 0;
-    if (auto bad = getU64(object, "term_signal", &termSignal))
+    if (auto bad = kFields.getU64(object, "term_signal", &termSignal))
         return *bad;
     report.termSignal = static_cast<int>(termSignal);
-    if (auto bad = getBool(object, "busy", &report.busy))
+    if (auto bad = kFields.getBool(object, "busy", &report.busy))
         return *bad;
-    if (auto bad = getU64(object, "last_cell", &report.lastCell))
+    if (auto bad = kFields.getU64(object, "last_cell", &report.lastCell))
         return *bad;
-    if (auto bad =
-            getU64(object, "last_attempt", &report.lastAttempt))
+    if (auto bad = kFields.getU64(object, "last_attempt", &report.lastAttempt))
         return *bad;
-    if (auto bad = getU64(object, "telemetry_frames",
-                          &report.telemetryFrames))
+    if (auto bad = kFields.getU64(object, "telemetry_frames",
+                                  &report.telemetryFrames))
         return *bad;
     const JsonValue *metrics = object.find("metrics");
     if (metrics == nullptr || !metrics->isObject())
-        return *missing("metrics");
+        return *kFields.missing("metrics");
     Result<MetricsSnapshot> snap = parseSnapshotMembers(*metrics);
     if (!snap.ok())
         return snap.error();

@@ -188,50 +188,7 @@ writeCellReportFields(JsonWriter &json,
 // asserting: the payload may be chaos-corrupted or truncated.
 // --------------------------------------------------------------------
 
-std::optional<Error>
-missing(const char *key)
-{
-    return makeError(ErrorCode::ParseError,
-                     "cell report field missing or mistyped: ", key);
-}
-
-std::optional<Error>
-getString(const JsonValue &object, const char *key, std::string *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isString())
-        return missing(key);
-    *out = value->asString();
-    return std::nullopt;
-}
-
-std::optional<Error>
-getDouble(const JsonValue &object, const char *key, double *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->numberOrSentinel(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getU64(const JsonValue &object, const char *key, std::uint64_t *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->asUint(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getBool(const JsonValue &object, const char *key, bool *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isBool())
-        return missing(key);
-    *out = value->asBool();
-    return std::nullopt;
-}
+constexpr JsonFieldReader kFields("cell report");
 
 template <typename T, std::size_t N>
 std::optional<Error>
@@ -241,18 +198,18 @@ getArray(const JsonValue &object, const char *key,
     const JsonValue *value = object.find(key);
     if (value == nullptr || !value->isArray() ||
         value->items().size() != N)
-        return missing(key);
+        return kFields.missing(key);
     for (std::size_t i = 0; i < N; ++i) {
         const JsonValue &item = value->items()[i];
         if constexpr (std::is_floating_point_v<T>) {
             double number = 0.0;
             if (!item.numberOrSentinel(&number))
-                return missing(key);
+                return kFields.missing(key);
             (*out)[i] = number;
         } else {
             std::uint64_t number = 0;
             if (!item.asUint(&number))
-                return missing(key);
+                return kFields.missing(key);
             (*out)[i] = static_cast<T>(number);
         }
     }
@@ -263,23 +220,23 @@ std::optional<Error>
 parseTrial(const JsonValue &object, TrialResult *out)
 {
     if (!object.isObject())
-        return missing("trials[]");
-    if (auto bad = getU64(object, "seed", &out->seed))
+        return kFields.missing("trials[]");
+    if (auto bad = kFields.getU64(object, "seed", &out->seed))
         return bad;
-    if (auto bad = getDouble(object, "weightFailureRate",
-                             &out->weightFailureRate))
+    if (auto bad = kFields.getDouble(object, "weightFailureRate",
+                                     &out->weightFailureRate))
         return bad;
-    if (auto bad = getDouble(object, "activationFailureRate",
-                             &out->activationFailureRate))
+    if (auto bad = kFields.getDouble(object, "activationFailureRate",
+                                     &out->activationFailureRate))
         return bad;
-    if (auto bad = getU64(object, "exposedBanks", &out->exposedBanks))
+    if (auto bad = kFields.getU64(object, "exposedBanks", &out->exposedBanks))
         return bad;
-    if (auto bad = getU64(object, "exposedWords", &out->exposedWords))
+    if (auto bad = kFields.getU64(object, "exposedWords", &out->exposedWords))
         return bad;
-    if (auto bad = getDouble(object, "accuracy", &out->accuracy))
+    if (auto bad = kFields.getDouble(object, "accuracy", &out->accuracy))
         return bad;
-    if (auto bad = getDouble(object, "relativeAccuracy",
-                             &out->relativeAccuracy))
+    if (auto bad = kFields.getDouble(object, "relativeAccuracy",
+                                     &out->relativeAccuracy))
         return bad;
     return std::nullopt;
 }
@@ -288,8 +245,8 @@ std::optional<Error>
 parseExposure(const JsonValue &object, LayerExposure *out)
 {
     if (!object.isObject())
-        return missing("exposures[]");
-    if (auto bad = getString(object, "layerName", &out->layerName))
+        return kFields.missing("exposures[]");
+    if (auto bad = kFields.getString(object, "layerName", &out->layerName))
         return bad;
     if (auto bad =
             getArray(object, "exposureSeconds", &out->exposureSeconds))
@@ -311,29 +268,29 @@ parseGuardStats(const JsonValue &parent, ReliabilityGuard::Stats *out)
 {
     const JsonValue *object = parent.find("guardStats");
     if (object == nullptr || !object->isObject())
-        return missing("guardStats");
-    if (auto bad = getU64(*object, "trips", &out->trips))
+        return kFields.missing("guardStats");
+    if (auto bad = kFields.getU64(*object, "trips", &out->trips))
         return bad;
     if (auto bad =
-            getU64(*object, "banksReenabled", &out->banksReenabled))
+            kFields.getU64(*object, "banksReenabled", &out->banksReenabled))
         return bad;
-    if (auto bad = getU64(*object, "fallbackRefreshOps",
-                          &out->fallbackRefreshOps))
+    if (auto bad = kFields.getU64(*object, "fallbackRefreshOps",
+                                  &out->fallbackRefreshOps))
         return bad;
     if (auto bad = getArray(*object, "tripsByType", &out->tripsByType))
         return bad;
-    if (auto bad = getDouble(*object, "worstObservedLifetimeSeconds",
-                             &out->worstObservedLifetimeSeconds))
+    if (auto bad = kFields.getDouble(*object, "worstObservedLifetimeSeconds",
+                                     &out->worstObservedLifetimeSeconds))
         return bad;
-    if (auto bad = getU64(*object, "redisarms", &out->redisarms))
+    if (auto bad = kFields.getU64(*object, "redisarms", &out->redisarms))
         return bad;
-    if (auto bad = getU64(*object, "escalations", &out->escalations))
-        return bad;
-    if (auto bad =
-            getU64(*object, "cleanIntervals", &out->cleanIntervals))
+    if (auto bad = kFields.getU64(*object, "escalations", &out->escalations))
         return bad;
     if (auto bad =
-            getU64(*object, "armedRefreshOps", &out->armedRefreshOps))
+            kFields.getU64(*object, "cleanIntervals", &out->cleanIntervals))
+        return bad;
+    if (auto bad =
+            kFields.getU64(*object, "armedRefreshOps", &out->armedRefreshOps))
         return bad;
     return std::nullopt;
 }
@@ -1273,23 +1230,23 @@ parseCellReport(const std::string &text)
     }
 
     FaultCampaignReport report;
-    if (auto bad = getString(object, "designName", &report.designName))
+    if (auto bad = kFields.getString(object, "designName", &report.designName))
         return *bad;
     if (auto bad =
-            getString(object, "networkName", &report.networkName))
+            kFields.getString(object, "networkName", &report.networkName))
         return *bad;
-    if (auto bad = getString(object, "modelName", &report.modelName))
+    if (auto bad = kFields.getString(object, "modelName", &report.modelName))
         return *bad;
-    if (auto bad = getDouble(object, "baselineAccuracy",
-                             &report.baselineAccuracy))
+    if (auto bad = kFields.getDouble(object, "baselineAccuracy",
+                                     &report.baselineAccuracy))
         return *bad;
-    if (auto bad = getDouble(object, "operatingFailureRate",
-                             &report.operatingFailureRate))
+    if (auto bad = kFields.getDouble(object, "operatingFailureRate",
+                                     &report.operatingFailureRate))
         return *bad;
 
     const JsonValue *trials = object.find("trials");
     if (trials == nullptr || !trials->isArray())
-        return *missing("trials");
+        return *kFields.missing("trials");
     report.trials.resize(trials->items().size());
     for (std::size_t i = 0; i < report.trials.size(); ++i) {
         if (auto bad =
@@ -1299,7 +1256,7 @@ parseCellReport(const std::string &text)
 
     const JsonValue *exposures = object.find("exposures");
     if (exposures == nullptr || !exposures->isArray())
-        return *missing("exposures");
+        return *kFields.missing("exposures");
     report.exposures.resize(exposures->items().size());
     for (std::size_t i = 0; i < report.exposures.size(); ++i) {
         if (auto bad = parseExposure(exposures->items()[i],
@@ -1308,58 +1265,58 @@ parseCellReport(const std::string &text)
     }
 
     if (auto bad =
-            getDouble(object, "meanAccuracy", &report.meanAccuracy))
+            kFields.getDouble(object, "meanAccuracy", &report.meanAccuracy))
         return *bad;
     if (auto bad =
-            getDouble(object, "worstAccuracy", &report.worstAccuracy))
+            kFields.getDouble(object, "worstAccuracy", &report.worstAccuracy))
         return *bad;
-    if (auto bad = getDouble(object, "meanRelativeAccuracy",
-                             &report.meanRelativeAccuracy))
+    if (auto bad = kFields.getDouble(object, "meanRelativeAccuracy",
+                                     &report.meanRelativeAccuracy))
         return *bad;
-    if (auto bad = getDouble(object, "worstRelativeAccuracy",
-                             &report.worstRelativeAccuracy))
+    if (auto bad = kFields.getDouble(object, "worstRelativeAccuracy",
+                                     &report.worstRelativeAccuracy))
         return *bad;
-    if (auto bad = getDouble(object, "p5Accuracy", &report.p5Accuracy))
-        return *bad;
-    if (auto bad =
-            getDouble(object, "p50Accuracy", &report.p50Accuracy))
+    if (auto bad = kFields.getDouble(object, "p5Accuracy", &report.p5Accuracy))
         return *bad;
     if (auto bad =
-            getDouble(object, "p95Accuracy", &report.p95Accuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p5RelativeAccuracy",
-                             &report.p5RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p50RelativeAccuracy",
-                             &report.p50RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p95RelativeAccuracy",
-                             &report.p95RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "meanWeightFailureRate",
-                             &report.meanWeightFailureRate))
-        return *bad;
-    if (auto bad = getDouble(object, "meanActivationFailureRate",
-                             &report.meanActivationFailureRate))
-        return *bad;
-    if (auto bad = getDouble(object, "executionSeconds",
-                             &report.executionSeconds))
-        return *bad;
-    if (auto bad = getU64(object, "retentionViolations",
-                          &report.retentionViolations))
-        return *bad;
-    if (auto bad = getU64(object, "refreshOps", &report.refreshOps))
+            kFields.getDouble(object, "p50Accuracy", &report.p50Accuracy))
         return *bad;
     if (auto bad =
-            getDouble(object, "trialSeconds", &report.trialSeconds))
+            kFields.getDouble(object, "p95Accuracy", &report.p95Accuracy))
         return *bad;
-    if (auto bad = getDouble(object, "trialsPerSecond",
-                             &report.trialsPerSecond))
+    if (auto bad = kFields.getDouble(object, "p5RelativeAccuracy",
+                                     &report.p5RelativeAccuracy))
         return *bad;
-    if (auto bad = getBool(object, "guarded", &report.guarded))
+    if (auto bad = kFields.getDouble(object, "p50RelativeAccuracy",
+                                     &report.p50RelativeAccuracy))
         return *bad;
-    if (auto bad = getString(object, "guardPolicyName",
-                             &report.guardPolicyName))
+    if (auto bad = kFields.getDouble(object, "p95RelativeAccuracy",
+                                     &report.p95RelativeAccuracy))
+        return *bad;
+    if (auto bad = kFields.getDouble(object, "meanWeightFailureRate",
+                                     &report.meanWeightFailureRate))
+        return *bad;
+    if (auto bad = kFields.getDouble(object, "meanActivationFailureRate",
+                                     &report.meanActivationFailureRate))
+        return *bad;
+    if (auto bad = kFields.getDouble(object, "executionSeconds",
+                                     &report.executionSeconds))
+        return *bad;
+    if (auto bad = kFields.getU64(object, "retentionViolations",
+                                  &report.retentionViolations))
+        return *bad;
+    if (auto bad = kFields.getU64(object, "refreshOps", &report.refreshOps))
+        return *bad;
+    if (auto bad =
+            kFields.getDouble(object, "trialSeconds", &report.trialSeconds))
+        return *bad;
+    if (auto bad = kFields.getDouble(object, "trialsPerSecond",
+                                     &report.trialsPerSecond))
+        return *bad;
+    if (auto bad = kFields.getBool(object, "guarded", &report.guarded))
+        return *bad;
+    if (auto bad = kFields.getString(object, "guardPolicyName",
+                                     &report.guardPolicyName))
         return *bad;
     if (auto bad = parseGuardStats(object, &report.guardStats))
         return *bad;

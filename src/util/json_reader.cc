@@ -451,4 +451,53 @@ JsonValue::numberOrSentinel(double *out) const
     return false;
 }
 
+std::optional<Error>
+JsonFieldReader::missing(const char *key) const
+{
+    return makeError(ErrorCode::ParseError, context_,
+                     " field missing or mistyped: ", key);
+}
+
+std::optional<Error>
+JsonFieldReader::getString(const JsonValue &object, const char *key,
+                           std::string *out) const
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr || !value->isString())
+        return missing(key);
+    *out = value->asString();
+    return std::nullopt;
+}
+
+std::optional<Error>
+JsonFieldReader::getDouble(const JsonValue &object, const char *key,
+                           double *out) const
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr || !value->numberOrSentinel(out))
+        return missing(key);
+    return std::nullopt;
+}
+
+std::optional<Error>
+JsonFieldReader::getU64(const JsonValue &object, const char *key,
+                        std::uint64_t *out) const
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr || !value->asUint(out))
+        return missing(key);
+    return std::nullopt;
+}
+
+std::optional<Error>
+JsonFieldReader::getBool(const JsonValue &object, const char *key,
+                         bool *out) const
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr || !value->isBool())
+        return missing(key);
+    *out = value->asBool();
+    return std::nullopt;
+}
+
 } // namespace rana

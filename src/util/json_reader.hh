@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,6 +101,41 @@ class JsonValue
     std::shared_ptr<
         const std::vector<std::pair<std::string, JsonValue>>>
         members_;
+};
+
+/**
+ * Typed member getters for documents that arrive from another process
+ * (telemetry frames, cell reports). Each returns std::nullopt once
+ * `*out` holds the member, and otherwise the ParseError
+ * "<context> field missing or mistyped: <key>" - never an assertion,
+ * since the bytes may be corrupt.
+ */
+class JsonFieldReader
+{
+  public:
+    /** `context` names the document kind in errors ("telemetry"). */
+    explicit constexpr JsonFieldReader(const char *context)
+        : context_(context)
+    {
+    }
+
+    /** The error for member `key` being absent or of the wrong kind. */
+    std::optional<Error> missing(const char *key) const;
+
+    std::optional<Error> getString(const JsonValue &object,
+                                   const char *key,
+                                   std::string *out) const;
+    /** A number, or one of JsonWriter's non-finite sentinels. */
+    std::optional<Error> getDouble(const JsonValue &object,
+                                   const char *key, double *out) const;
+    /** An exact unsigned integer (see JsonValue::asUint). */
+    std::optional<Error> getU64(const JsonValue &object, const char *key,
+                                std::uint64_t *out) const;
+    std::optional<Error> getBool(const JsonValue &object, const char *key,
+                                 bool *out) const;
+
+  private:
+    const char *context_;
 };
 
 } // namespace rana

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -445,6 +446,41 @@ TEST(JsonReader, MalformedInputsFailWithoutCrashing)
         if (!parsed.ok())
             EXPECT_EQ(parsed.error().code, ErrorCode::ParseError);
     }
+}
+
+TEST(JsonReader, FieldReaderNamesContextAndKeyOnMismatch)
+{
+    Result<JsonValue> parsed = JsonValue::parse(
+        R"({"name": "x", "rate": "NaN", "seed": 18446744073709551615, )"
+        R"("flag": true, "count": -1})");
+    ASSERT_TRUE(parsed.ok());
+    const JsonValue &object = parsed.value();
+    const JsonFieldReader fields("cell report");
+    std::string name;
+    double rate = 0.0;
+    std::uint64_t seed = 0;
+    bool flag = false;
+    EXPECT_FALSE(fields.getString(object, "name", &name).has_value());
+    EXPECT_FALSE(fields.getDouble(object, "rate", &rate).has_value());
+    EXPECT_FALSE(fields.getU64(object, "seed", &seed).has_value());
+    EXPECT_FALSE(fields.getBool(object, "flag", &flag).has_value());
+    EXPECT_EQ(name, "x");
+    EXPECT_TRUE(std::isnan(rate));
+    EXPECT_EQ(seed, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(flag);
+
+    std::uint64_t count = 0;
+    const std::optional<Error> mistyped =
+        fields.getU64(object, "count", &count);
+    ASSERT_TRUE(mistyped.has_value());
+    EXPECT_EQ(mistyped->code, ErrorCode::ParseError);
+    EXPECT_EQ(mistyped->message,
+              "cell report field missing or mistyped: count");
+    const std::optional<Error> absent =
+        fields.getBool(object, "absent", &flag);
+    ASSERT_TRUE(absent.has_value());
+    EXPECT_EQ(absent->message,
+              "cell report field missing or mistyped: absent");
 }
 
 TEST(JsonReader, DepthLimitStopsHostileNesting)

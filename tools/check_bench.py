@@ -1,106 +1,45 @@
 #!/usr/bin/env python3
 """Benchmark-regression gate for the CI release and chaos jobs.
 
-Compares machine-readable benchmark outputs against a checked-in
-baseline with explicit tolerances:
-
     check_bench.py <baseline.json> <BENCH_*.json> [BENCH_*.json ...]
 
-Every artifact must carry the unified rana_bench envelope: a known
-"harness" name, a "mode" of correctness or perf and a non-empty
-"samples" array. Artifacts are dispatched to their gate by that
-"harness" field, so argument order does not matter; passing the same
-harness twice or a harness without a gate fails loudly.
+All gates live in the baseline's "gates": for each gated harness,
+entries "<path>": {"<op>": <bound>} such as "worst_p99_ms": {"max":
+500}. A path points into BENCH_<harness>.json: a.b (member b of a),
+a[*].b (b of every element of the non-empty array a) or
+a[key=value].b (b of each element of a whose member key is the
+string value). Ops: eq (numbers, booleans or strings), min (actual
+>= bound - tolerance, the one op that takes a "tolerance"), max
+(actual <= bound) and gt (actual > bound). A bound {"field":
+"<name>"} is read from member <name> beside the metric. A missing or
+non-comparable metric, or a selector matching nothing, fails.
 
-Every gate failure names the failing metric and prints the actual
-value, the expected value and the tolerance that was applied, so a
-red CI run says what regressed without re-running anything. Checking
-never short-circuits: every file is examined and every failing gate
-prints its line before the nonzero exit, so one red run lists every
-regression at once.
+Each artifact needs the rana_bench envelope: a gated "harness" (at
+most once; argument order does not matter), a "mode" of correctness
+or perf and non-empty "samples". Each metric prints one line,
+"metric '<path>': actual=<a> expected=<op> <b> tolerance=<t>",
+ending ": ok" or prefixed "FAIL:"; nothing short-circuits, so one
+red run lists every regression.
 
-Gates:
-
-* fault_campaign - the "gate" object the fault_campaign harness
-  emits for the paper's retrained operating point (failure rate
-  1e-5) must hold the baseline's relative-accuracy floors; tolerance-based
-  rather than exact because accuracies differ in the last few ULPs
-  across compilers (FMA contraction). The campaign-throughput gate
-  (baseline key "campaign_throughput") holds the trial-batched sweep
-  to min_speedup x the recorded scalar cells-per-second baseline,
-  and the guard-policy gate checks the permanent/hysteresis/binned
-  comparison (trips absorbed, no corrupted words, same p50 floor).
-
-* sweep_shard - the crash-tolerant sharded sweep must merge
-  byte-identically with the single-process reference, both clean and
-  under seeded chaos, the injected kill/stall/corruption must all
-  have fired, and no cell may degrade past the baseline's
-  max_degraded_cells (exact counts, no tolerance: determinism is the
-  contract). The observability plane is gated too: the clean run
-  must stream at least min_telemetry_frames worker telemetry frames
-  and the chaos run must dump at least min_postmortem_dumps
-  postmortems (one per incident - the kill and the stall timeout).
-
-* sched_scaling - sanity gate, not a performance gate (CI runners
-  have noisy, heterogeneous CPUs): every lane count must produce an
-  identical schedule and a positive runtime.
-
-* serving - the multi-tenant serving SLO gate: replays across
-  data-plane pool sizes must be byte-identical
-  (deterministic_replay), the worst per-tenant p99 latency must stay
-  under the baseline's max_p99_ms ceiling and total virtual
-  throughput must hold the min_throughput_rps floor. Latency and
-  throughput are virtual-time quantities, deterministic per seed, so
-  the SLO bounds are tight without being runner-sensitive.
-
-* dataflow_search - the widened systolic dataflow axis must keep
-  paying off: across the benchmark suite the six-dataflow search
-  must choose a systolic dataflow for at least
-  min_systolic_win_layers layers, at least one network must
-  strictly improve simulated refresh energy over the best legacy
-  ID/OD/WD schedule (best_refresh_energy_delta_j floor), and per
-  network the widened search must never produce a worse total
-  energy than the legacy axis it contains (a superset search that
-  regresses means the scheduler's reduction broke).
-
-Exit codes: 0 pass, 1 one or more gate regressions, 2 malformed
-input (unreadable or unparseable JSON, a broken envelope, a repeated
-or ungated harness, or bad usage). Malformed input takes precedence
-over gate failures in the exit code; both are fully reported either
-way.
+Exit codes: 0 pass, 1 gate failures, 2 malformed input (bad usage, a
+baseline breaking the grammar above - checked before any artifact is
+read - an unreadable artifact, a broken envelope, a repeated or
+ungated harness). Malformed input wins over gate failures.
 """
 
 import json
+import re
 import sys
 
-# Every harness the unified rana_bench driver can emit. An artifact
-# naming anything else is either stale or misrouted, and the gate
-# says so instead of silently passing it through.
-KNOWN_HARNESSES = (
-    "table1_storage",
-    "table2_memory_tech",
-    "table3_energy_costs",
-    "fig1_breakdown",
-    "fig7_lifetime",
-    "fig8_retention",
-    "fig11_training",
-    "fig12_layer_sizes",
-    "fig15_total_energy",
-    "fig16_rt_sweep",
-    "fig17_vgg_layerwise",
-    "fig18_capacity_sweep",
-    "fig19_dadiannao",
-    "ablations",
-    "dataflow_search",
-    "interlayer_reuse",
-    "resolution_sweep",
-    "sched_scaling",
-    "fault_campaign",
-    "campaign_batch",
-    "serving",
-    "sweep_shard",
-    "micro",
-)
+# op -> (symbol printed before the bound, test of actual vs. bound)
+OPS = {
+    "eq": ("", lambda actual, bound: actual == bound),
+    "min": (">= ", lambda actual, bound: actual >= bound),
+    "max": ("<= ", lambda actual, bound: actual <= bound),
+    "gt": ("> ", lambda actual, bound: actual > bound),
+}
+STEP = re.compile(r"([A-Za-z_]\w*)(?:\[(\*|([A-Za-z_]\w*)=([^\]]+))\])?")
+MISSING = object()
 
 
 def fail(message):
@@ -108,516 +47,195 @@ def fail(message):
     return 1
 
 
-def fail_metric(metric, actual, expected, tolerance, detail=""):
-    """The uniform gate-failure line: which metric regressed, the
-    value it produced, the value the baseline expects and the
-    tolerance that was applied before comparing."""
-    suffix = f" ({detail})" if detail else ""
-    return fail(
-        f"metric '{metric}': actual={actual} expected={expected} "
-        f"tolerance={tolerance}{suffix}"
-    )
-
-
-def passed(metric, actual, expected, tolerance):
-    print(
-        f"check_bench: metric '{metric}': actual={actual} "
-        f"expected={expected} tolerance={tolerance}: ok"
-    )
-    return 0
-
-
 def load(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def check_unified_schema(report, path):
-    """Validate the unified BENCH_*.json envelope the rana_bench
-    driver writes: a known "harness" name, a valid "mode" and a
-    well-formed "samples" array. Returns (malformed, harness)."""
-    harness = report.get("harness")
-    if harness is None:
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def comparable(actual, bound, op):
+    if is_number(actual) and is_number(bound):
+        return True
+    same_type = type(actual) is type(bound)
+    return op == "eq" and same_type and isinstance(actual, (bool, str))
+
+
+def parse_path(path):
+    """The path as (text, name, selector) steps - selector None, "*"
+    or (key, value) - or None when it breaks the grammar."""
+    steps = []
+    for text in path.split("."):
+        match = STEP.fullmatch(text)
+        if match is None:
+            return None
+        name, selector, key, value = match.groups()
+        steps.append((text, name, (key, value) if key else selector))
+    return steps if steps[-1][2] is None else None
+
+
+def entry_error(path, entry):
+    """Why one gate entry breaks the grammar, or None."""
+    if parse_path(path) is None:
+        return "has an unparsable path"
+    ops = [op for op in OPS if isinstance(entry, dict) and op in entry]
+    if len(ops) != 1:
+        return f"needs an object with exactly one of {', '.join(OPS)}"
+    op = ops[0]
+    extra = set(entry) - {op} - ({"tolerance"} if op == "min" else set())
+    tolerance = entry.get("tolerance", 0)
+    bound = entry[op]
+    if extra:
+        return f"has unexpected key(s) {', '.join(sorted(extra))}"
+    if not is_number(tolerance) or tolerance < 0:
+        return "has a tolerance that is not a non-negative number"
+    if isinstance(bound, dict):
+        if list(bound) != ["field"] or not isinstance(bound["field"], str):
+            return 'has a field bound other than {"field": "<name>"}'
+    elif not comparable(bound, bound, op):
+        return f"has a bound {json.dumps(bound)} that {op} cannot compare"
+    return None
+
+
+def baseline_error(baseline):
+    """Why the baseline breaks the gate grammar, or None."""
+    if not isinstance(baseline, dict) or set(baseline) - {"comment", "gates"}:
+        return "expect an object holding only 'comment' and 'gates'"
+    gates = baseline.get("gates")
+    if not isinstance(gates, dict) or not gates:
+        return "'gates' is missing or empty"
+    for harness, entries in gates.items():
+        if not isinstance(entries, dict) or not entries:
+            return f"gate '{harness}' has no entries"
+        for metric, entry in entries.items():
+            problem = entry_error(metric, entry)
+            if problem:
+                return f"gate '{harness}' entry '{metric}' {problem}"
+    return None
+
+
+def envelope_error(report, gates, seen):
+    """Why an artifact's envelope is broken, or None."""
+    harness = report.get("harness") if isinstance(report, dict) else None
+    if not isinstance(harness, str) or harness not in gates:
         return (
-            fail(
-                f"{path} is missing the 'harness' field (not "
-                f"written by rana_bench?); known harnesses: "
-                f"{', '.join(KNOWN_HARNESSES)}"
-            ),
-            None,
+            f"holds harness '{harness}', which has no regression gate; "
+            f"gated harnesses: {', '.join(sorted(gates))}"
         )
-    if harness not in KNOWN_HARNESSES:
-        return (
-            fail(
-                f"{path} names unknown harness '{harness}'; known "
-                f"harnesses: {', '.join(KNOWN_HARNESSES)}"
-            ),
-            None,
-        )
-    mode = report.get("mode")
-    if mode not in ("correctness", "perf"):
-        return (
-            fail(
-                f"{path} has invalid mode '{mode}' (expect "
-                "'correctness' or 'perf')"
-            ),
-            None,
-        )
+    if harness in seen:
+        return f"repeats harness '{harness}'"
+    if report.get("mode") not in ("correctness", "perf"):
+        return f"has invalid mode '{report.get('mode')}'"
     samples = report.get("samples")
     if not isinstance(samples, list) or not samples:
-        return (fail(f"{path} has no 'samples' array"), None)
+        return "has no 'samples' array"
     for sample in samples:
-        if not all(key in sample for key in ("metric", "value", "unit")):
-            return (
-                fail(
-                    f"{path} has a malformed perf sample: {sample}"
-                ),
-                None,
-            )
-    print(
-        f"check_bench: {path}: harness '{harness}', mode '{mode}', "
-        f"{len(samples)} perf sample(s)"
+        if not isinstance(sample, dict) or not all(
+            key in sample for key in ("metric", "value", "unit")
+        ):
+            return f"has a malformed perf sample: {sample}"
+    return None
+
+
+def resolve(node, steps, prefix=""):
+    """Yield (path, holder, value) for each metric the steps select
+    below node. holder is the object holding the metric; value is
+    MISSING, under the declared path, when nothing was found."""
+    text, name, selector = steps[0]
+    base = f"{prefix}.{name}" if prefix else name
+    here = base + text[len(name):]
+    child = node.get(name, MISSING) if isinstance(node, dict) else MISSING
+    if len(steps) == 1:
+        yield here, node, child
+        return
+    if selector is None:
+        yield from resolve(child, steps[1:], here)
+        return
+    picked = [
+        (f"{base}[{index}]" if selector == "*" else here, element)
+        for index, element in enumerate(
+            child if isinstance(child, list) else []
+        )
+        if selector == "*"
+        or isinstance(element, dict)
+        and element.get(selector[0]) == selector[1]
+    ]
+    if not picked:
+        rest = "".join(f".{step[0]}" for step in steps[1:])
+        yield here + rest, None, MISSING
+    for label, element in picked:
+        yield from resolve(element, steps[1:], label)
+
+
+def show(value):
+    return "missing" if value is MISSING else json.dumps(value)
+
+
+def check_metric(path, holder, actual, entry):
+    """Print the metric's uniform line; returns 1 when it fails."""
+    op = next(key for key in entry if key in OPS)
+    symbol, holds = OPS[op]
+    bound = entry[op]
+    tolerance = entry.get("tolerance")
+    detail = "not comparable"
+    if isinstance(bound, dict):
+        detail = f"bound field '{bound['field']}' missing or not comparable"
+        holder = holder if isinstance(holder, dict) else {}
+        bound = holder.get(bound["field"], MISSING)
+    line = (
+        f"metric '{path}': actual={show(actual)} "
+        f"expected={symbol}{show(bound)} "
+        f"tolerance={'exact' if tolerance is None else tolerance}"
     )
-    return (0, harness)
-
-
-def check_campaign_throughput(baseline, report):
-    """Gate the trial-batched campaign speed: cells/second over the
-    sweep grid must hold min_speedup x the recorded scalar
-    (laneBlock=1) baseline."""
-    expected = baseline.get("campaign_throughput")
-    if expected is None:
-        return 0
-    throughput = report.get("campaign_throughput")
-    if throughput is None:
-        return fail(
-            "fault campaign JSON has no 'campaign_throughput' "
-            "field"
-        )
-    scalar = expected["baseline_cells_per_second"]
-    speedup = expected["min_speedup"]
-    floor = scalar * speedup
-    metric = "campaign_throughput"
-    if throughput < floor:
-        return fail_metric(
-            metric,
-            f"{throughput:.3f} cells/s",
-            f">= {floor:.3f} cells/s",
-            f"{speedup:.1f}x scalar baseline {scalar:.3f}",
-        )
-    return passed(
-        metric,
-        f"{throughput:.3f} cells/s",
-        f">= {floor:.3f} cells/s",
-        f"{speedup:.1f}x scalar baseline {scalar:.3f}",
-    )
-
-
-def check_fault_campaign(baseline, report):
-    gate = report.get("gate")
-    if gate is None:
-        return fail("fault campaign JSON has no 'gate' object")
-    expected = baseline["fault_campaign"]
-    tolerance = expected["tolerance"]
-    failures = 0
-    for key in ("p50_relative_accuracy", "worst_relative_accuracy"):
-        metric = f"gate.{key}"
-        if key not in gate:
-            failures += fail(f"gate object missing '{key}'")
-            continue
-        floor = expected[key] - tolerance
-        if gate[key] < floor:
-            failures += fail_metric(
-                metric,
-                f"{gate[key]:.6f}",
-                f"{expected[key]:.6f}",
-                f"{tolerance:.3f}",
-                f"floor {floor:.6f}",
-            )
-            continue
-        passed(metric, f"{gate[key]:.6f}", f"{expected[key]:.6f}",
-               f"{tolerance:.3f}")
-    rate = gate.get("failure_rate")
-    if rate != expected["failure_rate"]:
-        failures += fail_metric(
-            "gate.failure_rate",
-            f"{rate}",
-            f"{expected['failure_rate']}",
-            "exact",
-        )
-    return failures
-
-
-def check_guard_policies(baseline, report):
-    expected = baseline.get("guard_policies")
-    if expected is None:
-        return 0
-    rows = {
-        row.get("policy"): row
-        for row in report.get("guard_policies", [])
-    }
-    tolerance = expected["tolerance"]
-    floor = expected["p50_relative_accuracy"] - tolerance
-    failures = 0
-    for policy in expected["policies"]:
-        row = rows.get(policy)
-        if row is None:
-            failures += fail(
-                f"guard_policies array is missing policy "
-                f"'{policy}'"
-            )
-            continue
-        trips = row.get("trips", 0)
-        if trips <= 0:
-            failures += fail_metric(
-                f"guard_policies[{policy}].trips",
-                f"{trips}",
-                "> 0",
-                "exact",
-                "the stall no longer provokes the guard",
-            )
-        violations = row.get("retention_violations", 0)
-        if violations != 0:
-            failures += fail_metric(
-                f"guard_policies[{policy}].retention_violations",
-                f"{violations}",
-                "0",
-                "exact",
-                "corrupted-word events leaked past the guard",
-            )
-        p50 = row.get("p50_relative_accuracy", 0.0)
-        metric = f"guard_policies[{policy}].p50_relative_accuracy"
-        if p50 < floor:
-            failures += fail_metric(
-                metric,
-                f"{p50:.6f}",
-                f"{expected['p50_relative_accuracy']:.6f}",
-                f"{tolerance:.3f}",
-                f"floor {floor:.6f}",
-            )
-        else:
-            passed(metric, f"{p50:.6f}",
-                   f"{expected['p50_relative_accuracy']:.6f}",
-                   f"{tolerance:.3f}")
-    return failures
-
-
-def check_sweep_shard(baseline, report):
-    """Gate the crash-tolerant sharded sweep: byte-identical merges
-    (clean and under chaos), chaos faults that actually fired, and a
-    bounded number of degraded (in-process fallback) cells. Exact
-    comparisons throughout - determinism is the contract."""
-    expected = baseline.get("sweep_shard", {})
-    max_degraded = expected.get("max_degraded_cells", 0)
-    failures = 0
-
-    identical = report.get("merge_identical")
-    if identical is not True:
-        failures += fail_metric(
-            "merge_identical",
-            f"{identical}",
-            "true",
-            "exact",
-            "sharded merge diverged from the single-process sweep",
-        )
-    else:
-        passed("merge_identical", "true", "true", "exact")
-
-    exercised = report.get("chaos_exercised")
-    if exercised is not True:
-        failures += fail_metric(
-            "chaos_exercised",
-            f"{exercised}",
-            "true",
-            "exact",
-            "seeded kill/stall/corruption no longer fires",
-        )
-    else:
-        passed("chaos_exercised", "true", "true", "exact")
-
-    chaos = report.get("chaos")
-    if not isinstance(chaos, dict):
-        return failures + fail(
-            "sweep shard JSON has no 'chaos' object"
-        )
-    for counter in ("worker_crashes", "timeouts", "corrupt_frames"):
-        value = chaos.get(counter, 0)
-        if value < 1:
-            failures += fail_metric(
-                f"chaos.{counter}",
-                f"{value}",
-                ">= 1",
-                "exact",
-                "the injected fault did not fire",
-            )
-    degraded = chaos.get("degraded_cells", 0)
-    metric = "chaos.degraded_cells"
-    if degraded > max_degraded:
-        failures += fail_metric(
-            metric,
-            f"{degraded}",
-            f"<= {max_degraded}",
-            "exact",
-            "cells fell back to in-process execution",
-        )
-    else:
-        passed(metric, f"{degraded}", f"<= {max_degraded}", "exact")
-
-    # Observability-plane gates: the clean run must have streamed
-    # telemetry frames (one per worker at startup, per cell and at
-    # clean exit), and every chaos incident (the kill plus the stall
-    # timeout) must have produced a postmortem dump.
-    min_frames = expected.get("min_telemetry_frames", 8)
-    clean = report.get("clean")
-    if not isinstance(clean, dict):
-        return failures + fail(
-            "sweep shard JSON has no 'clean' object"
-        )
-    frames = clean.get("telemetry_frames", 0)
-    metric = "clean.telemetry_frames"
-    if frames < min_frames:
-        failures += fail_metric(
-            metric,
-            f"{frames}",
-            f">= {min_frames}",
-            "exact",
-            "worker telemetry export stopped flowing",
-        )
-    else:
-        passed(metric, f"{frames}", f">= {min_frames}", "exact")
-
-    min_dumps = expected.get("min_postmortem_dumps", 2)
-    dumps = chaos.get("postmortem_dumps", 0)
-    metric = "chaos.postmortem_dumps"
-    if dumps < min_dumps:
-        failures += fail_metric(
-            metric,
-            f"{dumps}",
-            f">= {min_dumps}",
-            "exact",
-            "a chaos incident left no postmortem dump",
-        )
-    else:
-        passed(metric, f"{dumps}", f">= {min_dumps}", "exact")
-    return failures
-
-
-def check_sched_scaling(report):
-    points = report.get("points", [])
-    if not points:
-        return fail("sched scaling JSON has no 'points'")
-    failures = 0
-    for point in points:
-        jobs = point.get("jobs")
-        if not point.get("identical", False):
-            failures += fail_metric(
-                f"points[jobs={jobs}].identical",
-                f"{point.get('identical')}",
-                "true",
-                "exact",
-                "non-identical schedule across lane counts",
-            )
-        seconds = point.get("seconds", 0.0)
-        if seconds <= 0.0:
-            failures += fail_metric(
-                f"points[jobs={jobs}].seconds",
-                f"{seconds}",
-                "> 0",
-                "exact",
-                "non-positive runtime",
-            )
-    if failures == 0:
-        print(
-            f"check_bench: sched scaling sane across "
-            f"{len(points)} lane counts"
-        )
-    return failures
-
-
-def check_dataflow_search(baseline, report):
-    """Gate the widened dataflow search: systolic dataflows must
-    still win layers, at least one network must strictly improve
-    refresh energy over the best legacy schedule, and a superset
-    search must never regress any network's total energy."""
-    expected = baseline["dataflow_search"]
-    failures = 0
-
-    win_layers = report.get("systolic_win_layers", 0)
-    min_wins = expected["min_systolic_win_layers"]
-    if win_layers < min_wins:
-        failures += fail_metric(
-            "systolic_win_layers",
-            f"{win_layers}",
-            f">= {min_wins}",
-            "exact",
-            "the widened search stopped choosing systolic dataflows",
-        )
-    else:
-        passed("systolic_win_layers", f"{win_layers}",
-               f">= {min_wins}", "exact")
-
-    delta = report.get("best_refresh_energy_delta_j")
-    floor = expected["min_refresh_energy_delta_j"]
-    if delta is None or delta <= floor:
-        failures += fail_metric(
-            "best_refresh_energy_delta_j",
-            f"{delta}",
-            f"> {floor}",
-            "exact",
-            "no network improved refresh energy with a systolic win",
-        )
-    else:
-        passed(
-            "best_refresh_energy_delta_j",
-            f"{delta:.6e}",
-            f"> {floor}",
-            "exact",
-        )
-
-    for entry in report.get("networks", []):
-        name = entry.get("network", "?")
-        legacy = entry.get("legacy_total_energy_j")
-        widened = entry.get("widened_total_energy_j")
-        metric = f"{name}_widened_total_energy_j"
-        if legacy is None or widened is None or widened > legacy:
-            failures += fail_metric(
-                metric,
-                f"{widened}",
-                f"<= {legacy}",
-                "exact",
-                "a superset search produced a worse schedule",
-            )
-        else:
-            passed(metric, f"{widened:.6e}", f"<= {legacy:.6e}",
-                   "exact")
-    return failures
-
-
-def check_serving(baseline, report):
-    """Gate the multi-tenant serving SLOs: deterministic replay,
-    a worst-tenant p99 latency ceiling and a total-throughput
-    floor. Latencies are virtual-time, so exact bounds hold on any
-    runner."""
-    expected = baseline["serving"]
-    failures = 0
-
-    deterministic = report.get("deterministic_replay")
-    if deterministic is not True:
-        failures += fail_metric(
-            "deterministic_replay",
-            f"{deterministic}",
-            "true",
-            "exact",
-            "replays diverged across data-plane pool sizes",
-        )
-    else:
-        passed("deterministic_replay", "true", "true", "exact")
-
-    p99 = report.get("worst_p99_ms")
-    ceiling = expected["max_p99_ms"]
-    if p99 is None or p99 > ceiling:
-        failures += fail_metric(
-            "worst_p99_ms",
-            f"{p99}",
-            f"<= {ceiling}",
-            "exact",
-            "worst per-tenant p99 latency broke the SLO ceiling",
-        )
-    else:
-        passed("worst_p99_ms", f"{p99:.3f}", f"<= {ceiling}",
-               "exact")
-
-    rps = report.get("throughput_rps")
-    floor = expected["min_throughput_rps"]
-    if rps is None or rps < floor:
-        failures += fail_metric(
-            "throughput_rps",
-            f"{rps}",
-            f">= {floor}",
-            "exact",
-            "total serving throughput fell below the SLO floor",
-        )
-    else:
-        passed("throughput_rps", f"{rps:.3f}", f">= {floor}",
-               "exact")
-
-    completed = report.get("total_completed", 0)
-    min_completed = expected.get("min_completed", 1)
-    if completed < min_completed:
-        failures += fail_metric(
-            "total_completed",
-            f"{completed}",
-            f">= {min_completed}",
-            "exact",
-            "the workload served almost nothing",
-        )
-    else:
-        passed("total_completed", f"{completed}",
-               f">= {min_completed}", "exact")
-    return failures
-
-
-# The harnesses this gate knows how to check, keyed by the artifact's
-# own "harness" field (so argument order never matters). Each gate
-# returns its failure count; composed gates all run so every failing
-# metric prints its line.
-GATES = {
-    "fault_campaign": lambda baseline, report: (
-        check_fault_campaign(baseline, report)
-        + check_campaign_throughput(baseline, report)
-        + check_guard_policies(baseline, report)
-    ),
-    "sweep_shard": check_sweep_shard,
-    "sched_scaling": lambda baseline, report: check_sched_scaling(
-        report
-    ),
-    "serving": check_serving,
-    "dataflow_search": check_dataflow_search,
-}
+    if actual is MISSING:
+        return fail(f"{line} (metric not found)")
+    if not comparable(actual, bound, op):
+        return fail(f"{line} ({detail})")
+    if not holds(actual, bound if tolerance is None else bound - tolerance):
+        return fail(line)
+    print(f"check_bench: {line}: ok")
+    return 0
 
 
 def main(argv):
     if len(argv) < 3:
-        print(
-            "usage: check_bench.py <baseline.json> <BENCH_*.json> "
-            "[BENCH_*.json ...]",
-            file=sys.stderr,
-        )
+        print("usage: check_bench.py <baseline.json> <BENCH_*.json> "
+              "[BENCH_*.json ...]", file=sys.stderr)
         return 2
     try:
         baseline = load(argv[1])
-    except (OSError, json.JSONDecodeError) as error:
-        fail(str(error))
+        problem = baseline_error(baseline)
+    except (OSError, ValueError) as error:
+        problem = f"is unreadable: {error}"
+    if problem:
+        fail(f"{argv[1]} {problem}")
         return 2
-    malformed = 0
-    gate_failures = 0
+    gates = baseline["gates"]
+    malformed = failures = 0
     seen = set()
     for path in argv[2:]:
         try:
             report = load(path)
-        except (OSError, json.JSONDecodeError) as error:
-            malformed += fail(str(error))
+            problem = envelope_error(report, gates, seen)
+        except (OSError, ValueError) as error:
+            problem = f"is unreadable: {error}"
+        if problem:
+            malformed += fail(f"{path} {problem}")
             continue
-        bad, harness = check_unified_schema(report, path)
-        if bad:
-            malformed += bad
-            continue
-        if harness in seen:
-            malformed += fail(f"{path} repeats harness '{harness}'")
-            continue
+        harness = report["harness"]
         seen.add(harness)
-        gate = GATES.get(harness)
-        if gate is None:
-            malformed += fail(
-                f"{path} holds harness '{harness}', which has no "
-                f"regression gate; gated harnesses: "
-                f"{', '.join(sorted(GATES))}"
-            )
-            continue
-        gate_failures += gate(baseline, report)
+        print(
+            f"check_bench: {path}: harness '{harness}', mode "
+            f"'{report['mode']}', {len(report['samples'])} perf sample(s)"
+        )
+        for metric, entry in gates[harness].items():
+            for found in resolve(report, parse_path(metric)):
+                failures += check_metric(*found, entry)
     if malformed:
         return 2
-    if gate_failures:
+    if failures:
         return 1
     print("check_bench: PASS")
     return 0

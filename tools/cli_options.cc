@@ -5,6 +5,9 @@
 
 #include "cli_options.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -28,21 +31,43 @@ nextValue(int argc, char **argv, int &i)
     return std::string(argv[++i]);
 }
 
-/** Parse a non-negative integer option value. */
-Result<std::uint32_t>
-parseCount(const std::string &option, const std::string &value)
+} // namespace
+
+Result<double>
+parseNumber(const std::string &option, const std::string &value)
 {
     char *end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed < 0) {
+    const double parsed = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || !std::isfinite(parsed)) {
         return makeError(ErrorCode::InvalidArgument, option,
-                         " expects a non-negative integer, got '",
-                         value, "'");
+                         " expects a number, got '", value, "'");
     }
-    return static_cast<std::uint32_t>(parsed);
+    return parsed;
 }
 
-} // namespace
+namespace detail {
+
+Result<std::uint64_t>
+parseCountUpTo(const std::string &option, const std::string &value,
+               std::uint64_t max)
+{
+    // strtoull alone would skip spaces and wrap a leading '-'.
+    const bool digits =
+        !value.empty() &&
+        std::isdigit(static_cast<unsigned char>(value[0]));
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed =
+        digits ? std::strtoull(value.c_str(), &end, 10) : 0;
+    if (!digits || *end != '\0' || errno == ERANGE || parsed > max) {
+        return makeError(ErrorCode::InvalidArgument, option,
+                         " expects an integer in [0, ", max,
+                         "], got '", value, "'");
+    }
+    return static_cast<std::uint64_t>(parsed);
+}
+
+} // namespace detail
 
 Result<std::vector<DataflowKind>>
 parseDataflowList(const std::string &value)
@@ -130,7 +155,7 @@ consumeCommonOption(int argc, char **argv, int &i,
         if (!value.ok())
             return value.error();
         const Result<std::uint32_t> count =
-            parseCount(arg, value.value());
+            parseCount<std::uint32_t>(arg, value.value());
         if (!count.ok())
             return count.error();
         options.guardPolicy.hysteresisK = count.value();
@@ -141,7 +166,7 @@ consumeCommonOption(int argc, char **argv, int &i,
         if (!value.ok())
             return value.error();
         const Result<std::uint32_t> count =
-            parseCount(arg, value.value());
+            parseCount<std::uint32_t>(arg, value.value());
         if (!count.ok())
             return count.error();
         options.guardPolicy.bins = count.value();

@@ -1,7 +1,7 @@
 /**
  * @file
- * Command-line options shared by the rana_compile and rana_faultsim
- * front ends: design-name parsing, the observability outputs
+ * Command-line options shared by the rana_* front ends: numeric
+ * option values, design-name parsing, the observability outputs
  * (--metrics-json / --chrome-trace) and the reliability-guard flags
  * (--guard / --guard-policy / --guard-k / --guard-bins), with one
  * usage/error path instead of a copy per tool.
@@ -10,7 +10,10 @@
 #ifndef RANA_TOOLS_CLI_OPTIONS_HH_
 #define RANA_TOOLS_CLI_OPTIONS_HH_
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/design_point.hh"
@@ -20,6 +23,37 @@
 
 namespace rana {
 namespace cli {
+
+/**
+ * Parse the value of numeric option `option`: all of `value` must be
+ * one finite number. The error names the option and the value.
+ */
+Result<double> parseNumber(const std::string &option,
+                           const std::string &value);
+
+namespace detail {
+/** parseCount's range-checked core. */
+Result<std::uint64_t> parseCountUpTo(const std::string &option,
+                                     const std::string &value,
+                                     std::uint64_t max);
+} // namespace detail
+
+/**
+ * Parse the value of count option `option` into T: all of `value`
+ * must be decimal digits (no sign, fraction or suffix) naming a
+ * count that fits T. The error names the option and the value.
+ */
+template <typename T>
+Result<T>
+parseCount(const std::string &option, const std::string &value)
+{
+    static_assert(std::is_unsigned_v<T>);
+    const Result<std::uint64_t> count = detail::parseCountUpTo(
+        option, value, std::numeric_limits<T>::max());
+    if (!count.ok())
+        return count.error();
+    return static_cast<T>(count.value());
+}
 
 /** Parse a Table-IV design-point name ("RANA*", "eD+ID", ...). */
 Result<DesignKind> parseDesign(const std::string &name);

@@ -136,27 +136,16 @@ main(int argc, char **argv)
         } else if (arg == "--dataflow") {
             dataflow_name = next();
         } else if (arg == "--failure-rate") {
-            const std::string value = next();
-            char *end = nullptr;
-            failure_rate = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0')
-                return fail(makeError(
-                    ErrorCode::InvalidArgument,
-                    "--failure-rate expects a number, got '", value,
-                    "'"));
+            const Result<double> rate = cli::parseNumber(arg, next());
+            if (!rate.ok())
+                return fail(rate.error());
+            failure_rate = rate.value();
         } else if (arg == "--jobs") {
-            const std::string value = next();
-            char *end = nullptr;
-            const long parsed = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0')
-                return fail(makeError(
-                    ErrorCode::InvalidArgument,
-                    "--jobs expects an integer, got '", value, "'"));
-            if (parsed < 0)
-                return fail(makeError(ErrorCode::InvalidArgument,
-                                      "--jobs must be >= 0"));
-            jobs = parsed == 0 ? hardwareJobs()
-                               : static_cast<unsigned>(parsed);
+            const Result<unsigned> parsed =
+                cli::parseCount<unsigned>(arg, next());
+            if (!parsed.ok())
+                return fail(parsed.error());
+            jobs = parsed.value() == 0 ? hardwareJobs() : parsed.value();
         } else if (arg == "--output") {
             output_path = next();
         } else if (arg == "--verify") {

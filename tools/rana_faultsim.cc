@@ -83,6 +83,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_options.hh"
@@ -113,9 +114,9 @@ parseModel(const std::string &name)
                      "or MiniRes)");
 }
 
-/** Parse a comma-separated list of numbers. */
+/** Parse option `option`'s comma-separated list of numbers. */
 Result<std::vector<double>>
-parseNumberList(const std::string &list)
+parseNumberList(const std::string &option, const std::string &list)
 {
     std::vector<double> values;
     std::size_t start = 0;
@@ -123,15 +124,11 @@ parseNumberList(const std::string &list)
         std::size_t comma = list.find(',', start);
         if (comma == std::string::npos)
             comma = list.size();
-        const std::string item = list.substr(start, comma - start);
-        char *end = nullptr;
-        const double parsed = std::strtod(item.c_str(), &end);
-        if (item.empty() || end == item.c_str() || *end != '\0') {
-            return makeError(ErrorCode::ParseError,
-                             "bad number '", item,
-                             "' in list '", list, "'");
-        }
-        values.push_back(parsed);
+        const Result<double> parsed = cli::parseNumber(
+            option, list.substr(start, comma - start));
+        if (!parsed.ok())
+            return parsed.error();
+        values.push_back(parsed.value());
         start = comma + 1;
     }
     return values;
@@ -241,6 +238,12 @@ main(int argc, char **argv)
     SweepShardConfig shard;
     std::vector<double> sweep_rates = {0.0, 1e-5, 1e-4};
     std::vector<double> sweep_intervals = {45e-6, 734e-6};
+    // The parsed option value, or exit 1 naming the option.
+    auto take = [](auto parsed) {
+        if (!parsed.ok())
+            std::exit(fail(parsed.error()));
+        return std::move(parsed).value();
+    };
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const Result<bool> consumed =
@@ -260,37 +263,27 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        auto number = [&](const std::string &value) -> double {
-            char *end = nullptr;
-            const double parsed = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0') {
-                std::cerr << "rana_faultsim: " << arg
-                          << " expects a number, got '" << value
-                          << "'\n";
-                std::exit(1);
-            }
-            return parsed;
-        };
         if (arg == "--design") {
             design_name = next();
         } else if (arg == "--model") {
             model_name = next();
         } else if (arg == "--trials") {
-            builder.trials(static_cast<std::uint32_t>(number(next())));
+            builder.trials(
+                take(cli::parseCount<std::uint32_t>(arg, next())));
         } else if (arg == "--seed") {
-            builder.seed(static_cast<std::uint64_t>(number(next())));
+            builder.seed(take(cli::parseCount<std::uint64_t>(arg, next())));
         } else if (arg == "--jobs") {
-            builder.jobs(static_cast<unsigned>(number(next())));
+            builder.jobs(take(cli::parseCount<unsigned>(arg, next())));
         } else if (arg == "--lane-block") {
             builder.laneBlock(
-                static_cast<std::uint32_t>(number(next())));
+                take(cli::parseCount<std::uint32_t>(arg, next())));
         } else if (arg == "--slowdown") {
             TimingFaults faults = builder.build().timingFaults;
-            faults.slowdownFactor = number(next());
+            faults.slowdownFactor = take(cli::parseNumber(arg, next()));
             builder.timingFaults(faults);
         } else if (arg == "--stall") {
             TimingFaults faults = builder.build().timingFaults;
-            faults.scanStallSeconds = number(next());
+            faults.scanStallSeconds = take(cli::parseNumber(arg, next()));
             builder.timingFaults(faults);
         } else if (arg == "--no-retrain") {
             builder.retrain(false);
@@ -301,37 +294,25 @@ main(int argc, char **argv)
         } else if (arg == "--compare-policies") {
             compare = true;
         } else if (arg == "--rates") {
-            const Result<std::vector<double>> rates =
-                parseNumberList(next());
-            if (!rates.ok())
-                return fail(rates.error());
-            sweep_rates = rates.value();
+            sweep_rates = take(parseNumberList(arg, next()));
         } else if (arg == "--intervals") {
-            const Result<std::vector<double>> intervals =
-                parseNumberList(next());
-            if (!intervals.ok())
-                return fail(intervals.error());
-            sweep_intervals = intervals.value();
+            sweep_intervals = take(parseNumberList(arg, next()));
         } else if (arg == "--workers") {
-            shard.workers = static_cast<unsigned>(number(next()));
+            shard.workers = take(cli::parseCount<unsigned>(arg, next()));
             sharded = shard.workers > 0;
         } else if (arg == "--cell-timeout-ms") {
             shard.cellTimeoutMs =
-                static_cast<std::uint32_t>(number(next()));
+                take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--max-retries") {
             shard.maxRetries =
-                static_cast<std::uint32_t>(number(next()));
+                take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--backoff-ms") {
             shard.backoffBaseMs =
-                static_cast<std::uint32_t>(number(next()));
+                take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--postmortem-dir") {
             shard.postmortemDir = next();
         } else if (arg == "--chaos") {
-            const Result<ShardChaosConfig> chaos =
-                parseChaosSpec(next());
-            if (!chaos.ok())
-                return fail(chaos.error());
-            shard.chaos = chaos.value();
+            shard.chaos = take(parseChaosSpec(next()));
         } else {
             return fail(makeError(ErrorCode::InvalidArgument,
                                   "unknown option ", arg));

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_options.hh"
 #include "obs/telemetry.hh"
 #include "util/json_reader.hh"
 
@@ -201,8 +202,11 @@ cmdTop(const std::vector<std::string> &args)
         } else if (arg == "-n") {
             if (i + 1 >= args.size())
                 return fail("missing value after -n");
-            limit = static_cast<std::size_t>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
+            const Result<std::size_t> count =
+                cli::parseCount<std::size_t>(arg, args[++i]);
+            if (!count.ok())
+                return fail(count.error().describe());
+            limit = count.value();
         } else if (path.empty()) {
             path = arg;
         } else {

@@ -47,13 +47,15 @@
  * The report is bit-reproducible: the same seed yields byte-identical
  * canonical JSON for any --jobs value and across repeated runs.
  *
- * Exit codes: 0 success, 1 bad usage or a failed run.
+ * Exit codes: 0 success, 1 bad usage (including a malformed numeric
+ * value) or a failed run.
  */
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "cli_options.hh"
 #include "obs/chrome_trace.hh"
@@ -86,6 +88,12 @@ main(int argc, char **argv)
     bool forwards = true;
     ServingConfig config;
     cli::CommonOptions common;
+    // The parsed option value, or exit 1 naming the option.
+    auto take = [](auto parsed) {
+        if (!parsed.ok())
+            std::exit(fail(parsed.error()));
+        return std::move(parsed).value();
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -104,38 +112,33 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--tenants") {
-            tenant_count = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            tenant_count = take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--qps") {
-            qps = std::strtod(next().c_str(), nullptr);
+            qps = take(cli::parseNumber(arg, next()));
         } else if (arg == "--duration") {
-            config.durationSeconds =
-                std::strtod(next().c_str(), nullptr);
+            config.durationSeconds = take(cli::parseNumber(arg, next()));
         } else if (arg == "--batch-window") {
-            config.batchWindowSeconds =
-                std::strtod(next().c_str(), nullptr);
+            config.batchWindowSeconds = take(cli::parseNumber(arg, next()));
         } else if (arg == "--max-batch") {
-            config.maxBatch = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.maxBatch =
+                take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--queue-capacity") {
-            config.queueCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.queueCapacity =
+                take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--closed-loop") {
             closed_loop = true;
         } else if (arg == "--clients") {
-            clients = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            clients = take(cli::parseCount<std::uint32_t>(arg, next()));
         } else if (arg == "--think") {
-            think = std::strtod(next().c_str(), nullptr);
+            think = take(cli::parseNumber(arg, next()));
         } else if (arg == "--fault-rate") {
-            fault_rate = std::strtod(next().c_str(), nullptr);
+            fault_rate = take(cli::parseNumber(arg, next()));
         } else if (arg == "--design") {
             design_name = next();
         } else if (arg == "--seed") {
-            config.seed = std::strtoull(next().c_str(), nullptr, 10);
+            config.seed = take(cli::parseCount<std::uint64_t>(arg, next()));
         } else if (arg == "--jobs") {
-            config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.jobs = take(cli::parseCount<unsigned>(arg, next()));
         } else if (arg == "--no-forwards") {
             forwards = false;
         } else if (arg == "--canonical-json") {
