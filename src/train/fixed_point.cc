@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "train/trial_batch.hh"
 #include "util/logging.hh"
 
 namespace rana {
@@ -55,9 +56,7 @@ FixedPointFormat::roundTrip(float value) const
 void
 quantizeTensor(Tensor &tensor, const FixedPointFormat &format)
 {
-    float *data = tensor.data();
-    for (std::size_t i = 0; i < tensor.size(); ++i)
-        data[i] = format.roundTrip(data[i]);
+    quantizeTrialSpan(tensor.data(), tensor.size(), format);
 }
 
 } // namespace rana

@@ -40,7 +40,10 @@ struct FixedPointFormat
     float roundTrip(float value) const;
 };
 
-/** Quantize-dequantize every element in place. */
+/**
+ * Quantize-dequantize every element in place: roundTrip per element,
+ * computed by quantizeTrialSpan.
+ */
 void quantizeTensor(Tensor &tensor, const FixedPointFormat &format);
 
 } // namespace rana

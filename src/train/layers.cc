@@ -17,90 +17,135 @@ namespace rana {
 namespace {
 
 /**
- * Convolution forward kernel shared by the per-trial and the
- * trial-batched paths. Bit-compatible with the reference loop nest:
- * every output element accumulates bias + sum over (n, ky, kx) of
- * the valid taps, in exactly that order, so refactoring the loop
- * structure cannot change a single ULP. The speed comes from the
- * loop shape: the output-x dimension is innermost, contiguous and
- * branch-free (the padding clip is hoisted into the [x_lo, x_hi)
- * bounds), so the compiler vectorizes the multiply-accumulate
- * across independent output accumulators without reordering any
- * per-accumulator addition.
+ * Convolution forward kernel of one sample. Bit-compatible with the
+ * reference loop nest: every output element accumulates bias + sum
+ * over (n, ky, kx) of the valid taps, in exactly that order, so
+ * refactoring the loop structure cannot change a single ULP. The
+ * speed comes from the loop shape: the output-x dimension is
+ * innermost, contiguous and branch-free (the padding clip is hoisted
+ * into the [x_lo, x_hi) bounds), so the compiler vectorizes the
+ * multiply-accumulate across independent output accumulators without
+ * reordering any per-accumulator addition.
  */
 void
 convolveForward(const float *in, const float *wt, const float *bias,
-                float *out, std::uint32_t batch,
-                std::uint32_t in_channels, std::uint32_t h,
+                float *out, std::uint32_t in_channels, std::uint32_t h,
                 std::uint32_t w, std::uint32_t out_channels,
                 std::uint32_t r, std::uint32_t c,
                 std::uint32_t kernel, std::uint32_t stride,
                 std::uint32_t pad)
 {
     const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = in_plane * in_channels;
     const std::size_t out_plane = static_cast<std::size_t>(r) * c;
     const std::size_t wt_kernel =
         static_cast<std::size_t>(kernel) * kernel;
     std::vector<float> acc_buf(c);
     float *acc = acc_buf.data();
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t m = 0; m < out_channels; ++m) {
-            float *out_m = out + (b * out_channels + m) * out_plane;
-            const float *wt_m = wt + m * in_channels * wt_kernel;
-            const float bias_m = bias[m];
-            for (std::uint32_t y = 0; y < r; ++y) {
-                const std::int64_t base_y =
-                    static_cast<std::int64_t>(y) * stride - pad;
-                for (std::uint32_t x = 0; x < c; ++x)
-                    acc[x] = bias_m;
-                for (std::uint32_t n = 0; n < in_channels; ++n) {
-                    const float *in_n =
-                        in + b * in_sample + n * in_plane;
-                    const float *wt_n = wt_m + n * wt_kernel;
-                    for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                        const std::int64_t in_y = base_y + ky;
-                        if (in_y < 0 || in_y >= h)
+    for (std::uint32_t m = 0; m < out_channels; ++m) {
+        float *out_m = out + m * out_plane;
+        const float *wt_m = wt + m * in_channels * wt_kernel;
+        const float bias_m = bias[m];
+        for (std::uint32_t y = 0; y < r; ++y) {
+            const std::int64_t base_y =
+                static_cast<std::int64_t>(y) * stride - pad;
+            for (std::uint32_t x = 0; x < c; ++x)
+                acc[x] = bias_m;
+            for (std::uint32_t n = 0; n < in_channels; ++n) {
+                const float *in_n = in + n * in_plane;
+                const float *wt_n = wt_m + n * wt_kernel;
+                for (std::uint32_t ky = 0; ky < kernel; ++ky) {
+                    const std::int64_t in_y = base_y + ky;
+                    if (in_y < 0 || in_y >= h)
+                        continue;
+                    const float *in_row = in_n + in_y * w;
+                    const float *wt_row = wt_n + ky * kernel;
+                    for (std::uint32_t kx = 0; kx < kernel; ++kx) {
+                        // Valid x satisfy 0 <= x*stride + off < w.
+                        const std::int64_t off =
+                            static_cast<std::int64_t>(kx) - pad;
+                        std::int64_t x_lo = 0;
+                        if (off < 0) {
+                            x_lo = (-off + stride - 1) / stride;
+                        }
+                        std::int64_t x_hi = 0;
+                        if (w >= off + 1) {
+                            x_hi = (w - 1 - off) / stride + 1;
+                        }
+                        x_hi = std::min<std::int64_t>(x_hi, c);
+                        if (x_lo >= x_hi)
                             continue;
-                        const float *in_row = in_n + in_y * w;
-                        const float *wt_row = wt_n + ky * kernel;
-                        for (std::uint32_t kx = 0; kx < kernel;
-                             ++kx) {
-                            // Valid x satisfy 0 <= x*stride + off < w.
-                            const std::int64_t off =
-                                static_cast<std::int64_t>(kx) - pad;
-                            std::int64_t x_lo = 0;
-                            if (off < 0) {
-                                x_lo = (-off + stride - 1) / stride;
-                            }
-                            std::int64_t x_hi = 0;
-                            if (w >= off + 1) {
-                                x_hi = (w - 1 - off) / stride + 1;
-                            }
-                            x_hi = std::min<std::int64_t>(x_hi, c);
-                            if (x_lo >= x_hi)
-                                continue;
-                            const float wv = wt_row[kx];
-                            if (stride == 1) {
-                                const float *src = in_row + off;
-                                for (std::int64_t x = x_lo; x < x_hi;
-                                     ++x)
-                                    acc[x] += src[x] * wv;
-                            } else {
-                                for (std::int64_t x = x_lo; x < x_hi;
-                                     ++x)
-                                    acc[x] +=
-                                        in_row[x * stride + off] * wv;
-                            }
+                        const float wv = wt_row[kx];
+                        if (stride == 1) {
+                            const float *src = in_row + off;
+                            for (std::int64_t x = x_lo; x < x_hi; ++x)
+                                acc[x] += src[x] * wv;
+                        } else {
+                            for (std::int64_t x = x_lo; x < x_hi; ++x)
+                                acc[x] += in_row[x * stride + off] * wv;
                         }
                     }
                 }
-                float *out_row = out_m + static_cast<std::size_t>(y) * c;
-                for (std::uint32_t x = 0; x < c; ++x)
-                    out_row[x] = acc[x];
             }
+            float *out_row = out_m + static_cast<std::size_t>(y) * c;
+            for (std::uint32_t x = 0; x < c; ++x)
+                out_row[x] = acc[x];
         }
     }
+}
+
+/**
+ * Walk an NCHW minibatch in lane blocks of 16/8/4/2 samples, then at
+ * most one leftover sample. For each block, `run(in, out, lanes)`
+ * gets the block's `in_sample`-float samples packed lane-major (lane
+ * innermost) and a zeroed lane-major buffer for the `out_sample`
+ * floats per sample, which are then scattered back to the samples'
+ * slots of `out`. A lone sample is passed in place: one lane has the
+ * NCHW layout, and its `out` slot is still zero.
+ */
+template <typename Run>
+void
+forSampleLaneBlocks(const float *in, std::size_t in_sample, float *out,
+                    std::size_t out_sample, std::uint32_t batch,
+                    Run &&run)
+{
+    std::vector<float> in_lanes;
+    std::vector<float> out_lanes;
+    std::uint32_t lanes = 16;
+    for (std::uint32_t b = 0; b < batch; b += lanes) {
+        while (lanes > batch - b)
+            lanes /= 2;
+        const float *in_b = in + b * in_sample;
+        float *out_b = out + b * out_sample;
+        if (lanes == 1) {
+            run(in_b, out_b, lanes);
+            continue;
+        }
+        in_lanes.resize(in_sample * lanes);
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            for (std::size_t i = 0; i < in_sample; ++i)
+                in_lanes[i * lanes + l] = in_b[l * in_sample + i];
+        out_lanes.assign(out_sample * lanes, 0.0f);
+        run(in_lanes.data(), out_lanes.data(), lanes);
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            for (std::size_t i = 0; i < out_sample; ++i)
+                out_b[l * out_sample + i] = out_lanes[i * lanes + l];
+    }
+}
+
+/**
+ * Backward passes read the state of the last training forward. A
+ * gradient of any other shape, or a backward with no training
+ * forward before it, would index stale or out-of-bounds memory.
+ */
+void
+checkGradShape(const Tensor &grad_output,
+               const std::vector<std::uint32_t> &trained_output,
+               const char *layer)
+{
+    RANA_ASSERT(grad_output.shape() == trained_output, layer,
+                " backward: gradient shape ",
+                grad_output.describeShape(),
+                " does not match the last training forward's output");
 }
 
 /**
@@ -318,15 +363,42 @@ Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
     const std::optional<Tensor> corrupted =
         corruptedWeights(weights, ctx);
     const Tensor &eff_weights = corrupted ? *corrupted : weights;
+    Tensor output({batch, outChannels_, r, c});
     if (ctx.training) {
         cachedInput_ = eff_input;
         cachedWeights_ = eff_weights;
+        outputShape_ = output.shape();
     }
 
-    Tensor output({batch, outChannels_, r, c});
-    convolveForward(eff_input.data(), eff_weights.data(), bias.data(),
-                    output.data(), batch, inChannels_, h, w,
-                    outChannels_, r, c, kernel_, stride_, pad_);
+    // The minibatch runs as lanes sharing one weight tensor; per
+    // sample the lane kernel accumulates in the scalar kernel's
+    // order, and a lone sample stays on the scalar kernel.
+    const float *wt = eff_weights.data();
+    std::vector<float> lane_wt;
+    std::vector<float> lane_bias;
+    forSampleLaneBlocks(
+        eff_input.data(), static_cast<std::size_t>(inChannels_) * h * w,
+        output.data(), static_cast<std::size_t>(outChannels_) * r * c,
+        batch,
+        [&](const float *in, float *out, std::uint32_t lanes) {
+            if (lanes == 1) {
+                convolveForward(in, wt, bias.data(), out, inChannels_,
+                                h, w, outChannels_, r, c, kernel_,
+                                stride_, pad_);
+                return;
+            }
+            // Blocks shrink monotonically: replicate once per size.
+            if (lane_bias.size() != bias.size() * lanes) {
+                lane_wt.resize(eff_weights.size() * lanes);
+                packLanePointers(std::vector<const float *>(lanes, wt),
+                                 eff_weights.size(), lane_wt.data());
+                lane_bias = packTrialBias(bias, lanes);
+            }
+            convolveTrialLanes(in, lane_wt.data(), lane_bias.data(),
+                               out, 1, inChannels_, h, w,
+                               outChannels_, r, c, kernel_, stride_,
+                               pad_, lanes);
+        });
     return output;
 }
 
@@ -368,66 +440,28 @@ Conv2dLayer::forwardTrials(const Tensor &input,
 Tensor
 Conv2dLayer::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, outputShape_, "conv");
     const std::uint32_t batch = cachedInput_.dim(0);
     const std::uint32_t h = cachedInput_.dim(2);
     const std::uint32_t w = cachedInput_.dim(3);
     const std::uint32_t r = grad_output.dim(2);
     const std::uint32_t c = grad_output.dim(3);
 
-    Tensor grad_input({batch, inChannels_, h, w});
-    const float *in = cachedInput_.data();
+    Tensor grad_input(cachedInput_.shape());
     const float *wt = cachedWeights_.data();
-    const float *gout = grad_output.data();
-    float *gin = grad_input.data();
-    float *gwt = weightGrad_.data();
-    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = in_plane * inChannels_;
-    const std::size_t out_plane = static_cast<std::size_t>(r) * c;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel_) * kernel_;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t m = 0; m < outChannels_; ++m) {
-            const float *gout_row =
-                gout + (b * outChannels_ + m) * out_plane;
-            const float *wt_m = wt + m * inChannels_ * wt_kernel;
-            float *gwt_m = gwt + m * inChannels_ * wt_kernel;
-            for (std::uint32_t y = 0; y < r; ++y) {
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    const float g = gout_row[y * c + x];
-                    biasGrad_[m] += g;
-                    const std::int64_t base_y =
-                        static_cast<std::int64_t>(y) * stride_ - pad_;
-                    const std::int64_t base_x =
-                        static_cast<std::int64_t>(x) * stride_ - pad_;
-                    for (std::uint32_t n = 0; n < inChannels_; ++n) {
-                        const float *in_n =
-                            in + b * in_sample + n * in_plane;
-                        float *gin_n =
-                            gin + b * in_sample + n * in_plane;
-                        const float *wt_n = wt_m + n * wt_kernel;
-                        float *gwt_n = gwt_m + n * wt_kernel;
-                        for (std::uint32_t ky = 0; ky < kernel_; ++ky) {
-                            const std::int64_t in_y = base_y + ky;
-                            if (in_y < 0 || in_y >= h)
-                                continue;
-                            const float *in_row = in_n + in_y * w;
-                            float *gin_row = gin_n + in_y * w;
-                            const float *wt_row = wt_n + ky * kernel_;
-                            float *gwt_row = gwt_n + ky * kernel_;
-                            for (std::uint32_t kx = 0; kx < kernel_;
-                                 ++kx) {
-                                const std::int64_t in_x = base_x + kx;
-                                if (in_x < 0 || in_x >= w)
-                                    continue;
-                                gwt_row[kx] += g * in_row[in_x];
-                                gin_row[in_x] += g * wt_row[kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    forSampleLaneBlocks(
+        grad_output.data(), static_cast<std::size_t>(outChannels_) * r * c,
+        grad_input.data(), static_cast<std::size_t>(inChannels_) * h * w,
+        batch,
+        [&](const float *gout, float *gin, std::uint32_t lanes) {
+            convolveInputGradLanes(gout, wt, gin, inChannels_, h, w,
+                                   outChannels_, r, c, kernel_,
+                                   stride_, pad_, lanes);
+        });
+    convolveWeightGrad(cachedInput_.data(), grad_output.data(),
+                       weightGrad_.data(), biasGrad_.data(), batch,
+                       inChannels_, h, w, outChannels_, r, c, kernel_,
+                       stride_, pad_);
     return grad_input;
 }
 
@@ -486,6 +520,7 @@ ReluLayer::forwardTrials(const Tensor &input,
 Tensor
 ReluLayer::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, cachedInput_.shape(), "relu");
     Tensor grad = grad_output;
     for (std::size_t i = 0; i < grad.size(); ++i) {
         if (cachedInput_[i] <= 0.0f)
@@ -513,6 +548,7 @@ MaxPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
     Tensor output({batch, channels, r, c});
     if (ctx.training) {
         inputShape_ = input.shape();
+        outputShape_ = output.shape();
         argmax_.assign(output.size(), 0);
     }
     std::size_t out_index = 0;
@@ -565,6 +601,7 @@ MaxPool2dLayer::forwardTrials(const Tensor &input,
 Tensor
 MaxPool2dLayer::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, outputShape_, "maxpool");
     Tensor grad_input(inputShape_);
     const std::uint32_t batch = grad_output.dim(0);
     const std::uint32_t channels = grad_output.dim(1);
@@ -698,12 +735,13 @@ DenseLayer::forward(const Tensor &input, const ForwardContext &ctx)
     const std::optional<Tensor> corrupted =
         corruptedWeights(weights, ctx);
     const Tensor &eff_weights = corrupted ? *corrupted : weights;
+    Tensor output({batch, outFeatures_});
     if (ctx.training) {
         cachedInput_ = eff_input;
         cachedWeights_ = eff_weights;
+        outputShape_ = output.shape();
     }
 
-    Tensor output({batch, outFeatures_});
     denseForward(eff_input.data(), eff_weights.data(), bias.data(),
                  output.data(), batch, inFeatures_, outFeatures_);
     return output;
@@ -740,6 +778,7 @@ DenseLayer::forwardTrials(const Tensor &input,
 Tensor
 DenseLayer::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, outputShape_, "dense");
     const std::uint32_t batch = grad_output.dim(0);
     Tensor grad_input({batch, inFeatures_});
     for (std::uint32_t b = 0; b < batch; ++b) {

@@ -53,6 +53,8 @@ class Conv2dLayer : public Layer
     Tensor biasGrad_;
     Tensor cachedInput_;
     Tensor cachedWeights_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
     /** Bound shared store tensors (null = use the owned ones). */
     const Tensor *sharedWeights_ = nullptr;
     const Tensor *sharedBias_ = nullptr;
@@ -85,9 +87,10 @@ class MaxPool2dLayer : public Layer
     std::string describe() const override { return "maxpool2x2"; }
 
   private:
-    Tensor cachedInput_;
     std::vector<std::uint32_t> argmax_;
     std::vector<std::uint32_t> inputShape_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
 };
 
 /** 2x2 average pooling with stride 2. */
@@ -131,6 +134,8 @@ class DenseLayer : public Layer
     Tensor biasGrad_;
     Tensor cachedInput_;
     Tensor cachedWeights_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
     /** Bound shared store tensors (null = use the owned ones). */
     const Tensor *sharedWeights_ = nullptr;
     const Tensor *sharedBias_ = nullptr;

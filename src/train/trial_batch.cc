@@ -1,25 +1,28 @@
 /**
  * @file
- * Lane-major kernels of the trial-batched campaign forward pass.
+ * Lane-major kernels of the trial-batched campaign forward pass and
+ * of the training convolution (forward and backward).
  *
  * This translation unit is compiled at -O3 (see the CMakeLists) and
  * the hot kernels carry target_clones("default","avx"): the loader
  * picks the AVX clone on capable CPUs while the binary stays
  * runnable on baseline x86-64. The lane count is a template
- * parameter for the power-of-two block sizes the campaign uses, so
- * the innermost lane loop has a compile-time trip count and turns
- * into straight-line vector code; other lane counts take the
- * runtime-lane fallback, which is slower but bit-identical.
+ * parameter for the power-of-two block sizes the campaign and the
+ * training minibatch use, so the innermost lane loop has a
+ * compile-time trip count and turns into straight-line vector code;
+ * other lane counts take the runtime-lane fallback, which is slower
+ * but bit-identical.
  *
  * Every kernel keeps the scalar reference's per-accumulator
- * operation order — vectorization only spans independent lanes and
- * output positions — so the results match the scalar path bit for
- * bit (no FMA contraction exists at the x86-64 baseline or AVX
- * feature levels).
+ * operation order — vectorization only spans independent lanes,
+ * output positions and output channels — so the results match the
+ * scalar path bit for bit (no FMA contraction exists at the x86-64
+ * baseline or AVX feature levels).
  */
 
 #include "train/trial_batch.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -437,6 +440,174 @@ denseLanesGeneric(const float *__restrict in,
     }
 }
 
+/**
+ * The outputs x in [lo, hi) of a `count`-wide output row whose tap at
+ * offset `off` (= k - pad) lands inside an `extent`-wide input row:
+ * 0 <= x*stride + off < extent. Empty when lo >= hi.
+ */
+struct TapRange
+{
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+};
+
+TapRange
+validOutputs(std::int64_t off, std::uint32_t stride,
+             std::uint32_t extent, std::uint32_t count)
+{
+    TapRange range;
+    if (off < 0)
+        range.lo = (-off + stride - 1) / stride;
+    if (extent >= off + 1)
+        range.hi = (extent - 1 - off) / stride + 1;
+    range.hi = std::min<std::int64_t>(range.hi, count);
+    return range;
+}
+
+/**
+ * Input gradient over one lane block. FixedL != 0 fixes the lane
+ * count at compile time; FixedL == 0 reads it from `lanes`.
+ */
+template <std::uint32_t FixedL>
+RANA_TRIAL_CLONES void
+inputGradLanesImpl(const float *__restrict gout,
+                   const float *__restrict wt, float *__restrict gin,
+                   std::uint32_t in_channels, std::uint32_t h,
+                   std::uint32_t w, std::uint32_t out_channels,
+                   std::uint32_t r, std::uint32_t c,
+                   std::uint32_t kernel, std::uint32_t stride,
+                   std::uint32_t pad, std::uint32_t lanes)
+{
+    const std::size_t L = FixedL != 0 ? FixedL : lanes;
+    const std::size_t in_row = w * L;
+    const std::size_t in_plane = h * in_row;
+    const std::size_t out_row = c * L;
+    const std::size_t out_plane = r * out_row;
+    const std::size_t wt_kernel =
+        static_cast<std::size_t>(kernel) * kernel;
+    for (std::uint32_t n = 0; n < in_channels; ++n) {
+        float *gin_n = gin + n * in_plane;
+        for (std::uint32_t m = 0; m < out_channels; ++m) {
+            const float *gout_m = gout + m * out_plane;
+            const float *wt_mn =
+                wt + (static_cast<std::size_t>(m) * in_channels + n) *
+                         wt_kernel;
+            // Descending taps keep each gin element's terms in
+            // ascending (y, x) order.
+            for (std::uint32_t ky = kernel; ky-- > 0;) {
+                const std::int64_t off_y =
+                    static_cast<std::int64_t>(ky) - pad;
+                const TapRange ys = validOutputs(off_y, stride, h, r);
+                for (std::uint32_t kx = kernel; kx-- > 0;) {
+                    const std::int64_t off_x =
+                        static_cast<std::int64_t>(kx) - pad;
+                    const TapRange xs =
+                        validOutputs(off_x, stride, w, c);
+                    if (xs.lo >= xs.hi)
+                        continue;
+                    const float wv = wt_mn[ky * kernel + kx];
+                    for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
+                        float *dst =
+                            gin_n + (y * stride + off_y) * in_row;
+                        const float *src = gout_m + y * out_row;
+                        if (stride == 1) {
+                            // Consecutive x are adjacent: one span.
+                            float *__restrict d =
+                                dst + (xs.lo + off_x) * L;
+                            const float *__restrict g =
+                                src + xs.lo * L;
+                            const std::size_t span =
+                                (xs.hi - xs.lo) * L;
+                            for (std::size_t i = 0; i < span; ++i)
+                                d[i] += g[i] * wv;
+                        } else {
+                            for (std::int64_t x = xs.lo; x < xs.hi;
+                                 ++x) {
+                                float *__restrict d =
+                                    dst + (x * stride + off_x) * L;
+                                const float *__restrict g =
+                                    src + x * L;
+                                for (std::size_t l = 0; l < L; ++l)
+                                    d[l] += g[l] * wv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Weight and bias gradients into a transposed {N*K*K, M} weight
+ * gradient, from a transposed {B, R, C, M} output gradient. Scratch:
+ * `in_m` holds one sample's input with every value repeated M times
+ * ({N, H, W, M}), `g_taps` one output gradient repeated K times
+ * ({K, M}). With both, the taps of one kernel row are a single
+ * contiguous span in all three operands, whatever the stride.
+ */
+RANA_TRIAL_CLONES void
+weightGradImpl(const float *__restrict in, const float *__restrict gout,
+               float *__restrict gwt, float *__restrict gbias,
+               std::uint32_t batch, std::uint32_t in_channels,
+               std::uint32_t h, std::uint32_t w,
+               std::uint32_t out_channels, std::uint32_t r,
+               std::uint32_t c, std::uint32_t kernel,
+               std::uint32_t stride, std::uint32_t pad,
+               float *__restrict in_m, float *__restrict g_taps)
+{
+    const std::size_t M = out_channels;
+    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
+    const std::size_t in_sample = in_plane * in_channels;
+    const std::size_t wt_kernel =
+        static_cast<std::size_t>(kernel) * kernel;
+    const std::int64_t K = kernel;
+    for (std::uint32_t b = 0; b < batch; ++b) {
+        const float *in_b = in + b * in_sample;
+        for (std::size_t i = 0; i < in_sample; ++i)
+            for (std::size_t m = 0; m < M; ++m)
+                in_m[i * M + m] = in_b[i];
+        for (std::uint32_t y = 0; y < r; ++y) {
+            const std::int64_t base_y =
+                static_cast<std::int64_t>(y) * stride - pad;
+            const std::int64_t ky_lo = std::max<std::int64_t>(0, -base_y);
+            const std::int64_t ky_hi = std::min(K, h - base_y);
+            for (std::uint32_t x = 0; x < c; ++x) {
+                const std::int64_t base_x =
+                    static_cast<std::int64_t>(x) * stride - pad;
+                const std::int64_t kx_lo =
+                    std::max<std::int64_t>(0, -base_x);
+                const std::int64_t kx_hi = std::min(K, w - base_x);
+                const float *g =
+                    gout + ((static_cast<std::size_t>(b) * r + y) * c +
+                            x) *
+                               M;
+                for (std::size_t m = 0; m < M; ++m)
+                    gbias[m] += g[m];
+                if (kx_lo >= kx_hi)
+                    continue;
+                for (std::int64_t kx = 0; kx < K; ++kx)
+                    for (std::size_t m = 0; m < M; ++m)
+                        g_taps[kx * M + m] = g[m];
+                const std::size_t span = (kx_hi - kx_lo) * M;
+                for (std::uint32_t n = 0; n < in_channels; ++n) {
+                    const float *in_n = in_m + n * in_plane * M;
+                    float *gwt_n = gwt + n * wt_kernel * M;
+                    for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+                        float *__restrict a =
+                            gwt_n + (ky * K + kx_lo) * M;
+                        const float *__restrict s =
+                            in_n +
+                            ((base_y + ky) * w + base_x + kx_lo) * M;
+                        for (std::size_t i = 0; i < span; ++i)
+                            a[i] += g_taps[i] * s[i];
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 
 Tensor
@@ -507,18 +678,21 @@ quantizeTrialSpan(float *data, std::size_t count,
 {
     RANA_ASSERT(format.fracBits <= 15, "at most 15 fractional bits");
     const double scale = format.scale();
+    // The scale is a power of two, so multiplying by its reciprocal
+    // is exact and equals dividing by it.
+    const double inv_scale = 1.0 / scale;
     for (std::size_t i = 0; i < count; ++i) {
         // copysign(floor(|d| + 0.5), d) equals std::round(d), and
         // skipping the int16 hop is exact because the clamped value
-        // is already integral — both verified exhaustively over
-        // every float bit pattern against FixedPointFormat::
-        // quantize/dequantize.
+        // is already integral.
         const double d = static_cast<double>(data[i]) * scale;
         const double rounded =
             std::copysign(std::floor(std::fabs(d) + 0.5), d);
+        // Adding +0.0 turns a -0.0 result into +0.0, as the int16
+        // hop of roundTrip does (an int16 has no negative zero).
         const double clamped =
-            std::max(-32768.0, std::min(rounded, 32767.0));
-        data[i] = static_cast<float>(clamped / scale);
+            std::max(-32768.0, std::min(rounded, 32767.0)) + 0.0;
+        data[i] = static_cast<float>(clamped * inv_scale);
     }
 }
 
@@ -576,6 +750,71 @@ convolveTrialLanes(const float *in, const float *wt, const float *bias,
                              pad, lanes, acc.data());
         return;
     }
+}
+
+void
+convolveInputGradLanes(const float *gout, const float *wt, float *gin,
+                       std::uint32_t in_channels, std::uint32_t h,
+                       std::uint32_t w, std::uint32_t out_channels,
+                       std::uint32_t r, std::uint32_t c,
+                       std::uint32_t kernel, std::uint32_t stride,
+                       std::uint32_t pad, std::uint32_t lanes)
+{
+    auto run = [&](auto impl) {
+        impl(gout, wt, gin, in_channels, h, w, out_channels, r, c,
+             kernel, stride, pad, lanes);
+    };
+    switch (lanes) {
+      case 16:
+        return run(inputGradLanesImpl<16>);
+      case 8:
+        return run(inputGradLanesImpl<8>);
+      case 4:
+        return run(inputGradLanesImpl<4>);
+      case 2:
+        return run(inputGradLanesImpl<2>);
+      case 1:
+        return run(inputGradLanesImpl<1>);
+      default:
+        return run(inputGradLanesImpl<0>);
+    }
+}
+
+void
+convolveWeightGrad(const float *in, const float *gout,
+                   float *weight_grad, float *bias_grad,
+                   std::uint32_t batch, std::uint32_t in_channels,
+                   std::uint32_t h, std::uint32_t w,
+                   std::uint32_t out_channels, std::uint32_t r,
+                   std::uint32_t c, std::uint32_t kernel,
+                   std::uint32_t stride, std::uint32_t pad)
+{
+    // Output channels innermost on both sides: gout {B, M, R*C} ->
+    // {B, R*C, M} and weight_grad {M, N*K*K} -> {N*K*K, M}, then
+    // back. Transposing moves values without touching them.
+    const std::size_t M = out_channels;
+    const std::size_t out_plane = static_cast<std::size_t>(r) * c;
+    const std::size_t taps =
+        static_cast<std::size_t>(in_channels) * kernel * kernel;
+    std::vector<float> gout_t(batch * out_plane * M);
+    for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t m = 0; m < M; ++m)
+            for (std::size_t i = 0; i < out_plane; ++i)
+                gout_t[(b * out_plane + i) * M + m] =
+                    gout[(b * M + m) * out_plane + i];
+    std::vector<float> gwt_t(taps * M);
+    for (std::size_t m = 0; m < M; ++m)
+        for (std::size_t t = 0; t < taps; ++t)
+            gwt_t[t * M + m] = weight_grad[m * taps + t];
+    std::vector<float> in_m(static_cast<std::size_t>(in_channels) * h *
+                            w * M);
+    std::vector<float> g_taps(static_cast<std::size_t>(kernel) * M);
+    weightGradImpl(in, gout_t.data(), gwt_t.data(), bias_grad, batch,
+                   in_channels, h, w, out_channels, r, c, kernel,
+                   stride, pad, in_m.data(), g_taps.data());
+    for (std::size_t m = 0; m < M; ++m)
+        for (std::size_t t = 0; t < taps; ++t)
+            weight_grad[m * taps + t] = gwt_t[t * M + m];
 }
 
 void

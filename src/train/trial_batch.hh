@@ -1,6 +1,7 @@
 /**
  * @file
- * Trial-major batched forward pass for the fault campaign.
+ * Lane-major kernels: the trial-batched forward pass of the fault
+ * campaign, and the minibatch-as-lanes convolution of training.
  *
  * A campaign cell runs N independent corrupted forward passes over
  * the same test batch and the same shared weight store; only the
@@ -11,15 +12,25 @@
  * contiguous floats at a time and vectorizes across trials instead
  * of re-walking the network N times.
  *
+ * Training reuses the same layout with the lanes swapped for
+ * samples: Conv2dLayer packs its minibatch in blocks of 16/8/4/2
+ * samples that share one weight tensor, runs the forward through
+ * convolveTrialLanes and the input gradient through
+ * convolveInputGradLanes. The weight and bias gradients reduce over
+ * the minibatch, so convolveWeightGrad vectorizes over output
+ * channels instead.
+ *
  * Bit-exactness contract: for every lane, the batched pass performs
  * exactly the per-element operations of the scalar reference in
  * exactly the reference order. Vectorization only spans *independent*
- * accumulators (different lanes, different output positions), never
- * reorders the additions inside one accumulator, and the toolchain
- * target (x86-64 baseline / AVX via target_clones) has no FMA
- * contraction, so the batched campaign is bit-identical to the
- * scalar one for any lane count. The robustness test suite asserts
- * this across lane counts.
+ * accumulators (different lanes, different output positions,
+ * different output channels), never reorders the additions inside
+ * one accumulator, and the toolchain target (x86-64 baseline / AVX
+ * via target_clones) has no FMA contraction, so the batched campaign
+ * is bit-identical to the scalar one for any lane count, and
+ * training is bit-identical to the reference conv loop nests. The
+ * robustness suite asserts the former across lane counts; the
+ * TrainKernels suite asserts the latter against the reference loops.
  */
 
 #ifndef RANA_TRAIN_TRIAL_BATCH_HH_
@@ -89,10 +100,11 @@ Tensor packSampleLanes(const Tensor &batch,
                        const std::vector<std::uint32_t> &indices);
 
 /**
- * Quantize-dequantize every element in place; bit-identical to
- * quantizeTensor (verified exhaustively over all float bit
- * patterns), but with the format assertion hoisted out of the loop
- * and a branch-free rounding formulation the compiler vectorizes.
+ * Quantize-dequantize every element in place: bit-identical to
+ * FixedPointFormat::roundTrip for every non-NaN float (FixedPoint.
+ * SpanMatchesRoundTrip sweeps the bit patterns), but with the format
+ * assertion hoisted out of the loop and the rounding done inline
+ * instead of through std::round. quantizeTensor delegates here.
  */
 void quantizeTrialSpan(float *data, std::size_t count,
                        const FixedPointFormat &format);
@@ -117,6 +129,47 @@ void convolveTrialLanes(const float *in, const float *wt,
                         std::uint32_t c, std::uint32_t kernel,
                         std::uint32_t stride, std::uint32_t pad,
                         std::uint32_t lanes);
+
+/**
+ * Input gradient of a convolution over one lane block:
+ * grad_output {M, R, C, L}, scalar-layout weights {M, N, K, K}
+ * shared by every lane, grad_input {N, H, W, L} accumulated in
+ * place (+=).
+ *
+ * The reference loop nest runs (b, m, y, x, n, ky, kx), so each
+ * grad_input element receives its terms in (m, y, x) order. The
+ * kernel keeps that order with the taps walked backwards: for a
+ * fixed input row, descending ky visits ascending y, and descending
+ * kx ascending x. Invalid taps are clipped out of the y/x bounds, as
+ * in the forward kernels, so no padding term is ever added.
+ */
+void convolveInputGradLanes(const float *gout, const float *wt,
+                            float *gin, std::uint32_t in_channels,
+                            std::uint32_t h, std::uint32_t w,
+                            std::uint32_t out_channels,
+                            std::uint32_t r, std::uint32_t c,
+                            std::uint32_t kernel, std::uint32_t stride,
+                            std::uint32_t pad, std::uint32_t lanes);
+
+/**
+ * Weight and bias gradients of a convolution over an NCHW minibatch:
+ * input {B, N, H, W}, grad_output {B, M, R, C}, accumulated in place
+ * (+=) into weight_grad {M, N, K, K} and bias_grad {M}.
+ *
+ * Both reduce over the minibatch, so the kernel vectorizes over the
+ * output channels instead: it accumulates into a transposed
+ * {N*K*K, M} copy of weight_grad, walking (b, y, x) in the
+ * reference's order, so every accumulator still receives its terms
+ * in (b, y, x) order. Exactly the taps the reference skips are
+ * skipped (no zero padding, hence no +0/-0 sign changes).
+ */
+void convolveWeightGrad(const float *in, const float *gout,
+                        float *weight_grad, float *bias_grad,
+                        std::uint32_t batch, std::uint32_t in_channels,
+                        std::uint32_t h, std::uint32_t w,
+                        std::uint32_t out_channels, std::uint32_t r,
+                        std::uint32_t c, std::uint32_t kernel,
+                        std::uint32_t stride, std::uint32_t pad);
 
 /**
  * Lane-major dense layer: input {B, F, L}, packed weights {O, F, L},

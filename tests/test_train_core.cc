@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "train/dataset.hh"
 #include "train/error_injection.hh"
 #include "train/fixed_point.hh"
 #include "train/loss.hh"
 #include "train/tensor.hh"
+#include "train/trial_batch.hh"
 
 namespace rana {
 namespace {
@@ -72,6 +76,78 @@ TEST(FixedPoint, TensorQuantization)
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_FLOAT_EQ(t[i], format.roundTrip(t[i]));
     EXPECT_NEAR(t[2], format.maxValue(), 1e-3);
+}
+
+/** The float with bit pattern `bits`. */
+float
+fromBits(std::uint32_t bits)
+{
+    float value = 0.0f;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+TEST(FixedPoint, SpanMatchesRoundTrip)
+{
+    // quantizeTensor delegates to the vectorized quantizeTrialSpan;
+    // it must give roundTrip's exact bits, zero signs included. NaN is
+    // left out: roundTrip casts the NaN to int16, which is undefined
+    // behaviour, so there is no reference result to match.
+    std::vector<float> values;
+    for (std::uint64_t bits = 0; bits <= 0xffffffffULL; bits += 4099) {
+        const float v = fromBits(static_cast<std::uint32_t>(bits));
+        if (!std::isnan(v))
+            values.push_back(v);
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const float tiny = std::numeric_limits<float>::min();
+    for (float v : {0.0f, inf, denorm, tiny, tiny / 2.0f,
+                    std::numeric_limits<float>::max()}) {
+        values.push_back(v);
+        values.push_back(-v);
+    }
+    for (std::uint32_t frac_bits : {0u, 8u, 12u, 15u}) {
+        const FixedPointFormat format{frac_bits};
+        std::vector<float> cases = values;
+        const double step = 1.0 / format.scale();
+        for (double k : {0.0, 1.0, 2.0, 3.0, 1000.0, 32766.0, 32767.0,
+                         32768.0, 32769.0}) {
+            // Half-steps (ties round away from zero), their float
+            // neighbours, and the saturation boundaries.
+            for (double sign : {1.0, -1.0}) {
+                const auto half =
+                    static_cast<float>(sign * (k + 0.5) * step);
+                const auto whole = static_cast<float>(sign * k * step);
+                for (float v : {half, whole}) {
+                    cases.push_back(v);
+                    cases.push_back(std::nextafter(v, inf));
+                    cases.push_back(std::nextafter(v, -inf));
+                }
+            }
+        }
+        std::vector<float> span = cases;
+        quantizeTrialSpan(span.data(), span.size(), format);
+        Tensor tensor({static_cast<std::uint32_t>(cases.size())});
+        std::memcpy(tensor.data(), cases.data(),
+                    cases.size() * sizeof(float));
+        quantizeTensor(tensor, format);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const float want = format.roundTrip(cases[i]);
+            if (std::memcmp(&span[i], &want, sizeof(want)) != 0 ||
+                std::memcmp(&tensor[i], &want, sizeof(want)) != 0) {
+                if (++mismatches <= 5) {
+                    ADD_FAILURE() << "fracBits " << frac_bits
+                                  << ": input " << cases[i]
+                                  << " span " << span[i] << " tensor "
+                                  << tensor[i] << " roundTrip "
+                                  << want;
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "fracBits " << frac_bits;
+    }
 }
 
 TEST(ErrorInjection, ZeroRateIsIdentity)

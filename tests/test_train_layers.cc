@@ -2,14 +2,21 @@
  * @file
  * Gradient and shape tests for the training-framework layers: every
  * differentiable layer is verified against central finite
- * differences on random small tensors.
+ * differences on random small tensors. The TrainKernels suite pins
+ * the convolution's forward and backward bit for bit against the
+ * reference loop nests they replaced, and the backward passes die
+ * on gradients that do not match the last training forward.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <sstream>
 
+#include "train/error_injection.hh"
 #include "train/layers.hh"
 #include "train/loss.hh"
 #include "util/random.hh"
@@ -271,6 +278,410 @@ TEST(LayerShapes, ParamsEnumerateAllLayers)
     net.add(std::make_unique<DenseLayer>(4, 2, rng));
     // conv weights+bias, dense weights+bias.
     EXPECT_EQ(net.params().size(), 4u);
+}
+
+// ---------------------------------------------------------------
+// TrainKernels: Conv2dLayer against the reference loop nests
+// ---------------------------------------------------------------
+
+/**
+ * Reference conv forward: the scalar loop nest Conv2dLayer::forward
+ * ran over the whole minibatch before the lane kernels.
+ */
+void
+referenceConvolveForward(const float *in, const float *wt,
+                         const float *bias, float *out,
+                         std::uint32_t batch, std::uint32_t in_channels,
+                         std::uint32_t h, std::uint32_t w,
+                         std::uint32_t out_channels, std::uint32_t r,
+                         std::uint32_t c, std::uint32_t kernel,
+                         std::uint32_t stride, std::uint32_t pad)
+{
+    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
+    const std::size_t in_sample = in_plane * in_channels;
+    const std::size_t out_plane = static_cast<std::size_t>(r) * c;
+    const std::size_t wt_kernel =
+        static_cast<std::size_t>(kernel) * kernel;
+    std::vector<float> acc_buf(c);
+    float *acc = acc_buf.data();
+    for (std::uint32_t b = 0; b < batch; ++b) {
+        for (std::uint32_t m = 0; m < out_channels; ++m) {
+            float *out_m = out + (b * out_channels + m) * out_plane;
+            const float *wt_m = wt + m * in_channels * wt_kernel;
+            const float bias_m = bias[m];
+            for (std::uint32_t y = 0; y < r; ++y) {
+                const std::int64_t base_y =
+                    static_cast<std::int64_t>(y) * stride - pad;
+                for (std::uint32_t x = 0; x < c; ++x)
+                    acc[x] = bias_m;
+                for (std::uint32_t n = 0; n < in_channels; ++n) {
+                    const float *in_n =
+                        in + b * in_sample + n * in_plane;
+                    const float *wt_n = wt_m + n * wt_kernel;
+                    for (std::uint32_t ky = 0; ky < kernel; ++ky) {
+                        const std::int64_t in_y = base_y + ky;
+                        if (in_y < 0 || in_y >= h)
+                            continue;
+                        const float *in_row = in_n + in_y * w;
+                        const float *wt_row = wt_n + ky * kernel;
+                        for (std::uint32_t kx = 0; kx < kernel;
+                             ++kx) {
+                            // Valid x satisfy 0 <= x*stride + off < w.
+                            const std::int64_t off =
+                                static_cast<std::int64_t>(kx) - pad;
+                            std::int64_t x_lo = 0;
+                            if (off < 0) {
+                                x_lo = (-off + stride - 1) / stride;
+                            }
+                            std::int64_t x_hi = 0;
+                            if (w >= off + 1) {
+                                x_hi = (w - 1 - off) / stride + 1;
+                            }
+                            x_hi = std::min<std::int64_t>(x_hi, c);
+                            if (x_lo >= x_hi)
+                                continue;
+                            const float wv = wt_row[kx];
+                            if (stride == 1) {
+                                const float *src = in_row + off;
+                                for (std::int64_t x = x_lo; x < x_hi;
+                                     ++x)
+                                    acc[x] += src[x] * wv;
+                            } else {
+                                for (std::int64_t x = x_lo; x < x_hi;
+                                     ++x)
+                                    acc[x] +=
+                                        in_row[x * stride + off] * wv;
+                            }
+                        }
+                    }
+                }
+                float *out_row = out_m + static_cast<std::size_t>(y) * c;
+                for (std::uint32_t x = 0; x < c; ++x)
+                    out_row[x] = acc[x];
+            }
+        }
+    }
+}
+
+/**
+ * Reference conv backward: the scalar loop nest of the former
+ * Conv2dLayer::backward, with the layer members as parameters.
+ * Accumulates into gin, gwt and gbias (+=).
+ */
+void
+referenceConvolveBackward(const float *in, const float *wt,
+                          const float *gout, float *gin, float *gwt,
+                          float *gbias, std::uint32_t batch,
+                          std::uint32_t in_channels, std::uint32_t h,
+                          std::uint32_t w, std::uint32_t out_channels,
+                          std::uint32_t r, std::uint32_t c,
+                          std::uint32_t kernel, std::uint32_t stride,
+                          std::uint32_t pad)
+{
+    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
+    const std::size_t in_sample = in_plane * in_channels;
+    const std::size_t out_plane = static_cast<std::size_t>(r) * c;
+    const std::size_t wt_kernel =
+        static_cast<std::size_t>(kernel) * kernel;
+    for (std::uint32_t b = 0; b < batch; ++b) {
+        for (std::uint32_t m = 0; m < out_channels; ++m) {
+            const float *gout_row =
+                gout + (b * out_channels + m) * out_plane;
+            const float *wt_m = wt + m * in_channels * wt_kernel;
+            float *gwt_m = gwt + m * in_channels * wt_kernel;
+            for (std::uint32_t y = 0; y < r; ++y) {
+                for (std::uint32_t x = 0; x < c; ++x) {
+                    const float g = gout_row[y * c + x];
+                    gbias[m] += g;
+                    const std::int64_t base_y =
+                        static_cast<std::int64_t>(y) * stride - pad;
+                    const std::int64_t base_x =
+                        static_cast<std::int64_t>(x) * stride - pad;
+                    for (std::uint32_t n = 0; n < in_channels; ++n) {
+                        const float *in_n =
+                            in + b * in_sample + n * in_plane;
+                        float *gin_n =
+                            gin + b * in_sample + n * in_plane;
+                        const float *wt_n = wt_m + n * wt_kernel;
+                        float *gwt_n = gwt_m + n * wt_kernel;
+                        for (std::uint32_t ky = 0; ky < kernel; ++ky) {
+                            const std::int64_t in_y = base_y + ky;
+                            if (in_y < 0 || in_y >= h)
+                                continue;
+                            const float *in_row = in_n + in_y * w;
+                            float *gin_row = gin_n + in_y * w;
+                            const float *wt_row = wt_n + ky * kernel;
+                            float *gwt_row = gwt_n + ky * kernel;
+                            for (std::uint32_t kx = 0; kx < kernel;
+                                 ++kx) {
+                                const std::int64_t in_x = base_x + kx;
+                                if (in_x < 0 || in_x >= w)
+                                    continue;
+                                gwt_row[kx] += g * in_row[in_x];
+                                gin_row[in_x] += g * wt_row[kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** One conv layer configuration and how its operands are built. */
+struct ConvCase
+{
+    std::uint32_t batch;
+    std::uint32_t inChannels;
+    std::uint32_t outChannels;
+    std::uint32_t h;
+    std::uint32_t w;
+    std::uint32_t kernel;
+    std::uint32_t stride;
+    std::uint32_t pad;
+    /** Quantize the operands (Q3.12). */
+    bool quantized = false;
+    /** Bit failure rate of the injector (needs `quantized`). */
+    double rate = 0.0;
+    /**
+     * Inputs and pre-filled gradients all -0.0, output gradients all
+     * positive: a kernel that added zero-padding taps would turn
+     * some -0.0 weight gradients into +0.0.
+     */
+    bool negativeZeros = false;
+
+    std::string describe() const
+    {
+        std::ostringstream oss;
+        oss << "B" << batch << " N" << inChannels << " M" << outChannels
+            << " " << h << "x" << w << " k" << kernel << " s" << stride
+            << " p" << pad << (quantized ? " quant" : "")
+            << " rate " << rate << (negativeZeros ? " -0" : "");
+        return oss.str();
+    }
+};
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
+}
+
+/**
+ * Run Conv2dLayer::forward and ::backward on `cc` and the reference
+ * loop nests on the same effective operands (same injector seed, so
+ * the same draws); compare output, input gradient, weight gradient
+ * and bias gradient bit for bit. The parameter gradients are
+ * pre-filled, pinning the += semantics.
+ */
+void
+checkConvAgainstReference(const ConvCase &cc)
+{
+    SCOPED_TRACE(cc.describe());
+    Rng rng(cc.batch * 7919 + cc.kernel * 131 + cc.stride * 17 + cc.pad);
+    Conv2dLayer layer(cc.inChannels, cc.outChannels, cc.kernel,
+                      cc.stride, cc.pad, rng);
+    const std::vector<Param> params = layer.params();
+    Tensor &weights = *params[0].value;
+    Tensor &bias = *params[1].value;
+    randomize(bias, rng);
+    Tensor input({cc.batch, cc.inChannels, cc.h, cc.w});
+    if (cc.negativeZeros) {
+        input.fill(-0.0f);
+    } else {
+        randomize(input, rng);
+        // Exact zeros of both signs, as ReLU outputs carry.
+        for (std::size_t i = 0; i < input.size(); i += 5)
+            input[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    }
+
+    const FixedPointFormat format{12};
+    const std::uint64_t seed = 0x5eed + cc.batch;
+    BitErrorInjector injector(cc.rate, seed);
+    ForwardContext ctx;
+    ctx.training = true;
+    ctx.quant = cc.quantized ? &format : nullptr;
+    ctx.injector = cc.rate > 0.0 ? &injector : nullptr;
+    const Tensor out = layer.forward(input, ctx);
+
+    BitErrorInjector ref_injector(cc.rate, seed);
+    ForwardContext ref_ctx = ctx;
+    ref_ctx.injector = cc.rate > 0.0 ? &ref_injector : nullptr;
+    const Tensor eff_input = effectiveOperand(input, ref_ctx);
+    const std::optional<Tensor> corrupted =
+        corruptedWeights(weights, ref_ctx);
+    const Tensor &eff_weights = corrupted ? *corrupted : weights;
+    const std::uint32_t r = (cc.h + 2 * cc.pad - cc.kernel) / cc.stride + 1;
+    const std::uint32_t c = (cc.w + 2 * cc.pad - cc.kernel) / cc.stride + 1;
+    Tensor ref_out({cc.batch, cc.outChannels, r, c});
+    referenceConvolveForward(eff_input.data(), eff_weights.data(),
+                             bias.data(), ref_out.data(), cc.batch,
+                             cc.inChannels, cc.h, cc.w, cc.outChannels,
+                             r, c, cc.kernel, cc.stride, cc.pad);
+    EXPECT_TRUE(sameBits(out, ref_out)) << "forward output";
+
+    Tensor grad_out(out.shape());
+    randomize(grad_out, rng);
+    for (std::size_t i = 0; i < grad_out.size(); i += 7)
+        grad_out[i] = 0.0f;
+    if (cc.negativeZeros) {
+        // Positive gradients times -0.0 inputs: every valid tap adds
+        // -0.0, which leaves a -0.0 accumulator alone; a padding tap
+        // would add +0.0 and flip it.
+        for (std::size_t i = 0; i < grad_out.size(); ++i)
+            grad_out[i] = 0.5f + std::abs(grad_out[i]);
+    }
+    for (Param param : params) {
+        if (cc.negativeZeros) {
+            param.grad->fill(-0.0f);
+        } else {
+            randomize(*param.grad, rng);
+        }
+    }
+    Tensor ref_gwt = *params[0].grad;
+    Tensor ref_gbias = *params[1].grad;
+    const Tensor grad_in = layer.backward(grad_out);
+    Tensor ref_gin(input.shape());
+    referenceConvolveBackward(eff_input.data(), eff_weights.data(),
+                              grad_out.data(), ref_gin.data(),
+                              ref_gwt.data(), ref_gbias.data(),
+                              cc.batch, cc.inChannels, cc.h, cc.w,
+                              cc.outChannels, r, c, cc.kernel,
+                              cc.stride, cc.pad);
+    EXPECT_TRUE(sameBits(grad_in, ref_gin)) << "input gradient";
+    EXPECT_TRUE(sameBits(*params[0].grad, ref_gwt)) << "weight gradient";
+    EXPECT_TRUE(sameBits(*params[1].grad, ref_gbias)) << "bias gradient";
+}
+
+TEST(TrainKernels, GeometrySweepMatchesReference)
+{
+    // Kernel 1/3/5, stride 1/2, pad 0-2 on odd, non-square maps; the
+    // odd channel count exercises both paired and single output
+    // channels of the lane kernel.
+    for (std::uint32_t kernel : {1u, 3u, 5u})
+        for (std::uint32_t stride : {1u, 2u})
+            for (std::uint32_t pad : {0u, 1u, 2u})
+                for (std::uint32_t batch : {1u, 3u, 17u})
+                    checkConvAgainstReference(
+                        {batch, 3, 5, 7, 9, kernel, stride, pad});
+}
+
+TEST(TrainKernels, BatchSweepMatchesReference)
+{
+    // Every split of the minibatch into 16/8/4/2 lane blocks plus a
+    // lone sample, on a wide-row shape and a strided padded one.
+    for (std::uint32_t batch : {1u, 2u, 3u, 15u, 16u, 17u, 32u, 33u,
+                                128u}) {
+        checkConvAgainstReference({batch, 4, 8, 9, 9, 3, 1, 1});
+        checkConvAgainstReference({batch, 2, 3, 11, 11, 5, 2, 2});
+    }
+}
+
+TEST(TrainKernels, QuantizedAndInjectedOperandsMatchReference)
+{
+    for (std::uint32_t batch : {1u, 17u, 33u}) {
+        ConvCase cc{batch, 4, 8, 9, 9, 3, 1, 1};
+        cc.quantized = true;
+        checkConvAgainstReference(cc);
+        // Sparse (1e-3) and dense (2e-2) injector paths.
+        for (double rate : {1e-3, 2e-2}) {
+            cc.rate = rate;
+            checkConvAgainstReference(cc);
+        }
+    }
+}
+
+TEST(TrainKernels, SignedZeroGradientsMatchReference)
+{
+    for (std::uint32_t pad : {1u, 2u}) {
+        ConvCase cc{19, 2, 4, 7, 7, 3, 1, pad};
+        cc.negativeZeros = true;
+        checkConvAgainstReference(cc);
+        cc.stride = 2;
+        checkConvAgainstReference(cc);
+    }
+}
+
+// ---------------------------------------------------------------
+// Backward shape guards
+// ---------------------------------------------------------------
+
+TEST(LayerBackwardDeathTest, ConvWithoutTrainingForward)
+{
+    Rng rng(21);
+    Conv2dLayer layer(2, 3, 3, 1, 1, rng);
+    Tensor input({2, 2, 5, 5});
+    ForwardContext eval;
+    eval.training = false;
+    const Tensor out = layer.forward(input, eval);
+    EXPECT_DEATH(layer.backward(out), "conv backward");
+}
+
+TEST(LayerBackwardDeathTest, ConvMismatchedGradient)
+{
+    Rng rng(22);
+    Conv2dLayer layer(2, 3, 3, 1, 1, rng);
+    ForwardContext train;
+    train.training = true;
+    layer.forward(Tensor({2, 2, 5, 5}), train);
+    // A later eval forward on a bigger batch leaves the training
+    // state in place; its output shape is not accepted.
+    ForwardContext eval;
+    eval.training = false;
+    const Tensor out = layer.forward(Tensor({4, 2, 5, 5}), eval);
+    EXPECT_DEATH(layer.backward(out), "conv backward");
+}
+
+TEST(LayerBackwardDeathTest, ReluMismatchedGradient)
+{
+    ReluLayer relu;
+    ForwardContext train;
+    train.training = true;
+    relu.forward(Tensor({2, 3}), train);
+    EXPECT_DEATH(relu.backward(Tensor({2, 4})), "relu backward");
+    ReluLayer fresh;
+    EXPECT_DEATH(fresh.backward(Tensor({2, 3})), "relu backward");
+}
+
+TEST(LayerBackwardDeathTest, MaxPoolMismatchedGradient)
+{
+    MaxPool2dLayer pool;
+    ForwardContext train;
+    train.training = true;
+    pool.forward(Tensor({1, 2, 4, 4}), train);
+    EXPECT_DEATH(pool.backward(Tensor({1, 2, 4, 4})),
+                 "maxpool backward");
+    MaxPool2dLayer fresh;
+    EXPECT_DEATH(fresh.backward(Tensor({1, 2, 2, 2})),
+                 "maxpool backward");
+}
+
+TEST(LayerBackwardDeathTest, DenseMismatchedGradient)
+{
+    Rng rng(23);
+    DenseLayer dense(6, 4, rng);
+    ForwardContext train;
+    train.training = true;
+    dense.forward(Tensor({3, 6}), train);
+    EXPECT_DEATH(dense.backward(Tensor({5, 4})), "dense backward");
+    DenseLayer fresh(6, 4, rng);
+    EXPECT_DEATH(fresh.backward(Tensor({3, 4})), "dense backward");
+}
+
+TEST(LayerBackwardGuard, MatchingGradientIsAccepted)
+{
+    Rng rng(24);
+    Conv2dLayer layer(2, 3, 3, 1, 1, rng);
+    ForwardContext train;
+    train.training = true;
+    const Tensor out = layer.forward(Tensor({2, 2, 5, 5}), train);
+    // Eval forwards in between do not move the training state.
+    ForwardContext eval;
+    eval.training = false;
+    layer.forward(Tensor({4, 2, 5, 5}), eval);
+    EXPECT_EQ(layer.backward(out).shape(), Tensor({2, 2, 5, 5}).shape());
 }
 
 } // namespace
