@@ -6,7 +6,7 @@
  *
  * Sweeps the RANA(E-5) design on AlexNet across four retraining
  * failure rates and three refresh intervals, 100 trials per cell
- * (--trials or RANA_CAMPAIGN_TRIALS overrides), and reports the
+ * (--trials overrides), and reports the
  * p5/p50/p95/worst relative-accuracy band per cell. Emits the
  * machine-readable BENCH_fault_campaign.json consumed by the CI
  * regression gate (tools/check_bench.py): the gated statistics are
@@ -17,9 +17,8 @@
  *
  * The corrupted forwards inside each cell run trial-major batches
  * (FaultCampaignConfig::laneBlock trials per batched pass over the
- * fixed-point kernels); RANA_CAMPAIGN_LANE_BLOCK overrides the lane
- * count, and =1 selects the scalar reference path for baseline
- * measurements. Results are bit-identical for any lane count.
+ * fixed-point kernels). Results are bit-identical for any lane
+ * count.
  *
  * A second section compares the three guard decision policies
  * (permanent, hysteresis, binned) at the gate operating point under
@@ -35,7 +34,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "robust/campaign_sweep.hh"
 #include "util/ascii_chart.hh"
@@ -193,13 +191,6 @@ runFaultCampaignBench(rana::bench::BenchContext &ctx)
                                               .seed(3)
                                               .dataset(dataset)
                                               .trainer(trainer);
-    // =1 runs the scalar reference path (the pre-batching baseline
-    // for the campaign_throughput gate); results are bit-identical
-    // for any lane count.
-    if (const char *env = std::getenv("RANA_CAMPAIGN_LANE_BLOCK")) {
-        campaign.laneBlock(static_cast<std::uint32_t>(
-            std::max(1, std::atoi(env))));
-    }
     config.campaign = campaign.build();
 
     const DesignPoint design =

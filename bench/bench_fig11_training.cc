@@ -9,12 +9,10 @@
  * model zoo (see DESIGN.md); the experiment's shape — no loss at
  * 1e-5, gradual decay from 1e-4 — is what this harness checks.
  *
- * Set RANA_FAST=1 for a quick low-fidelity run.
+ * Pass --fast for a quick low-fidelity run.
  */
 
 #include "harness.hh"
-
-#include <cstdlib>
 
 #include "train/trainer.hh"
 

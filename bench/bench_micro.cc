@@ -163,7 +163,7 @@ BM_TrainingStep(benchmark::State &state)
     BitErrorInjector injector(1e-5, 11);
     ForwardContext ctx;
     ctx.quant = &format;
-    ctx.injector = &injector;
+    ctx.injectors = {&injector};
     for (auto _ : state) {
         optimizer.zeroGrad();
         const Tensor logits = model->forward(batch.images, ctx);

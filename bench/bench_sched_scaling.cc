@@ -17,8 +17,8 @@
  * hardware width, as a same-run ratio, and asserts that both runs
  * produce the identical ExecutionResult.
  *
- * --repeat (or RANA_SCHED_REPEAT) overrides the per-point repetition
- * count (default 3, best-of is reported).
+ * --repeat overrides the per-point repetition count (default 3,
+ * best-of is reported).
  */
 
 #include "harness.hh"
@@ -38,10 +38,10 @@ using namespace rana;
 /** Best-of-N wall-clock seconds of one scheduleNetwork call. */
 double
 timeSchedule(const AcceleratorConfig &config, const NetworkModel &net,
-             const SchedulerOptions &options, int repeat)
+             const SchedulerOptions &options, std::uint32_t repeat)
 {
     double best = 1e300;
-    for (int i = 0; i < repeat; ++i) {
+    for (std::uint32_t i = 0; i < repeat; ++i) {
         const auto start = std::chrono::steady_clock::now();
         const NetworkSchedule schedule =
             scheduleNetworkOrDie(config, net, options);
@@ -58,11 +58,11 @@ timeSchedule(const AcceleratorConfig &config, const NetworkModel &net,
 /** Best-of-N wall-clock seconds of one executeScheduleChecked call. */
 double
 timeExecute(const DesignPoint &design, const NetworkModel &net,
-            const NetworkSchedule &schedule, int repeat,
+            const NetworkSchedule &schedule, std::uint32_t repeat,
             ExecutionResult &result)
 {
     double best = 1e300;
-    for (int i = 0; i < repeat; ++i) {
+    for (std::uint32_t i = 0; i < repeat; ++i) {
         const auto start = std::chrono::steady_clock::now();
         result =
             executeScheduleChecked(design, net, schedule).valueOrDie();
@@ -113,7 +113,7 @@ runSchedScaling(rana::bench::BenchContext &ctx)
 
     const AcceleratorConfig config = testAcceleratorEdram();
     const NetworkModel net = makeVgg16();
-    const int repeat = ctx.repeat > 0 ? ctx.repeat : 3;
+    const std::uint32_t repeat = ctx.repeat > 0 ? ctx.repeat : 3;
 
     std::vector<unsigned> lanes = {1, 2, 4};
     const unsigned hw = hardwareJobs();

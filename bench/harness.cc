@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <regex>
 
@@ -125,14 +124,8 @@ benchMain(int argc, char **argv)
     bool list = false;
     cli::CommonOptions options;
     std::uint32_t trials = 0;
-    int repeat = 0;
-    bool fast = std::getenv("RANA_FAST") != nullptr;
-    // Legacy per-binary environment knobs stay honored so existing
-    // run scripts keep working for one release.
-    if (const char *env = std::getenv("RANA_CAMPAIGN_TRIALS"))
-        trials = static_cast<std::uint32_t>(std::max(1, std::atoi(env)));
-    if (const char *env = std::getenv("RANA_SCHED_REPEAT"))
-        repeat = std::max(1, std::atoi(env));
+    std::uint32_t repeat = 0;
+    bool fast = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -158,10 +151,17 @@ benchMain(int argc, char **argv)
                 return 1;
             }
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = static_cast<std::uint32_t>(
-                std::max(1, std::atoi(arg.c_str() + 9)));
+            const Result<std::uint32_t> count =
+                cli::parseCount<std::uint32_t>("--trials", arg.substr(9));
+            if (!count.ok())
+                return cli::fail("rana_bench", count.error());
+            trials = count.value();
         } else if (arg.rfind("--repeat=", 0) == 0) {
-            repeat = std::max(1, std::atoi(arg.c_str() + 9));
+            const Result<std::uint32_t> count =
+                cli::parseCount<std::uint32_t>("--repeat", arg.substr(9));
+            if (!count.ok())
+                return cli::fail("rana_bench", count.error());
+            repeat = count.value();
         } else if (arg == "--fast") {
             fast = true;
         } else if (arg == "--help" || arg == "-h") {

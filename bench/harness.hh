@@ -80,7 +80,7 @@ class BenchContext
     /** --trials override; 0 keeps the harness default. */
     std::uint32_t trials = 0;
     /** --repeat override; 0 keeps the harness default. */
-    int repeat = 0;
+    std::uint32_t repeat = 0;
     /** --fast: low-fidelity run where the harness supports one. */
     bool fast = false;
 

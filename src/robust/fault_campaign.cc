@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/experiments.hh"
@@ -54,9 +53,9 @@ typeRefreshed(RefreshPolicy policy, const LayerSchedule &layer,
 }
 
 /**
- * Scalar reference: the corrupted forward pass and accuracy of one
- * trial, exactly as the pre-batching campaign ran it. Serves the
- * laneBlock=1 path and the RANA_BENCH_VERIFY parity check.
+ * Reference path: the corrupted forward pass and accuracy of one
+ * trial as a 1-lane forward over the test batch. Serves the
+ * laneBlock=1 path, the reference of the batched one.
  */
 double
 scalarTrialAccuracy(Layer &skeleton, const CampaignModel &model,
@@ -68,8 +67,8 @@ scalarTrialAccuracy(Layer &skeleton, const CampaignModel &model,
                                      trial.seed * 2 + 2);
     ForwardContext ctx;
     ctx.quant = &model.format;
-    ctx.injector = &act_injector;
-    ctx.weightInjector = &weight_injector;
+    ctx.injectors = {&act_injector};
+    ctx.weightInjectors = {&weight_injector};
     ctx.weightsPreQuantized = true;
     ctx.training = false;
     const Tensor logits = skeleton.forward(model.test.images, ctx);
@@ -101,15 +100,16 @@ batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
         weight_injectors.emplace_back(trial.weightFailureRate,
                                       trial.seed * 2 + 2);
     }
-    TrialForwardContext ctx;
+    ForwardContext ctx;
     ctx.quant = &model.format;
     ctx.weightsPreQuantized = true;
+    ctx.training = false;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         ctx.injectors.push_back(&act_injectors[l]);
         ctx.weightInjectors.push_back(&weight_injectors[l]);
     }
     const Tensor stacked = packTrialLanes(model.test.images, lanes);
-    const Tensor logits = skeleton.forwardTrials(stacked, ctx);
+    const Tensor logits = skeleton.forward(stacked, ctx);
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const Tensor lane_logits = extractTrialLane(logits, l);
         const LossResult loss =
@@ -394,20 +394,6 @@ runPreparedCampaign(const DesignPoint &design,
             batchedBlockAccuracies(*skeleton, model, report.trials,
                                    first, lanes);
         });
-        // Opt-in parity assertion: re-run every trial through the
-        // scalar reference and require bit-equal accuracies.
-        const char *verify = std::getenv("RANA_BENCH_VERIFY");
-        if (verify != nullptr && verify == std::string("1")) {
-            parallelFor(config.trials, jobs, [&](std::size_t trial) {
-                const double scalar = scalarTrialAccuracy(
-                    *skeleton, model, report.trials[trial]);
-                RANA_ASSERT(scalar == report.trials[trial].accuracy,
-                            "batched trial ", trial,
-                            " diverged from the scalar path: ",
-                            report.trials[trial].accuracy, " vs ",
-                            scalar);
-            });
-        }
     }
     for (TrialResult &trial : report.trials) {
         trial.relativeAccuracy =

@@ -598,9 +598,10 @@ ServingSimulation::run(unsigned jobs_override,
 
             std::vector<BitErrorInjector> act;
             std::vector<BitErrorInjector> weight;
-            TrialForwardContext ctx;
+            ForwardContext ctx;
             ctx.quant = &model.format;
             ctx.weightsPreQuantized = true;
+            ctx.training = false;
             if (batch.corrupted) {
                 act.reserve(lanes);
                 weight.reserve(lanes);
@@ -626,7 +627,7 @@ ServingSimulation::run(unsigned jobs_override,
             const Tensor stacked =
                 packSampleLanes(model.test.images, samples);
             const Tensor logits =
-                model.skeleton->forwardTrials(stacked, ctx);
+                model.skeleton->forward(stacked, ctx);
             correct[b].resize(lanes, 0);
             for (std::uint32_t l = 0; l < lanes; ++l) {
                 const Tensor lane = extractTrialLane(logits, l);

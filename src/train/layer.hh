@@ -4,20 +4,24 @@
  *
  * Layers implement forward/backward with cached activations. The
  * ForwardContext carries the fixed-point quantization format and the
- * retention-error injector: when present, every weighted layer
+ * retention-error injectors: when present, every weighted layer
  * quantizes its input and weights to 16-bit fixed point and injects
  * bit-level retention failures before computing, exactly as the
  * retention-aware training method prescribes (a mask on each layer's
  * inputs and weights, Figure 9). Gradients flow through the
  * corrupted values (straight-through estimation), and the optimizer
  * updates the float master weights.
+ *
+ * One forward serves training, the fault campaign's trials and the
+ * serving engine's requests: it runs one or more *lanes*, each with
+ * its own injector pair, over lane-major tensors (see
+ * train/trial_batch.hh).
  */
 
 #ifndef RANA_TRAIN_LAYER_HH_
 #define RANA_TRAIN_LAYER_HH_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,22 +32,25 @@
 
 namespace rana {
 
-struct TrialForwardContext;
-
 /** Per-forward-pass execution options. */
 struct ForwardContext
 {
     /** Quantize operands to fixed point (16-bit hardware model). */
     const FixedPointFormat *quant = nullptr;
-    /** Inject retention failures into quantized operands. */
-    BitErrorInjector *injector = nullptr;
     /**
-     * Separate injector for weight operands (nullptr: weights use
-     * `injector` like everything else). The fault campaign uses this
-     * because weight and activation banks see different exposure
-     * times, hence different effective failure rates.
+     * Per-lane activation injectors; their number is the lane count
+     * (empty: one lane without injection; a null entry: no injection
+     * on that lane).
      */
-    BitErrorInjector *weightInjector = nullptr;
+    std::vector<BitErrorInjector *> injectors;
+    /**
+     * Per-lane weight injectors (empty, or a null entry: the lane's
+     * weights use its activation injector like everything else). The
+     * fault campaign sets these because weight and activation banks
+     * see different exposure times, hence different effective
+     * failure rates.
+     */
+    std::vector<BitErrorInjector *> weightInjectors;
     /**
      * The model's weight tensors are already in the fixed-point
      * format `quant` (a pre-quantized shared weight store), so the
@@ -56,6 +63,14 @@ struct ForwardContext
     bool weightsPreQuantized = false;
     /** Whether activations are cached for a following backward. */
     bool training = true;
+
+    /** Number of lanes fused into the pass. */
+    std::uint32_t lanes() const
+    {
+        return injectors.empty()
+                   ? 1
+                   : static_cast<std::uint32_t>(injectors.size());
+    }
 };
 
 /** One learnable parameter with its gradient accumulator. */
@@ -105,20 +120,17 @@ class Layer
   public:
     virtual ~Layer() = default;
 
-    /** Compute the layer's output for `input` under `ctx`. */
+    /**
+     * Compute the layer's output for `input` under `ctx`. `input` is
+     * the layer's batch shape {...} (one lane) or that shape plus a
+     * trailing lane dimension {..., L} with L = ctx.lanes(); the
+     * output keeps the input's form. One lane has the same layout
+     * either way. Per lane the result is bit-identical to a 1-lane
+     * forward with that lane's injectors. Training forwards run one
+     * lane.
+     */
     virtual Tensor forward(const Tensor &input,
                            const ForwardContext &ctx) = 0;
-
-    /**
-     * Eval-mode forward over a lane-major trial batch: `input`
-     * carries the scalar shape plus a trailing lane dimension, and
-     * `ctx` one injector pair per lane (see train/trial_batch.hh).
-     * Per lane the result is bit-identical to forward() with the
-     * lane's injectors. The base implementation panics; every
-     * campaign-reachable layer overrides it.
-     */
-    virtual Tensor forwardTrials(const Tensor &input,
-                                 const TrialForwardContext &ctx);
 
     /**
      * Back-propagate `grad_output`, accumulating parameter
@@ -156,32 +168,6 @@ using WeightStore = std::shared_ptr<const std::vector<Tensor>>;
  * store's tensor count and shapes match the model exactly.
  */
 void bindSharedWeights(Layer &model, const std::vector<Tensor> &store);
-
-/**
- * Apply the context's quantization and error injection to an
- * operand, returning the effective (possibly corrupted) tensor the
- * hardware would compute with.
- */
-Tensor effectiveOperand(const Tensor &operand,
-                        const ForwardContext &ctx);
-
-/**
- * Like effectiveOperand, but for weight operands: uses the context's
- * weightInjector when one is set.
- */
-Tensor effectiveWeights(const Tensor &weights,
-                        const ForwardContext &ctx);
-
-/**
- * Copy-on-corrupt weight transformation: returns the quantized /
- * corrupted private copy the hardware would compute with, or
- * std::nullopt when `weights` passes through untouched (no
- * quantization pending because the store is pre-quantized, and no
- * active weight injector) — the caller then reads `weights` in
- * place with zero copies.
- */
-std::optional<Tensor> corruptedWeights(const Tensor &weights,
-                                       const ForwardContext &ctx);
 
 /** Initialize a tensor with He-uniform fan-in scaling. */
 void heInitialize(Tensor &tensor, std::uint32_t fan_in, Rng &rng);

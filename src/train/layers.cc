@@ -17,83 +17,6 @@ namespace rana {
 namespace {
 
 /**
- * Convolution forward kernel of one sample. Bit-compatible with the
- * reference loop nest: every output element accumulates bias + sum
- * over (n, ky, kx) of the valid taps, in exactly that order, so
- * refactoring the loop structure cannot change a single ULP. The
- * speed comes from the loop shape: the output-x dimension is
- * innermost, contiguous and branch-free (the padding clip is hoisted
- * into the [x_lo, x_hi) bounds), so the compiler vectorizes the
- * multiply-accumulate across independent output accumulators without
- * reordering any per-accumulator addition.
- */
-void
-convolveForward(const float *in, const float *wt, const float *bias,
-                float *out, std::uint32_t in_channels, std::uint32_t h,
-                std::uint32_t w, std::uint32_t out_channels,
-                std::uint32_t r, std::uint32_t c,
-                std::uint32_t kernel, std::uint32_t stride,
-                std::uint32_t pad)
-{
-    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-    const std::size_t out_plane = static_cast<std::size_t>(r) * c;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel) * kernel;
-    std::vector<float> acc_buf(c);
-    float *acc = acc_buf.data();
-    for (std::uint32_t m = 0; m < out_channels; ++m) {
-        float *out_m = out + m * out_plane;
-        const float *wt_m = wt + m * in_channels * wt_kernel;
-        const float bias_m = bias[m];
-        for (std::uint32_t y = 0; y < r; ++y) {
-            const std::int64_t base_y =
-                static_cast<std::int64_t>(y) * stride - pad;
-            for (std::uint32_t x = 0; x < c; ++x)
-                acc[x] = bias_m;
-            for (std::uint32_t n = 0; n < in_channels; ++n) {
-                const float *in_n = in + n * in_plane;
-                const float *wt_n = wt_m + n * wt_kernel;
-                for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                    const std::int64_t in_y = base_y + ky;
-                    if (in_y < 0 || in_y >= h)
-                        continue;
-                    const float *in_row = in_n + in_y * w;
-                    const float *wt_row = wt_n + ky * kernel;
-                    for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                        // Valid x satisfy 0 <= x*stride + off < w.
-                        const std::int64_t off =
-                            static_cast<std::int64_t>(kx) - pad;
-                        std::int64_t x_lo = 0;
-                        if (off < 0) {
-                            x_lo = (-off + stride - 1) / stride;
-                        }
-                        std::int64_t x_hi = 0;
-                        if (w >= off + 1) {
-                            x_hi = (w - 1 - off) / stride + 1;
-                        }
-                        x_hi = std::min<std::int64_t>(x_hi, c);
-                        if (x_lo >= x_hi)
-                            continue;
-                        const float wv = wt_row[kx];
-                        if (stride == 1) {
-                            const float *src = in_row + off;
-                            for (std::int64_t x = x_lo; x < x_hi; ++x)
-                                acc[x] += src[x] * wv;
-                        } else {
-                            for (std::int64_t x = x_lo; x < x_hi; ++x)
-                                acc[x] += in_row[x * stride + off] * wv;
-                        }
-                    }
-                }
-            }
-            float *out_row = out_m + static_cast<std::size_t>(y) * c;
-            for (std::uint32_t x = 0; x < c; ++x)
-                out_row[x] = acc[x];
-        }
-    }
-}
-
-/**
  * Walk an NCHW minibatch in lane blocks of 16/8/4/2 samples, then at
  * most one leftover sample. For each block, `run(in, out, lanes)`
  * gets the block's `in_sample`-float samples packed lane-major (lane
@@ -149,142 +72,54 @@ checkGradShape(const Tensor &grad_output,
 }
 
 /**
- * Dense forward kernel shared by the per-trial and the trial-batched
- * paths. Keeps the reference accumulation order (one sequential dot
- * product per output); the win over the reference loop is the raw
- * contiguous pointers instead of per-element index arithmetic.
+ * The lane count of a forward over `input`, whose per-lane shape has
+ * `rank` dimensions: {...} is one lane, {..., L} carries L =
+ * ctx.lanes() lanes innermost. Training forwards run one lane.
  */
-void
-denseForward(const float *in, const float *wt, const float *bias,
-             float *out, std::uint32_t batch,
-             std::uint32_t in_features, std::uint32_t out_features)
+std::uint32_t
+inputLanes(const Tensor &input, std::size_t rank,
+           const ForwardContext &ctx, const char *layer)
 {
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        const float *in_b =
-            in + static_cast<std::size_t>(b) * in_features;
-        float *out_b =
-            out + static_cast<std::size_t>(b) * out_features;
-        for (std::uint32_t o = 0; o < out_features; ++o) {
-            const float *wt_o =
-                wt + static_cast<std::size_t>(o) * in_features;
-            float acc = bias[o];
-            for (std::uint32_t i = 0; i < in_features; ++i)
-                acc += in_b[i] * wt_o[i];
-            out_b[o] = acc;
-        }
-    }
+    const std::uint32_t lanes = ctx.lanes();
+    const std::vector<std::uint32_t> &shape = input.shape();
+    RANA_ASSERT((shape.size() == rank && lanes == 1) ||
+                    (shape.size() == rank + 1 && shape.back() == lanes),
+                layer, " input ", input.describeShape(),
+                " does not carry ", lanes, " lane(s)");
+    RANA_ASSERT(!ctx.training || lanes == 1, layer,
+                " training forwards run one lane");
+    return lanes;
+}
+
+/** `shape` plus the trailing lane dimension of `input`, if it has one. */
+std::vector<std::uint32_t>
+laneShape(std::vector<std::uint32_t> shape, const Tensor &input,
+          std::size_t rank)
+{
+    if (input.shape().size() > rank)
+        shape.push_back(input.shape().back());
+    return shape;
 }
 
 /**
- * Batched counterpart of effectiveOperand: quantize the whole
- * lane-major tensor once (element-wise, so the shared quantization
- * is bit-identical per lane), then walk each lane with its own
- * injector at the lane stride — the per-lane RNG streams match the
- * scalar path exactly.
+ * Copy-on-corrupt weights of one lane: the quantized / corrupted
+ * private copy the hardware would compute with, or std::nullopt when
+ * `weights` pass through untouched (no quantization pending because
+ * the store is pre-quantized, and no active injector), so the caller
+ * reads `weights` in place. A lane without a weight injector uses
+ * its activation injector.
  */
-void
-corruptTrialOperand(Tensor &stacked, const TrialForwardContext &ctx)
-{
-    if (ctx.quant == nullptr)
-        return;
-    const std::uint32_t lanes = ctx.lanes();
-    quantizeTrialSpan(stacked.data(), stacked.size(), *ctx.quant);
-    const std::size_t lane_count = stacked.size() / lanes;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (ctx.injectors[l] != nullptr) {
-            ctx.injectors[l]->corruptStrided(stacked.data() + l,
-                                             lane_count, lanes,
-                                             *ctx.quant);
-        }
-    }
-}
-
-/**
- * Per-lane copy-on-corrupt weights packed lane-major: each lane runs
- * the scalar corruptedWeights transformation (same injector fallback,
- * same RNG stream), and the resulting scalar-layout views are
- * interleaved into one {<weight shape>, L} buffer for the kernels.
- */
-std::vector<float>
-packTrialWeights(const Tensor &weights, const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    std::vector<Tensor> copies;
-    copies.reserve(lanes);
-    std::vector<const float *> ptrs(lanes, weights.data());
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        ForwardContext lane_ctx;
-        lane_ctx.quant = ctx.quant;
-        lane_ctx.injector = ctx.injectors[l];
-        lane_ctx.weightInjector = ctx.weightInjectors[l];
-        lane_ctx.weightsPreQuantized = ctx.weightsPreQuantized;
-        std::optional<Tensor> corrupted =
-            corruptedWeights(weights, lane_ctx);
-        if (corrupted) {
-            copies.push_back(std::move(*corrupted));
-            ptrs[l] = copies.back().data();
-        }
-    }
-    std::vector<float> packed(weights.size() *
-                              static_cast<std::size_t>(lanes));
-    packLanePointers(ptrs, weights.size(), packed.data());
-    return packed;
-}
-
-/** Bias replicated across lanes ({O} -> {O, L}; never corrupted). */
-std::vector<float>
-packTrialBias(const Tensor &bias, std::uint32_t lanes)
-{
-    std::vector<float> packed(bias.size() *
-                              static_cast<std::size_t>(lanes));
-    for (std::size_t i = 0; i < bias.size(); ++i)
-        for (std::uint32_t l = 0; l < lanes; ++l)
-            packed[i * lanes + l] = bias[i];
-    return packed;
-}
-
-} // namespace
-
-Tensor
-Layer::forwardTrials(const Tensor &input,
-                     const TrialForwardContext &ctx)
-{
-    (void)input;
-    (void)ctx;
-    panic("layer does not support trial-batched forward: ",
-          describe());
-}
-
-Tensor
-effectiveOperand(const Tensor &operand, const ForwardContext &ctx)
-{
-    Tensor effective = operand;
-    if (ctx.quant != nullptr) {
-        quantizeTensor(effective, *ctx.quant);
-        if (ctx.injector != nullptr)
-            ctx.injector->corruptTensor(effective, *ctx.quant);
-    }
-    return effective;
-}
-
-Tensor
-effectiveWeights(const Tensor &weights, const ForwardContext &ctx)
-{
-    if (ctx.weightInjector == nullptr)
-        return effectiveOperand(weights, ctx);
-    ForwardContext weight_ctx = ctx;
-    weight_ctx.injector = ctx.weightInjector;
-    return effectiveOperand(weights, weight_ctx);
-}
-
 std::optional<Tensor>
-corruptedWeights(const Tensor &weights, const ForwardContext &ctx)
+laneWeights(const Tensor &weights, const ForwardContext &ctx,
+            std::uint32_t lane)
 {
     if (ctx.quant == nullptr)
         return std::nullopt;
-    BitErrorInjector *injector =
-        ctx.weightInjector != nullptr ? ctx.weightInjector
-                                      : ctx.injector;
+    BitErrorInjector *injector = nullptr;
+    if (lane < ctx.weightInjectors.size())
+        injector = ctx.weightInjectors[lane];
+    if (injector == nullptr && lane < ctx.injectors.size())
+        injector = ctx.injectors[lane];
     const bool corrupting =
         injector != nullptr && injector->failureRate() > 0.0;
     if (ctx.weightsPreQuantized && !corrupting)
@@ -296,6 +131,18 @@ corruptedWeights(const Tensor &weights, const ForwardContext &ctx)
         injector->corruptTensor(copy, *ctx.quant);
     return copy;
 }
+
+/** `count` floats at `src` replicated across `lanes` lanes. */
+std::vector<float>
+replicateLanes(const float *src, std::size_t count, std::uint32_t lanes)
+{
+    std::vector<float> packed(count * lanes);
+    packLanePointers(std::vector<const float *>(lanes, src), count,
+                     packed.data());
+    return packed;
+}
+
+} // namespace
 
 void
 bindSharedWeights(Layer &model, const std::vector<Tensor> &store)
@@ -319,6 +166,97 @@ heInitialize(Tensor &tensor, std::uint32_t fan_in, Rng &rng)
 }
 
 // ---------------------------------------------------------------
+// WeightedLayer
+// ---------------------------------------------------------------
+
+WeightedLayer::WeightedLayer(std::vector<std::uint32_t> weight_shape)
+    : weights_(weight_shape),
+      bias_({weight_shape.front()}),
+      weightGrad_(weight_shape),
+      biasGrad_({weight_shape.front()})
+{
+}
+
+WeightedLayer::Operands
+WeightedLayer::operands(const Tensor &input, std::uint32_t lanes,
+                        const ForwardContext &ctx) const
+{
+    RANA_ASSERT(!(ctx.training && sharedWeights_ != nullptr),
+                "shared-weight models are eval-only");
+    RANA_ASSERT(ctx.weightInjectors.empty() ||
+                    ctx.weightInjectors.size() == lanes,
+                "one weight injector per lane");
+    const Tensor &weights =
+        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
+    const Tensor &bias =
+        sharedBias_ != nullptr ? *sharedBias_ : bias_;
+    Operands ops;
+    ops.input = input;
+    if (ctx.quant != nullptr) {
+        quantizeTrialSpan(ops.input.data(), ops.input.size(),
+                          *ctx.quant);
+        const std::size_t per_lane = ops.input.size() / lanes;
+        for (std::uint32_t l = 0; l < ctx.injectors.size(); ++l) {
+            if (ctx.injectors[l] != nullptr) {
+                ctx.injectors[l]->corruptStrided(
+                    ops.input.data() + l, per_lane, lanes, *ctx.quant);
+            }
+        }
+    }
+    if (lanes == 1) {
+        ops.corrupted = laneWeights(weights, ctx, 0);
+        ops.weights =
+            ops.corrupted ? ops.corrupted->data() : weights.data();
+        ops.bias = bias.data();
+        return ops;
+    }
+    // Each lane's scalar-layout view, interleaved into one
+    // {<weight shape>, L} buffer.
+    std::vector<Tensor> copies;
+    copies.reserve(lanes);
+    std::vector<const float *> ptrs(lanes, weights.data());
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+        std::optional<Tensor> corrupted = laneWeights(weights, ctx, l);
+        if (corrupted) {
+            copies.push_back(std::move(*corrupted));
+            ptrs[l] = copies.back().data();
+        }
+    }
+    ops.packedWeights.resize(weights.size() * lanes);
+    packLanePointers(ptrs, weights.size(), ops.packedWeights.data());
+    ops.packedBias = replicateLanes(bias.data(), bias.size(), lanes);
+    ops.weights = ops.packedWeights.data();
+    ops.bias = ops.packedBias.data();
+    return ops;
+}
+
+void
+WeightedLayer::cacheForBackward(Operands &&ops, const Tensor &output)
+{
+    cachedWeights_ = ops.corrupted ? std::move(*ops.corrupted) : weights_;
+    cachedInput_ = std::move(ops.input);
+    outputShape_ = output.shape();
+}
+
+std::vector<Param>
+WeightedLayer::params()
+{
+    return {{&weights_, &weightGrad_}, {&bias_, &biasGrad_}};
+}
+
+void
+WeightedLayer::bindSharedParams(SharedParamCursor &cursor)
+{
+    sharedWeights_ = cursor.next();
+    sharedBias_ = cursor.next();
+    RANA_ASSERT(sharedWeights_ != nullptr && sharedBias_ != nullptr,
+                "shared weight store exhausted at ", describe());
+    RANA_ASSERT(sharedWeights_->shape() == weights_.shape() &&
+                sharedBias_->shape() == bias_.shape(),
+                "shared weight store shape mismatch at ", describe());
+}
+
+// ---------------------------------------------------------------
 // Conv2dLayer
 // ---------------------------------------------------------------
 
@@ -326,15 +264,12 @@ Conv2dLayer::Conv2dLayer(std::uint32_t in_channels,
                          std::uint32_t out_channels,
                          std::uint32_t kernel, std::uint32_t stride,
                          std::uint32_t pad, Rng &rng)
-    : inChannels_(in_channels),
+    : WeightedLayer({out_channels, in_channels, kernel, kernel}),
+      inChannels_(in_channels),
       outChannels_(out_channels),
       kernel_(kernel),
       stride_(stride),
-      pad_(pad),
-      weights_({out_channels, in_channels, kernel, kernel}),
-      bias_({out_channels}),
-      weightGrad_({out_channels, in_channels, kernel, kernel}),
-      biasGrad_({out_channels})
+      pad_(pad)
 {
     heInitialize(weights_, in_channels * kernel * kernel, rng);
 }
@@ -342,11 +277,9 @@ Conv2dLayer::Conv2dLayer(std::uint32_t in_channels,
 Tensor
 Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
-    RANA_ASSERT(input.shape().size() == 4 &&
-                input.dim(1) == inChannels_,
+    const std::uint32_t lanes = inputLanes(input, 4, ctx, "conv");
+    RANA_ASSERT(input.dim(1) == inChannels_,
                 "conv input shape mismatch");
-    RANA_ASSERT(!(ctx.training && sharedWeights_ != nullptr),
-                "shared-weight models are eval-only");
     const std::uint32_t batch = input.dim(0);
     const std::uint32_t h = input.dim(2);
     const std::uint32_t w = input.dim(3);
@@ -355,85 +288,40 @@ Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
     const std::uint32_t r = (h + 2 * pad_ - kernel_) / stride_ + 1;
     const std::uint32_t c = (w + 2 * pad_ - kernel_) / stride_ + 1;
 
-    const Tensor &weights =
-        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
-    const Tensor &bias =
-        sharedBias_ != nullptr ? *sharedBias_ : bias_;
-    const Tensor eff_input = effectiveOperand(input, ctx);
-    const std::optional<Tensor> corrupted =
-        corruptedWeights(weights, ctx);
-    const Tensor &eff_weights = corrupted ? *corrupted : weights;
-    Tensor output({batch, outChannels_, r, c});
-    if (ctx.training) {
-        cachedInput_ = eff_input;
-        cachedWeights_ = eff_weights;
-        outputShape_ = output.shape();
+    Operands ops = operands(input, lanes, ctx);
+    Tensor output(laneShape({batch, outChannels_, r, c}, input, 4));
+    if (lanes > 1) {
+        convolveTrialLanes(ops.input.data(), ops.weights, ops.bias,
+                           output.data(), batch, inChannels_, h, w,
+                           outChannels_, r, c, kernel_, stride_, pad_,
+                           lanes);
+    } else {
+        // One lane: the minibatch runs as lanes sharing one weight
+        // tensor; per sample the lane kernel accumulates in the
+        // 1-lane order.
+        std::vector<float> block_wt;
+        std::vector<float> block_bias;
+        forSampleLaneBlocks(
+            ops.input.data(),
+            static_cast<std::size_t>(inChannels_) * h * w,
+            output.data(),
+            static_cast<std::size_t>(outChannels_) * r * c, batch,
+            [&](const float *in, float *out, std::uint32_t block) {
+                // Blocks shrink monotonically: replicate once per size.
+                if (block_bias.size() != outChannels_ * block) {
+                    block_wt = replicateLanes(ops.weights,
+                                              weights_.size(), block);
+                    block_bias =
+                        replicateLanes(ops.bias, outChannels_, block);
+                }
+                convolveTrialLanes(in, block_wt.data(), block_bias.data(),
+                                   out, 1, inChannels_, h, w,
+                                   outChannels_, r, c, kernel_, stride_,
+                                   pad_, block);
+            });
     }
-
-    // The minibatch runs as lanes sharing one weight tensor; per
-    // sample the lane kernel accumulates in the scalar kernel's
-    // order, and a lone sample stays on the scalar kernel.
-    const float *wt = eff_weights.data();
-    std::vector<float> lane_wt;
-    std::vector<float> lane_bias;
-    forSampleLaneBlocks(
-        eff_input.data(), static_cast<std::size_t>(inChannels_) * h * w,
-        output.data(), static_cast<std::size_t>(outChannels_) * r * c,
-        batch,
-        [&](const float *in, float *out, std::uint32_t lanes) {
-            if (lanes == 1) {
-                convolveForward(in, wt, bias.data(), out, inChannels_,
-                                h, w, outChannels_, r, c, kernel_,
-                                stride_, pad_);
-                return;
-            }
-            // Blocks shrink monotonically: replicate once per size.
-            if (lane_bias.size() != bias.size() * lanes) {
-                lane_wt.resize(eff_weights.size() * lanes);
-                packLanePointers(std::vector<const float *>(lanes, wt),
-                                 eff_weights.size(), lane_wt.data());
-                lane_bias = packTrialBias(bias, lanes);
-            }
-            convolveTrialLanes(in, lane_wt.data(), lane_bias.data(),
-                               out, 1, inChannels_, h, w,
-                               outChannels_, r, c, kernel_, stride_,
-                               pad_, lanes);
-        });
-    return output;
-}
-
-Tensor
-Conv2dLayer::forwardTrials(const Tensor &input,
-                           const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    RANA_ASSERT(input.shape().size() == 5 &&
-                input.dim(1) == inChannels_ &&
-                input.dim(4) == lanes,
-                "conv trial-batch input shape mismatch");
-    const std::uint32_t batch = input.dim(0);
-    const std::uint32_t h = input.dim(2);
-    const std::uint32_t w = input.dim(3);
-    RANA_ASSERT(h + 2 * pad_ >= kernel_ && w + 2 * pad_ >= kernel_,
-                "conv kernel larger than padded input");
-    const std::uint32_t r = (h + 2 * pad_ - kernel_) / stride_ + 1;
-    const std::uint32_t c = (w + 2 * pad_ - kernel_) / stride_ + 1;
-
-    const Tensor &weights =
-        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
-    const Tensor &bias =
-        sharedBias_ != nullptr ? *sharedBias_ : bias_;
-    Tensor eff_input = input;
-    corruptTrialOperand(eff_input, ctx);
-    const std::vector<float> packed_weights =
-        packTrialWeights(weights, ctx);
-    const std::vector<float> packed_bias = packTrialBias(bias, lanes);
-
-    Tensor output({batch, outChannels_, r, c, lanes});
-    convolveTrialLanes(eff_input.data(), packed_weights.data(),
-                       packed_bias.data(), output.data(), batch,
-                       inChannels_, h, w, outChannels_, r, c, kernel_,
-                       stride_, pad_, lanes);
+    if (ctx.training)
+        cacheForBackward(std::move(ops), output);
     return output;
 }
 
@@ -465,24 +353,6 @@ Conv2dLayer::backward(const Tensor &grad_output)
     return grad_input;
 }
 
-std::vector<Param>
-Conv2dLayer::params()
-{
-    return {{&weights_, &weightGrad_}, {&bias_, &biasGrad_}};
-}
-
-void
-Conv2dLayer::bindSharedParams(SharedParamCursor &cursor)
-{
-    sharedWeights_ = cursor.next();
-    sharedBias_ = cursor.next();
-    RANA_ASSERT(sharedWeights_ != nullptr && sharedBias_ != nullptr,
-                "shared weight store exhausted at ", describe());
-    RANA_ASSERT(sharedWeights_->shape() == weights_.shape() &&
-                sharedBias_->shape() == bias_.shape(),
-                "shared weight store shape mismatch at ", describe());
-}
-
 std::string
 Conv2dLayer::describe() const
 {
@@ -501,17 +371,6 @@ ReluLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
     if (ctx.training)
         cachedInput_ = input;
-    Tensor output = input;
-    for (std::size_t i = 0; i < output.size(); ++i)
-        output[i] = std::max(0.0f, output[i]);
-    return output;
-}
-
-Tensor
-ReluLayer::forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx)
-{
-    (void)ctx;
     Tensor output = input;
     reluTrialSpan(output.data(), output.size());
     return output;
@@ -536,6 +395,7 @@ ReluLayer::backward(const Tensor &grad_output)
 Tensor
 MaxPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
+    const std::uint32_t lanes = inputLanes(input, 4, ctx, "maxpool");
     const std::uint32_t batch = input.dim(0);
     const std::uint32_t channels = input.dim(1);
     const std::uint32_t h = input.dim(2);
@@ -544,57 +404,36 @@ MaxPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
                 "maxpool2x2 needs even spatial dims");
     const std::uint32_t r = h / 2;
     const std::uint32_t c = w / 2;
+    Tensor output(laneShape({batch, channels, r, c}, input, 4));
+    maxPoolTrialLanes(input.data(), output.data(), batch, channels, h,
+                      w, lanes);
+    if (!ctx.training)
+        return output;
 
-    Tensor output({batch, channels, r, c});
-    if (ctx.training) {
-        inputShape_ = input.shape();
-        outputShape_ = output.shape();
-        argmax_.assign(output.size(), 0);
-    }
+    // The backward routes each gradient to the candidate the kernel's
+    // strict > kept: the last one that raised the running maximum.
+    inputShape_ = input.shape();
+    outputShape_ = output.shape();
+    argmax_.assign(output.size(), 0);
     std::size_t out_index = 0;
     for (std::uint32_t b = 0; b < batch; ++b) {
         for (std::uint32_t ch = 0; ch < channels; ++ch) {
             for (std::uint32_t y = 0; y < r; ++y) {
                 for (std::uint32_t x = 0; x < c; ++x) {
                     float best = -1e30f;
-                    std::uint32_t best_off = 0;
-                    for (std::uint32_t dy = 0; dy < 2; ++dy) {
-                        for (std::uint32_t dx = 0; dx < 2; ++dx) {
-                            const float v = input.at4(b, ch, 2 * y + dy,
-                                                      2 * x + dx);
-                            if (v > best) {
-                                best = v;
-                                best_off = dy * 2 + dx;
-                            }
+                    for (std::uint32_t off = 0; off < 4; ++off) {
+                        const float v = input.at4(b, ch, 2 * y + off / 2,
+                                                  2 * x + off % 2);
+                        if (v > best) {
+                            best = v;
+                            argmax_[out_index] = off;
                         }
                     }
-                    output.at4(b, ch, y, x) = best;
-                    if (ctx.training)
-                        argmax_[out_index] = best_off;
                     ++out_index;
                 }
             }
         }
     }
-    return output;
-}
-
-Tensor
-MaxPool2dLayer::forwardTrials(const Tensor &input,
-                              const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    RANA_ASSERT(input.shape().size() == 5 && input.dim(4) == lanes,
-                "maxpool trial-batch input shape mismatch");
-    const std::uint32_t batch = input.dim(0);
-    const std::uint32_t channels = input.dim(1);
-    const std::uint32_t h = input.dim(2);
-    const std::uint32_t w = input.dim(3);
-    RANA_ASSERT(h % 2 == 0 && w % 2 == 0,
-                "maxpool2x2 needs even spatial dims");
-    Tensor output({batch, channels, h / 2, w / 2, lanes});
-    maxPoolTrialLanes(input.data(), output.data(), batch, channels, h,
-                      w, lanes);
     return output;
 }
 
@@ -631,54 +470,27 @@ MaxPool2dLayer::backward(const Tensor &grad_output)
 Tensor
 AvgPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
+    const std::uint32_t lanes = inputLanes(input, 4, ctx, "avgpool");
     const std::uint32_t batch = input.dim(0);
     const std::uint32_t channels = input.dim(1);
     const std::uint32_t h = input.dim(2);
     const std::uint32_t w = input.dim(3);
     RANA_ASSERT(h % 2 == 0 && w % 2 == 0,
                 "avgpool2x2 needs even spatial dims");
-    if (ctx.training)
-        inputShape_ = input.shape();
-    Tensor output({batch, channels, h / 2, w / 2});
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t ch = 0; ch < channels; ++ch) {
-            for (std::uint32_t y = 0; y < h / 2; ++y) {
-                for (std::uint32_t x = 0; x < w / 2; ++x) {
-                    float sum = 0.0f;
-                    for (std::uint32_t dy = 0; dy < 2; ++dy)
-                        for (std::uint32_t dx = 0; dx < 2; ++dx)
-                            sum += input.at4(b, ch, 2 * y + dy,
-                                             2 * x + dx);
-                    output.at4(b, ch, y, x) = sum * 0.25f;
-                }
-            }
-        }
-    }
-    return output;
-}
-
-Tensor
-AvgPool2dLayer::forwardTrials(const Tensor &input,
-                              const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    RANA_ASSERT(input.shape().size() == 5 && input.dim(4) == lanes,
-                "avgpool trial-batch input shape mismatch");
-    const std::uint32_t batch = input.dim(0);
-    const std::uint32_t channels = input.dim(1);
-    const std::uint32_t h = input.dim(2);
-    const std::uint32_t w = input.dim(3);
-    RANA_ASSERT(h % 2 == 0 && w % 2 == 0,
-                "avgpool2x2 needs even spatial dims");
-    Tensor output({batch, channels, h / 2, w / 2, lanes});
+    Tensor output(laneShape({batch, channels, h / 2, w / 2}, input, 4));
     avgPoolTrialLanes(input.data(), output.data(), batch, channels, h,
                       w, lanes);
+    if (ctx.training) {
+        inputShape_ = input.shape();
+        outputShape_ = output.shape();
+    }
     return output;
 }
 
 Tensor
 AvgPool2dLayer::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, outputShape_, "avgpool");
     Tensor grad_input(inputShape_);
     const std::uint32_t batch = grad_output.dim(0);
     const std::uint32_t channels = grad_output.dim(1);
@@ -707,12 +519,9 @@ AvgPool2dLayer::backward(const Tensor &grad_output)
 
 DenseLayer::DenseLayer(std::uint32_t in_features,
                        std::uint32_t out_features, Rng &rng)
-    : inFeatures_(in_features),
-      outFeatures_(out_features),
-      weights_({out_features, in_features}),
-      bias_({out_features}),
-      weightGrad_({out_features, in_features}),
-      biasGrad_({out_features})
+    : WeightedLayer({out_features, in_features}),
+      inFeatures_(in_features),
+      outFeatures_(out_features)
 {
     heInitialize(weights_, in_features, rng);
 }
@@ -720,58 +529,17 @@ DenseLayer::DenseLayer(std::uint32_t in_features,
 Tensor
 DenseLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
-    RANA_ASSERT(input.shape().size() == 2 &&
-                input.dim(1) == inFeatures_,
+    const std::uint32_t lanes = inputLanes(input, 2, ctx, "dense");
+    RANA_ASSERT(input.dim(1) == inFeatures_,
                 "dense input shape mismatch");
-    RANA_ASSERT(!(ctx.training && sharedWeights_ != nullptr),
-                "shared-weight models are eval-only");
     const std::uint32_t batch = input.dim(0);
-
-    const Tensor &weights =
-        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
-    const Tensor &bias =
-        sharedBias_ != nullptr ? *sharedBias_ : bias_;
-    const Tensor eff_input = effectiveOperand(input, ctx);
-    const std::optional<Tensor> corrupted =
-        corruptedWeights(weights, ctx);
-    const Tensor &eff_weights = corrupted ? *corrupted : weights;
-    Tensor output({batch, outFeatures_});
-    if (ctx.training) {
-        cachedInput_ = eff_input;
-        cachedWeights_ = eff_weights;
-        outputShape_ = output.shape();
-    }
-
-    denseForward(eff_input.data(), eff_weights.data(), bias.data(),
-                 output.data(), batch, inFeatures_, outFeatures_);
-    return output;
-}
-
-Tensor
-DenseLayer::forwardTrials(const Tensor &input,
-                          const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    RANA_ASSERT(input.shape().size() == 3 &&
-                input.dim(1) == inFeatures_ &&
-                input.dim(2) == lanes,
-                "dense trial-batch input shape mismatch");
-    const std::uint32_t batch = input.dim(0);
-
-    const Tensor &weights =
-        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
-    const Tensor &bias =
-        sharedBias_ != nullptr ? *sharedBias_ : bias_;
-    Tensor eff_input = input;
-    corruptTrialOperand(eff_input, ctx);
-    const std::vector<float> packed_weights =
-        packTrialWeights(weights, ctx);
-    const std::vector<float> packed_bias = packTrialBias(bias, lanes);
-
-    Tensor output({batch, outFeatures_, lanes});
-    denseTrialLanes(eff_input.data(), packed_weights.data(),
-                    packed_bias.data(), output.data(), batch,
-                    inFeatures_, outFeatures_, lanes);
+    Operands ops = operands(input, lanes, ctx);
+    Tensor output(laneShape({batch, outFeatures_}, input, 2));
+    denseTrialLanes(ops.input.data(), ops.weights, ops.bias,
+                    output.data(), batch, inFeatures_, outFeatures_,
+                    lanes);
+    if (ctx.training)
+        cacheForBackward(std::move(ops), output);
     return output;
 }
 
@@ -794,24 +562,6 @@ DenseLayer::backward(const Tensor &grad_output)
     return grad_input;
 }
 
-std::vector<Param>
-DenseLayer::params()
-{
-    return {{&weights_, &weightGrad_}, {&bias_, &biasGrad_}};
-}
-
-void
-DenseLayer::bindSharedParams(SharedParamCursor &cursor)
-{
-    sharedWeights_ = cursor.next();
-    sharedBias_ = cursor.next();
-    RANA_ASSERT(sharedWeights_ != nullptr && sharedBias_ != nullptr,
-                "shared weight store exhausted at ", describe());
-    RANA_ASSERT(sharedWeights_->shape() == weights_.shape() &&
-                sharedBias_->shape() == bias_.shape(),
-                "shared weight store shape mismatch at ", describe());
-}
-
 std::string
 DenseLayer::describe() const
 {
@@ -827,28 +577,15 @@ DenseLayer::describe() const
 Tensor
 FlattenLayer::forward(const Tensor &input, const ForwardContext &ctx)
 {
+    const std::uint32_t lanes = inputLanes(input, 4, ctx, "flatten");
     if (ctx.training)
         inputShape_ = input.shape();
     const std::uint32_t batch = input.dim(0);
-    const auto features =
-        static_cast<std::uint32_t>(input.size() / batch);
-    return input.reshaped({batch, features});
-}
-
-Tensor
-FlattenLayer::forwardTrials(const Tensor &input,
-                            const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    RANA_ASSERT(input.shape().size() >= 2 &&
-                input.shape().back() == lanes,
-                "flatten trial-batch input shape mismatch");
-    const std::uint32_t batch = input.dim(0);
     // The lane index is innermost, so collapsing the middle
-    // dimensions is the same pure reshape as the scalar layer.
-    const auto features = static_cast<std::uint32_t>(
-        input.size() / batch / lanes);
-    return input.reshaped({batch, features, lanes});
+    // dimensions is a pure reshape.
+    const auto features =
+        static_cast<std::uint32_t>(input.size() / batch / lanes);
+    return input.reshaped(laneShape({batch, features}, input, 4));
 }
 
 Tensor
@@ -873,16 +610,6 @@ Sequential::forward(const Tensor &input, const ForwardContext &ctx)
     Tensor current = input;
     for (auto &layer : layers_)
         current = layer->forward(current, ctx);
-    return current;
-}
-
-Tensor
-Sequential::forwardTrials(const Tensor &input,
-                          const TrialForwardContext &ctx)
-{
-    Tensor current = input;
-    for (auto &layer : layers_)
-        current = layer->forwardTrials(current, ctx);
     return current;
 }
 
@@ -943,21 +670,7 @@ ResidualBlock::forward(const Tensor &input, const ForwardContext &ctx)
     Tensor branch = body_->forward(input, ctx);
     RANA_ASSERT(branch.size() == input.size(),
                 "residual body must preserve the shape");
-    for (std::size_t i = 0; i < branch.size(); ++i)
-        branch[i] += input[i];
-    return branch;
-}
-
-Tensor
-ResidualBlock::forwardTrials(const Tensor &input,
-                             const TrialForwardContext &ctx)
-{
-    Tensor branch = body_->forwardTrials(input, ctx);
-    RANA_ASSERT(branch.size() == input.size(),
-                "residual body must preserve the shape");
-    // As in the scalar layer, the skip adds the raw (uncorrupted)
-    // block input element-wise; per lane the addition pairs are
-    // identical to the scalar pass.
+    // The skip adds the raw (uncorrupted) block input element-wise.
     addTrialSpan(branch.data(), input.data(), branch.size());
     return branch;
 }
@@ -966,8 +679,7 @@ Tensor
 ResidualBlock::backward(const Tensor &grad_output)
 {
     Tensor grad = body_->backward(grad_output);
-    for (std::size_t i = 0; i < grad.size(); ++i)
-        grad[i] += grad_output[i];
+    addTrialSpan(grad.data(), grad_output.data(), grad.size());
     return grad;
 }
 
@@ -1005,57 +717,7 @@ InceptionConcat::forward(const Tensor &input, const ForwardContext &ctx)
     for (auto &branch : branches_) {
         outputs.push_back(branch->forward(input, ctx));
         const Tensor &out = outputs.back();
-        RANA_ASSERT(out.shape().size() == 4,
-                    "inception branches must output 4-D maps");
-        RANA_ASSERT(out.dim(0) == outputs.front().dim(0) &&
-                    out.dim(2) == outputs.front().dim(2) &&
-                    out.dim(3) == outputs.front().dim(3),
-                    "inception branch output shapes must align");
-        channels.push_back(out.dim(1));
-        total_channels += out.dim(1);
-    }
-    // Only training-mode forwards may touch member state: eval-mode
-    // forwards run concurrently on a shared skeleton model.
-    if (ctx.training)
-        branchChannels_ = channels;
-
-    const std::uint32_t batch = outputs.front().dim(0);
-    const std::uint32_t h = outputs.front().dim(2);
-    const std::uint32_t w = outputs.front().dim(3);
-    Tensor concat({batch, total_channels, h, w});
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        std::uint32_t channel_base = 0;
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-            for (std::uint32_t c = 0; c < channels[i]; ++c) {
-                for (std::uint32_t y = 0; y < h; ++y) {
-                    for (std::uint32_t x = 0; x < w; ++x) {
-                        concat.at4(b, channel_base + c, y, x) =
-                            outputs[i].at4(b, c, y, x);
-                    }
-                }
-            }
-            channel_base += channels[i];
-        }
-    }
-    return concat;
-}
-
-Tensor
-InceptionConcat::forwardTrials(const Tensor &input,
-                               const TrialForwardContext &ctx)
-{
-    const std::uint32_t lanes = ctx.lanes();
-    std::vector<Tensor> outputs;
-    outputs.reserve(branches_.size());
-    std::vector<std::uint32_t> channels;
-    channels.reserve(branches_.size());
-    std::uint32_t total_channels = 0;
-    for (auto &branch : branches_) {
-        outputs.push_back(branch->forwardTrials(input, ctx));
-        const Tensor &out = outputs.back();
-        RANA_ASSERT(out.shape().size() == 5 && out.dim(4) == lanes,
-                    "inception branches must output lane-major 4-D "
-                    "maps");
+        inputLanes(out, 4, ctx, "inception branch");
         RANA_ASSERT(out.dim(0) == outputs.front().dim(0) &&
                     out.dim(2) == outputs.front().dim(2) &&
                     out.dim(3) == outputs.front().dim(3),
@@ -1064,27 +726,27 @@ InceptionConcat::forwardTrials(const Tensor &input,
         total_channels += out.dim(1);
     }
 
-    const std::uint32_t batch = outputs.front().dim(0);
-    const std::uint32_t h = outputs.front().dim(2);
-    const std::uint32_t w = outputs.front().dim(3);
-    // Lane-major channel concatenation is a block copy: for one
-    // sample, a branch's {c_i, h, w, L} slab is contiguous in both
-    // the source and the destination.
-    const std::size_t plane = static_cast<std::size_t>(h) * w * lanes;
-    Tensor concat({batch, total_channels, h, w, lanes});
+    const Tensor &front = outputs.front();
+    const std::uint32_t batch = front.dim(0);
+    // Channel concatenation is a block copy: for one sample, a
+    // branch's {c_i, h, w[, L]} slab is contiguous in both the source
+    // and the destination.
+    const std::size_t plane = front.size() / batch / channels.front();
+    Tensor concat(laneShape(
+        {batch, total_channels, front.dim(2), front.dim(3)}, front, 4));
     for (std::uint32_t b = 0; b < batch; ++b) {
-        std::uint32_t channel_base = 0;
+        float *dst = concat.data() + b * total_channels * plane;
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             const std::size_t slab = channels[i] * plane;
             const float *src = outputs[i].data() + b * slab;
-            float *dst = concat.data() +
-                         (static_cast<std::size_t>(b) *
-                              total_channels +
-                          channel_base) *
-                             plane;
-            std::copy(src, src + slab, dst);
-            channel_base += channels[i];
+            dst = std::copy(src, src + slab, dst);
         }
+    }
+    // Only training-mode forwards may touch member state: eval-mode
+    // forwards run concurrently on a shared skeleton model.
+    if (ctx.training) {
+        branchChannels_ = channels;
+        outputShape_ = concat.shape();
     }
     return concat;
 }
@@ -1092,34 +754,31 @@ InceptionConcat::forwardTrials(const Tensor &input,
 Tensor
 InceptionConcat::backward(const Tensor &grad_output)
 {
+    checkGradShape(grad_output, outputShape_, "inception");
     const std::uint32_t batch = grad_output.dim(0);
     const std::uint32_t h = grad_output.dim(2);
     const std::uint32_t w = grad_output.dim(3);
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
 
     Tensor grad_input;
-    bool first = true;
     std::uint32_t channel_base = 0;
     for (std::size_t i = 0; i < branches_.size(); ++i) {
+        const std::size_t slab = branchChannels_[i] * plane;
         Tensor branch_grad({batch, branchChannels_[i], h, w});
         for (std::uint32_t b = 0; b < batch; ++b) {
-            for (std::uint32_t c = 0; c < branchChannels_[i]; ++c) {
-                for (std::uint32_t y = 0; y < h; ++y) {
-                    for (std::uint32_t x = 0; x < w; ++x) {
-                        branch_grad.at4(b, c, y, x) =
-                            grad_output.at4(b, channel_base + c, y, x);
-                    }
-                }
-            }
+            const float *src =
+                grad_output.data() +
+                (static_cast<std::size_t>(b) * grad_output.dim(1) +
+                 channel_base) *
+                    plane;
+            std::copy(src, src + slab, branch_grad.data() + b * slab);
         }
         channel_base += branchChannels_[i];
-        Tensor g = branches_[i]->backward(branch_grad);
-        if (first) {
+        const Tensor g = branches_[i]->backward(branch_grad);
+        if (i == 0)
             grad_input = g;
-            first = false;
-        } else {
-            for (std::size_t j = 0; j < grad_input.size(); ++j)
-                grad_input[j] += g[j];
-        }
+        else
+            addTrialSpan(grad_input.data(), g.data(), grad_input.size());
     }
     return grad_input;
 }

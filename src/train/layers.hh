@@ -9,6 +9,7 @@
 #define RANA_TRAIN_LAYERS_HH_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,8 +17,70 @@
 
 namespace rana {
 
+/**
+ * Parameter plumbing shared by the convolution and dense layers: the
+ * owned weights and bias with their gradients, the optional bound
+ * shared store, and the one copy-on-corrupt operand path of their
+ * forwards.
+ */
+class WeightedLayer : public Layer
+{
+  public:
+    std::vector<Param> params() override;
+    void bindSharedParams(SharedParamCursor &cursor) override;
+
+  protected:
+    /** Zero weights of `weight_shape` (first dimension: outputs). */
+    explicit WeightedLayer(std::vector<std::uint32_t> weight_shape);
+
+    /** The operands one forward's lane kernel reads. */
+    struct Operands
+    {
+        /** The input, quantized and corrupted per lane. */
+        Tensor input;
+        /** One lane's private weight copy (null: read in place). */
+        std::optional<Tensor> corrupted;
+        /** L > 1: per-lane weights and bias, lane index innermost. */
+        std::vector<float> packedWeights;
+        std::vector<float> packedBias;
+        /**
+         * Weights {out, ...[, L]} and bias {out[, L]} to read: into
+         * the buffers above (a move keeps them in place) or into the
+         * layer's tensors.
+         */
+        const float *weights = nullptr;
+        const float *bias = nullptr;
+    };
+
+    /**
+     * The effective operands of a forward over `input` with `lanes`
+     * lanes. The input is quantized as a whole (element-wise, so each
+     * lane as a 1-lane forward would) and each lane is then corrupted
+     * by its own injector at the lane stride, before the lane's
+     * weights, so every injector draws the same stream as in a
+     * 1-lane forward. The weights are copy-on-corrupt per lane.
+     */
+    Operands operands(const Tensor &input, std::uint32_t lanes,
+                      const ForwardContext &ctx) const;
+
+    /** Keep a training forward's operands for the backward. */
+    void cacheForBackward(Operands &&ops, const Tensor &output);
+
+    Tensor weights_;
+    Tensor bias_;
+    Tensor weightGrad_;
+    Tensor biasGrad_;
+    Tensor cachedInput_;
+    Tensor cachedWeights_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
+    /** Bound shared store tensors (null = use the owned ones). */
+    const Tensor *sharedWeights_ = nullptr;
+    const Tensor *sharedBias_ = nullptr;
+};
+
 /** 2-D convolution with square kernels, stride and zero padding. */
-class Conv2dLayer : public Layer
+class Conv2dLayer : public WeightedLayer
 {
   public:
     /**
@@ -34,11 +97,7 @@ class Conv2dLayer : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
-    std::vector<Param> params() override;
-    void bindSharedParams(SharedParamCursor &cursor) override;
     std::string describe() const override;
 
   private:
@@ -47,17 +106,6 @@ class Conv2dLayer : public Layer
     std::uint32_t kernel_;
     std::uint32_t stride_;
     std::uint32_t pad_;
-    Tensor weights_; // {M, N, K, K}
-    Tensor bias_;    // {M}
-    Tensor weightGrad_;
-    Tensor biasGrad_;
-    Tensor cachedInput_;
-    Tensor cachedWeights_;
-    /** Output shape of the last training forward. */
-    std::vector<std::uint32_t> outputShape_;
-    /** Bound shared store tensors (null = use the owned ones). */
-    const Tensor *sharedWeights_ = nullptr;
-    const Tensor *sharedBias_ = nullptr;
 };
 
 /** Rectified linear unit. */
@@ -66,8 +114,6 @@ class ReluLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "relu"; }
 
@@ -81,8 +127,6 @@ class MaxPool2dLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "maxpool2x2"; }
 
@@ -99,17 +143,17 @@ class AvgPool2dLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "avgpool2x2"; }
 
   private:
     std::vector<std::uint32_t> inputShape_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
 };
 
 /** Fully connected layer on flattened inputs. */
-class DenseLayer : public Layer
+class DenseLayer : public WeightedLayer
 {
   public:
     /** @param in_features input width, @param out_features output. */
@@ -118,37 +162,20 @@ class DenseLayer : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
-    std::vector<Param> params() override;
-    void bindSharedParams(SharedParamCursor &cursor) override;
     std::string describe() const override;
 
   private:
     std::uint32_t inFeatures_;
     std::uint32_t outFeatures_;
-    Tensor weights_; // {out, in}
-    Tensor bias_;    // {out}
-    Tensor weightGrad_;
-    Tensor biasGrad_;
-    Tensor cachedInput_;
-    Tensor cachedWeights_;
-    /** Output shape of the last training forward. */
-    std::vector<std::uint32_t> outputShape_;
-    /** Bound shared store tensors (null = use the owned ones). */
-    const Tensor *sharedWeights_ = nullptr;
-    const Tensor *sharedBias_ = nullptr;
 };
 
-/** Flatten {B, C, H, W} to {B, C*H*W}. */
+/** Flatten {B, C, H, W[, L]} to {B, C*H*W[, L]}. */
 class FlattenLayer : public Layer
 {
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "flatten"; }
 
@@ -170,8 +197,6 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
@@ -190,8 +215,6 @@ class ResidualBlock : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
@@ -214,8 +237,6 @@ class InceptionConcat : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
-                         const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
@@ -224,6 +245,8 @@ class InceptionConcat : public Layer
   private:
     std::vector<std::unique_ptr<Sequential>> branches_;
     std::vector<std::uint32_t> branchChannels_;
+    /** Output shape of the last training forward. */
+    std::vector<std::uint32_t> outputShape_;
 };
 
 } // namespace rana

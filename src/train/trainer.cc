@@ -43,9 +43,8 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
             BitErrorInjector injector(failure_rate, rng_.next());
             ForwardContext ctx;
             ctx.quant = quantized ? &config_.format : nullptr;
-            ctx.injector = quantized && failure_rate > 0.0
-                               ? &injector
-                               : nullptr;
+            if (quantized && failure_rate > 0.0)
+                ctx.injectors = {&injector};
             ctx.training = true;
 
             optimizer_->zeroGrad();
@@ -70,7 +69,8 @@ RetentionAwareTrainer::evaluate(double failure_rate)
                                   config_.seed * 977 + rep);
         ForwardContext ctx;
         ctx.quant = &config_.format;
-        ctx.injector = failure_rate > 0.0 ? &injector : nullptr;
+        if (failure_rate > 0.0)
+            ctx.injectors = {&injector};
         ctx.training = false;
 
         const Tensor logits = model_->forward(test.images, ctx);

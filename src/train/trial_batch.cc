@@ -1,23 +1,23 @@
 /**
  * @file
- * Lane-major kernels of the trial-batched campaign forward pass and
- * of the training convolution (forward and backward).
+ * Lane-major kernels of the layer forward passes and of the training
+ * convolution's backward.
  *
  * This translation unit is compiled at -O3 (see the CMakeLists) and
  * the hot kernels carry target_clones("default","avx"): the loader
  * picks the AVX clone on capable CPUs while the binary stays
  * runnable on baseline x86-64. The lane count is a template
- * parameter for the power-of-two block sizes the campaign and the
- * training minibatch use, so the innermost lane loop has a
+ * parameter for 16/8/4/2/1 lanes, the block sizes of the campaign
+ * and of the training minibatch, so the innermost lane loop has a
  * compile-time trip count and turns into straight-line vector code;
- * other lane counts take the runtime-lane fallback, which is slower
- * but bit-identical.
+ * other lane counts run the same template with FixedL = 0, which
+ * reads the count at run time: slower, but bit-identical.
  *
- * Every kernel keeps the scalar reference's per-accumulator
- * operation order — vectorization only spans independent lanes,
- * output positions and output channels — so the results match the
- * scalar path bit for bit (no FMA contraction exists at the x86-64
- * baseline or AVX feature levels).
+ * Every kernel keeps the 1-lane per-accumulator operation order —
+ * vectorization only spans independent lanes, output positions and
+ * output channels — so the results match bit for bit across lane
+ * counts (no FMA contraction exists at the x86-64 baseline or AVX
+ * feature levels).
  */
 
 #include "train/trial_batch.hh"
@@ -39,11 +39,36 @@ namespace {
 #endif
 
 /**
- * Convolution of one output channel `m` of one sample over a
- * lane-major tensor, compile-time lane count. `acc` is a
- * caller-provided {c, L} scratch row.
+ * The outputs x in [lo, hi) of a `count`-wide output row whose tap at
+ * offset `off` (= k - pad) lands inside an `extent`-wide input row:
+ * 0 <= x*stride + off < extent. Empty when lo >= hi.
  */
-template <std::uint32_t L>
+struct TapRange
+{
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+};
+
+TapRange
+validOutputs(std::int64_t off, std::uint32_t stride,
+             std::uint32_t extent, std::uint32_t count)
+{
+    TapRange range;
+    if (off < 0)
+        range.lo = (-off + stride - 1) / stride;
+    if (extent >= off + 1)
+        range.hi = (extent - 1 - off) / stride + 1;
+    range.hi = std::min<std::int64_t>(range.hi, count);
+    return range;
+}
+
+/**
+ * Convolution of one output channel `m` of one sample over a
+ * lane-major tensor. FixedL != 0 fixes the lane count at compile
+ * time; FixedL == 0 reads it from `lanes`. `acc` is a caller-provided
+ * {c, L} scratch row.
+ */
+template <std::uint32_t FixedL>
 RANA_TRIAL_CLONES void
 convolveLanesOne(const float *__restrict in,
                  const float *__restrict wt,
@@ -54,8 +79,9 @@ convolveLanesOne(const float *__restrict in,
                  std::uint32_t out_channels, std::uint32_t r,
                  std::uint32_t c, std::uint32_t kernel,
                  std::uint32_t stride, std::uint32_t pad,
-                 float *__restrict acc)
+                 std::uint32_t lanes, float *__restrict acc)
 {
+    const std::uint32_t L = FixedL != 0 ? FixedL : lanes;
     const std::size_t in_plane =
         static_cast<std::size_t>(h) * w * L;
     const std::size_t in_sample = in_plane * in_channels;
@@ -84,32 +110,24 @@ convolveLanesOne(const float *__restrict in,
                 const float *wt_row =
                     wt_n + static_cast<std::size_t>(ky) * kernel * L;
                 for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                    // Valid x satisfy 0 <= x*stride + off < w.
                     const std::int64_t off =
                         static_cast<std::int64_t>(kx) - pad;
-                    std::int64_t x_lo = 0;
-                    if (off < 0) {
-                        x_lo = (-off + stride - 1) / stride;
-                    }
-                    std::int64_t x_hi = 0;
-                    if (w >= off + 1) {
-                        x_hi = (w - 1 - off) / stride + 1;
-                    }
-                    x_hi = std::min<std::int64_t>(x_hi, c);
-                    if (x_lo >= x_hi)
+                    const TapRange xs = validOutputs(off, stride, w, c);
+                    if (xs.lo >= xs.hi)
                         continue;
                     const float *__restrict wv =
                         wt_row + static_cast<std::size_t>(kx) * L;
-                    if (stride == 1) {
+                    // The runtime lane count keeps one strided loop.
+                    if (FixedL != 0 && stride == 1) {
                         const float *src = row + off * L;
-                        for (std::int64_t x = x_lo; x < x_hi; ++x) {
+                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
                             float *__restrict a = acc + x * L;
                             const float *__restrict s = src + x * L;
                             for (std::uint32_t l = 0; l < L; ++l)
                                 a[l] += s[l] * wv[l];
                         }
                     } else {
-                        for (std::int64_t x = x_lo; x < x_hi; ++x) {
+                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
                             float *__restrict a = acc + x * L;
                             const float *__restrict s =
                                 row + (x * stride + off) * L;
@@ -137,7 +155,7 @@ convolveLanesOne(const float *__restrict in,
  * flight, hiding the add latency the single-channel loop exposes.
  * Each channel's accumulation sequence is exactly the single-channel
  * order — pairing only interleaves independent accumulators — so
- * the result stays bit-identical to the scalar reference.
+ * the result stays bit-identical.
  */
 template <std::uint32_t L>
 RANA_TRIAL_CLONES void
@@ -190,19 +208,10 @@ convolveLanesPair(const float *__restrict in,
                 const float *wt_row1 =
                     wt_n1 + static_cast<std::size_t>(ky) * kernel * L;
                 for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                    // Valid x satisfy 0 <= x*stride + off < w.
                     const std::int64_t off =
                         static_cast<std::int64_t>(kx) - pad;
-                    std::int64_t x_lo = 0;
-                    if (off < 0) {
-                        x_lo = (-off + stride - 1) / stride;
-                    }
-                    std::int64_t x_hi = 0;
-                    if (w >= off + 1) {
-                        x_hi = (w - 1 - off) / stride + 1;
-                    }
-                    x_hi = std::min<std::int64_t>(x_hi, c);
-                    if (x_lo >= x_hi)
+                    const TapRange xs = validOutputs(off, stride, w, c);
+                    if (xs.lo >= xs.hi)
                         continue;
                     const float *__restrict wv0 =
                         wt_row0 + static_cast<std::size_t>(kx) * L;
@@ -210,7 +219,7 @@ convolveLanesPair(const float *__restrict in,
                         wt_row1 + static_cast<std::size_t>(kx) * L;
                     if (stride == 1) {
                         const float *src = row + off * L;
-                        for (std::int64_t x = x_lo; x < x_hi; ++x) {
+                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
                             const float *__restrict s = src + x * L;
                             float *__restrict p0 = a0 + x * L;
                             float *__restrict p1 = a1 + x * L;
@@ -220,7 +229,7 @@ convolveLanesPair(const float *__restrict in,
                             }
                         }
                     } else {
-                        for (std::int64_t x = x_lo; x < x_hi; ++x) {
+                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
                             const float *__restrict s =
                                 row + (x * stride + off) * L;
                             float *__restrict p0 = a0 + x * L;
@@ -247,16 +256,18 @@ convolveLanesPair(const float *__restrict in,
 }
 
 /**
- * Convolution over one lane-major tensor with a compile-time lane
- * count. `acc` is a caller-provided {2, c, L} scratch block.
+ * Convolution over one lane-major tensor. FixedL != 0 fixes the lane
+ * count at compile time; FixedL == 0 reads it from `lanes`. `acc` is
+ * a caller-provided {2, c, L} scratch block.
  *
  * Output channels are paired on narrow multi-input layers, where
- * the pairing measures 1.2-1.3x. Wide rows (c > 6) and single-input
- * layers stay on the one-channel path: there the second accumulator
- * row costs more than the input reuse earns (empirically tuned on
- * the campaign's MiniVgg/MiniAlexNet shapes).
+ * the pairing measures 1.2-1.3x. Wide rows (c > 6), single-input
+ * layers and the runtime lane count stay on the one-channel path:
+ * there the second accumulator row costs more than the input reuse
+ * earns (empirically tuned on the campaign's MiniVgg/MiniAlexNet
+ * shapes).
  */
-template <std::uint32_t L>
+template <std::uint32_t FixedL>
 void
 convolveLanesImpl(const float *__restrict in,
                   const float *__restrict wt,
@@ -266,116 +277,41 @@ convolveLanesImpl(const float *__restrict in,
                   std::uint32_t w, std::uint32_t out_channels,
                   std::uint32_t r, std::uint32_t c,
                   std::uint32_t kernel, std::uint32_t stride,
-                  std::uint32_t pad, float *__restrict acc)
+                  std::uint32_t pad, std::uint32_t lanes,
+                  float *__restrict acc)
 {
     for (std::uint32_t b = 0; b < batch; ++b) {
         std::uint32_t m = 0;
-        if (in_channels >= 2 && c <= 6) {
+        if (FixedL != 0 && in_channels >= 2 && c <= 6) {
             for (; m + 2 <= out_channels; m += 2)
-                convolveLanesPair<L>(in, wt, bias, out, b, m,
-                                     in_channels, h, w, out_channels,
-                                     r, c, kernel, stride, pad, acc);
+                convolveLanesPair<FixedL>(in, wt, bias, out, b, m,
+                                          in_channels, h, w,
+                                          out_channels, r, c, kernel,
+                                          stride, pad, acc);
         }
         for (; m < out_channels; ++m)
-            convolveLanesOne<L>(in, wt, bias, out, b, m, in_channels,
-                                h, w, out_channels, r, c, kernel,
-                                stride, pad, acc);
+            convolveLanesOne<FixedL>(in, wt, bias, out, b, m,
+                                     in_channels, h, w, out_channels, r,
+                                     c, kernel, stride, pad, lanes, acc);
     }
 }
 
-/** Runtime-lane convolution fallback (any lane count). */
-RANA_TRIAL_CLONES void
-convolveLanesGeneric(const float *__restrict in,
-                     const float *__restrict wt,
-                     const float *__restrict bias,
-                     float *__restrict out, std::uint32_t batch,
-                     std::uint32_t in_channels, std::uint32_t h,
-                     std::uint32_t w, std::uint32_t out_channels,
-                     std::uint32_t r, std::uint32_t c,
-                     std::uint32_t kernel, std::uint32_t stride,
-                     std::uint32_t pad, std::uint32_t lanes,
-                     float *__restrict acc)
-{
-    const std::size_t in_plane =
-        static_cast<std::size_t>(h) * w * lanes;
-    const std::size_t in_sample = in_plane * in_channels;
-    const std::size_t in_row = static_cast<std::size_t>(w) * lanes;
-    const std::size_t out_plane =
-        static_cast<std::size_t>(r) * c * lanes;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel) * kernel * lanes;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t m = 0; m < out_channels; ++m) {
-            float *out_m = out + (b * out_channels + m) * out_plane;
-            const float *wt_m = wt + m * in_channels * wt_kernel;
-            const float *bias_m =
-                bias + static_cast<std::size_t>(m) * lanes;
-            for (std::uint32_t y = 0; y < r; ++y) {
-                const std::int64_t base_y =
-                    static_cast<std::int64_t>(y) * stride - pad;
-                for (std::uint32_t x = 0; x < c; ++x)
-                    for (std::uint32_t l = 0; l < lanes; ++l)
-                        acc[x * lanes + l] = bias_m[l];
-                for (std::uint32_t n = 0; n < in_channels; ++n) {
-                    const float *in_n =
-                        in + b * in_sample + n * in_plane;
-                    const float *wt_n = wt_m + n * wt_kernel;
-                    for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                        const std::int64_t in_y = base_y + ky;
-                        if (in_y < 0 || in_y >= h)
-                            continue;
-                        const float *row = in_n + in_y * in_row;
-                        const float *wt_row =
-                            wt_n + static_cast<std::size_t>(ky) *
-                                       kernel * lanes;
-                        for (std::uint32_t kx = 0; kx < kernel;
-                             ++kx) {
-                            const std::int64_t off =
-                                static_cast<std::int64_t>(kx) - pad;
-                            std::int64_t x_lo = 0;
-                            if (off < 0) {
-                                x_lo = (-off + stride - 1) / stride;
-                            }
-                            std::int64_t x_hi = 0;
-                            if (w >= off + 1) {
-                                x_hi = (w - 1 - off) / stride + 1;
-                            }
-                            x_hi = std::min<std::int64_t>(x_hi, c);
-                            if (x_lo >= x_hi)
-                                continue;
-                            const float *__restrict wv =
-                                wt_row + static_cast<std::size_t>(kx) *
-                                             lanes;
-                            for (std::int64_t x = x_lo; x < x_hi;
-                                 ++x) {
-                                float *__restrict a = acc + x * lanes;
-                                const float *__restrict s =
-                                    row + (x * stride + off) * lanes;
-                                for (std::uint32_t l = 0; l < lanes;
-                                     ++l)
-                                    a[l] += s[l] * wv[l];
-                            }
-                        }
-                    }
-                }
-                float *out_row =
-                    out_m + static_cast<std::size_t>(y) * c * lanes;
-                for (std::size_t i = 0;
-                     i < static_cast<std::size_t>(c) * lanes; ++i)
-                    out_row[i] = acc[i];
-            }
-        }
-    }
-}
-
-/** Dense layer over lane-major operands, compile-time lane count. */
-template <std::uint32_t L>
+/**
+ * Dense layer over lane-major operands. FixedL != 0 fixes the lane
+ * count at compile time and accumulates in a local array; FixedL ==
+ * 0 reads it from `lanes` and accumulates in the {L} `scratch`.
+ */
+template <std::uint32_t FixedL>
 RANA_TRIAL_CLONES void
 denseLanesImpl(const float *__restrict in, const float *__restrict wt,
                const float *__restrict bias,
                float *__restrict out, std::uint32_t batch,
-               std::uint32_t in_features, std::uint32_t out_features)
+               std::uint32_t in_features, std::uint32_t out_features,
+               std::uint32_t lanes, float *__restrict scratch)
 {
+    const std::uint32_t L = FixedL != 0 ? FixedL : lanes;
+    float fixed_acc[FixedL != 0 ? FixedL : 1];
+    float *__restrict acc = FixedL != 0 ? fixed_acc : scratch;
     for (std::uint32_t b = 0; b < batch; ++b) {
         const float *in_b =
             in + static_cast<std::size_t>(b) * in_features * L;
@@ -386,7 +322,6 @@ denseLanesImpl(const float *__restrict in, const float *__restrict wt,
                 wt + static_cast<std::size_t>(o) * in_features * L;
             const float *bias_o =
                 bias + static_cast<std::size_t>(o) * L;
-            float acc[L];
             for (std::uint32_t l = 0; l < L; ++l)
                 acc[l] = bias_o[l];
             for (std::uint32_t i = 0; i < in_features; ++i) {
@@ -402,66 +337,6 @@ denseLanesImpl(const float *__restrict in, const float *__restrict wt,
                 d[l] = acc[l];
         }
     }
-}
-
-/** Runtime-lane dense fallback. */
-RANA_TRIAL_CLONES void
-denseLanesGeneric(const float *__restrict in,
-                  const float *__restrict wt,
-                  const float *__restrict bias,
-                  float *__restrict out, std::uint32_t batch,
-                  std::uint32_t in_features, std::uint32_t out_features,
-                  std::uint32_t lanes, float *__restrict acc)
-{
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        const float *in_b =
-            in + static_cast<std::size_t>(b) * in_features * lanes;
-        float *out_b =
-            out + static_cast<std::size_t>(b) * out_features * lanes;
-        for (std::uint32_t o = 0; o < out_features; ++o) {
-            const float *wt_o =
-                wt + static_cast<std::size_t>(o) * in_features * lanes;
-            const float *bias_o =
-                bias + static_cast<std::size_t>(o) * lanes;
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                acc[l] = bias_o[l];
-            for (std::uint32_t i = 0; i < in_features; ++i) {
-                const float *__restrict s =
-                    in_b + static_cast<std::size_t>(i) * lanes;
-                const float *__restrict v =
-                    wt_o + static_cast<std::size_t>(i) * lanes;
-                for (std::uint32_t l = 0; l < lanes; ++l)
-                    acc[l] += s[l] * v[l];
-            }
-            float *d = out_b + static_cast<std::size_t>(o) * lanes;
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                d[l] = acc[l];
-        }
-    }
-}
-
-/**
- * The outputs x in [lo, hi) of a `count`-wide output row whose tap at
- * offset `off` (= k - pad) lands inside an `extent`-wide input row:
- * 0 <= x*stride + off < extent. Empty when lo >= hi.
- */
-struct TapRange
-{
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-};
-
-TapRange
-validOutputs(std::int64_t off, std::uint32_t stride,
-             std::uint32_t extent, std::uint32_t count)
-{
-    TapRange range;
-    if (off < 0)
-        range.lo = (-off + stride - 1) / stride;
-    if (extent >= off + 1)
-        range.hi = (extent - 1 - off) / stride + 1;
-    range.hi = std::min<std::int64_t>(range.hi, count);
-    return range;
 }
 
 /**
@@ -720,35 +595,26 @@ convolveTrialLanes(const float *in, const float *wt, const float *bias,
                    std::uint32_t kernel, std::uint32_t stride,
                    std::uint32_t pad, std::uint32_t lanes)
 {
-    // Two accumulator rows: the lane-templated path pairs output
-    // channels; the generic fallback uses only the first row.
+    // Two accumulator rows: the compile-time lane counts pair output
+    // channels; the runtime lane count uses only the first row.
     std::vector<float> acc(static_cast<std::size_t>(2) * c * lanes);
+    auto run = [&](auto impl) {
+        impl(in, wt, bias, out, batch, in_channels, h, w, out_channels,
+             r, c, kernel, stride, pad, lanes, acc.data());
+    };
     switch (lanes) {
       case 16:
-        convolveLanesImpl<16>(in, wt, bias, out, batch, in_channels,
-                              h, w, out_channels, r, c, kernel,
-                              stride, pad, acc.data());
-        return;
+        return run(convolveLanesImpl<16>);
       case 8:
-        convolveLanesImpl<8>(in, wt, bias, out, batch, in_channels, h,
-                             w, out_channels, r, c, kernel, stride,
-                             pad, acc.data());
-        return;
+        return run(convolveLanesImpl<8>);
       case 4:
-        convolveLanesImpl<4>(in, wt, bias, out, batch, in_channels, h,
-                             w, out_channels, r, c, kernel, stride,
-                             pad, acc.data());
-        return;
+        return run(convolveLanesImpl<4>);
       case 2:
-        convolveLanesImpl<2>(in, wt, bias, out, batch, in_channels, h,
-                             w, out_channels, r, c, kernel, stride,
-                             pad, acc.data());
-        return;
+        return run(convolveLanesImpl<2>);
+      case 1:
+        return run(convolveLanesImpl<1>);
       default:
-        convolveLanesGeneric(in, wt, bias, out, batch, in_channels, h,
-                             w, out_channels, r, c, kernel, stride,
-                             pad, lanes, acc.data());
-        return;
+        return run(convolveLanesImpl<0>);
     }
 }
 
@@ -823,29 +689,24 @@ denseTrialLanes(const float *in, const float *wt, const float *bias,
                 std::uint32_t in_features, std::uint32_t out_features,
                 std::uint32_t lanes)
 {
+    std::vector<float> scratch(lanes);
+    auto run = [&](auto impl) {
+        impl(in, wt, bias, out, batch, in_features, out_features, lanes,
+             scratch.data());
+    };
     switch (lanes) {
       case 16:
-        denseLanesImpl<16>(in, wt, bias, out, batch, in_features,
-                           out_features);
-        return;
+        return run(denseLanesImpl<16>);
       case 8:
-        denseLanesImpl<8>(in, wt, bias, out, batch, in_features,
-                          out_features);
-        return;
+        return run(denseLanesImpl<8>);
       case 4:
-        denseLanesImpl<4>(in, wt, bias, out, batch, in_features,
-                          out_features);
-        return;
+        return run(denseLanesImpl<4>);
       case 2:
-        denseLanesImpl<2>(in, wt, bias, out, batch, in_features,
-                          out_features);
-        return;
-      default: {
-        std::vector<float> acc(lanes);
-        denseLanesGeneric(in, wt, bias, out, batch, in_features,
-                          out_features, lanes, acc.data());
-        return;
-      }
+        return run(denseLanesImpl<2>);
+      case 1:
+        return run(denseLanesImpl<1>);
+      default:
+        return run(denseLanesImpl<0>);
     }
 }
 
@@ -873,9 +734,8 @@ maxPoolTrialLanes(const float *__restrict in, float *__restrict out,
                                static_cast<std::size_t>(x) * lanes;
                     for (std::uint32_t l = 0; l < lanes; ++l)
                         d[l] = -1e30f;
-                    // Candidate order (dy, dx) matches the scalar
-                    // layer; per lane the strict > picks the same
-                    // element.
+                    // Candidates in (dy, dx) order; per lane the
+                    // strict > keeps the first maximum.
                     for (std::uint32_t dy = 0; dy < 2; ++dy) {
                         for (std::uint32_t dx = 0; dx < 2; ++dx) {
                             const float *s =
@@ -920,8 +780,7 @@ avgPoolTrialLanes(const float *__restrict in, float *__restrict out,
                                static_cast<std::size_t>(x) * lanes;
                     for (std::uint32_t l = 0; l < lanes; ++l)
                         d[l] = 0.0f;
-                    // Summation order (dy, dx) matches the scalar
-                    // layer.
+                    // Summation order (dy, dx).
                     for (std::uint32_t dy = 0; dy < 2; ++dy) {
                         for (std::uint32_t dx = 0; dx < 2; ++dx) {
                             const float *s =

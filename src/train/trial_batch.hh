@@ -1,36 +1,40 @@
 /**
  * @file
- * Lane-major kernels: the trial-batched forward pass of the fault
- * campaign, and the minibatch-as-lanes convolution of training.
+ * Lane-major kernels: the one forward pass of every layer, and the
+ * training convolution's backward.
  *
- * A campaign cell runs N independent corrupted forward passes over
- * the same test batch and the same shared weight store; only the
- * injected bit errors differ per trial. The batched path fuses a
- * block of trials into one pass by appending a *lane* dimension to
- * every activation tensor — layout {..., L} with the lane index
- * innermost — so the per-output multiply-accumulate runs on L
- * contiguous floats at a time and vectorizes across trials instead
- * of re-walking the network N times.
+ * Every forward (Layer::forward) runs over lane-major tensors: a
+ * trailing *lane* dimension {..., L} with the lane index innermost,
+ * so the per-output multiply-accumulate runs on L contiguous floats
+ * at a time. The lanes are whatever the caller fuses: a fault
+ * campaign's trials over the same test batch (packTrialLanes; only
+ * the injected bit errors differ per lane), a serving batch's
+ * requests (packSampleLanes; one distinct sample per lane), or, at
+ * one lane, a training or evaluation minibatch, whose trailing
+ * dimension may be omitted because one lane has the plain layout.
+ * Each lane has its own injector pair in the ForwardContext.
  *
- * Training reuses the same layout with the lanes swapped for
- * samples: Conv2dLayer packs its minibatch in blocks of 16/8/4/2
- * samples that share one weight tensor, runs the forward through
- * convolveTrialLanes and the input gradient through
- * convolveInputGradLanes. The weight and bias gradients reduce over
- * the minibatch, so convolveWeightGrad vectorizes over output
- * channels instead.
+ * The conv layer picks its kernel shape from the lane count: at
+ * L > 1 each lane has its own copy-on-corrupt weights, packed
+ * lane-major; at L = 1 Conv2dLayer runs the minibatch as lanes
+ * instead, in blocks of 16/8/4/2 samples sharing one weight tensor,
+ * through the same convolveTrialLanes, and the input gradient
+ * through convolveInputGradLanes. The weight and bias gradients
+ * reduce over the minibatch, so convolveWeightGrad vectorizes over
+ * output channels instead.
  *
- * Bit-exactness contract: for every lane, the batched pass performs
- * exactly the per-element operations of the scalar reference in
- * exactly the reference order. Vectorization only spans *independent*
- * accumulators (different lanes, different output positions,
- * different output channels), never reorders the additions inside
- * one accumulator, and the toolchain target (x86-64 baseline / AVX
- * via target_clones) has no FMA contraction, so the batched campaign
- * is bit-identical to the scalar one for any lane count, and
- * training is bit-identical to the reference conv loop nests. The
- * robustness suite asserts the former across lane counts; the
- * TrainKernels suite asserts the latter against the reference loops.
+ * Bit-exactness contract: for every lane, the kernels perform
+ * exactly the per-element operations of a 1-lane forward in exactly
+ * its order. Vectorization only spans *independent* accumulators
+ * (different lanes, different output positions, different output
+ * channels), never reorders the additions inside one accumulator,
+ * and the toolchain target (x86-64 baseline / AVX via target_clones)
+ * has no FMA contraction, so a batched campaign is bit-identical to
+ * its 1-lane reference for any lane count, and training is
+ * bit-identical to the reference conv loop nests. The LaneForward
+ * and FaultCampaign suites assert the former across lane counts;
+ * the TrainKernels suite asserts the latter against the reference
+ * loops.
  */
 
 #ifndef RANA_TRAIN_TRIAL_BATCH_HH_
@@ -39,39 +43,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "train/error_injection.hh"
 #include "train/fixed_point.hh"
 #include "train/tensor.hh"
 
 namespace rana {
-
-/**
- * Per-batched-forward execution options: the fixed-point format
- * shared by every lane plus one injector pair per lane. Mirrors
- * ForwardContext, with the scalar injector slots widened to one
- * entry per trial lane (null entry = no injection on that lane).
- */
-struct TrialForwardContext
-{
-    /** Quantize operands to fixed point (16-bit hardware model). */
-    const FixedPointFormat *quant = nullptr;
-    /** Per-lane activation injectors (size = lane count). */
-    std::vector<BitErrorInjector *> injectors;
-    /**
-     * Per-lane weight injectors (size = lane count). A null entry
-     * falls back to the lane's activation injector, exactly like
-     * ForwardContext::weightInjector.
-     */
-    std::vector<BitErrorInjector *> weightInjectors;
-    /** The bound weight store is already in format `quant`. */
-    bool weightsPreQuantized = false;
-
-    /** Number of trial lanes fused into the pass. */
-    std::uint32_t lanes() const
-    {
-        return static_cast<std::uint32_t>(injectors.size());
-    }
-};
 
 /**
  * Replicate a scalar-layout tensor across `lanes` trial lanes:
@@ -109,7 +84,7 @@ Tensor packSampleLanes(const Tensor &batch,
 void quantizeTrialSpan(float *data, std::size_t count,
                        const FixedPointFormat &format);
 
-/** In-place ReLU over a span: v = max(0, v), as the scalar layer. */
+/** In-place ReLU over a span: v = max(0, v). */
 void reluTrialSpan(float *data, std::size_t count);
 
 /** Element-wise dst[i] += src[i] (the residual skip connection). */
@@ -119,7 +94,9 @@ void addTrialSpan(float *dst, const float *src, std::size_t count);
  * Lane-major convolution: activations {B, N, H, W, L}, packed
  * weights {M, N, K, K, L}, bias {M, L}, output {B, M, R, C, L}.
  * Per lane, accumulates bias + sum over (n, ky, kx) of the valid
- * taps in exactly the scalar kernel's order.
+ * taps, in that order. Lane counts 16/8/4/2/1 run compile-time lane
+ * kernels; any other count runs the same loops with a runtime lane
+ * count.
  */
 void convolveTrialLanes(const float *in, const float *wt,
                         const float *bias, float *out,
@@ -174,7 +151,7 @@ void convolveWeightGrad(const float *in, const float *gout,
 /**
  * Lane-major dense layer: input {B, F, L}, packed weights {O, F, L},
  * bias {O, L}, output {B, O, L}. One sequential dot product per
- * (output, lane), as the scalar kernel.
+ * (output, lane).
  */
 void denseTrialLanes(const float *in, const float *wt,
                      const float *bias, float *out, std::uint32_t batch,
@@ -183,8 +160,8 @@ void denseTrialLanes(const float *in, const float *wt,
 
 /**
  * Lane-major 2x2/stride-2 max pooling: input {B, C, H, W, L},
- * output {B, C, H/2, W/2, L}. Candidate order and the strict
- * greater-than comparison match the scalar layer.
+ * output {B, C, H/2, W/2, L}. Candidates in (dy, dx) order, each
+ * kept by a strict greater-than over a -1e30 start.
  */
 void maxPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
                        std::uint32_t channels, std::uint32_t h,
@@ -192,8 +169,8 @@ void maxPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
 
 /**
  * Lane-major 2x2/stride-2 average pooling: input {B, C, H, W, L},
- * output {B, C, H/2, W/2, L}. Summation order matches the scalar
- * layer.
+ * output {B, C, H/2, W/2, L}. Sums the window in (dy, dx) order,
+ * then scales by 0.25.
  */
 void avgPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
                        std::uint32_t channels, std::uint32_t h,

@@ -37,6 +37,10 @@ CASES = {
     "rana_obs": [
         (["top", "missing-metrics.json", "-n", "abc"], "-n"),
     ],
+    "rana_bench": [
+        (["--list", "--trials=abc"], "--trials"),
+        (["--list", "--repeat=-1"], "--repeat"),
+    ],
 }
 
 # rana_obs reserves exit 1 for "snapshots differ"; its usage errors

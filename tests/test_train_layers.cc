@@ -14,11 +14,14 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <sstream>
 
 #include "train/error_injection.hh"
 #include "train/layers.hh"
 #include "train/loss.hh"
+#include "train/mini_models.hh"
+#include "train/trial_batch.hh"
 #include "util/random.hh"
 
 namespace rana {
@@ -428,6 +431,49 @@ referenceConvolveBackward(const float *in, const float *wt,
     }
 }
 
+/** One lane's operand settings, as the reference transforms read them. */
+struct ReferenceContext
+{
+    const FixedPointFormat *quant = nullptr;
+    BitErrorInjector *injector = nullptr;
+    BitErrorInjector *weightInjector = nullptr;
+    bool weightsPreQuantized = false;
+};
+
+/** Reference operand transform: quantize, then corrupt. */
+Tensor
+effectiveOperand(const Tensor &operand, const ReferenceContext &ctx)
+{
+    Tensor effective = operand;
+    if (ctx.quant != nullptr) {
+        quantizeTensor(effective, *ctx.quant);
+        if (ctx.injector != nullptr)
+            ctx.injector->corruptTensor(effective, *ctx.quant);
+    }
+    return effective;
+}
+
+/** Reference copy-on-corrupt weight transform of one lane. */
+std::optional<Tensor>
+corruptedWeights(const Tensor &weights, const ReferenceContext &ctx)
+{
+    if (ctx.quant == nullptr)
+        return std::nullopt;
+    BitErrorInjector *injector =
+        ctx.weightInjector != nullptr ? ctx.weightInjector
+                                      : ctx.injector;
+    const bool corrupting =
+        injector != nullptr && injector->failureRate() > 0.0;
+    if (ctx.weightsPreQuantized && !corrupting)
+        return std::nullopt;
+    Tensor copy = weights;
+    if (!ctx.weightsPreQuantized)
+        quantizeTensor(copy, *ctx.quant);
+    if (corrupting)
+        injector->corruptTensor(copy, *ctx.quant);
+    return copy;
+}
+
 /** One conv layer configuration and how its operands are built. */
 struct ConvCase
 {
@@ -503,11 +549,13 @@ checkConvAgainstReference(const ConvCase &cc)
     ForwardContext ctx;
     ctx.training = true;
     ctx.quant = cc.quantized ? &format : nullptr;
-    ctx.injector = cc.rate > 0.0 ? &injector : nullptr;
+    if (cc.rate > 0.0)
+        ctx.injectors = {&injector};
     const Tensor out = layer.forward(input, ctx);
 
     BitErrorInjector ref_injector(cc.rate, seed);
-    ForwardContext ref_ctx = ctx;
+    ReferenceContext ref_ctx;
+    ref_ctx.quant = ctx.quant;
     ref_ctx.injector = cc.rate > 0.0 ? &ref_injector : nullptr;
     const Tensor eff_input = effectiveOperand(input, ref_ctx);
     const std::optional<Tensor> corrupted =
@@ -670,6 +718,47 @@ TEST(LayerBackwardDeathTest, DenseMismatchedGradient)
     EXPECT_DEATH(fresh.backward(Tensor({3, 4})), "dense backward");
 }
 
+TEST(LayerBackwardDeathTest, AvgPoolMismatchedGradient)
+{
+    AvgPool2dLayer pool;
+    ForwardContext train;
+    train.training = true;
+    pool.forward(Tensor({1, 2, 4, 4}), train);
+    EXPECT_DEATH(pool.backward(Tensor({1, 2, 4, 4})),
+                 "avgpool backward");
+    AvgPool2dLayer fresh;
+    EXPECT_DEATH(fresh.backward(Tensor({1, 2, 2, 2})),
+                 "avgpool backward");
+}
+
+/** Inception block of a 1x1 (2 channels) and a 3x3 (3) branch. */
+InceptionConcat
+makeInception(Rng &rng)
+{
+    std::vector<std::unique_ptr<Sequential>> branches;
+    auto b1 = std::make_unique<Sequential>();
+    b1->add(std::make_unique<Conv2dLayer>(2, 2, 1, 1, 0, rng));
+    branches.push_back(std::move(b1));
+    auto b2 = std::make_unique<Sequential>();
+    b2->add(std::make_unique<Conv2dLayer>(2, 3, 3, 1, 1, rng));
+    branches.push_back(std::move(b2));
+    return InceptionConcat(std::move(branches));
+}
+
+TEST(LayerBackwardDeathTest, InceptionMismatchedGradient)
+{
+    Rng rng(25);
+    InceptionConcat inception = makeInception(rng);
+    ForwardContext train;
+    train.training = true;
+    inception.forward(Tensor({1, 2, 4, 4}), train);
+    EXPECT_DEATH(inception.backward(Tensor({1, 7, 4, 4})),
+                 "inception backward");
+    InceptionConcat fresh = makeInception(rng);
+    EXPECT_DEATH(fresh.backward(Tensor({1, 5, 4, 4})),
+                 "inception backward");
+}
+
 TEST(LayerBackwardGuard, MatchingGradientIsAccepted)
 {
     Rng rng(24);
@@ -682,6 +771,160 @@ TEST(LayerBackwardGuard, MatchingGradientIsAccepted)
     eval.training = false;
     layer.forward(Tensor({4, 2, 5, 5}), eval);
     EXPECT_EQ(layer.backward(out).shape(), Tensor({2, 2, 5, 5}).shape());
+}
+
+// ---------------------------------------------------------------
+// LaneForward: an L-lane forward against L 1-lane forwards
+// ---------------------------------------------------------------
+
+/** A mini model bound to a pre-quantized shared store. */
+struct BoundModel
+{
+    std::unique_ptr<Sequential> skeleton;
+    std::vector<Tensor> store;
+};
+
+BoundModel
+bindQuantized(MiniModelKind kind, std::uint32_t image_size,
+              const FixedPointFormat &format)
+{
+    Rng rng(77 + static_cast<std::uint64_t>(kind));
+    BoundModel bound;
+    const auto owner = makeMiniModel(kind, image_size, 4, rng);
+    for (Param param : owner->params()) {
+        bound.store.push_back(*param.value);
+        randomize(bound.store.back(), rng);
+        quantizeTensor(bound.store.back(), format);
+    }
+    bound.skeleton = makeMiniModel(kind, image_size, 4, rng);
+    bindSharedWeights(*bound.skeleton, bound.store);
+    return bound;
+}
+
+/** Seeds of lane `l`'s activation and weight injectors. */
+std::uint64_t
+actSeed(std::uint32_t l)
+{
+    return 0xa11ce + 2 * l + 1;
+}
+
+std::uint64_t
+weightSeed(std::uint32_t l)
+{
+    return 0xa11ce + 2 * l + 2;
+}
+
+/**
+ * Eval forward of `input` with one injector pair per lane, seeded by
+ * lane (rate 0: a clean forward). `first_lane` offsets the seeds so a
+ * 1-lane forward can replay any lane of a batched one.
+ */
+Tensor
+injectedForward(Layer &model, const Tensor &input, std::uint32_t lanes,
+                double rate, const FixedPointFormat &format,
+                std::uint32_t first_lane = 0)
+{
+    std::vector<BitErrorInjector> act;
+    std::vector<BitErrorInjector> weight;
+    act.reserve(lanes);
+    weight.reserve(lanes);
+    ForwardContext ctx;
+    ctx.quant = &format;
+    ctx.weightsPreQuantized = true;
+    ctx.training = false;
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+        act.emplace_back(rate, actSeed(first_lane + l));
+        weight.emplace_back(rate, weightSeed(first_lane + l));
+        ctx.injectors.push_back(&act.back());
+        ctx.weightInjectors.push_back(&weight.back());
+    }
+    return model.forward(input, ctx);
+}
+
+/** The sample `index` of a {B, ...} batch as a {1, ...} batch. */
+Tensor
+sampleOf(const Tensor &batch, std::uint32_t index)
+{
+    std::vector<std::uint32_t> shape = batch.shape();
+    const std::size_t count = batch.size() / shape.front();
+    shape.front() = 1;
+    Tensor sample(std::move(shape));
+    std::copy(batch.data() + index * count,
+              batch.data() + (index + 1) * count, sample.data());
+    return sample;
+}
+
+/**
+ * Forward `kind` at lane counts 1..17 over trial lanes and sample
+ * lanes, and memcmp every lane's logits against a 1-lane forward of
+ * that lane's input with freshly seeded copies of its injectors.
+ */
+void
+checkLaneForward(MiniModelKind kind)
+{
+    // 12x12 images give 12-, 6- and 3-wide maps: both the
+    // one-channel (c > 6) and the paired conv kernel run.
+    const std::uint32_t image_size = 12;
+    const std::uint32_t batch = 2;
+    // Rate 2e-3 per bit corrupts every lane's input and weights.
+    const double rate = 2e-3;
+    const FixedPointFormat format{12};
+    BoundModel bound = bindQuantized(kind, image_size, format);
+    Layer &model = *bound.skeleton;
+    Rng rng(5);
+    Tensor images({batch, 1, image_size, image_size});
+    randomize(images, rng);
+
+    for (std::uint32_t lanes : {1u, 2u, 3u, 7u, 8u, 16u, 17u}) {
+        SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+        // Trial lanes: the whole batch replicated, errors differ.
+        const Tensor trials = injectedForward(
+            model, packTrialLanes(images, lanes), lanes, rate, format);
+        // Sample lanes: one sample per lane, cycling through the batch.
+        std::vector<std::uint32_t> indices;
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            indices.push_back(l % batch);
+        const Tensor samples =
+            injectedForward(model, packSampleLanes(images, indices),
+                            lanes, rate, format);
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+            SCOPED_TRACE(::testing::Message() << "lane " << l);
+            const Tensor trial_ref =
+                injectedForward(model, images, 1, rate, format, l);
+            EXPECT_TRUE(sameBits(extractTrialLane(trials, l), trial_ref))
+                << "trial lane";
+            const Tensor sample = sampleOf(images, indices[l]);
+            const Tensor sample_ref =
+                injectedForward(model, sample, 1, rate, format, l);
+            EXPECT_TRUE(
+                sameBits(extractTrialLane(samples, l), sample_ref))
+                << "sample lane";
+            // The rate does corrupt the lane.
+            EXPECT_FALSE(sameBits(
+                sample_ref, injectedForward(model, sample, 1, 0.0, format)))
+                << "uncorrupted lane";
+        }
+    }
+}
+
+TEST(LaneForward, MiniAlex)
+{
+    checkLaneForward(MiniModelKind::MiniAlex);
+}
+
+TEST(LaneForward, MiniVgg)
+{
+    checkLaneForward(MiniModelKind::MiniVgg);
+}
+
+TEST(LaneForward, MiniInception)
+{
+    checkLaneForward(MiniModelKind::MiniInception);
+}
+
+TEST(LaneForward, MiniRes)
+{
+    checkLaneForward(MiniModelKind::MiniRes);
 }
 
 } // namespace

@@ -67,9 +67,8 @@
  *   --chrome-trace PATH  record a Chrome trace_event timeline
  *                        (chrome://tracing / Perfetto) to PATH
  *
- * RANA_BENCH_VERIFY=1 in the environment makes every batched trial
- * block re-run through the scalar reference path and asserts the
- * per-trial results are bit-identical (slow; debugging aid).
+ * --lane-block 1 runs every trial as its own 1-lane forward, the
+ * reference path the batched trial blocks are bit-identical to.
  *
  * Exit codes: 0 success, 1 bad usage or failed campaign, 2 a guarded
  * run still observed corrupted-word events (the guard failed its
