@@ -81,14 +81,18 @@ scalarTrialAccuracy(Layer &skeleton, const CampaignModel &model,
 /**
  * Batched path: fuse `lanes` consecutive trials starting at `first`
  * into one lane-major forward pass and write each lane's accuracy
- * back into its trial slot. Per lane the injector seeds, streams and
- * arithmetic match scalarTrialAccuracy bit for bit.
+ * back into its trial slot. The pass is padded to kernelLanes(lanes)
+ * lanes, so a remainder block or an odd lane block still runs a
+ * compile-time kernel; pad lanes carry no injector and are never
+ * read. Per lane the injector seeds, streams and arithmetic match
+ * scalarTrialAccuracy bit for bit.
  */
 void
 batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
                        std::vector<TrialResult> &trials,
                        std::size_t first, std::uint32_t lanes)
 {
+    const std::uint32_t width = kernelLanes(lanes);
     std::vector<BitErrorInjector> act_injectors;
     std::vector<BitErrorInjector> weight_injectors;
     act_injectors.reserve(lanes);
@@ -104,11 +108,13 @@ batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
     ctx.quant = &model.format;
     ctx.weightsPreQuantized = true;
     ctx.training = false;
+    ctx.injectors.assign(width, nullptr);
+    ctx.weightInjectors.assign(width, nullptr);
     for (std::uint32_t l = 0; l < lanes; ++l) {
-        ctx.injectors.push_back(&act_injectors[l]);
-        ctx.weightInjectors.push_back(&weight_injectors[l]);
+        ctx.injectors[l] = &act_injectors[l];
+        ctx.weightInjectors[l] = &weight_injectors[l];
     }
-    const Tensor stacked = packTrialLanes(model.test.images, lanes);
+    const Tensor stacked = packTrialLanes(model.test.images, width);
     const Tensor logits = skeleton.forward(stacked, ctx);
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const Tensor lane_logits = extractTrialLane(logits, l);

@@ -49,14 +49,18 @@
 #include "robust/retention_sampler.hh"
 #include "sim/performance_model.hh"
 #include "train/trainer.hh"
+#include "train/trial_batch.hh"
 #include "util/result.hh"
 
 namespace rana {
 
 class TraceSink;
 
-/** Default trial block of the batched forward path (laneBlock=0). */
-constexpr std::uint32_t kDefaultLaneBlock = 16;
+/**
+ * Default trial block of the batched forward path (laneBlock=0): the
+ * widest compile-time lane kernel.
+ */
+constexpr std::uint32_t kDefaultLaneBlock = kMaxKernelLanes;
 
 /** Configuration of one fault-injection campaign. */
 struct FaultCampaignConfig

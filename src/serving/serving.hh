@@ -24,16 +24,20 @@
  *    (edram/bank_sharding.hh) is sampled deterministically; an
  *    overage trips the tenant's guard policy and corrupts the
  *    batch's lanes with bit errors;
- *  - completed batches replay on the data plane as one lane-major
- *    batched forward (train/trial_batch.hh) through the tenant's
- *    trained mini model, one distinct request sample per lane, so
- *    served accuracy under corruption is measured end to end.
+ *  - after the event loop, the data plane replays every served
+ *    request through its tenant's trained mini model, one distinct
+ *    request sample per lane (train/trial_batch.hh). Per model, the
+ *    requests of all its batches are packed in batch order, across
+ *    batch boundaries, into 16-lane forwards (the last one padded to
+ *    a compile-time kernel width); each lane keeps its own batch's
+ *    injector seeds, so served accuracy under corruption is
+ *    measured end to end, independent of how lanes are blocked.
  *
  * Everything stochastic derives from one seed through per-purpose
  * RNG streams consumed only by the single-threaded event loop, and
- * the parallel data plane writes into per-batch slots — so a run is
- * bit-reproducible for any thread-pool size, which the serving CI
- * gate (deterministic_replay) pins.
+ * the parallel data plane writes into per-(batch, lane) slots — so
+ * a run is bit-reproducible for any thread-pool size, which the
+ * serving CI gate (deterministic_replay) pins.
  */
 
 #ifndef RANA_SERVING_SERVING_HH_
@@ -114,7 +118,7 @@ struct ServingConfig
     /**
      * Batch-coalescing window: the first queued request of a tenant
      * opens a window; everything the tenant queues inside it rides
-     * the same batched forward. 0 disables coalescing — every
+     * the same batch. 0 disables coalescing — every
      * request is its own batch, exactly sequential service.
      */
     double batchWindowSeconds = 0.002;
@@ -184,7 +188,7 @@ struct TenantServingStats
     std::uint64_t shedQueue = 0;
     /** Requests served to completion. */
     std::uint64_t completed = 0;
-    /** Batched forwards executed for this tenant. */
+    /** Batches the accelerator executed for this tenant. */
     std::uint64_t batches = 0;
     /** Completed requests that shared a batch with others. */
     std::uint64_t coalesced = 0;

@@ -580,60 +580,99 @@ ServingSimulation::run(unsigned jobs_override,
     RANA_ASSERT(ready.empty() && !acceleratorBusy,
                 "event loop drained with work pending");
 
-    // --- Data plane: replay every batch as one lane-major batched
-    // forward. Batches fan out across the pool into per-batch slots,
-    // so the accuracy results are independent of the lane count.
+    // --- Data plane: replay every served request through its
+    // tenant's model. Per model, the (batch, lane) pairs of its
+    // batches are packed in batch order across batch boundaries into
+    // blocks of kMaxKernelLanes lanes; the last, short block is
+    // padded to kernelLanes(n), so every forward runs a compile-time
+    // lane kernel. A lane keeps its own batch's injector seeds, and
+    // no kernel mixes lanes, so corrupted and clean lanes share a
+    // block. Blocks fan out across the pool into per-(batch, lane)
+    // slots, so the results are independent of the pool size.
     std::vector<std::vector<std::uint8_t>> correct(batches.size());
     if (cfg.runForwards && !batches.empty()) {
+        struct ServedLane
+        {
+            std::size_t batch = 0;
+            std::uint32_t lane = 0;
+        };
+        std::vector<std::vector<ServedLane>> served(models_.size());
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            const auto lanes =
+                static_cast<std::uint32_t>(batches[b].requests.size());
+            correct[b].resize(lanes, 0);
+            std::vector<ServedLane> &model_lanes =
+                served[tenantModel_[batches[b].tenant]];
+            for (std::uint32_t l = 0; l < lanes; ++l)
+                model_lanes.push_back({b, l});
+        }
+        struct Block
+        {
+            std::size_t model = 0;
+            std::size_t first = 0;
+            std::uint32_t lanes = 0;
+        };
+        std::vector<Block> blocks;
+        for (std::size_t m = 0; m < served.size(); ++m) {
+            for (std::size_t first = 0; first < served[m].size();
+                 first += kMaxKernelLanes) {
+                blocks.push_back(
+                    {m, first,
+                     static_cast<std::uint32_t>(std::min<std::size_t>(
+                         kMaxKernelLanes, served[m].size() - first))});
+            }
+        }
+
         const unsigned jobs =
             jobs_override > 0
                 ? jobs_override
                 : (cfg.jobs == 0 ? hardwareJobs() : cfg.jobs);
-        parallelFor(batches.size(), jobs, [&](std::size_t b) {
-            const BatchRecord &batch = batches[b];
-            const ServedModel &model =
-                models_[tenantModel_[batch.tenant]];
-            const std::uint32_t lanes =
-                static_cast<std::uint32_t>(batch.requests.size());
+        parallelFor(blocks.size(), jobs, [&](std::size_t k) {
+            const Block &block = blocks[k];
+            const ServedModel &model = models_[block.model];
+            const ServedLane *refs =
+                served[block.model].data() + block.first;
+            const std::uint32_t width = kernelLanes(block.lanes);
 
+            // Reserved, so the injector pointers stay valid.
             std::vector<BitErrorInjector> act;
             std::vector<BitErrorInjector> weight;
+            act.reserve(block.lanes);
+            weight.reserve(block.lanes);
             ForwardContext ctx;
             ctx.quant = &model.format;
             ctx.weightsPreQuantized = true;
             ctx.training = false;
-            if (batch.corrupted) {
-                act.reserve(lanes);
-                weight.reserve(lanes);
-                for (std::uint32_t l = 0; l < lanes; ++l) {
-                    act.emplace_back(cfg.injectedBitErrorRate,
-                                     batch.faultSeed + l * 2 + 1);
-                    weight.emplace_back(cfg.injectedBitErrorRate,
-                                        batch.faultSeed + l * 2 + 2);
+            ctx.injectors.assign(width, nullptr);
+            ctx.weightInjectors.assign(width, nullptr);
+            // Pad lanes repeat the block's first sample.
+            std::vector<std::uint32_t> samples(
+                width,
+                batches[refs[0].batch].requests[refs[0].lane].sample);
+            for (std::uint32_t l = 0; l < block.lanes; ++l) {
+                const BatchRecord &batch = batches[refs[l].batch];
+                const std::uint32_t lane = refs[l].lane;
+                samples[l] = batch.requests[lane].sample;
+                if (batch.corrupted) {
+                    ctx.injectors[l] = &act.emplace_back(
+                        cfg.injectedBitErrorRate,
+                        batch.faultSeed + lane * 2 + 1);
+                    ctx.weightInjectors[l] = &weight.emplace_back(
+                        cfg.injectedBitErrorRate,
+                        batch.faultSeed + lane * 2 + 2);
                 }
-                for (std::uint32_t l = 0; l < lanes; ++l) {
-                    ctx.injectors.push_back(&act[l]);
-                    ctx.weightInjectors.push_back(&weight[l]);
-                }
-            } else {
-                ctx.injectors.assign(lanes, nullptr);
-                ctx.weightInjectors.assign(lanes, nullptr);
             }
 
-            std::vector<std::uint32_t> samples;
-            samples.reserve(lanes);
-            for (const ServingRequest &request : batch.requests)
-                samples.push_back(request.sample);
             const Tensor stacked =
                 packSampleLanes(model.test.images, samples);
             const Tensor logits =
                 model.skeleton->forward(stacked, ctx);
-            correct[b].resize(lanes, 0);
-            for (std::uint32_t l = 0; l < lanes; ++l) {
+            for (std::uint32_t l = 0; l < block.lanes; ++l) {
                 const Tensor lane = extractTrialLane(logits, l);
                 const LossResult loss = softmaxCrossEntropy(
                     lane, {model.test.labels[samples[l]]});
-                correct[b][l] = loss.correct > 0 ? 1 : 0;
+                correct[refs[l].batch][refs[l].lane] =
+                    loss.correct > 0 ? 1 : 0;
             }
         });
     }

@@ -33,7 +33,7 @@ forSampleLaneBlocks(const float *in, std::size_t in_sample, float *out,
 {
     std::vector<float> in_lanes;
     std::vector<float> out_lanes;
-    std::uint32_t lanes = 16;
+    std::uint32_t lanes = kMaxKernelLanes;
     for (std::uint32_t b = 0; b < batch; b += lanes) {
         while (lanes > batch - b)
             lanes /= 2;

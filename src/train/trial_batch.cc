@@ -7,11 +7,13 @@
  * the hot kernels carry target_clones("default","avx"): the loader
  * picks the AVX clone on capable CPUs while the binary stays
  * runnable on baseline x86-64. The lane count is a template
- * parameter for 16/8/4/2/1 lanes, the block sizes of the campaign
- * and of the training minibatch, so the innermost lane loop has a
- * compile-time trip count and turns into straight-line vector code;
- * other lane counts run the same template with FixedL = 0, which
- * reads the count at run time: slower, but bit-identical.
+ * parameter for 16/8/4/2/1 lanes, the widths production callers run
+ * (campaign trial blocks and serving request blocks are padded to
+ * them, training minibatches split into them), so the innermost lane
+ * loop has a compile-time trip count and turns into straight-line
+ * vector code; other lane counts run the same template with
+ * FixedL = 0, which reads the count at run time: slower, but
+ * bit-identical.
  *
  * Every kernel keeps the 1-lane per-accumulator operation order —
  * vectorization only spans independent lanes, output positions and

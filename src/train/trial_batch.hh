@@ -8,11 +8,17 @@
  * so the per-output multiply-accumulate runs on L contiguous floats
  * at a time. The lanes are whatever the caller fuses: a fault
  * campaign's trials over the same test batch (packTrialLanes; only
- * the injected bit errors differ per lane), a serving batch's
+ * the injected bit errors differ per lane), a serving block's
  * requests (packSampleLanes; one distinct sample per lane), or, at
  * one lane, a training or evaluation minibatch, whose trailing
  * dimension may be omitted because one lane has the plain layout.
  * Each lane has its own injector pair in the ForwardContext.
+ *
+ * Lane counts 16/8/4/2/1 run compile-time lane kernels, the widths
+ * production callers run: the campaign's trial blocks (up to 16) and
+ * the serving data plane's cross-batch request blocks are padded to
+ * them (kernelLanes), the training minibatch is split into them. Any
+ * other count runs the same kernels with a runtime lane count.
  *
  * The conv layer picks its kernel shape from the lane count: at
  * L > 1 each lane has its own copy-on-corrupt weights, packed
@@ -48,6 +54,27 @@
 
 namespace rana {
 
+/** The widest lane count with a compile-time lane kernel. */
+constexpr std::uint32_t kMaxKernelLanes = 16;
+
+/**
+ * The lane count an `n`-lane forward is padded to so that it runs a
+ * compile-time lane kernel: the smallest of 1/2/4/8/16 that is >= n,
+ * and n itself above kMaxKernelLanes. A pad lane carries null
+ * injectors and is never extracted; since no kernel mixes lanes, the
+ * other lanes stay bit-identical.
+ */
+constexpr std::uint32_t
+kernelLanes(std::uint32_t n)
+{
+    if (n > kMaxKernelLanes)
+        return n;
+    std::uint32_t lanes = 1;
+    while (lanes < n)
+        lanes *= 2;
+    return lanes;
+}
+
 /**
  * Replicate a scalar-layout tensor across `lanes` trial lanes:
  * shape {...} becomes {..., lanes} with every element repeated
@@ -66,9 +93,9 @@ Tensor extractTrialLane(const Tensor &stacked, std::uint32_t lane);
  * lane-major tensor {1, ..., L}: lane l carries the whole sample
  * `indices[l]` (out[i * L + l] = sample_l[i]). Where packTrialLanes
  * replicates one tensor across lanes that differ only in injected
- * errors, this packs *distinct* samples — the serving engine's
- * request coalescing, where every lane is a different tenant
- * request riding the same batched forward. @pre indices non-empty
+ * errors, this packs *distinct* samples — the serving data plane's
+ * request blocks, where every lane is a different served request,
+ * possibly of a different batch. @pre indices non-empty
  * and every index < B.
  */
 Tensor packSampleLanes(const Tensor &batch,

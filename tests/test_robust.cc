@@ -345,8 +345,10 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
     // transform of the scalar per-trial loop: every lane keeps the
     // scalar accumulation order, so accuracies must match bit for
     // bit — across a lane count that divides the trial count, one
-    // that leaves a remainder block, a non-power-of-two count on
-    // the runtime-lane fallback kernels, and the tuned default.
+    // that leaves a remainder block, a non-power-of-two count padded
+    // to a compile-time kernel with injector-free lanes, and the
+    // tuned default. (LaneForward at 3/7/17 lanes covers the
+    // runtime-lane kernels.)
     const RetentionDistribution retention =
         RetentionDistribution::typical65nm();
     const DesignPoint design =

@@ -5,12 +5,14 @@
  * metrics snapshots across data-plane pool sizes), guard-driven
  * shedding isolation, batch-window semantics (window 0 reduces to
  * sequential service), queue-overflow shedding, closed-loop client
- * bounds, bank-shard partitioning, the admission-control primitives
- * and the per-tenant Chrome-trace timeline.
+ * bounds, bank-shard partitioning, the admission-control primitives,
+ * the per-tenant Chrome-trace timeline and the data plane's served
+ * predictions, pinned by hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -71,6 +73,18 @@ servingMetricsFingerprint()
         out << "\n";
     }
     return out.str();
+}
+
+/** 64-bit FNV-1a of `text`. */
+std::uint64_t
+fnv1a64(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char ch : text) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
 }
 
 // ----------------------------------------------------------------
@@ -497,6 +511,54 @@ TEST(ServingForwards, ServedAccuracyIsMeasured)
     EXPECT_GT(stats.completed, 0u);
     EXPECT_GT(stats.accuracy, 0.0);
     EXPECT_LE(stats.accuracy, 1.0);
+}
+
+TEST(ServingForwards, DataPlaneIsPoolInvariantAndPinned)
+{
+    // Forwards on over both mini models with odd batch sizes
+    // (maxBatch 5), so neither model's requests divide into the
+    // data plane's 16-lane blocks, and corrupted and clean batches
+    // share blocks. The pin was recorded with one forward per batch:
+    // how the replay is blocked must not move a single prediction.
+    GuardPolicySpec policy;
+    policy.kind = GuardPolicyKind::Hysteresis;
+    ServingConfig config;
+    config.tenants = mixedTenantSpecs(3, policy, 0.3);
+    for (TenantSpec &tenant : config.tenants)
+        tenant.qps = 20.0;
+    config.seed = 7;
+    config.maxBatch = 5;
+    config.batchWindowSeconds = 0.05;
+    config.durationSeconds = 3.0;
+    config.dataset.trainSamples = 64;
+    config.dataset.testSamples = 32;
+    config.trainer.pretrainEpochs = 2;
+    Result<ServingSimulation> sim = ServingSimulation::prepare(config);
+    ASSERT_TRUE(sim.ok()) << sim.error().message;
+
+    std::string reference;
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        const Result<ServingReport> report = sim.value().run(jobs);
+        ASSERT_TRUE(report.ok()) << report.error().message;
+        const std::string canonical =
+            canonicalServingJson(report.value());
+        if (!reference.empty()) {
+            EXPECT_EQ(canonical, reference) << "jobs=" << jobs;
+            continue;
+        }
+        reference = canonical;
+        std::uint64_t alex = 0;
+        std::uint64_t vgg = 0;
+        std::uint64_t corrupted = 0;
+        for (const TenantServingStats &tenant : report.value().tenants) {
+            (tenant.network == "VGG" ? vgg : alex) += tenant.completed;
+            corrupted += tenant.corruptedRequests;
+        }
+        EXPECT_GT(alex, 16u);
+        EXPECT_GT(vgg, 16u);
+        EXPECT_GT(corrupted, 0u);
+        EXPECT_EQ(fnv1a64(canonical), 0x25dcd2e9bdc21cc0ULL);
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "train/error_injection.hh"
 #include "train/layers.hh"
@@ -650,6 +651,18 @@ TEST(TrainKernels, SignedZeroGradientsMatchReference)
         cc.stride = 2;
         checkConvAgainstReference(cc);
     }
+}
+
+TEST(TrainKernels, KernelLanes)
+{
+    // Up to the widest compile-time kernel a lane count is padded to
+    // the next kernel width; above it the runtime-lane kernel runs.
+    const std::pair<std::uint32_t, std::uint32_t> cases[] = {
+        {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {16, 16},
+        {17, 17}};
+    for (const auto &[lanes, padded] : cases)
+        EXPECT_EQ(kernelLanes(lanes), padded) << lanes << " lanes";
+    EXPECT_EQ(kernelLanes(kMaxKernelLanes), kMaxKernelLanes);
 }
 
 // ---------------------------------------------------------------
