@@ -66,7 +66,7 @@ intervalLabel(double seconds)
 /** Append the sweep's legacy fields to the driver's open artifact. */
 void
 sweepJson(JsonWriter &json, const CampaignSweepReport &report,
-          const GuardPolicyComparisonReport &comparison,
+          const CampaignSweepReport &comparison,
           const CampaignSweepConfig &config,
           double cells_per_second)
 {
@@ -288,14 +288,15 @@ runFaultCampaignBench(rana::bench::BenchContext &ctx)
                            .timingFaults(stall)
                            .guard(true)
                            .build();
+    compare.guardPolicies = stockGuardPolicies(GuardPolicySpec{});
 
-    const Result<GuardPolicyComparisonReport> compared =
-        runGuardPolicyComparison(design, network, compare);
+    const Result<CampaignSweepReport> compared =
+        runCampaignSweep(design, network, compare);
     if (!compared.ok()) {
         fatal("guard-policy comparison failed: ",
               compared.error().message);
     }
-    const GuardPolicyComparisonReport &comparison = compared.value();
+    const CampaignSweepReport &comparison = compared.value();
 
     std::cout << "\nGuard-policy comparison at "
               << rateLabel(kGateRate) << " x "

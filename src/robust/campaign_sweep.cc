@@ -18,7 +18,7 @@ namespace rana {
 
 namespace {
 
-/** Shared grid validation of the sweep and the policy comparison. */
+/** Grid validation of a sweep configuration. */
 std::optional<Error>
 validateSweepGrid(const CampaignSweepConfig &config)
 {
@@ -56,6 +56,16 @@ validateSweepGrid(const CampaignSweepConfig &config)
 
 } // namespace
 
+std::vector<GuardPolicySpec>
+stockGuardPolicies(const GuardPolicySpec &knobs)
+{
+    std::vector<GuardPolicySpec> policies(3, knobs);
+    policies[0].kind = GuardPolicyKind::Permanent;
+    policies[1].kind = GuardPolicyKind::Hysteresis;
+    policies[2].kind = GuardPolicyKind::Binned;
+    return policies;
+}
+
 const SweepCell &
 CampaignSweepReport::at(std::size_t rate, std::size_t interval) const
 {
@@ -64,6 +74,63 @@ CampaignSweepReport::at(std::size_t rate, std::size_t interval) const
     RANA_ASSERT(interval < refreshIntervals.size(),
                 "sweep interval index out of range: ", interval);
     return cells[rate * refreshIntervals.size() + interval];
+}
+
+const SweepCell &
+CampaignSweepReport::at(std::size_t policy, std::size_t rate,
+                        std::size_t interval) const
+{
+    RANA_ASSERT(policy < policyNames.size(),
+                "sweep policy index out of range: ", policy);
+    RANA_ASSERT(rate < failureRates.size(),
+                "sweep rate index out of range: ", rate);
+    RANA_ASSERT(interval < refreshIntervals.size(),
+                "sweep interval index out of range: ", interval);
+    return cells[(policy * failureRates.size() + rate) *
+                     refreshIntervals.size() +
+                 interval];
+}
+
+GuardPolicyRow
+CampaignSweepReport::policyRow(std::size_t policy) const
+{
+    GuardPolicyRow row;
+    row.policy = policyNames[policy];
+    std::vector<double> relatives;
+    for (std::size_t r = 0; r < failureRates.size(); ++r) {
+        for (std::size_t i = 0; i < refreshIntervals.size(); ++i) {
+            const FaultCampaignReport &report = at(policy, r, i).report;
+            for (const TrialResult &trial : report.trials)
+                relatives.push_back(trial.relativeAccuracy);
+        }
+    }
+    // The controller counters depend on the interval, not on the
+    // retraining rate, so sum them over one rate row only (the rate
+    // axis replicates the same simulated exposures).
+    for (std::size_t i = 0; i < refreshIntervals.size(); ++i) {
+        const FaultCampaignReport &report = at(policy, 0, i).report;
+        row.trips += report.guardStats.trips;
+        row.banksReenabled += report.guardStats.banksReenabled;
+        row.redisarms += report.guardStats.redisarms;
+        row.escalations += report.guardStats.escalations;
+        row.fallbackRefreshOps += report.guardStats.fallbackRefreshOps;
+        row.armedRefreshOps += report.guardStats.armedRefreshOps;
+        row.violations += report.retentionViolations;
+    }
+    row.p5RelativeAccuracy = percentile(relatives, 5.0);
+    row.p50RelativeAccuracy = percentile(relatives, 50.0);
+    row.p95RelativeAccuracy = percentile(relatives, 95.0);
+    return row;
+}
+
+std::string
+CampaignSweepReport::comparisonTable() const
+{
+    std::vector<GuardPolicyRow> rows;
+    rows.reserve(policyNames.size());
+    for (std::size_t p = 0; p < policyNames.size(); ++p)
+        rows.push_back(policyRow(p));
+    return markdownGuardPolicyTable(rows);
 }
 
 std::string
@@ -107,62 +174,26 @@ PreparedSweep::prepareSweep(const DesignPoint &design,
         return *invalid;
 
     PreparedSweep plan;
-    plan.comparison_ = false;
     plan.design_ = design;
     plan.networkName_ = network.name();
     plan.failureRates_ = config.failureRates;
     plan.refreshIntervals_ = config.refreshIntervals;
-    plan.campaigns_ = {config.campaign};
-
-    // The trace is simulated once per refresh interval; the rate
-    // axis reuses these exposures unchanged.
-    std::vector<CampaignExposures> per_interval;
-    per_interval.reserve(config.refreshIntervals.size());
-    for (double interval : config.refreshIntervals) {
-        DesignPoint point = design;
-        point.options.refreshIntervalSeconds = interval;
-        Result<CampaignExposures> simulated =
-            simulateExposures(point, network, config.campaign);
-        if (!simulated.ok())
-            return simulated.error();
-        per_interval.push_back(std::move(simulated).value());
+    // The policy axis: one row running the campaign as configured,
+    // or one guarded row per listed policy.
+    if (config.guardPolicies.empty())
+        plan.campaigns_ = {config.campaign};
+    for (const GuardPolicySpec &spec : config.guardPolicies) {
+        FaultCampaignConfig campaign = config.campaign;
+        campaign.guard = true;
+        campaign.guardPolicy = spec;
+        plan.campaigns_.push_back(std::move(campaign));
     }
-    plan.exposures_.push_back(std::move(per_interval));
-    plan.prepareModels(config);
-    return plan;
-}
-
-Result<PreparedSweep>
-PreparedSweep::prepareComparison(const DesignPoint &design,
-                                 const NetworkModel &network,
-                                 const CampaignSweepConfig &config)
-{
-    if (std::optional<Error> invalid = validateSweepGrid(config))
-        return *invalid;
-
-    std::vector<GuardPolicySpec> policies = config.guardPolicies;
-    if (policies.empty()) {
-        policies.resize(3);
-        policies[0].kind = GuardPolicyKind::Permanent;
-        policies[1].kind = GuardPolicyKind::Hysteresis;
-        policies[2].kind = GuardPolicyKind::Binned;
-    }
-
-    PreparedSweep plan;
-    plan.comparison_ = true;
-    plan.design_ = design;
-    plan.networkName_ = network.name();
-    plan.failureRates_ = config.failureRates;
-    plan.refreshIntervals_ = config.refreshIntervals;
 
     // The simulated exposures depend on the policy and the interval
     // (the policy steers the controller's fallback pulses), so the
     // trace runs once per (policy, interval) pair and is reused
     // across the rate axis.
-    for (const GuardPolicySpec &spec : policies) {
-        FaultCampaignConfig campaign = config.campaign;
-        campaign.guard = true;
-        campaign.guardPolicy = spec;
+    for (const FaultCampaignConfig &campaign : plan.campaigns_) {
         std::vector<CampaignExposures> per_interval;
         per_interval.reserve(config.refreshIntervals.size());
         for (double interval : config.refreshIntervals) {
@@ -177,36 +208,43 @@ PreparedSweep::prepareComparison(const DesignPoint &design,
         plan.policyNames_.push_back(
             per_interval.front().guardPolicyName);
         plan.exposures_.push_back(std::move(per_interval));
-        plan.campaigns_.push_back(std::move(campaign));
     }
-    plan.prepareModels(config);
-    return plan;
-}
 
-void
-PreparedSweep::prepareModels(const CampaignSweepConfig &config)
-{
     // The stand-in model is pretrained once; each rate retrains from
     // the pretrained snapshot and exports one shared store used by
     // every cell (and every policy) at that rate.
     RetentionAwareTrainer trainer(config.campaign.model,
                                   config.campaign.dataset,
                                   config.campaign.trainer);
-    baselineAccuracy_ = trainer.pretrain();
-    modelName_ = miniModelName(config.campaign.model);
-    models_.reserve(config.failureRates.size());
+    plan.baselineAccuracy_ = trainer.pretrain();
+    plan.modelName_ = miniModelName(config.campaign.model);
+    plan.models_.reserve(config.failureRates.size());
     for (double rate : config.failureRates) {
-        models_.push_back(
+        plan.models_.push_back(
             prepareCampaignModel(trainer, config.campaign, rate));
     }
+    return plan;
 }
 
 std::size_t
 PreparedSweep::cellCount() const
 {
-    const std::size_t grid =
-        failureRates_.size() * refreshIntervals_.size();
-    return comparison_ ? policyNames_.size() * grid : grid;
+    return policyNames_.size() * failureRates_.size() *
+           refreshIntervals_.size();
+}
+
+SweepCell
+PreparedSweep::cellAt(std::size_t cell) const
+{
+    RANA_ASSERT(cell < cellCount(),
+                "sweep cell index out of range: ", cell);
+    const std::size_t intervals = refreshIntervals_.size();
+    const std::size_t rates = failureRates_.size();
+    SweepCell entry;
+    entry.failureRate = failureRates_[(cell / intervals) % rates];
+    entry.refreshIntervalSeconds = refreshIntervals_[cell % intervals];
+    entry.policyName = policyNames_[cell / (intervals * rates)];
+    return entry;
 }
 
 Result<FaultCampaignReport>
@@ -218,7 +256,7 @@ PreparedSweep::runCell(std::size_t cell, unsigned jobs_override) const
     const std::size_t rates = failureRates_.size();
     const std::size_t i = cell % intervals;
     const std::size_t r = (cell / intervals) % rates;
-    const std::size_t p = comparison_ ? cell / (intervals * rates) : 0;
+    const std::size_t p = cell / (intervals * rates);
 
     FaultCampaignConfig campaign = campaigns_[p];
     if (jobs_override > 0)
@@ -234,8 +272,6 @@ CampaignSweepReport
 PreparedSweep::assembleSweep(
     std::vector<FaultCampaignReport> cells) const
 {
-    RANA_ASSERT(!comparison_,
-                "assembleSweep on a comparison plan");
     RANA_ASSERT(cells.size() == cellCount(),
                 "sweep assembly needs one result per cell, got ",
                 cells.size());
@@ -244,50 +280,12 @@ PreparedSweep::assembleSweep(
     report.networkName = networkName_;
     report.modelName = modelName_;
     report.baselineAccuracy = baselineAccuracy_;
-    report.failureRates = failureRates_;
-    report.refreshIntervals = refreshIntervals_;
-    report.cells.reserve(cells.size());
-    for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-        SweepCell entry;
-        entry.failureRate =
-            failureRates_[cell / refreshIntervals_.size()];
-        entry.refreshIntervalSeconds =
-            refreshIntervals_[cell % refreshIntervals_.size()];
-        entry.report = std::move(cells[cell]);
-        report.cells.push_back(std::move(entry));
-    }
-    return report;
-}
-
-GuardPolicyComparisonReport
-PreparedSweep::assembleComparison(
-    std::vector<FaultCampaignReport> cells) const
-{
-    RANA_ASSERT(comparison_,
-                "assembleComparison on a sweep plan");
-    RANA_ASSERT(cells.size() == cellCount(),
-                "comparison assembly needs one result per cell, "
-                "got ",
-                cells.size());
-    GuardPolicyComparisonReport report;
-    report.designName = design_.name;
-    report.networkName = networkName_;
-    report.modelName = modelName_;
-    report.baselineAccuracy = baselineAccuracy_;
     report.policyNames = policyNames_;
     report.failureRates = failureRates_;
     report.refreshIntervals = refreshIntervals_;
     report.cells.reserve(cells.size());
-    const std::size_t intervals = refreshIntervals_.size();
-    const std::size_t rates = failureRates_.size();
     for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-        GuardPolicyComparisonCell entry;
-        entry.policyName =
-            policyNames_[cell / (intervals * rates)];
-        entry.failureRate =
-            failureRates_[(cell / intervals) % rates];
-        entry.refreshIntervalSeconds =
-            refreshIntervals_[cell % intervals];
+        SweepCell entry = cellAt(cell);
         entry.report = std::move(cells[cell]);
         report.cells.push_back(std::move(entry));
     }
@@ -298,10 +296,12 @@ Result<CampaignSweepReport>
 runCampaignSweep(const DesignPoint &design, const NetworkModel &network,
                  const CampaignSweepConfig &config)
 {
-    if (std::optional<Error> invalid = validateSweepGrid(config))
-        return *invalid;
-
-    ScopedSpan sweep_span("sweep", "campaign_sweep");
+    // A policy axis keeps its own span series, so the per-phase
+    // timing histograms of a plain sweep and a policy comparison
+    // stay apart.
+    ScopedSpan sweep_span("sweep", config.guardPolicies.empty()
+                                       ? "campaign_sweep"
+                                       : "guard_policy_comparison");
     Result<PreparedSweep> prepared =
         PreparedSweep::prepareSweep(design, network, config);
     if (!prepared.ok())
@@ -311,19 +311,18 @@ runCampaignSweep(const DesignPoint &design, const NetworkModel &network,
     std::vector<FaultCampaignReport> cells;
     cells.reserve(plan.cellCount());
     for (std::size_t cell = 0; cell < plan.cellCount(); ++cell) {
-        const double rate =
-            config.failureRates[cell /
-                                config.refreshIntervals.size()];
-        const double interval =
-            config.refreshIntervals[cell %
-                                    config.refreshIntervals.size()];
+        const SweepCell coordinates = plan.cellAt(cell);
         // A labelled timeline slice per grid cell; the span-
         // duration histograms stay per phase (simulate / retrain /
         // trials), not per cell.
         std::ostringstream cell_label;
-        cell_label << "cell rate=" << std::scientific
-                   << std::setprecision(1) << rate
-                   << " interval=" << interval << "s";
+        cell_label << "cell ";
+        if (!config.guardPolicies.empty())
+            cell_label << "policy=" << coordinates.policyName << " ";
+        cell_label << "rate=" << std::scientific
+                   << std::setprecision(1) << coordinates.failureRate
+                   << " interval=" << coordinates.refreshIntervalSeconds
+                   << "s";
         TraceRecorder &recorder = TraceRecorder::global();
         recorder.beginSpan("sweep", cell_label.str());
         Result<FaultCampaignReport> cell_report = plan.runCell(cell);
@@ -333,89 +332,6 @@ runCampaignSweep(const DesignPoint &design, const NetworkModel &network,
         cells.push_back(std::move(cell_report).value());
     }
     return plan.assembleSweep(std::move(cells));
-}
-
-const GuardPolicyComparisonCell &
-GuardPolicyComparisonReport::at(std::size_t policy, std::size_t rate,
-                                std::size_t interval) const
-{
-    RANA_ASSERT(policy < policyNames.size(),
-                "comparison policy index out of range: ", policy);
-    RANA_ASSERT(rate < failureRates.size(),
-                "comparison rate index out of range: ", rate);
-    RANA_ASSERT(interval < refreshIntervals.size(),
-                "comparison interval index out of range: ", interval);
-    return cells[(policy * failureRates.size() + rate) *
-                     refreshIntervals.size() +
-                 interval];
-}
-
-GuardPolicyRow
-GuardPolicyComparisonReport::policyRow(std::size_t policy) const
-{
-    GuardPolicyRow row;
-    row.policy = policyNames[policy];
-    std::vector<double> relatives;
-    for (std::size_t r = 0; r < failureRates.size(); ++r) {
-        for (std::size_t i = 0; i < refreshIntervals.size(); ++i) {
-            const FaultCampaignReport &report = at(policy, r, i).report;
-            for (const TrialResult &trial : report.trials)
-                relatives.push_back(trial.relativeAccuracy);
-        }
-    }
-    // The controller counters depend on the interval, not on the
-    // retraining rate, so sum them over one rate row only (the rate
-    // axis replicates the same simulated exposures).
-    for (std::size_t i = 0; i < refreshIntervals.size(); ++i) {
-        const FaultCampaignReport &report = at(policy, 0, i).report;
-        row.trips += report.guardStats.trips;
-        row.banksReenabled += report.guardStats.banksReenabled;
-        row.redisarms += report.guardStats.redisarms;
-        row.escalations += report.guardStats.escalations;
-        row.fallbackRefreshOps += report.guardStats.fallbackRefreshOps;
-        row.armedRefreshOps += report.guardStats.armedRefreshOps;
-        row.violations += report.retentionViolations;
-    }
-    row.p5RelativeAccuracy = percentile(relatives, 5.0);
-    row.p50RelativeAccuracy = percentile(relatives, 50.0);
-    row.p95RelativeAccuracy = percentile(relatives, 95.0);
-    return row;
-}
-
-std::string
-GuardPolicyComparisonReport::comparisonTable() const
-{
-    std::vector<GuardPolicyRow> rows;
-    rows.reserve(policyNames.size());
-    for (std::size_t p = 0; p < policyNames.size(); ++p)
-        rows.push_back(policyRow(p));
-    return markdownGuardPolicyTable(rows);
-}
-
-Result<GuardPolicyComparisonReport>
-runGuardPolicyComparison(const DesignPoint &design,
-                         const NetworkModel &network,
-                         const CampaignSweepConfig &config)
-{
-    if (std::optional<Error> invalid = validateSweepGrid(config))
-        return *invalid;
-
-    ScopedSpan sweep_span("sweep", "guard_policy_comparison");
-    Result<PreparedSweep> prepared =
-        PreparedSweep::prepareComparison(design, network, config);
-    if (!prepared.ok())
-        return prepared.error();
-    const PreparedSweep &plan = prepared.value();
-
-    std::vector<FaultCampaignReport> cells;
-    cells.reserve(plan.cellCount());
-    for (std::size_t cell = 0; cell < plan.cellCount(); ++cell) {
-        Result<FaultCampaignReport> cell_report = plan.runCell(cell);
-        if (!cell_report.ok())
-            return cell_report.error();
-        cells.push_back(std::move(cell_report).value());
-    }
-    return plan.assembleComparison(std::move(cells));
 }
 
 } // namespace rana

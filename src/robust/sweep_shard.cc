@@ -70,7 +70,7 @@ nowMs()
 
 // --------------------------------------------------------------------
 // Cell-report JSON (the CellResult frame payload and the canonical
-// comparison form).
+// form).
 // --------------------------------------------------------------------
 
 void
@@ -1171,7 +1171,9 @@ runShardedCampaignSweep(const DesignPoint &design,
                         const CampaignSweepConfig &config,
                         const SweepShardConfig &shard)
 {
-    ScopedSpan span("shard", "sharded_campaign_sweep");
+    ScopedSpan span("shard", config.guardPolicies.empty()
+                                 ? "sharded_campaign_sweep"
+                                 : "sharded_guard_policy_comparison");
     Result<PreparedSweep> prepared =
         PreparedSweep::prepareSweep(design, network, config);
     if (!prepared.ok())
@@ -1183,27 +1185,6 @@ runShardedCampaignSweep(const DesignPoint &design,
         return cells.error();
     result.report =
         prepared.value().assembleSweep(std::move(cells).value());
-    return result;
-}
-
-Result<ShardedComparisonResult>
-runShardedGuardPolicyComparison(const DesignPoint &design,
-                                const NetworkModel &network,
-                                const CampaignSweepConfig &config,
-                                const SweepShardConfig &shard)
-{
-    ScopedSpan span("shard", "sharded_guard_policy_comparison");
-    Result<PreparedSweep> prepared =
-        PreparedSweep::prepareComparison(design, network, config);
-    if (!prepared.ok())
-        return prepared.error();
-    ShardedComparisonResult result;
-    Result<std::vector<FaultCampaignReport>> cells =
-        runShardedCells(prepared.value(), shard, &result.stats);
-    if (!cells.ok())
-        return cells.error();
-    result.report =
-        prepared.value().assembleComparison(std::move(cells).value());
     return result;
 }
 
@@ -1332,39 +1313,6 @@ canonicalSweepJson(const CampaignSweepReport &report)
     json.field("networkName", report.networkName);
     json.field("modelName", report.modelName);
     json.field("baselineAccuracy", report.baselineAccuracy);
-    json.beginArray("failureRates");
-    for (double rate : report.failureRates)
-        json.element(rate);
-    json.endArray();
-    json.beginArray("refreshIntervals");
-    for (double interval : report.refreshIntervals)
-        json.element(interval);
-    json.endArray();
-    json.beginArray("cells");
-    for (const SweepCell &cell : report.cells) {
-        json.beginObject();
-        json.field("failureRate", cell.failureRate);
-        json.field("refreshIntervalSeconds",
-                   cell.refreshIntervalSeconds);
-        json.beginObject("report");
-        writeCellReportFields(json, cell.report, /*timing=*/false);
-        json.endObject();
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    return json.str();
-}
-
-std::string
-canonicalComparisonJson(const GuardPolicyComparisonReport &report)
-{
-    JsonWriter json;
-    json.beginObject();
-    json.field("designName", report.designName);
-    json.field("networkName", report.networkName);
-    json.field("modelName", report.modelName);
-    json.field("baselineAccuracy", report.baselineAccuracy);
     // JsonWriter arrays hold numbers only; the name axis is one
     // joined string (names never contain '|').
     std::string policies;
@@ -1383,7 +1331,7 @@ canonicalComparisonJson(const GuardPolicyComparisonReport &report)
         json.element(interval);
     json.endArray();
     json.beginArray("cells");
-    for (const GuardPolicyComparisonCell &cell : report.cells) {
+    for (const SweepCell &cell : report.cells) {
         json.beginObject();
         json.field("policyName", cell.policyName);
         json.field("failureRate", cell.failureRate);

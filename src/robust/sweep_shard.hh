@@ -1,7 +1,8 @@
 /**
  * @file
  * Crash-tolerant sharded sweep engine: the campaign sweep grid
- * fanned out over forked worker processes.
+ * (policy x rate x interval) fanned out over forked worker
+ * processes.
  *
  * The coordinator prepares every expensive sweep product up front
  * (PreparedSweep), forks N workers that inherit the plan copy-on-
@@ -11,9 +12,9 @@
  * owned under a static split. Each worker streams back one
  * serialized FaultCampaignReport per cell; the coordinator merges
  * them in cell order, so the assembled report is byte-identical to
- * the single-process runCampaignSweep / runGuardPolicyComparison
- * output for any worker count (wall-clock timing fields excepted —
- * canonicalSweepJson / canonicalComparisonJson exclude them).
+ * the single-process runCampaignSweep output for any worker count
+ * and any policy axis (wall-clock timing fields excepted —
+ * canonicalSweepJson excludes them).
  *
  * Robustness: a worker crash (EOF on its stream), a hung cell (no
  * result before the per-cell timeout) and a corrupted result frame
@@ -127,13 +128,6 @@ struct ShardedSweepResult
     SweepShardStats stats;
 };
 
-/** Sharded comparison: the merged report plus the shard counters. */
-struct ShardedComparisonResult
-{
-    GuardPolicyComparisonReport report;
-    SweepShardStats stats;
-};
-
 /**
  * Run the campaign sweep of `config` sharded over forked workers.
  * The merged report is byte-identical to runCampaignSweep for any
@@ -146,17 +140,6 @@ runShardedCampaignSweep(const DesignPoint &design,
                         const NetworkModel &network,
                         const CampaignSweepConfig &config,
                         const SweepShardConfig &shard);
-
-/**
- * Run the guard-policy comparison of `config` sharded over forked
- * workers, with the same merge and degradation contract as
- * runShardedCampaignSweep.
- */
-Result<ShardedComparisonResult>
-runShardedGuardPolicyComparison(const DesignPoint &design,
-                                const NetworkModel &network,
-                                const CampaignSweepConfig &config,
-                                const SweepShardConfig &shard);
 
 /**
  * Serialize one per-cell report to the JSON payload of a CellResult
@@ -175,14 +158,11 @@ Result<FaultCampaignReport> parseCellReport(const std::string &text);
 
 /**
  * Canonical JSON of a sweep report for equality comparisons:
- * everything except the wall-clock throughput fields (trialSeconds,
- * trialsPerSecond), which differ run to run by construction.
+ * the policy axis, the grid axes and every cell, except the
+ * wall-clock throughput fields (trialSeconds, trialsPerSecond),
+ * which differ run to run by construction.
  */
 std::string canonicalSweepJson(const CampaignSweepReport &report);
-
-/** Canonical JSON of a comparison report (same exclusions). */
-std::string
-canonicalComparisonJson(const GuardPolicyComparisonReport &report);
 
 } // namespace rana
 

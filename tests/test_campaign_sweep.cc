@@ -2,8 +2,9 @@
  * @file
  * Tests of the campaign sweep engine: degenerate-grid validation,
  * grid shape and cell addressing, lane-count determinism of the
- * rendered percentile table, and the copy-on-corrupt contract of the
- * shared weight store.
+ * rendered percentile table, the policy axis (a one-policy grid is
+ * the guarded plain sweep; the stock policy list), and the
+ * copy-on-corrupt contract of the shared weight store.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "nn/model_zoo.hh"
 #include "robust/campaign_sweep.hh"
 #include "robust/fault_campaign.hh"
+#include "robust/sweep_shard.hh"
 
 namespace rana {
 namespace {
@@ -185,6 +187,46 @@ TEST(CampaignSweep, DeterministicAcrossLaneCounts)
         EXPECT_DOUBLE_EQ(a.cells[i].report.meanAccuracy,
                          b.cells[i].report.meanAccuracy);
     }
+}
+
+TEST(CampaignSweep, OnePolicyAxisIsTheGuardedPlainSweep)
+{
+    // The stock policy axis: permanent, hysteresis, binned, in that
+    // order, each carrying the caller's knobs.
+    GuardPolicySpec knobs;
+    knobs.kind = GuardPolicyKind::Binned;
+    knobs.hysteresisK = 7;
+    knobs.bins = 3;
+    const std::vector<GuardPolicySpec> stock = stockGuardPolicies(knobs);
+    ASSERT_EQ(stock.size(), 3u);
+    EXPECT_EQ(stock[0].kind, GuardPolicyKind::Permanent);
+    EXPECT_EQ(stock[1].kind, GuardPolicyKind::Hysteresis);
+    EXPECT_EQ(stock[2].kind, GuardPolicyKind::Binned);
+    for (const GuardPolicySpec &spec : stock) {
+        EXPECT_EQ(spec.hysteresisK, 7u);
+        EXPECT_EQ(spec.bins, 3u);
+    }
+
+    // A grid whose policy axis is {permanent} is the plain sweep
+    // with the guard attached under that policy, byte for byte.
+    GuardPolicySpec permanent;
+    permanent.kind = GuardPolicyKind::Permanent;
+    CampaignSweepConfig axis = tinySweep();
+    axis.guardPolicies = {permanent};
+    CampaignSweepConfig plain = tinySweep();
+    plain.campaign.guard = true;
+    plain.campaign.guardPolicy = permanent;
+
+    const Result<CampaignSweepReport> from_axis =
+        runCampaignSweep(ranaDesign(), makeAlexNet(), axis);
+    const Result<CampaignSweepReport> from_plain =
+        runCampaignSweep(ranaDesign(), makeAlexNet(), plain);
+    ASSERT_TRUE(from_axis.ok());
+    ASSERT_TRUE(from_plain.ok());
+    ASSERT_EQ(from_plain.value().policyNames.size(), 1u);
+    EXPECT_EQ(from_plain.value().policyNames[0], "permanent");
+    EXPECT_EQ(canonicalSweepJson(from_axis.value()),
+              canonicalSweepJson(from_plain.value()));
 }
 
 TEST(CampaignSweep, CopyOnCorruptLeavesSharedStoreIntact)

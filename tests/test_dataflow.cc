@@ -23,8 +23,8 @@
 #include "sched/tiling_search.hh"
 #include "sim/dataflow.hh"
 #include "sim/loopnest_simulator.hh"
+#include "random_scenario.hh"
 #include "sim/pattern_analytics.hh"
-#include "util/random.hh"
 
 namespace rana {
 namespace {
@@ -148,40 +148,6 @@ TEST(Dataflow, DefaultAxisIsTheHybridPattern)
     EXPECT_EQ(options.dataflows[1], DataflowKind::WD);
 }
 
-struct Scenario
-{
-    ConvLayerSpec layer;
-    Tiling tiling;
-};
-
-/** Deterministic random layer/tiling generator. */
-Scenario
-randomScenario(Rng &rng)
-{
-    Scenario s;
-    const std::uint32_t k_options[] = {1, 1, 3, 3, 5, 7, 11};
-    const std::uint32_t k =
-        k_options[rng.uniformInt(std::uint64_t{7})];
-    const std::uint32_t stride =
-        1 +
-        static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{2}));
-    const std::uint32_t hw = static_cast<std::uint32_t>(
-        rng.uniformInt(std::int64_t{k + stride}, 96));
-    s.layer = makeConv("rand",
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       hw,
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       k, stride, k / 2);
-    const std::uint32_t tilings[] = {1, 2, 4, 8, 16, 32};
-    s.tiling.tm = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tn = tilings[rng.uniformInt(std::uint64_t{6})];
-    s.tiling.tr = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tc = tilings[rng.uniformInt(std::uint64_t{5})];
-    return s;
-}
-
 /**
  * Analytics/trace parity of one random scenario under one dataflow,
  * optionally with WD input promotion.
@@ -190,18 +156,14 @@ void
 expectParity(int seed, DataflowKind kind, bool promote)
 {
     const DataflowSpec &spec = dataflowSpec(kind);
-    // Same scenario stream as the legacy SimEquivalence suite so a
-    // failure here against a pass there isolates the dataflow.
-    Rng rng(static_cast<std::uint64_t>(seed) * 7919);
-    const Scenario s = randomScenario(rng);
-
     const AcceleratorConfig config = testAcceleratorEdram();
     const double interval = 45e-6;
 
-    const LayerAnalysis analysis =
-        analyzeLayer(config, s.layer, spec, s.tiling, promote);
-    if (!analysis.feasible)
-        GTEST_SKIP() << "infeasible scenario";
+    // Same scenario stream as the legacy SimEquivalence suite so a
+    // failure here against a pass there isolates the dataflow.
+    const Scenario s = feasibleScenario(seed, config, spec, promote);
+    const LayerAnalysis &analysis = s.analysis;
+    ASSERT_TRUE(analysis.feasible) << "seed " << seed;
     EXPECT_EQ(analysis.dataflow, kind);
     EXPECT_EQ(analysis.inputsPromoted, promote);
 

@@ -317,6 +317,7 @@ tinyComparison(const DesignPoint &design)
                           .timingFaults(stall)
                           .guard(true)
                           .build();
+    config.guardPolicies = stockGuardPolicies(GuardPolicySpec{});
     return config;
 }
 
@@ -330,20 +331,16 @@ TEST(GuardPolicyComparison, DeterministicAcrossLaneCounts)
     CampaignSweepConfig parallel = serial;
     parallel.campaign.jobs = 0; // one lane per hardware thread
 
-    const Result<GuardPolicyComparisonReport> first =
-        runGuardPolicyComparison(design, network, serial);
-    const Result<GuardPolicyComparisonReport> second =
-        runGuardPolicyComparison(design, network, parallel);
+    const Result<CampaignSweepReport> first =
+        runCampaignSweep(design, network, serial);
+    const Result<CampaignSweepReport> second =
+        runCampaignSweep(design, network, parallel);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(second.ok());
-    const GuardPolicyComparisonReport &a = first.value();
-    const GuardPolicyComparisonReport &b = second.value();
+    const CampaignSweepReport &a = first.value();
+    const CampaignSweepReport &b = second.value();
 
-    // An empty policy axis defaults to the three stock policies.
     ASSERT_EQ(a.policyNames.size(), 3u);
-    EXPECT_EQ(a.policyNames[0], "permanent");
-    EXPECT_EQ(a.policyNames[1], "hysteresis");
-    EXPECT_EQ(a.policyNames[2], "binned");
     ASSERT_EQ(a.cells.size(), 3u);
 
     // The rendered table is byte-identical across lane counts.
@@ -382,8 +379,8 @@ TEST(GuardPolicyComparison, PermanentCellMatchesPlainGuardedCampaign)
     const NetworkModel network = makeAlexNet();
     const CampaignSweepConfig config = tinyComparison(design);
 
-    const Result<GuardPolicyComparisonReport> compared =
-        runGuardPolicyComparison(design, network, config);
+    const Result<CampaignSweepReport> compared =
+        runCampaignSweep(design, network, config);
     ASSERT_TRUE(compared.ok());
     const FaultCampaignReport &cell =
         compared.value().at(0, 0, 0).report;

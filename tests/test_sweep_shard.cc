@@ -191,17 +191,16 @@ TEST(SweepShard, GuardPolicyComparisonShardsByteForByte)
     CampaignSweepConfig config = tinySweep();
     config.failureRates = {1e-4};
     config.refreshIntervals = {734e-6};
-    Result<GuardPolicyComparisonReport> reference =
-        runGuardPolicyComparison(ranaDesign(), makeAlexNet(),
-                                 config);
+    config.guardPolicies = stockGuardPolicies(GuardPolicySpec{});
+    Result<CampaignSweepReport> reference =
+        runCampaignSweep(ranaDesign(), makeAlexNet(), config);
     ASSERT_TRUE(reference.ok()) << reference.error().describe();
 
-    Result<ShardedComparisonResult> sharded =
-        runShardedGuardPolicyComparison(ranaDesign(), makeAlexNet(),
-                                        config, fastShard(3));
+    Result<ShardedSweepResult> sharded = runShardedCampaignSweep(
+        ranaDesign(), makeAlexNet(), config, fastShard(3));
     ASSERT_TRUE(sharded.ok()) << sharded.error().describe();
-    EXPECT_EQ(canonicalComparisonJson(sharded.value().report),
-              canonicalComparisonJson(reference.value()));
+    EXPECT_EQ(canonicalSweepJson(sharded.value().report),
+              canonicalSweepJson(reference.value()));
     EXPECT_EQ(sharded.value().stats.cells, 3u);
 }
 

@@ -8,7 +8,13 @@
  * faults and with the runtime reliability guard attached), samples
  * per-bank weak-cell retention times per trial, injects the implied
  * bit errors into the trained stand-in mini model, and reports the
- * end-to-end accuracy degradation:
+ * end-to-end accuracy degradation. By default it runs one campaign
+ * at the design's operating point. --sweep and --compare-policies
+ * both run the campaign over one policy x rate x interval grid
+ * (robust/campaign_sweep), in-process or sharded over --workers
+ * forked processes. --sweep's grid has one policy row, the campaign
+ * as configured; --compare-policies has one guarded row per stock
+ * policy. Beyond that they differ only in the printed table.
  *
  *   rana_faultsim <network> [options]
  *
@@ -31,23 +37,30 @@
  *                        prints the markdown guard-policy row)
  *   --guard-k N          hysteresis: clean intervals to re-disarm
  *   --guard-bins N       binned: retention-binning divider bins
- *   --compare-policies   run the guarded campaign once per stock
- *                        policy over the --rates x --intervals grid
- *                        and print the markdown comparison table
+ *   --compare-policies   run the grid with one guarded row per stock
+ *                        policy (permanent, hysteresis, binned) and
+ *                        print the markdown comparison table
  *   --no-retrain         skip retention-aware retraining (control)
  *   --markdown           emit the scenario row as a markdown table
- *   --sweep              sweep the failure-rate x refresh-interval
+ *   --sweep              run the failure-rate x refresh-interval
  *                        grid instead of one campaign; prints the
  *                        percentile band per cell and, with
  *                        --markdown, the markdown grid
- *   --rates LIST         comma-separated sweep failure rates
+ *   --metrics-json PATH  write a metrics-registry snapshot to PATH
+ *   --chrome-trace PATH  record a Chrome trace_event timeline
+ *                        (chrome://tracing / Perfetto) to PATH
+ *
+ * The grid options below need --sweep or --compare-policies; given
+ * without either, they exit 1 naming the option:
+ *
+ *   --rates LIST         comma-separated grid failure rates
  *                        (default 0,1e-5,1e-4)
- *   --intervals LIST     comma-separated sweep refresh intervals in
+ *   --intervals LIST     comma-separated grid refresh intervals in
  *                        seconds (default 45e-6,734e-6)
- *   --workers N          shard --sweep / --compare-policies over N
- *                        forked worker processes (0 = in-process;
- *                        the merged report is byte-identical to the
- *                        in-process run for any N)
+ *   --workers N          shard the grid over N forked worker
+ *                        processes (0 = in-process; the merged
+ *                        report is byte-identical to the in-process
+ *                        run for any N)
  *   --cell-timeout-ms N  per-cell deadline before the worker is
  *                        declared hung and killed (default 120000)
  *   --max-retries N      retries per cell before degrading it to
@@ -63,20 +76,17 @@
  *                        stall=C (hang cell C's first attempt) and
  *                        corrupt=C (corrupt cell C's first result
  *                        frame)
- *   --metrics-json PATH  write a metrics-registry snapshot to PATH
- *   --chrome-trace PATH  record a Chrome trace_event timeline
- *                        (chrome://tracing / Perfetto) to PATH
  *
  * --lane-block 1 runs every trial as its own 1-lane forward, the
  * reference path the batched trial blocks are bit-identical to.
  *
  * Exit codes: 0 success, 1 bad usage or failed campaign, 2 a guarded
- * run still observed corrupted-word events (the guard failed its
- * zero-corruption promise), 3 a sharded sweep completed but one or
- * more cells exhausted their retries and fell back to in-process
- * execution (degraded: the report is still complete and
- * byte-identical, but worker-level fault isolation was lost; exit 2
- * takes precedence when both apply).
+ * campaign or grid cell still observed corrupted-word events (the
+ * guard failed its zero-corruption promise), 3 a sharded grid
+ * completed but one or more cells exhausted their retries and fell
+ * back to in-process execution (degraded: the report is still
+ * complete and byte-identical, but worker-level fault isolation was
+ * lost; exit 2 takes precedence when both apply).
  */
 
 #include <cstdlib>
@@ -185,25 +195,6 @@ parseChaosSpec(const std::string &spec)
     return chaos;
 }
 
-/** The comparison-format row of one guarded campaign report. */
-GuardPolicyRow
-policyRowOf(const FaultCampaignReport &report)
-{
-    GuardPolicyRow row;
-    row.policy = report.guardPolicyName;
-    row.trips = report.guardStats.trips;
-    row.banksReenabled = report.guardStats.banksReenabled;
-    row.redisarms = report.guardStats.redisarms;
-    row.escalations = report.guardStats.escalations;
-    row.fallbackRefreshOps = report.guardStats.fallbackRefreshOps;
-    row.armedRefreshOps = report.guardStats.armedRefreshOps;
-    row.violations = report.retentionViolations;
-    row.p5RelativeAccuracy = report.p5RelativeAccuracy;
-    row.p50RelativeAccuracy = report.p50RelativeAccuracy;
-    row.p95RelativeAccuracy = report.p95RelativeAccuracy;
-    return row;
-}
-
 } // namespace
 
 int
@@ -234,6 +225,8 @@ main(int argc, char **argv)
     bool compare = false;
     bool policy_row = false;
     bool sharded = false;
+    // The first grid-only option given, if any.
+    std::string grid_option;
     SweepShardConfig shard;
     std::vector<double> sweep_rates = {0.0, 1e-5, 1e-4};
     std::vector<double> sweep_intervals = {45e-6, 734e-6};
@@ -253,6 +246,13 @@ main(int argc, char **argv)
             if (arg == "--guard-policy")
                 policy_row = true;
             continue;
+        }
+        if (arg == "--rates" || arg == "--intervals" ||
+            arg == "--workers" || arg == "--cell-timeout-ms" ||
+            arg == "--max-retries" || arg == "--backoff-ms" ||
+            arg == "--postmortem-dir" || arg == "--chaos") {
+            if (grid_option.empty())
+                grid_option = arg;
         }
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
@@ -317,6 +317,10 @@ main(int argc, char **argv)
                                   "unknown option ", arg));
         }
     }
+    if (!grid_option.empty() && !sweep && !compare) {
+        return fail(makeError(ErrorCode::InvalidArgument, grid_option,
+                              " needs --sweep or --compare-policies"));
+    }
 
     const Result<DesignKind> kind = cli::parseDesign(design_name);
     if (!kind.ok())
@@ -348,62 +352,16 @@ main(int argc, char **argv)
     }
     const FaultCampaignConfig config = builder.build();
 
-    if (compare) {
+    if (sweep || compare) {
         CampaignSweepConfig sweep_config;
         sweep_config.failureRates = sweep_rates;
         sweep_config.refreshIntervals = sweep_intervals;
         sweep_config.campaign = config;
         // The comparison's hysteresis/binned knobs follow --guard-k
-        // and --guard-bins; the policy set is the three stock ones.
-        sweep_config.guardPolicies.resize(3, config.guardPolicy);
-        sweep_config.guardPolicies[0].kind =
-            GuardPolicyKind::Permanent;
-        sweep_config.guardPolicies[1].kind =
-            GuardPolicyKind::Hysteresis;
-        sweep_config.guardPolicies[2].kind = GuardPolicyKind::Binned;
-        Result<GuardPolicyComparisonReport> compared =
-            makeError(ErrorCode::InvalidArgument, "unreachable");
-        SweepShardStats shard_stats;
-        if (sharded) {
-            Result<ShardedComparisonResult> result =
-                runShardedGuardPolicyComparison(design, network,
-                                                sweep_config, shard);
-            if (!result.ok())
-                return fail(result.error());
-            shard_stats = result.value().stats;
-            std::cerr << "shard: " << shard_stats.describe() << "\n";
-            compared = std::move(result).value().report;
-        } else {
-            compared =
-                runGuardPolicyComparison(design, network,
-                                         sweep_config);
-        }
-        if (!compared.ok())
-            return fail(compared.error());
-        const GuardPolicyComparisonReport &report = compared.value();
-        std::cerr << report.designName << " on "
-                  << report.networkName << " (" << report.modelName
-                  << "): baseline " << report.baselineAccuracy
-                  << ", guard-policy comparison over "
-                  << report.failureRates.size() << "x"
-                  << report.refreshIntervals.size() << " grid, "
-                  << config.trials << " trials per cell\n";
-        std::cout << report.comparisonTable();
-        const Result<int> wrote = cli::writeObservability(common);
-        if (!wrote.ok())
-            return fail(wrote.error());
-        for (const GuardPolicyComparisonCell &cell : report.cells) {
-            if (cell.report.retentionViolations > 0)
-                return 2;
-        }
-        return shard_stats.degraded() ? 3 : 0;
-    }
-
-    if (sweep) {
-        CampaignSweepConfig sweep_config;
-        sweep_config.failureRates = sweep_rates;
-        sweep_config.refreshIntervals = sweep_intervals;
-        sweep_config.campaign = config;
+        // and --guard-bins.
+        if (compare)
+            sweep_config.guardPolicies =
+                stockGuardPolicies(config.guardPolicy);
         Result<CampaignSweepReport> swept =
             makeError(ErrorCode::InvalidArgument, "unreachable");
         SweepShardStats shard_stats;
@@ -426,11 +384,14 @@ main(int argc, char **argv)
                   << report.networkName << " ("
                   << report.modelName << "): baseline "
                   << report.baselineAccuracy << ", "
+                  << (compare ? "guard-policy comparison over " : "")
                   << report.failureRates.size() << "x"
                   << report.refreshIntervals.size()
-                  << " sweep, " << config.trials
-                  << " trials per cell\n";
-        if (markdown) {
+                  << (compare ? " grid, " : " sweep, ")
+                  << config.trials << " trials per cell\n";
+        if (compare) {
+            std::cout << report.comparisonTable();
+        } else if (markdown) {
             std::cout << report.percentileTable();
         } else {
             for (const SweepCell &cell : report.cells)
@@ -439,6 +400,11 @@ main(int argc, char **argv)
         const Result<int> wrote = cli::writeObservability(common);
         if (!wrote.ok())
             return fail(wrote.error());
+        for (const SweepCell &cell : report.cells) {
+            if (cell.report.guarded &&
+                cell.report.retentionViolations > 0)
+                return 2;
+        }
         return shard_stats.degraded() ? 3 : 0;
     }
 
@@ -450,10 +416,17 @@ main(int argc, char **argv)
 
     std::cerr << report.describe() << "\n";
     if (policy_row) {
-        // --guard-policy renders the campaign in the comparison's
-        // table format, so single-policy runs line up with
+        // --guard-policy renders the campaign as the one-cell grid of
+        // its policy, so single-policy runs line up with
         // --compare-policies output.
-        std::cout << markdownGuardPolicyTable({policyRowOf(report)});
+        CampaignSweepReport grid;
+        grid.policyNames = {report.guardPolicyName};
+        grid.failureRates = {design.failureRate};
+        grid.refreshIntervals = {design.options.refreshIntervalSeconds};
+        grid.cells.push_back({design.failureRate,
+                              design.options.refreshIntervalSeconds,
+                              report, report.guardPolicyName});
+        std::cout << grid.comparisonTable();
     }
     if (markdown) {
         ReliabilityScenarioRow row;
