@@ -114,8 +114,8 @@ batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
         ctx.injectors[l] = &act_injectors[l];
         ctx.weightInjectors[l] = &weight_injectors[l];
     }
-    const Tensor stacked = packTrialLanes(model.test.images, width);
-    const Tensor logits = skeleton.forward(stacked, ctx);
+    const Tensor logits =
+        skeleton.forward(packTrialLanes(model.test.images, width), ctx);
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const Tensor lane_logits = extractTrialLane(logits, l);
         const LossResult loss =

@@ -663,10 +663,8 @@ ServingSimulation::run(unsigned jobs_override,
                 }
             }
 
-            const Tensor stacked =
-                packSampleLanes(model.test.images, samples);
-            const Tensor logits =
-                model.skeleton->forward(stacked, ctx);
+            const Tensor logits = model.skeleton->forward(
+                packSampleLanes(model.test.images, samples), ctx);
             for (std::uint32_t l = 0; l < block.lanes; ++l) {
                 const Tensor lane = extractTrialLane(logits, l);
                 const LossResult loss = softmaxCrossEntropy(

@@ -128,9 +128,14 @@ class Layer
      * either way. Per lane the result is bit-identical to a 1-lane
      * forward with that lane's injectors. Training forwards run one
      * lane.
+     *
+     * `input` is a sink argument: the layer owns it and may quantize,
+     * corrupt or reshape it in place, or return its storage. A caller
+     * that is done with its tensor passes a temporary or moves it in
+     * (containers move the activation from layer to layer); passing
+     * an lvalue copies it, and the caller's tensor stays untouched.
      */
-    virtual Tensor forward(const Tensor &input,
-                           const ForwardContext &ctx) = 0;
+    virtual Tensor forward(Tensor input, const ForwardContext &ctx) = 0;
 
     /**
      * Back-propagate `grad_output`, accumulating parameter

@@ -20,10 +20,10 @@ namespace {
  * Walk an NCHW minibatch in lane blocks of 16/8/4/2 samples, then at
  * most one leftover sample. For each block, `run(in, out, lanes)`
  * gets the block's `in_sample`-float samples packed lane-major (lane
- * innermost) and a zeroed lane-major buffer for the `out_sample`
- * floats per sample, which are then scattered back to the samples'
- * slots of `out`. A lone sample is passed in place: one lane has the
- * NCHW layout, and its `out` slot is still zero.
+ * innermost) and an unwritten lane-major buffer for the `out_sample`
+ * floats per sample, which `run` must write in full and which are
+ * then scattered back to the samples' slots of `out`. A lone sample
+ * is passed in place: one lane has the NCHW layout.
  */
 template <typename Run>
 void
@@ -31,8 +31,8 @@ forSampleLaneBlocks(const float *in, std::size_t in_sample, float *out,
                     std::size_t out_sample, std::uint32_t batch,
                     Run &&run)
 {
-    std::vector<float> in_lanes;
-    std::vector<float> out_lanes;
+    UninitFloats in_lanes;
+    UninitFloats out_lanes;
     std::uint32_t lanes = kMaxKernelLanes;
     for (std::uint32_t b = 0; b < batch; b += lanes) {
         while (lanes > batch - b)
@@ -47,7 +47,7 @@ forSampleLaneBlocks(const float *in, std::size_t in_sample, float *out,
         for (std::uint32_t l = 0; l < lanes; ++l)
             for (std::size_t i = 0; i < in_sample; ++i)
                 in_lanes[i * lanes + l] = in_b[l * in_sample + i];
-        out_lanes.assign(out_sample * lanes, 0.0f);
+        out_lanes.resize(out_sample * lanes);
         run(in_lanes.data(), out_lanes.data(), lanes);
         for (std::uint32_t l = 0; l < lanes; ++l)
             for (std::size_t i = 0; i < out_sample; ++i)
@@ -133,10 +133,10 @@ laneWeights(const Tensor &weights, const ForwardContext &ctx,
 }
 
 /** `count` floats at `src` replicated across `lanes` lanes. */
-std::vector<float>
+UninitFloats
 replicateLanes(const float *src, std::size_t count, std::uint32_t lanes)
 {
-    std::vector<float> packed(count * lanes);
+    UninitFloats packed(count * lanes);
     packLanePointers(std::vector<const float *>(lanes, src), count,
                      packed.data());
     return packed;
@@ -178,7 +178,7 @@ WeightedLayer::WeightedLayer(std::vector<std::uint32_t> weight_shape)
 }
 
 WeightedLayer::Operands
-WeightedLayer::operands(const Tensor &input, std::uint32_t lanes,
+WeightedLayer::operands(Tensor input, std::uint32_t lanes,
                         const ForwardContext &ctx) const
 {
     RANA_ASSERT(!(ctx.training && sharedWeights_ != nullptr),
@@ -191,7 +191,7 @@ WeightedLayer::operands(const Tensor &input, std::uint32_t lanes,
     const Tensor &bias =
         sharedBias_ != nullptr ? *sharedBias_ : bias_;
     Operands ops;
-    ops.input = input;
+    ops.input = std::move(input);
     if (ctx.quant != nullptr) {
         quantizeTrialSpan(ops.input.data(), ops.input.size(),
                           *ctx.quant);
@@ -275,7 +275,7 @@ Conv2dLayer::Conv2dLayer(std::uint32_t in_channels,
 }
 
 Tensor
-Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
+Conv2dLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     const std::uint32_t lanes = inputLanes(input, 4, ctx, "conv");
     RANA_ASSERT(input.dim(1) == inChannels_,
@@ -288,8 +288,9 @@ Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
     const std::uint32_t r = (h + 2 * pad_ - kernel_) / stride_ + 1;
     const std::uint32_t c = (w + 2 * pad_ - kernel_) / stride_ + 1;
 
-    Operands ops = operands(input, lanes, ctx);
-    Tensor output(laneShape({batch, outChannels_, r, c}, input, 4));
+    Operands ops = operands(std::move(input), lanes, ctx);
+    Tensor output = Tensor::uninitialized(
+        laneShape({batch, outChannels_, r, c}, ops.input, 4));
     if (lanes > 1) {
         convolveTrialLanes(ops.input.data(), ops.weights, ops.bias,
                            output.data(), batch, inChannels_, h, w,
@@ -299,8 +300,8 @@ Conv2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
         // One lane: the minibatch runs as lanes sharing one weight
         // tensor; per sample the lane kernel accumulates in the
         // 1-lane order.
-        std::vector<float> block_wt;
-        std::vector<float> block_bias;
+        UninitFloats block_wt;
+        UninitFloats block_bias;
         forSampleLaneBlocks(
             ops.input.data(),
             static_cast<std::size_t>(inChannels_) * h * w,
@@ -335,13 +336,16 @@ Conv2dLayer::backward(const Tensor &grad_output)
     const std::uint32_t r = grad_output.dim(2);
     const std::uint32_t c = grad_output.dim(3);
 
-    Tensor grad_input(cachedInput_.shape());
+    Tensor grad_input = Tensor::uninitialized(cachedInput_.shape());
     const float *wt = cachedWeights_.data();
+    const std::size_t in_sample =
+        static_cast<std::size_t>(inChannels_) * h * w;
     forSampleLaneBlocks(
         grad_output.data(), static_cast<std::size_t>(outChannels_) * r * c,
-        grad_input.data(), static_cast<std::size_t>(inChannels_) * h * w,
-        batch,
+        grad_input.data(), in_sample, batch,
         [&](const float *gout, float *gin, std::uint32_t lanes) {
+            // The kernel accumulates (+=) into a zeroed block.
+            std::fill_n(gin, in_sample * lanes, 0.0f);
             convolveInputGradLanes(gout, wt, gin, inChannels_, h, w,
                                    outChannels_, r, c, kernel_,
                                    stride_, pad_, lanes);
@@ -367,13 +371,12 @@ Conv2dLayer::describe() const
 // ---------------------------------------------------------------
 
 Tensor
-ReluLayer::forward(const Tensor &input, const ForwardContext &ctx)
+ReluLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     if (ctx.training)
         cachedInput_ = input;
-    Tensor output = input;
-    reluTrialSpan(output.data(), output.size());
-    return output;
+    reluTrialSpan(input.data(), input.size());
+    return input;
 }
 
 Tensor
@@ -381,10 +384,7 @@ ReluLayer::backward(const Tensor &grad_output)
 {
     checkGradShape(grad_output, cachedInput_.shape(), "relu");
     Tensor grad = grad_output;
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-        if (cachedInput_[i] <= 0.0f)
-            grad[i] = 0.0f;
-    }
+    reluBackwardTrialSpan(grad.data(), cachedInput_.data(), grad.size());
     return grad;
 }
 
@@ -393,7 +393,7 @@ ReluLayer::backward(const Tensor &grad_output)
 // ---------------------------------------------------------------
 
 Tensor
-MaxPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
+MaxPool2dLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     const std::uint32_t lanes = inputLanes(input, 4, ctx, "maxpool");
     const std::uint32_t batch = input.dim(0);
@@ -404,7 +404,8 @@ MaxPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
                 "maxpool2x2 needs even spatial dims");
     const std::uint32_t r = h / 2;
     const std::uint32_t c = w / 2;
-    Tensor output(laneShape({batch, channels, r, c}, input, 4));
+    Tensor output =
+        Tensor::uninitialized(laneShape({batch, channels, r, c}, input, 4));
     maxPoolTrialLanes(input.data(), output.data(), batch, channels, h,
                       w, lanes);
     if (!ctx.training)
@@ -468,7 +469,7 @@ MaxPool2dLayer::backward(const Tensor &grad_output)
 // ---------------------------------------------------------------
 
 Tensor
-AvgPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
+AvgPool2dLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     const std::uint32_t lanes = inputLanes(input, 4, ctx, "avgpool");
     const std::uint32_t batch = input.dim(0);
@@ -477,7 +478,8 @@ AvgPool2dLayer::forward(const Tensor &input, const ForwardContext &ctx)
     const std::uint32_t w = input.dim(3);
     RANA_ASSERT(h % 2 == 0 && w % 2 == 0,
                 "avgpool2x2 needs even spatial dims");
-    Tensor output(laneShape({batch, channels, h / 2, w / 2}, input, 4));
+    Tensor output = Tensor::uninitialized(
+        laneShape({batch, channels, h / 2, w / 2}, input, 4));
     avgPoolTrialLanes(input.data(), output.data(), batch, channels, h,
                       w, lanes);
     if (ctx.training) {
@@ -527,14 +529,15 @@ DenseLayer::DenseLayer(std::uint32_t in_features,
 }
 
 Tensor
-DenseLayer::forward(const Tensor &input, const ForwardContext &ctx)
+DenseLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     const std::uint32_t lanes = inputLanes(input, 2, ctx, "dense");
     RANA_ASSERT(input.dim(1) == inFeatures_,
                 "dense input shape mismatch");
     const std::uint32_t batch = input.dim(0);
-    Operands ops = operands(input, lanes, ctx);
-    Tensor output(laneShape({batch, outFeatures_}, input, 2));
+    Operands ops = operands(std::move(input), lanes, ctx);
+    Tensor output = Tensor::uninitialized(
+        laneShape({batch, outFeatures_}, ops.input, 2));
     denseTrialLanes(ops.input.data(), ops.weights, ops.bias,
                     output.data(), batch, inFeatures_, outFeatures_,
                     lanes);
@@ -575,17 +578,19 @@ DenseLayer::describe() const
 // ---------------------------------------------------------------
 
 Tensor
-FlattenLayer::forward(const Tensor &input, const ForwardContext &ctx)
+FlattenLayer::forward(Tensor input, const ForwardContext &ctx)
 {
     const std::uint32_t lanes = inputLanes(input, 4, ctx, "flatten");
     if (ctx.training)
         inputShape_ = input.shape();
     const std::uint32_t batch = input.dim(0);
     // The lane index is innermost, so collapsing the middle
-    // dimensions is a pure reshape.
+    // dimensions is a pure reshape of the moved storage.
     const auto features =
         static_cast<std::uint32_t>(input.size() / batch / lanes);
-    return input.reshaped(laneShape({batch, features}, input, 4));
+    std::vector<std::uint32_t> shape =
+        laneShape({batch, features}, input, 4);
+    return std::move(input).reshaped(std::move(shape));
 }
 
 Tensor
@@ -605,12 +610,12 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 Tensor
-Sequential::forward(const Tensor &input, const ForwardContext &ctx)
+Sequential::forward(Tensor input, const ForwardContext &ctx)
 {
-    Tensor current = input;
+    // The activation moves from layer to layer.
     for (auto &layer : layers_)
-        current = layer->forward(current, ctx);
-    return current;
+        input = layer->forward(std::move(input), ctx);
+    return input;
 }
 
 Tensor
@@ -665,8 +670,9 @@ ResidualBlock::ResidualBlock(std::unique_ptr<Sequential> body)
 }
 
 Tensor
-ResidualBlock::forward(const Tensor &input, const ForwardContext &ctx)
+ResidualBlock::forward(Tensor input, const ForwardContext &ctx)
 {
+    // The body gets a copy: the skip needs the block input unchanged.
     Tensor branch = body_->forward(input, ctx);
     RANA_ASSERT(branch.size() == input.size(),
                 "residual body must preserve the shape");
@@ -707,15 +713,21 @@ InceptionConcat::InceptionConcat(
 }
 
 Tensor
-InceptionConcat::forward(const Tensor &input, const ForwardContext &ctx)
+InceptionConcat::forward(Tensor input, const ForwardContext &ctx)
 {
     std::vector<Tensor> outputs;
     outputs.reserve(branches_.size());
     std::vector<std::uint32_t> channels;
     channels.reserve(branches_.size());
     std::uint32_t total_channels = 0;
-    for (auto &branch : branches_) {
-        outputs.push_back(branch->forward(input, ctx));
+    for (std::size_t i = 0; i < branches_.size(); ++i) {
+        // Every branch but the last reads a copy; the last consumes
+        // the input.
+        if (i + 1 < branches_.size())
+            outputs.push_back(branches_[i]->forward(input, ctx));
+        else
+            outputs.push_back(
+                branches_[i]->forward(std::move(input), ctx));
         const Tensor &out = outputs.back();
         inputLanes(out, 4, ctx, "inception branch");
         RANA_ASSERT(out.dim(0) == outputs.front().dim(0) &&
@@ -732,7 +744,7 @@ InceptionConcat::forward(const Tensor &input, const ForwardContext &ctx)
     // branch's {c_i, h, w[, L]} slab is contiguous in both the source
     // and the destination.
     const std::size_t plane = front.size() / batch / channels.front();
-    Tensor concat(laneShape(
+    Tensor concat = Tensor::uninitialized(laneShape(
         {batch, total_channels, front.dim(2), front.dim(3)}, front, 4));
     for (std::uint32_t b = 0; b < batch; ++b) {
         float *dst = concat.data() + b * total_channels * plane;

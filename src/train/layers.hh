@@ -41,8 +41,8 @@ class WeightedLayer : public Layer
         /** One lane's private weight copy (null: read in place). */
         std::optional<Tensor> corrupted;
         /** L > 1: per-lane weights and bias, lane index innermost. */
-        std::vector<float> packedWeights;
-        std::vector<float> packedBias;
+        UninitFloats packedWeights;
+        UninitFloats packedBias;
         /**
          * Weights {out, ...[, L]} and bias {out[, L]} to read: into
          * the buffers above (a move keeps them in place) or into the
@@ -54,13 +54,14 @@ class WeightedLayer : public Layer
 
     /**
      * The effective operands of a forward over `input` with `lanes`
-     * lanes. The input is quantized as a whole (element-wise, so each
-     * lane as a 1-lane forward would) and each lane is then corrupted
-     * by its own injector at the lane stride, before the lane's
-     * weights, so every injector draws the same stream as in a
-     * 1-lane forward. The weights are copy-on-corrupt per lane.
+     * lanes. The input is quantized in place as a whole (element-wise,
+     * so each lane as a 1-lane forward would) and each lane is then
+     * corrupted in place by its own injector at the lane stride,
+     * before the lane's weights, so every injector draws the same
+     * stream as in a 1-lane forward. The weights are copy-on-corrupt
+     * per lane.
      */
-    Operands operands(const Tensor &input, std::uint32_t lanes,
+    Operands operands(Tensor input, std::uint32_t lanes,
                       const ForwardContext &ctx) const;
 
     /** Keep a training forward's operands for the backward. */
@@ -95,8 +96,7 @@ class Conv2dLayer : public WeightedLayer
                 std::uint32_t kernel, std::uint32_t stride,
                 std::uint32_t pad, Rng &rng);
 
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override;
 
@@ -112,8 +112,7 @@ class Conv2dLayer : public WeightedLayer
 class ReluLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "relu"; }
 
@@ -125,8 +124,7 @@ class ReluLayer : public Layer
 class MaxPool2dLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "maxpool2x2"; }
 
@@ -141,8 +139,7 @@ class MaxPool2dLayer : public Layer
 class AvgPool2dLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "avgpool2x2"; }
 
@@ -160,8 +157,7 @@ class DenseLayer : public WeightedLayer
     DenseLayer(std::uint32_t in_features, std::uint32_t out_features,
                Rng &rng);
 
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override;
 
@@ -174,8 +170,7 @@ class DenseLayer : public WeightedLayer
 class FlattenLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "flatten"; }
 
@@ -195,8 +190,7 @@ class Sequential : public Layer
     /** Number of layers. */
     std::size_t size() const { return layers_.size(); }
 
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
@@ -213,8 +207,7 @@ class ResidualBlock : public Layer
     /** @param body inner layers; must preserve the input shape. */
     explicit ResidualBlock(std::unique_ptr<Sequential> body);
 
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
@@ -235,8 +228,7 @@ class InceptionConcat : public Layer
     explicit InceptionConcat(
         std::vector<std::unique_ptr<Sequential>> branches);
 
-    Tensor forward(const Tensor &input, const ForwardContext &ctx)
-        override;
+    Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;

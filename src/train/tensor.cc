@@ -26,10 +26,20 @@ shapeSize(const std::vector<std::uint32_t> &shape)
 } // namespace
 
 Tensor::Tensor(std::vector<std::uint32_t> shape)
-    : shape_(std::move(shape)), data_(shapeSize(shape_), 0.0f)
+    : Tensor(uninitialized(std::move(shape)))
 {
-    for (std::uint32_t extent : shape_)
+    fill(0.0f);
+}
+
+Tensor
+Tensor::uninitialized(std::vector<std::uint32_t> shape)
+{
+    for (std::uint32_t extent : shape)
         RANA_ASSERT(extent > 0, "tensor dimensions must be positive");
+    Tensor tensor;
+    tensor.data_.resize(shapeSize(shape));
+    tensor.shape_ = std::move(shape);
+    return tensor;
 }
 
 std::uint32_t
@@ -76,12 +86,18 @@ Tensor::fill(float value)
 }
 
 Tensor
-Tensor::reshaped(std::vector<std::uint32_t> new_shape) const
+Tensor::reshaped(std::vector<std::uint32_t> new_shape) const &
+{
+    return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor
+Tensor::reshaped(std::vector<std::uint32_t> new_shape) &&
 {
     RANA_ASSERT(shapeSize(new_shape) == size(),
                 "reshape must preserve the element count");
-    Tensor result(std::move(new_shape));
-    std::copy(data_.begin(), data_.end(), result.data_.begin());
+    Tensor result = std::move(*this);
+    result.shape_ = std::move(new_shape);
     return result;
 }
 

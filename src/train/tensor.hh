@@ -11,10 +11,38 @@
 #define RANA_TRAIN_TENSOR_HH_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace rana {
+
+/**
+ * An allocator whose value-less construct() default-initializes: a
+ * vector<float> built or resized with it leaves its new elements
+ * unwritten instead of zero-filling them. Storage for buffers a
+ * kernel overwrites in full.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** Float storage whose sizing constructor and resize() do not zero. */
+using UninitFloats = std::vector<float, DefaultInitAllocator<float>>;
 
 /** Dense row-major float tensor. */
 class Tensor
@@ -24,6 +52,12 @@ class Tensor
 
     /** Construct zero-filled with the given shape. */
     explicit Tensor(std::vector<std::uint32_t> shape);
+
+    /**
+     * A tensor of the given shape whose elements are left unwritten:
+     * the output of a kernel that writes every element.
+     */
+    static Tensor uninitialized(std::vector<std::uint32_t> shape);
 
     /** Total element count. */
     std::size_t size() const { return data_.size(); }
@@ -56,17 +90,18 @@ class Tensor
     void fill(float value);
 
     /**
-     * Reinterpret with a new shape of identical element count
-     * (no data movement).
+     * Reinterpret with a new shape of identical element count: a
+     * copy of an lvalue, and the moved storage of an rvalue.
      */
-    Tensor reshaped(std::vector<std::uint32_t> new_shape) const;
+    Tensor reshaped(std::vector<std::uint32_t> new_shape) const &;
+    Tensor reshaped(std::vector<std::uint32_t> new_shape) &&;
 
     /** "{2,16,12,12}" style description. */
     std::string describeShape() const;
 
   private:
     std::vector<std::uint32_t> shape_;
-    std::vector<float> data_;
+    UninitFloats data_;
 };
 
 } // namespace rana

@@ -37,8 +37,8 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
     for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
         dataset_.shuffleTrain(rng_);
         for (std::uint32_t b = 0; b < batches; ++b) {
-            const Batch batch = dataset_.trainBatch(
-                b * config_.batchSize, config_.batchSize);
+            Batch batch = dataset_.trainBatch(b * config_.batchSize,
+                                              config_.batchSize);
 
             BitErrorInjector injector(failure_rate, rng_.next());
             ForwardContext ctx;
@@ -48,7 +48,8 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
             ctx.training = true;
 
             optimizer_->zeroGrad();
-            const Tensor logits = model_->forward(batch.images, ctx);
+            const Tensor logits =
+                model_->forward(std::move(batch.images), ctx);
             const LossResult loss =
                 softmaxCrossEntropy(logits, batch.labels);
             model_->backward(loss.gradLogits);

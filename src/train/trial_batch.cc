@@ -3,23 +3,32 @@
  * Lane-major kernels of the layer forward passes and of the training
  * convolution's backward.
  *
- * This translation unit is compiled at -O3 (see the CMakeLists) and
- * the hot kernels carry target_clones("default","avx"): the loader
- * picks the AVX clone on capable CPUs while the binary stays
- * runnable on baseline x86-64. The lane count is a template
- * parameter for 16/8/4/2/1 lanes, the widths production callers run
- * (campaign trial blocks and serving request blocks are padded to
- * them, training minibatches split into them), so the innermost lane
- * loop has a compile-time trip count and turns into straight-line
- * vector code; other lane counts run the same template with
- * FixedL = 0, which reads the count at run time: slower, but
- * bit-identical.
+ * This translation unit is compiled at -O3 with -fno-trapping-math
+ * and -ffp-contract=off (see the CMakeLists), and the hot kernels
+ * carry target_clones("default","avx","avx2","avx512f"): the loader
+ * picks the widest clone the CPU runs while the binary stays runnable
+ * on baseline x86-64. -fno-trapping-math lets gcc vectorize the
+ * quantizer's clamp (with trapping math it reports "control flow in
+ * loop"); it changes no value, since nothing here reads the FP
+ * exception flags. -ffp-contract=off is what keeps the wide clones
+ * exact: the avx512f feature level includes FMA, and a fused
+ * multiply-add rounds once where the 1-lane order rounds twice
+ * (TrainKernels.NoFusedMultiplyAdd pins this).
+ *
+ * The lane count is a template parameter for 16/8/4/2/1 lanes, the
+ * widths production callers run (campaign trial blocks and serving
+ * request blocks are padded to them, training minibatches split into
+ * them), so the innermost lane loop has a compile-time trip count
+ * and turns into straight-line vector code; other lane counts run
+ * the same template with FixedL = 0, which reads the count at run
+ * time: slower, but bit-identical.
  *
  * Every kernel keeps the 1-lane per-accumulator operation order —
  * vectorization only spans independent lanes, output positions and
  * output channels — so the results match bit for bit across lane
- * counts (no FMA contraction exists at the x86-64 baseline or AVX
- * feature levels).
+ * counts and clones. Every output a kernel returns or fills is
+ * written in full (TrainKernels.OutputsFullyWritten), so callers
+ * allocate it with Tensor::uninitialized.
  */
 
 #include "train/trial_batch.hh"
@@ -35,7 +44,7 @@ namespace {
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define RANA_TRIAL_CLONES                                             \
-    __attribute__((target_clones("default", "avx")))
+    __attribute__((target_clones("default", "avx", "avx2", "avx512f")))
 #else
 #define RANA_TRIAL_CLONES
 #endif
@@ -493,7 +502,7 @@ packTrialLanes(const Tensor &scalar, std::uint32_t lanes)
     RANA_ASSERT(lanes > 0, "lane count must be positive");
     std::vector<std::uint32_t> shape = scalar.shape();
     shape.push_back(lanes);
-    Tensor out(std::move(shape));
+    Tensor out = Tensor::uninitialized(std::move(shape));
     const float *src = scalar.data();
     float *dst = out.data();
     const std::size_t count = scalar.size();
@@ -515,7 +524,7 @@ extractTrialLane(const Tensor &stacked, std::uint32_t lane)
     const std::uint32_t lanes = shape.back();
     RANA_ASSERT(lane < lanes, "lane index out of range");
     shape.pop_back();
-    Tensor out(std::move(shape));
+    Tensor out = Tensor::uninitialized(std::move(shape));
     const float *src = stacked.data();
     float *dst = out.data();
     const std::size_t count = out.size();
@@ -536,7 +545,7 @@ packSampleLanes(const Tensor &batch,
     std::vector<std::uint32_t> shape = batch.shape();
     shape.front() = 1;
     shape.push_back(lanes);
-    Tensor out(std::move(shape));
+    Tensor out = Tensor::uninitialized(std::move(shape));
     const float *src = batch.data();
     float *dst = out.data();
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -578,6 +587,16 @@ reluTrialSpan(float *data, std::size_t count)
 {
     for (std::size_t i = 0; i < count; ++i)
         data[i] = std::max(0.0f, data[i]);
+}
+
+RANA_TRIAL_CLONES void
+reluBackwardTrialSpan(float *__restrict grad, const float *__restrict in,
+                      std::size_t count)
+{
+    // A select, not a branch: NaN inputs pass the gradient, as the
+    // comparison is false.
+    for (std::size_t i = 0; i < count; ++i)
+        grad[i] = in[i] <= 0.0f ? 0.0f : grad[i];
 }
 
 RANA_TRIAL_CLONES void

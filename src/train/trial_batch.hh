@@ -34,13 +34,17 @@
  * its order. Vectorization only spans *independent* accumulators
  * (different lanes, different output positions, different output
  * channels), never reorders the additions inside one accumulator,
- * and the toolchain target (x86-64 baseline / AVX via target_clones)
- * has no FMA contraction, so a batched campaign is bit-identical to
- * its 1-lane reference for any lane count, and training is
- * bit-identical to the reference conv loop nests. The LaneForward
- * and FaultCampaign suites assert the former across lane counts;
- * the TrainKernels suite asserts the latter against the reference
- * loops.
+ * and the kernels are compiled without FMA contraction (the AVX2 and
+ * AVX-512 clones could fuse; -ffp-contract=off forbids it), so a
+ * batched campaign is bit-identical to its 1-lane reference for any
+ * lane count, and training is bit-identical to the reference conv
+ * loop nests. The LaneForward and FaultCampaign suites assert the
+ * former across lane counts; the TrainKernels suite asserts the
+ * latter against the reference loops.
+ *
+ * The kernels write every element of their outputs, and the pack
+ * and extract helpers return tensors they fill in full, so none of
+ * them needs a zero-filled destination (Tensor::uninitialized).
  */
 
 #ifndef RANA_TRAIN_TRIAL_BATCH_HH_
@@ -113,6 +117,13 @@ void quantizeTrialSpan(float *data, std::size_t count,
 
 /** In-place ReLU over a span: v = max(0, v). */
 void reluTrialSpan(float *data, std::size_t count);
+
+/**
+ * In-place ReLU backward over a span: grad[i] = 0 where the forward
+ * input in[i] <= 0, unchanged elsewhere (NaN inputs included).
+ */
+void reluBackwardTrialSpan(float *grad, const float *in,
+                           std::size_t count);
 
 /** Element-wise dst[i] += src[i] (the residual skip connection). */
 void addTrialSpan(float *dst, const float *src, std::size_t count);

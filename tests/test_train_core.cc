@@ -41,6 +41,57 @@ TEST(TensorTest, FillAndReshape)
     EXPECT_EQ(t.describeShape(), "{2,6}");
 }
 
+/**
+ * Allocate `count` NaN floats and free them again: the allocator
+ * usually hands that block to the next allocation of the same size,
+ * so a tensor that should be zero-filled but is not shows NaN.
+ */
+void
+poisonNextAllocation(std::size_t count)
+{
+    std::vector<float> poison(count,
+                              std::numeric_limits<float>::quiet_NaN());
+    // Keep the fill: the block must really hold NaN when freed.
+    asm volatile("" : : "r"(poison.data()) : "memory");
+}
+
+TEST(TensorTest, ShapeConstructorZeroFills)
+{
+    // Kernel outputs come from Tensor::uninitialized; a tensor built
+    // from a shape stays all zeros, which accumulating callers need.
+    const std::vector<std::uint32_t> shape = {3, 5, 7};
+    poisonNextAllocation(3 * 5 * 7);
+    const Tensor t(shape);
+    ASSERT_EQ(t.size(), 3u * 5 * 7);
+    const float zero = 0.0f;
+    for (std::size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(std::memcmp(t.data() + i, &zero, sizeof(zero)), 0) << i;
+    const Tensor u = Tensor::uninitialized(shape);
+    EXPECT_EQ(u.shape(), shape);
+    EXPECT_EQ(u.size(), t.size());
+}
+
+TEST(TensorTest, ReshapedRvalueKeepsData)
+{
+    Tensor t({2, 6});
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = static_cast<float>(i) + 0.5f;
+    const float *storage = t.data();
+    // An lvalue is copied and left as it was.
+    const Tensor copy = t.reshaped({4, 3});
+    EXPECT_EQ(t.shape(), (std::vector<std::uint32_t>{2, 6}));
+    EXPECT_NE(copy.data(), storage);
+    // An rvalue hands over its storage.
+    const Tensor moved = std::move(t).reshaped({3, 4});
+    EXPECT_EQ(moved.data(), storage);
+    EXPECT_EQ(moved.shape(), (std::vector<std::uint32_t>{3, 4}));
+    EXPECT_EQ(copy.shape(), (std::vector<std::uint32_t>{4, 3}));
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+        EXPECT_EQ(moved[i], static_cast<float>(i) + 0.5f);
+        EXPECT_EQ(copy[i], static_cast<float>(i) + 0.5f);
+    }
+}
+
 TEST(FixedPoint, RoundTripRepresentable)
 {
     const FixedPointFormat format{12};

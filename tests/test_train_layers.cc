@@ -4,8 +4,10 @@
  * differentiable layer is verified against central finite
  * differences on random small tensors. The TrainKernels suite pins
  * the convolution's forward and backward bit for bit against the
- * reference loop nests they replaced, and the backward passes die
- * on gradients that do not match the last training forward.
+ * reference loop nests they replaced, checks that every kernel
+ * writes its whole output and that no clone fuses a multiply-add,
+ * and the backward passes die on gradients that do not match the
+ * last training forward.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -665,6 +668,173 @@ TEST(TrainKernels, KernelLanes)
     EXPECT_EQ(kernelLanes(kMaxKernelLanes), kMaxKernelLanes);
 }
 
+const float kPoison = std::numeric_limits<float>::quiet_NaN();
+
+/** Whether any element of `values` is NaN. */
+bool
+anyNaN(const float *values, std::size_t count)
+{
+    return std::any_of(values, values + count,
+                       [](float v) { return std::isnan(v); });
+}
+
+/** `count` random floats in [-1, 1). */
+std::vector<float>
+finiteValues(std::size_t count, Rng &rng)
+{
+    std::vector<float> values(count);
+    for (float &v : values)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return values;
+}
+
+/**
+ * Allocate `count` NaN floats and free them again: the allocator
+ * usually hands that block to the next allocation of the same size,
+ * so a helper that returns a tensor it did not fill in full shows
+ * NaN.
+ */
+void
+poisonNextAllocation(std::size_t count)
+{
+    std::vector<float> poison(count, kPoison);
+    // Keep the fill: the block must really hold NaN when freed.
+    asm volatile("" : : "r"(poison.data()) : "memory");
+}
+
+TEST(TrainKernels, OutputsFullyWritten)
+{
+    // Layers take kernel outputs from Tensor::uninitialized, so every
+    // kernel must write each element of its destination. Destinations
+    // start as NaN and the operands are finite, so a NaN left over is
+    // an element the kernel skipped.
+    Rng rng(41);
+    for (std::uint32_t lanes : {1u, 2u, 3u, 4u, 8u, 16u, 17u}) {
+        SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+        // 5-wide rows give c <= 6 (paired output channels), 16-wide
+        // rows c > 6 (one channel); 3 output channels leave an
+        // unpaired one.
+        const std::uint32_t batch = 2, n = 2, m = 3, h = 5, k = 3;
+        for (std::uint32_t stride : {1u, 2u})
+            for (std::uint32_t pad : {0u, 1u})
+                for (std::uint32_t w : {5u, 16u}) {
+                    const std::uint32_t r =
+                        (h + 2 * pad - k) / stride + 1;
+                    const std::uint32_t c =
+                        (w + 2 * pad - k) / stride + 1;
+                    const auto in =
+                        finiteValues(batch * n * h * w * lanes, rng);
+                    const auto wt =
+                        finiteValues(m * n * k * k * lanes, rng);
+                    const auto bias = finiteValues(m * lanes, rng);
+                    std::vector<float> out(batch * m * r * c * lanes,
+                                           kPoison);
+                    convolveTrialLanes(in.data(), wt.data(), bias.data(),
+                                       out.data(), batch, n, h, w, m, r,
+                                       c, k, stride, pad, lanes);
+                    EXPECT_FALSE(anyNaN(out.data(), out.size()))
+                        << "conv stride " << stride << " pad " << pad
+                        << " c " << c;
+                }
+
+        const std::uint32_t features = 5, outputs = 3;
+        const auto in = finiteValues(batch * features * lanes, rng);
+        const auto wt = finiteValues(outputs * features * lanes, rng);
+        const auto bias = finiteValues(outputs * lanes, rng);
+        std::vector<float> dense(batch * outputs * lanes, kPoison);
+        denseTrialLanes(in.data(), wt.data(), bias.data(), dense.data(),
+                        batch, features, outputs, lanes);
+        EXPECT_FALSE(anyNaN(dense.data(), dense.size())) << "dense";
+
+        const std::uint32_t channels = 3, ph = 4, pw = 6;
+        const auto maps = finiteValues(batch * channels * ph * pw * lanes,
+                                       rng);
+        std::vector<float> pooled(batch * channels * 2 * 3 * lanes,
+                                  kPoison);
+        maxPoolTrialLanes(maps.data(), pooled.data(), batch, channels, ph,
+                          pw, lanes);
+        EXPECT_FALSE(anyNaN(pooled.data(), pooled.size())) << "maxpool";
+        std::fill(pooled.begin(), pooled.end(), kPoison);
+        avgPoolTrialLanes(maps.data(), pooled.data(), batch, channels, ph,
+                          pw, lanes);
+        EXPECT_FALSE(anyNaN(pooled.data(), pooled.size())) << "avgpool";
+
+        // The pack and extract helpers return their tensors: each
+        // element must hold its source value.
+        Tensor images({3, 2, 2, 3});
+        randomize(images, rng);
+        const std::size_t count = images.size();
+        poisonNextAllocation(count * lanes);
+        const Tensor trials = packTrialLanes(images, lanes);
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < count; ++i)
+            for (std::uint32_t l = 0; l < lanes; ++l)
+                wrong += !(trials[i * lanes + l] == images[i]);
+        EXPECT_EQ(wrong, 0u) << "packTrialLanes";
+
+        std::vector<std::uint32_t> indices;
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            indices.push_back((l * 2) % 3);
+        const std::size_t sample = count / 3;
+        poisonNextAllocation(sample * lanes);
+        const Tensor samples = packSampleLanes(images, indices);
+        wrong = 0;
+        for (std::size_t i = 0; i < sample; ++i)
+            for (std::uint32_t l = 0; l < lanes; ++l)
+                wrong += !(samples[i * lanes + l] ==
+                           images[indices[l] * sample + i]);
+        EXPECT_EQ(wrong, 0u) << "packSampleLanes";
+
+        poisonNextAllocation(sample);
+        const Tensor lane = extractTrialLane(samples, lanes - 1);
+        wrong = 0;
+        for (std::size_t i = 0; i < sample; ++i)
+            wrong += !(lane[i] == images[indices[lanes - 1] * sample + i]);
+        EXPECT_EQ(wrong, 0u) << "extractTrialLane";
+    }
+}
+
+TEST(TrainKernels, NoFusedMultiplyAdd)
+{
+    // x = 1 + 2^-12: x * x = 1 + 2^-11 + 2^-24 rounds (to even) to
+    // 1 + 2^-11, so bias + x * x with bias = -(1 + 2^-11) is exactly 0
+    // when the product is rounded first, as the 1-lane order does. A
+    // fused multiply-add keeps the 2^-24 (0x1p-24).
+    const float x = 1.0f + std::ldexp(1.0f, -12);
+    const float b = -(1.0f + std::ldexp(1.0f, -11));
+    for (std::uint32_t lanes : {16u, 8u, 1u}) {
+        SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+        const std::vector<float> in(lanes, x);
+        const std::vector<float> bias(lanes, b);
+        std::vector<float> out(lanes, kPoison);
+        denseTrialLanes(in.data(), in.data(), bias.data(), out.data(), 1,
+                        1, 1, lanes);
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            EXPECT_EQ(out[l], 0.0f) << "dense lane " << l << ": "
+                                    << std::hexfloat << out[l];
+        std::fill(out.begin(), out.end(), kPoison);
+        // One 1x1 tap over a 1x1 map.
+        convolveTrialLanes(in.data(), in.data(), bias.data(), out.data(),
+                           1, 1, 1, 1, 1, 1, 1, 1, 1, 0, lanes);
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            EXPECT_EQ(out[l], 0.0f) << "conv lane " << l << ": "
+                                    << std::hexfloat << out[l];
+    }
+}
+
+TEST(TrainKernels, ReluBackwardSpan)
+{
+    // The gradient is cut where the forward input is <= 0, signed
+    // zeros included; a NaN input compares false and passes it.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> in = {nan, -0.0f, 0.0f, -1.0f, 2.0f,
+                                   1e-30f};
+    std::vector<float> grad(in.size(), 5.0f);
+    reluBackwardTrialSpan(grad.data(), in.data(), grad.size());
+    EXPECT_EQ(grad, (std::vector<float>{5.0f, 0.0f, 0.0f, 0.0f, 5.0f,
+                                        5.0f}));
+}
+
 // ---------------------------------------------------------------
 // Backward shape guards
 // ---------------------------------------------------------------
@@ -828,30 +998,45 @@ weightSeed(std::uint32_t l)
 }
 
 /**
- * Eval forward of `input` with one injector pair per lane, seeded by
- * lane (rate 0: a clean forward). `first_lane` offsets the seeds so a
- * 1-lane forward can replay any lane of a batched one.
+ * Eval context over a pre-quantized store with one injector pair per
+ * lane, seeded by lane (rate 0: a clean forward). `first_lane`
+ * offsets the seeds so a 1-lane forward can replay any lane of a
+ * batched one.
  */
+struct LaneInjectors
+{
+    LaneInjectors(std::uint32_t lanes, double rate,
+                  const FixedPointFormat &format,
+                  std::uint32_t first_lane = 0)
+    {
+        // Reserved, so the injector pointers stay valid.
+        act.reserve(lanes);
+        weight.reserve(lanes);
+        ctx.quant = &format;
+        ctx.weightsPreQuantized = true;
+        ctx.training = false;
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+            act.emplace_back(rate, actSeed(first_lane + l));
+            weight.emplace_back(rate, weightSeed(first_lane + l));
+            ctx.injectors.push_back(&act.back());
+            ctx.weightInjectors.push_back(&weight.back());
+        }
+    }
+    LaneInjectors(const LaneInjectors &) = delete;
+
+    std::vector<BitErrorInjector> act;
+    std::vector<BitErrorInjector> weight;
+    ForwardContext ctx;
+};
+
+/** Eval forward of `input` under a fresh LaneInjectors context. */
 Tensor
-injectedForward(Layer &model, const Tensor &input, std::uint32_t lanes,
+injectedForward(Layer &model, Tensor input, std::uint32_t lanes,
                 double rate, const FixedPointFormat &format,
                 std::uint32_t first_lane = 0)
 {
-    std::vector<BitErrorInjector> act;
-    std::vector<BitErrorInjector> weight;
-    act.reserve(lanes);
-    weight.reserve(lanes);
-    ForwardContext ctx;
-    ctx.quant = &format;
-    ctx.weightsPreQuantized = true;
-    ctx.training = false;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        act.emplace_back(rate, actSeed(first_lane + l));
-        weight.emplace_back(rate, weightSeed(first_lane + l));
-        ctx.injectors.push_back(&act.back());
-        ctx.weightInjectors.push_back(&weight.back());
-    }
-    return model.forward(input, ctx);
+    const LaneInjectors injectors(lanes, rate, format, first_lane);
+    return model.forward(std::move(input), injectors.ctx);
 }
 
 /** The sample `index` of a {B, ...} batch as a {1, ...} batch. */
@@ -938,6 +1123,51 @@ TEST(LaneForward, MiniInception)
 TEST(LaneForward, MiniRes)
 {
     checkLaneForward(MiniModelKind::MiniRes);
+}
+
+TEST(LaneForward, LvalueInputIsUntouched)
+{
+    // forward takes its input by value and the layers quantize,
+    // corrupt, overwrite and reshape it in place: an lvalue argument
+    // is copied, so the caller's tensor must come back byte for byte.
+    const std::uint32_t image_size = 12;
+    const double rate = 2e-3;
+    const FixedPointFormat format{12};
+    for (MiniModelKind kind :
+         {MiniModelKind::MiniAlex, MiniModelKind::MiniVgg,
+          MiniModelKind::MiniInception, MiniModelKind::MiniRes}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "model " << static_cast<int>(kind));
+        BoundModel bound = bindQuantized(kind, image_size, format);
+        Rng rng(9);
+        Tensor images({2, 1, image_size, image_size});
+        randomize(images, rng);
+        for (std::uint32_t lanes : {1u, 4u}) {
+            SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+            const Tensor input =
+                lanes == 1 ? images : packTrialLanes(images, lanes);
+            Tensor arg = input;
+            const LaneInjectors injectors(lanes, rate, format);
+            const Tensor logits =
+                bound.skeleton->forward(arg, injectors.ctx);
+            EXPECT_TRUE(sameBits(arg, input)) << "eval input";
+            // The copy runs the same forward a moved-in tensor does.
+            EXPECT_TRUE(sameBits(
+                logits, injectedForward(*bound.skeleton, input, lanes,
+                                        rate, format)));
+        }
+        // A training forward quantizes and injects the owned weights'
+        // operands too.
+        const auto owner = makeMiniModel(kind, image_size, 4, rng);
+        BitErrorInjector injector(rate, 7);
+        ForwardContext train;
+        train.quant = &format;
+        train.injectors = {&injector};
+        train.training = true;
+        Tensor arg = images;
+        owner->forward(arg, train);
+        EXPECT_TRUE(sameBits(arg, images)) << "training input";
+    }
 }
 
 } // namespace
