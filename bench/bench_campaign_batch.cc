@@ -1,14 +1,14 @@
 /**
  * @file
  * Trial-batching harness: the batched (trial-major, lane-block)
- * corrupted-forward path of the fault campaign against the scalar
- * per-trial reference, on one prepared campaign cell.
+ * corrupted-forward path of the fault campaign against one trial
+ * per 1-lane pass, on one prepared campaign cell.
  *
  * Prepares one RANA(E-5) campaign cell on AlexNet (shared exposures
  * and pretrained model), then runs the identical prepared campaign
- * at laneBlock=1 (the pre-batching scalar path) and at the tuned
+ * at laneBlock=1 (one trial per 1-lane pass) and at the tuned
  * default block. The batched report must be bit-identical to the
- * scalar one — any accuracy difference is fatal, batching is a speed
+ * 1-lane one — any accuracy difference is fatal, batching is a speed
  * knob only — and the perf samples report both throughputs plus the
  * headline speedup.
  */

@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "harness.hh"
 #include "nn/model_zoo.hh"
 #include "sched/layer_scheduler.hh"
@@ -15,6 +18,7 @@
 #include "train/layers.hh"
 #include "train/loss.hh"
 #include "train/trainer.hh"
+#include "train/trial_batch.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -147,6 +151,68 @@ BM_ConvForward(benchmark::State &state)
         static_cast<double>(macs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ConvForward);
+
+/** A conv layer shape of the mini models at the campaign's 12x12 images. */
+struct LaneConvShape
+{
+    const char *name;
+    std::uint32_t inChannels;
+    std::uint32_t outChannels;
+    std::uint32_t size;
+    std::uint32_t kernel;
+    std::uint32_t pad;
+};
+
+const LaneConvShape kLaneConvShapes[] = {
+    {"MiniVgg/conv1", 1, 8, 12, 3, 1},  {"MiniVgg/conv2", 8, 8, 12, 3, 1},
+    {"MiniVgg/conv3", 8, 16, 6, 3, 1},  {"MiniVgg/conv4", 16, 16, 6, 3, 1},
+    {"MiniAlex/conv1", 1, 8, 12, 5, 2}, {"MiniAlex/conv2", 8, 16, 6, 5, 2},
+};
+
+/**
+ * The lane-major conv forward (convolveTrialLanes) on one mini-model
+ * layer at 16 lanes. Args: the shape index and the batch: 128 is a
+ * campaign trial block over the test batch, 1 a serving block of 16
+ * one-sample requests.
+ */
+void
+BM_ConvLanes(benchmark::State &state)
+{
+    const LaneConvShape &shape = kLaneConvShapes[state.range(0)];
+    const auto batch = static_cast<std::uint32_t>(state.range(1));
+    const std::uint32_t lanes = 16;
+    const std::size_t n = shape.inChannels;
+    const std::size_t m = shape.outChannels;
+    const std::size_t s = shape.size;
+    const std::size_t k = shape.kernel;
+    Rng rng(9);
+    auto values = [&](std::size_t count) {
+        std::vector<float> data(count * lanes);
+        for (float &v : data)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        return data;
+    };
+    const std::vector<float> in = values(batch * n * s * s);
+    const std::vector<float> wt = values(m * n * k * k);
+    const std::vector<float> bias = values(m);
+    std::vector<float> out(batch * m * s * s * lanes);
+    for (auto _ : state) {
+        convolveTrialLanes(in.data(), wt.data(), bias.data(), out.data(),
+                           batch, shape.inChannels, shape.size, shape.size,
+                           shape.outChannels, shape.size, shape.size,
+                           shape.kernel, 1, shape.pad, lanes);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    const double macs =
+        static_cast<double>(batch * m * s * s * n * k * k * lanes);
+    state.SetLabel(std::string(shape.name) + " " +
+                   laneIsaName(hostLaneIsas().front()));
+    state.counters["MACs/s"] = benchmark::Counter(
+        macs * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ConvLanes)->ArgsProduct({{0, 1, 2, 3, 4, 5}, {128, 1}});
 
 void
 BM_TrainingStep(benchmark::State &state)

@@ -53,39 +53,14 @@ typeRefreshed(RefreshPolicy policy, const LayerSchedule &layer,
 }
 
 /**
- * Reference path: the corrupted forward pass and accuracy of one
- * trial as a 1-lane forward over the test batch. Serves the
- * laneBlock=1 path, the reference of the batched one.
- */
-double
-scalarTrialAccuracy(Layer &skeleton, const CampaignModel &model,
-                    const TrialResult &trial)
-{
-    BitErrorInjector act_injector(trial.activationFailureRate,
-                                  trial.seed * 2 + 1);
-    BitErrorInjector weight_injector(trial.weightFailureRate,
-                                     trial.seed * 2 + 2);
-    ForwardContext ctx;
-    ctx.quant = &model.format;
-    ctx.injectors = {&act_injector};
-    ctx.weightInjectors = {&weight_injector};
-    ctx.weightsPreQuantized = true;
-    ctx.training = false;
-    const Tensor logits = skeleton.forward(model.test.images, ctx);
-    const LossResult loss =
-        softmaxCrossEntropy(logits, model.test.labels);
-    return static_cast<double>(loss.correct) /
-           static_cast<double>(model.test.labels.size());
-}
-
-/**
- * Batched path: fuse `lanes` consecutive trials starting at `first`
- * into one lane-major forward pass and write each lane's accuracy
- * back into its trial slot. The pass is padded to kernelLanes(lanes)
- * lanes, so a remainder block or an odd lane block still runs a
- * compile-time kernel; pad lanes carry no injector and are never
- * read. Per lane the injector seeds, streams and arithmetic match
- * scalarTrialAccuracy bit for bit.
+ * Fuse `lanes` consecutive trials starting at `first` into one
+ * lane-major forward pass and write each lane's accuracy back into
+ * its trial slot. The pass is padded to kernelLanes(lanes) lanes, so
+ * a remainder block or an odd lane block still runs a compile-time
+ * kernel; pad lanes carry no injector and are never read. Lane l
+ * draws from the injectors seeded by its trial alone and runs the
+ * per-lane arithmetic of a 1-lane forward, so any block size gives
+ * the same accuracies bit for bit.
  */
 void
 batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
@@ -378,29 +353,20 @@ runPreparedCampaign(const DesignPoint &design,
         report.trials[trial] = result;
     });
 
-    // Phase 4b: corrupted forwards. laneBlock trials are fused per
-    // lane-major batched pass (the scalar reference path when the
-    // block is 1); every lane is bit-identical to the scalar pass,
-    // so the choice only moves wall-clock.
+    // Phase 4b: corrupted forwards, laneBlock trials fused per
+    // lane-major pass. Every lane is bit-identical to its 1-lane
+    // pass, so the block size only moves wall-clock.
     const std::uint32_t lane_block =
         config.laneBlock == 0 ? kDefaultLaneBlock : config.laneBlock;
-    if (lane_block <= 1) {
-        parallelFor(config.trials, jobs, [&](std::size_t trial) {
-            report.trials[trial].accuracy = scalarTrialAccuracy(
-                *skeleton, model, report.trials[trial]);
-        });
-    } else {
-        const std::size_t blocks =
-            (config.trials + lane_block - 1) / lane_block;
-        parallelFor(blocks, jobs, [&](std::size_t block) {
-            const std::size_t first = block * lane_block;
-            const auto lanes = static_cast<std::uint32_t>(
-                std::min<std::size_t>(lane_block,
-                                      config.trials - first));
-            batchedBlockAccuracies(*skeleton, model, report.trials,
-                                   first, lanes);
-        });
-    }
+    const std::size_t blocks =
+        (config.trials + lane_block - 1) / lane_block;
+    parallelFor(blocks, jobs, [&](std::size_t block) {
+        const std::size_t first = block * lane_block;
+        const auto lanes = static_cast<std::uint32_t>(
+            std::min<std::size_t>(lane_block, config.trials - first));
+        batchedBlockAccuracies(*skeleton, model, report.trials, first,
+                               lanes);
+    });
     for (TrialResult &trial : report.trials) {
         trial.relativeAccuracy =
             report.baselineAccuracy > 0.0

@@ -75,7 +75,7 @@ struct FaultCampaignConfig
      * Trials fused per batched forward pass: the corrupted forwards
      * run laneBlock trials at a time through the lane-major kernels
      * (train/trial_batch.hh). 0 picks the tuned default block; 1
-     * forces the scalar per-trial reference path. Any value yields
+     * runs each trial as its own 1-lane pass. Any value yields
      * bit-identical reports — the block size is a speed knob only.
      */
     std::uint32_t laneBlock = 0;
@@ -140,7 +140,7 @@ class FaultCampaignConfigBuilder
         return *this;
     }
 
-    /** Trials fused per batched forward (0 = default, 1 = scalar). */
+    /** Trials fused per batched forward (0 = default, 1 = one per pass). */
     FaultCampaignConfigBuilder &laneBlock(std::uint32_t value)
     {
         config_.laneBlock = value;

@@ -4,37 +4,56 @@
  * convolution's backward.
  *
  * This translation unit is compiled at -O3 with -fno-trapping-math
- * and -ffp-contract=off (see the CMakeLists), and the hot kernels
- * carry target_clones("default","avx","avx2","avx512f"): the loader
- * picks the widest clone the CPU runs while the binary stays runnable
- * on baseline x86-64. -fno-trapping-math lets gcc vectorize the
- * quantizer's clamp (with trapping math it reports "control flow in
- * loop"); it changes no value, since nothing here reads the FP
- * exception flags. -ffp-contract=off is what keeps the wide clones
- * exact: the avx512f feature level includes FMA, and a fused
+ * and -ffp-contract=off (see the CMakeLists). -fno-trapping-math lets
+ * gcc vectorize the quantizer's clamp (with trapping math it reports
+ * "control flow in loop"); it changes no value, since nothing here
+ * reads the FP exception flags. -ffp-contract=off is what keeps the
+ * wide code exact: AVX2 and AVX-512 include FMA, and a fused
  * multiply-add rounds once where the 1-lane order rounds twice
- * (TrainKernels.NoFusedMultiplyAdd pins this).
+ * (TrainKernels.NoFusedMultiplyAdd pins this for the code the host
+ * runs; CI greps the whole object).
  *
- * The lane count is a template parameter for 16/8/4/2/1 lanes, the
- * widths production callers run (campaign trial blocks and serving
- * request blocks are padded to them, training minibatches split into
- * them), so the innermost lane loop has a compile-time trip count
- * and turns into straight-line vector code; other lane counts run
- * the same template with FixedL = 0, which reads the count at run
- * time: slower, but bit-identical.
+ * The conv forward is one register-tile template (convolveTile):
+ * MT output channels x XT output columns x L lanes of accumulators,
+ * held as GCC vector-extension values, live in registers across the
+ * whole (n, ky, kx) reduction, get their bias, every valid tap as a
+ * multiply then an add, and one store. The interior columns run as
+ * XT-column tiles (and one XT/2-column tile where that many are
+ * left), the edge columns and the last leftover as 1-column tiles
+ * with their own kx span. The tile's only per-ISA parameter is the
+ * register budget (RegisterBudget: floats per vector register and
+ * register count); tileShape sizes the tile from it so that the
+ * accumulators fill at most half the register file. The template is
+ * instantiated in three target functions — AVX-512 (with VL), AVX2
+ * and baseline — and convolveTrialLanes picks the widest one the CPU
+ * supports. Each accumulator still sees exactly the 1-lane sequence
+ * of operations; the tile only decides which independent
+ * accumulators are in flight together.
+ *
+ * The other hot kernels carry target_clones("default", "avx", "avx2",
+ * "avx512f"): the loader picks the widest clone the CPU runs while
+ * the binary stays runnable on baseline x86-64. Their lane count is
+ * a template parameter for 16/8/4/2/1 lanes, the widths production
+ * callers run (campaign trial blocks and serving request blocks are
+ * padded to them, training minibatches split into them), so the
+ * innermost lane loop has a compile-time trip count and turns into
+ * straight-line vector code; other lane counts run with FixedL = 0,
+ * which reads the count at run time: slower, but bit-identical.
  *
  * Every kernel keeps the 1-lane per-accumulator operation order —
  * vectorization only spans independent lanes, output positions and
  * output channels — so the results match bit for bit across lane
- * counts and clones. Every output a kernel returns or fills is
- * written in full (TrainKernels.OutputsFullyWritten), so callers
- * allocate it with Tensor::uninitialized.
+ * counts, clones and ISA instantiations. Every output a kernel
+ * returns or fills is written in full
+ * (TrainKernels.OutputsFullyWritten), so callers allocate it with
+ * Tensor::uninitialized.
  */
 
 #include "train/trial_batch.hh"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -43,23 +62,26 @@ namespace rana {
 namespace {
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define RANA_X86_GCC 1
 #define RANA_TRIAL_CLONES                                             \
     __attribute__((target_clones("default", "avx", "avx2", "avx512f")))
 #else
+#define RANA_X86_GCC 0
 #define RANA_TRIAL_CLONES
 #endif
 
-/**
- * The outputs x in [lo, hi) of a `count`-wide output row whose tap at
- * offset `off` (= k - pad) lands inside an `extent`-wide input row:
- * 0 <= x*stride + off < extent. Empty when lo >= hi.
- */
+/** A half-open index range [lo, hi); empty when lo >= hi. */
 struct TapRange
 {
     std::int64_t lo = 0;
     std::int64_t hi = 0;
 };
 
+/**
+ * The outputs x in [lo, hi) of a `count`-wide output row whose tap at
+ * offset `off` (= k - pad) lands inside an `extent`-wide input row:
+ * 0 <= x*stride + off < extent.
+ */
 TapRange
 validOutputs(std::int64_t off, std::uint32_t stride,
              std::uint32_t extent, std::uint32_t count)
@@ -73,238 +95,375 @@ validOutputs(std::int64_t off, std::uint32_t stride,
     return range;
 }
 
-/**
- * Convolution of one output channel `m` of one sample over a
- * lane-major tensor. FixedL != 0 fixes the lane count at compile
- * time; FixedL == 0 reads it from `lanes`. `acc` is a caller-provided
- * {c, L} scratch row.
- */
-template <std::uint32_t FixedL>
-RANA_TRIAL_CLONES void
-convolveLanesOne(const float *__restrict in,
-                 const float *__restrict wt,
-                 const float *__restrict bias,
-                 float *__restrict out, std::uint32_t b,
-                 std::uint32_t m, std::uint32_t in_channels,
-                 std::uint32_t h, std::uint32_t w,
-                 std::uint32_t out_channels, std::uint32_t r,
-                 std::uint32_t c, std::uint32_t kernel,
-                 std::uint32_t stride, std::uint32_t pad,
-                 std::uint32_t lanes, float *__restrict acc)
+/** Operands and geometry of one convolveTrialLanes call. */
+struct ConvCall
 {
-    const std::uint32_t L = FixedL != 0 ? FixedL : lanes;
-    const std::size_t in_plane =
-        static_cast<std::size_t>(h) * w * L;
-    const std::size_t in_sample = in_plane * in_channels;
-    const std::size_t in_row = static_cast<std::size_t>(w) * L;
-    const std::size_t out_plane =
-        static_cast<std::size_t>(r) * c * L;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel) * kernel * L;
-    float *out_m = out + (b * out_channels + m) * out_plane;
-    const float *wt_m = wt + m * in_channels * wt_kernel;
-    const float *bias_m = bias + static_cast<std::size_t>(m) * L;
-    for (std::uint32_t y = 0; y < r; ++y) {
-        const std::int64_t base_y =
-            static_cast<std::int64_t>(y) * stride - pad;
-        for (std::uint32_t x = 0; x < c; ++x)
-            for (std::uint32_t l = 0; l < L; ++l)
-                acc[x * L + l] = bias_m[l];
-        for (std::uint32_t n = 0; n < in_channels; ++n) {
-            const float *in_n = in + b * in_sample + n * in_plane;
-            const float *wt_n = wt_m + n * wt_kernel;
-            for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                const std::int64_t in_y = base_y + ky;
-                if (in_y < 0 || in_y >= h)
-                    continue;
-                const float *row = in_n + in_y * in_row;
-                const float *wt_row =
-                    wt_n + static_cast<std::size_t>(ky) * kernel * L;
-                for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                    const std::int64_t off =
-                        static_cast<std::int64_t>(kx) - pad;
-                    const TapRange xs = validOutputs(off, stride, w, c);
-                    if (xs.lo >= xs.hi)
-                        continue;
-                    const float *__restrict wv =
-                        wt_row + static_cast<std::size_t>(kx) * L;
-                    // The runtime lane count keeps one strided loop.
-                    if (FixedL != 0 && stride == 1) {
-                        const float *src = row + off * L;
-                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
-                            float *__restrict a = acc + x * L;
-                            const float *__restrict s = src + x * L;
-                            for (std::uint32_t l = 0; l < L; ++l)
-                                a[l] += s[l] * wv[l];
-                        }
-                    } else {
-                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
-                            float *__restrict a = acc + x * L;
-                            const float *__restrict s =
-                                row + (x * stride + off) * L;
-                            for (std::uint32_t l = 0; l < L; ++l)
-                                a[l] += s[l] * wv[l];
-                        }
-                    }
-                }
-            }
-        }
-        float *out_row = out_m + static_cast<std::size_t>(y) * c * L;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(c) * L;
-             ++i)
-            out_row[i] = acc[i];
-    }
+    const float *in;
+    const float *wt;
+    const float *bias;
+    float *out;
+    std::uint32_t batch;
+    std::uint32_t inChannels;
+    std::uint32_t h;
+    std::uint32_t w;
+    std::uint32_t outChannels;
+    std::uint32_t r;
+    std::uint32_t c;
+    std::uint32_t kernel;
+    std::uint32_t stride;
+    std::uint32_t pad;
+    std::uint32_t lanes;
+};
+
+/**
+ * A vector of W floats (a GCC vector extension type); W = 1 is a
+ * plain float. The tile functions below are always inlined into a
+ * per-ISA entry point, so the vectors compile to that entry point's
+ * registers.
+ */
+template <std::uint32_t W>
+struct FloatVec
+{
+    typedef float type __attribute__((vector_size(W * sizeof(float))));
+};
+
+template <>
+struct FloatVec<1>
+{
+    using type = float;
+};
+
+#define RANA_TILE_INLINE inline __attribute__((always_inline))
+/** Full unrolling of the tile loops, so the tile arrays become registers. */
+#define RANA_UNROLL _Pragma("GCC unroll 16")
+
+/** Unaligned vector load and store (memcpy compiles to one move). */
+template <typename Vec>
+RANA_TILE_INLINE void
+loadVec(Vec &v, const float *src)
+{
+    std::memcpy(&v, src, sizeof(Vec));
+}
+
+template <typename Vec>
+RANA_TILE_INLINE void
+storeVec(float *dst, const Vec &v)
+{
+    std::memcpy(dst, &v, sizeof(Vec));
 }
 
 /**
- * Convolution of the output-channel pair {m, m+1} of one sample,
- * compile-time lane count. `acc` is a caller-provided {2, c, L}
- * scratch block.
- *
- * Pairing output channels reuses each loaded input vector for two
- * multiply-adds and keeps two independent accumulator chains in
- * flight, hiding the add latency the single-channel loop exposes.
- * Each channel's accumulation sequence is exactly the single-channel
- * order — pairing only interleaves independent accumulators — so
- * the result stays bit-identical.
+ * The vector register file a conv tile is sized for: the floats one
+ * register holds and the number of registers.
  */
-template <std::uint32_t L>
-RANA_TRIAL_CLONES void
-convolveLanesPair(const float *__restrict in,
-                  const float *__restrict wt,
-                  const float *__restrict bias,
-                  float *__restrict out, std::uint32_t b,
-                  std::uint32_t m, std::uint32_t in_channels,
-                  std::uint32_t h, std::uint32_t w,
-                  std::uint32_t out_channels, std::uint32_t r,
-                  std::uint32_t c, std::uint32_t kernel,
-                  std::uint32_t stride, std::uint32_t pad,
-                  float *__restrict acc)
+struct RegisterBudget
 {
-    const std::size_t in_plane =
-        static_cast<std::size_t>(h) * w * L;
-    const std::size_t in_sample = in_plane * in_channels;
-    const std::size_t in_row = static_cast<std::size_t>(w) * L;
-    const std::size_t out_plane =
-        static_cast<std::size_t>(r) * c * L;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel) * kernel * L;
-    float *out_m0 = out + (b * out_channels + m) * out_plane;
-    float *out_m1 = out_m0 + out_plane;
-    const float *wt_m0 = wt + m * in_channels * wt_kernel;
-    const float *wt_m1 = wt_m0 + in_channels * wt_kernel;
-    const float *bias_m0 = bias + static_cast<std::size_t>(m) * L;
-    const float *bias_m1 = bias_m0 + L;
-    float *__restrict a0 = acc;
-    float *__restrict a1 = acc + static_cast<std::size_t>(c) * L;
-    for (std::uint32_t y = 0; y < r; ++y) {
-        const std::int64_t base_y =
-            static_cast<std::int64_t>(y) * stride - pad;
-        for (std::uint32_t x = 0; x < c; ++x)
-            for (std::uint32_t l = 0; l < L; ++l) {
-                a0[x * L + l] = bias_m0[l];
-                a1[x * L + l] = bias_m1[l];
-            }
-        for (std::uint32_t n = 0; n < in_channels; ++n) {
-            const float *in_n = in + b * in_sample + n * in_plane;
-            const float *wt_n0 = wt_m0 + n * wt_kernel;
-            const float *wt_n1 = wt_m1 + n * wt_kernel;
-            for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                const std::int64_t in_y = base_y + ky;
-                if (in_y < 0 || in_y >= h)
-                    continue;
-                const float *row = in_n + in_y * in_row;
-                const float *wt_row0 =
-                    wt_n0 + static_cast<std::size_t>(ky) * kernel * L;
-                const float *wt_row1 =
-                    wt_n1 + static_cast<std::size_t>(ky) * kernel * L;
-                for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                    const std::int64_t off =
-                        static_cast<std::int64_t>(kx) - pad;
-                    const TapRange xs = validOutputs(off, stride, w, c);
-                    if (xs.lo >= xs.hi)
-                        continue;
-                    const float *__restrict wv0 =
-                        wt_row0 + static_cast<std::size_t>(kx) * L;
-                    const float *__restrict wv1 =
-                        wt_row1 + static_cast<std::size_t>(kx) * L;
-                    if (stride == 1) {
-                        const float *src = row + off * L;
-                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
-                            const float *__restrict s = src + x * L;
-                            float *__restrict p0 = a0 + x * L;
-                            float *__restrict p1 = a1 + x * L;
-                            for (std::uint32_t l = 0; l < L; ++l) {
-                                p0[l] += s[l] * wv0[l];
-                                p1[l] += s[l] * wv1[l];
-                            }
-                        }
-                    } else {
-                        for (std::int64_t x = xs.lo; x < xs.hi; ++x) {
-                            const float *__restrict s =
-                                row + (x * stride + off) * L;
-                            float *__restrict p0 = a0 + x * L;
-                            float *__restrict p1 = a1 + x * L;
-                            for (std::uint32_t l = 0; l < L; ++l) {
-                                p0[l] += s[l] * wv0[l];
-                                p1[l] += s[l] * wv1[l];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        float *out_row0 =
-            out_m0 + static_cast<std::size_t>(y) * c * L;
-        float *out_row1 =
-            out_m1 + static_cast<std::size_t>(y) * c * L;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(c) * L;
-             ++i) {
-            out_row0[i] = a0[i];
-            out_row1[i] = a1[i];
-        }
-    }
+    std::uint32_t vectorFloats;
+    std::uint32_t registers;
+};
+
+/** AVX-512 with VL: 32 registers at every width up to 16 floats. */
+constexpr RegisterBudget kAvx512Budget{16, 32};
+/** AVX2: 16 registers of 8 floats. */
+constexpr RegisterBudget kAvx2Budget{8, 16};
+/** Baseline x86-64 (SSE2), and any other target: 16 x 4 floats. */
+constexpr RegisterBudget kBaselineBudget{4, 16};
+
+/**
+ * A register tile: `channels` output channels x `columns` output
+ * columns x L lanes, each lane group held as L / width vectors of
+ * `width` floats.
+ */
+struct TileShape
+{
+    std::uint32_t width;
+    std::uint32_t channels;
+    std::uint32_t columns;
+};
+
+/**
+ * The tile an L-lane convolution runs on `budget`: up to 4 output
+ * channels by up to 4 columns, with the accumulators taking at most
+ * half the registers. The other half holds a tap's input vectors,
+ * one weight vector and the product, so nothing spills. Each loaded
+ * weight vector serves every column of the tile, each input vector
+ * every channel, and the accumulators are at least 4 independent
+ * chains, which hides the latency of the adds.
+ */
+constexpr TileShape
+tileShape(RegisterBudget budget, std::uint32_t lanes)
+{
+    const std::uint32_t width = std::min(lanes, budget.vectorFloats);
+    const std::uint32_t vectors = lanes / width;
+    const std::uint32_t accumulators = budget.registers / 2;
+    const std::uint32_t channels =
+        std::clamp(accumulators / vectors, 1u, 4u);
+    const std::uint32_t columns =
+        std::clamp(accumulators / (channels * vectors), 1u, 4u);
+    return {width, channels, columns};
 }
 
 /**
- * Convolution over one lane-major tensor. FixedL != 0 fixes the lane
- * count at compile time; FixedL == 0 reads it from `lanes`. `acc` is
- * a caller-provided {2, c, L} scratch block.
- *
- * Output channels are paired on narrow multi-input layers, where
- * the pairing measures 1.2-1.3x. Wide rows (c > 6), single-input
- * layers and the runtime lane count stay on the one-channel path:
- * there the second accumulator row costs more than the input reuse
- * earns (empirically tuned on the campaign's MiniVgg/MiniAlexNet
- * shapes).
+ * One register tile of one sample: output channels [m0, m0 + MT) x
+ * columns [x0, x0 + XT) of output row y, over the taps ky in [ky_lo,
+ * ky_hi) and kx in [kx_lo, kx_hi), which must be valid for every
+ * column of the tile. Each accumulator gets its bias, then every
+ * valid tap in (n, ky, kx) order, as a multiply then an add; it stays
+ * in a register until the one store at the end.
  */
-template <std::uint32_t FixedL>
-void
-convolveLanesImpl(const float *__restrict in,
-                  const float *__restrict wt,
-                  const float *__restrict bias,
-                  float *__restrict out, std::uint32_t batch,
-                  std::uint32_t in_channels, std::uint32_t h,
-                  std::uint32_t w, std::uint32_t out_channels,
-                  std::uint32_t r, std::uint32_t c,
-                  std::uint32_t kernel, std::uint32_t stride,
-                  std::uint32_t pad, std::uint32_t lanes,
-                  float *__restrict acc)
+template <std::uint32_t L, std::uint32_t W, std::uint32_t MT,
+          std::uint32_t XT>
+RANA_TILE_INLINE void
+convolveTile(const ConvCall &g, const float *__restrict in_b,
+             float *__restrict out_b, std::uint32_t m0, std::uint32_t y,
+             std::uint32_t x0, std::int64_t ky_lo, std::int64_t ky_hi,
+             std::int64_t kx_lo, std::int64_t kx_hi)
 {
-    for (std::uint32_t b = 0; b < batch; ++b) {
+    using Vec = typename FloatVec<W>::type;
+    constexpr std::uint32_t V = L / W;
+    const std::size_t taps = static_cast<std::size_t>(g.kernel) * g.kernel;
+    const std::size_t wt_channel = g.inChannels * taps * L;
+    const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w * L;
+    const std::int64_t in_row = static_cast<std::int64_t>(g.w) * L;
+    const std::int64_t base_y =
+        static_cast<std::int64_t>(y) * g.stride - g.pad;
+    // Each column's input offset at kx = 0; negative on a left edge,
+    // where the valid kx start past it.
+    std::int64_t col[XT];
+    RANA_UNROLL
+    for (std::uint32_t j = 0; j < XT; ++j)
+        col[j] = (static_cast<std::int64_t>(x0 + j) * g.stride - g.pad) *
+                 L;
+
+    Vec acc[MT][XT][V];
+    RANA_UNROLL
+    for (std::uint32_t i = 0; i < MT; ++i)
+        RANA_UNROLL
+        for (std::uint32_t v = 0; v < V; ++v) {
+            Vec b;
+            loadVec(b, g.bias + (m0 + i) * L + v * W);
+            RANA_UNROLL
+            for (std::uint32_t j = 0; j < XT; ++j)
+                acc[i][j][v] = b;
+        }
+    for (std::uint32_t n = 0; n < g.inChannels; ++n) {
+        const float *in_n = in_b + n * in_plane;
+        const float *wt_n =
+            g.wt + (static_cast<std::size_t>(m0) * g.inChannels + n) *
+                       taps * L;
+        for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+            const float *row = in_n + (base_y + ky) * in_row;
+            const float *wt_row = wt_n + ky * g.kernel * L;
+            for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+                // The tap's input vectors stay in registers; each
+                // weight vector is loaded once and used for every
+                // column.
+                const float *src = row + kx * L;
+                Vec in_v[XT][V];
+                RANA_UNROLL
+                for (std::uint32_t j = 0; j < XT; ++j)
+                    RANA_UNROLL
+                    for (std::uint32_t v = 0; v < V; ++v)
+                        loadVec(in_v[j][v], src + col[j] + v * W);
+                RANA_UNROLL
+                for (std::uint32_t i = 0; i < MT; ++i)
+                    RANA_UNROLL
+                    for (std::uint32_t v = 0; v < V; ++v) {
+                        Vec wv;
+                        loadVec(wv,
+                                wt_row + i * wt_channel + kx * L + v * W);
+                        RANA_UNROLL
+                        for (std::uint32_t j = 0; j < XT; ++j)
+                            acc[i][j][v] += in_v[j][v] * wv;
+                    }
+            }
+        }
+    }
+    RANA_UNROLL
+    for (std::uint32_t i = 0; i < MT; ++i)
+        RANA_UNROLL
+        for (std::uint32_t j = 0; j < XT; ++j)
+            RANA_UNROLL
+            for (std::uint32_t v = 0; v < V; ++v)
+                storeVec(out_b +
+                             ((static_cast<std::size_t>(m0 + i) * g.r +
+                               y) * g.c +
+                              x0 + j) * L +
+                             v * W,
+                         acc[i][j][v]);
+}
+
+/**
+ * The interior output columns [lo, hi) of a row: those where every kx
+ * lands inside the input row (x * stride >= pad and x * stride - pad
+ * + K <= w). The columns before and after are edge columns.
+ */
+TapRange
+interiorColumns(const ConvCall &g)
+{
+    const std::int64_t K = g.kernel;
+    const std::int64_t S = g.stride;
+    const std::int64_t P = g.pad;
+    const std::int64_t C = g.c;
+    const std::int64_t lo = std::min((P + S - 1) / S, C);
+    return {lo, std::clamp(g.w + P >= K ? (g.w + P - K) / S + 1 : 0, lo, C)};
+}
+
+/**
+ * The taps k in [lo, hi) of output `i` that land inside an
+ * `extent`-wide input axis: 0 <= i*stride + k - pad < extent.
+ */
+TapRange
+validTaps(const ConvCall &g, std::uint32_t i, std::uint32_t extent)
+{
+    const std::int64_t base = static_cast<std::int64_t>(i) * g.stride -
+                              g.pad;
+    return {std::max<std::int64_t>(0, -base),
+            std::min<std::int64_t>(g.kernel, extent - base)};
+}
+
+/**
+ * Output channels [m0, m0 + MT) of one sample, row by row: the valid
+ * ky span once per row, the interior columns as XT-column tiles (and
+ * one XT/2-column tile where that many are left), the edge columns
+ * and the last interior leftover as 1-column tiles with their own kx
+ * span.
+ */
+template <std::uint32_t L, std::uint32_t W, std::uint32_t MT,
+          std::uint32_t XT>
+RANA_TILE_INLINE void
+convolveChannels(const ConvCall &g, const TapRange &interior,
+                 const float *__restrict in_b, float *__restrict out_b,
+                 std::uint32_t m0)
+{
+    for (std::uint32_t y = 0; y < g.r; ++y) {
+        const TapRange ky = validTaps(g, y, g.h);
+        auto column = [&](std::uint32_t x) __attribute__((always_inline)) {
+            const TapRange kx = validTaps(g, x, g.w);
+            convolveTile<L, W, MT, 1>(g, in_b, out_b, m0, y, x, ky.lo,
+                                      ky.hi, kx.lo, kx.hi);
+        };
+        std::uint32_t x = 0;
+        for (; x < interior.lo; ++x)
+            column(x);
+        for (; x + XT <= interior.hi; x += XT)
+            convolveTile<L, W, MT, XT>(g, in_b, out_b, m0, y, x, ky.lo,
+                                       ky.hi, 0, g.kernel);
+        if constexpr (XT >= 4) {
+            if (x + XT / 2 <= interior.hi) {
+                convolveTile<L, W, MT, XT / 2>(g, in_b, out_b, m0, y, x,
+                                               ky.lo, ky.hi, 0, g.kernel);
+                x += XT / 2;
+            }
+        }
+        for (; x < g.c; ++x)
+            column(x);
+    }
+}
+
+/** The whole convolution at L lanes, tiled for `Budget`. */
+template <RegisterBudget Budget, std::uint32_t L>
+RANA_TILE_INLINE void
+convolveTiled(const ConvCall &g)
+{
+    constexpr TileShape tile = tileShape(Budget, L);
+    const TapRange interior = interiorColumns(g);
+    const std::size_t in_sample =
+        static_cast<std::size_t>(g.inChannels) * g.h * g.w * L;
+    const std::size_t out_sample =
+        static_cast<std::size_t>(g.outChannels) * g.r * g.c * L;
+    for (std::uint32_t b = 0; b < g.batch; ++b) {
+        const float *in_b = g.in + b * in_sample;
+        float *out_b = g.out + b * out_sample;
         std::uint32_t m = 0;
-        if (FixedL != 0 && in_channels >= 2 && c <= 6) {
-            for (; m + 2 <= out_channels; m += 2)
-                convolveLanesPair<FixedL>(in, wt, bias, out, b, m,
-                                          in_channels, h, w,
-                                          out_channels, r, c, kernel,
-                                          stride, pad, acc);
-        }
-        for (; m < out_channels; ++m)
-            convolveLanesOne<FixedL>(in, wt, bias, out, b, m,
-                                     in_channels, h, w, out_channels, r,
-                                     c, kernel, stride, pad, lanes, acc);
+        for (; m + tile.channels <= g.outChannels; m += tile.channels)
+            convolveChannels<L, tile.width, tile.channels, tile.columns>(
+                g, interior, in_b, out_b, m);
+        for (; m < g.outChannels; ++m)
+            convolveChannels<L, tile.width, 1, tile.columns>(
+                g, interior, in_b, out_b, m);
     }
+}
+
+/** The compile-time lane counts on one register budget. */
+template <RegisterBudget Budget>
+RANA_TILE_INLINE void
+convolveFixedLanes(const ConvCall &g)
+{
+    switch (g.lanes) {
+      case 16:
+        return convolveTiled<Budget, 16>(g);
+      case 8:
+        return convolveTiled<Budget, 8>(g);
+      case 4:
+        return convolveTiled<Budget, 4>(g);
+      case 2:
+        return convolveTiled<Budget, 2>(g);
+      default:
+        return convolveTiled<Budget, 1>(g);
+    }
+}
+
+#if RANA_X86_GCC
+// AVX512VL lets the 8- and 4-lane tiles use all 32 registers too.
+__attribute__((target("avx512f,avx512vl"))) void
+convolveAvx512(const ConvCall &g)
+{
+    convolveFixedLanes<kAvx512Budget>(g);
+}
+
+__attribute__((target("avx2"))) void
+convolveAvx2(const ConvCall &g)
+{
+    convolveFixedLanes<kAvx2Budget>(g);
+}
+#endif
+
+void
+convolveBaseline(const ConvCall &g)
+{
+    convolveFixedLanes<kBaselineBudget>(g);
+}
+
+/**
+ * Any other lane count: the plain loop nest, one output element (all
+ * lanes) at a time, accumulating in the output in the same order.
+ */
+RANA_TRIAL_CLONES void
+convolveRuntimeLanes(const ConvCall &g)
+{
+    const std::size_t L = g.lanes;
+    const std::size_t K = g.kernel;
+    for (std::size_t b = 0; b < g.batch; ++b)
+        for (std::size_t m = 0; m < g.outChannels; ++m)
+            for (std::uint32_t y = 0; y < g.r; ++y) {
+                const TapRange ky = validTaps(g, y, g.h);
+                const std::int64_t base_y =
+                    static_cast<std::int64_t>(y) * g.stride - g.pad;
+                for (std::uint32_t x = 0; x < g.c; ++x) {
+                    const TapRange kx = validTaps(g, x, g.w);
+                    const std::int64_t base_x =
+                        static_cast<std::int64_t>(x) * g.stride - g.pad;
+                    float *__restrict o =
+                        g.out +
+                        (((b * g.outChannels + m) * g.r + y) * g.c + x) * L;
+                    for (std::size_t l = 0; l < L; ++l)
+                        o[l] = g.bias[m * L + l];
+                    for (std::size_t n = 0; n < g.inChannels; ++n)
+                        for (std::int64_t i = ky.lo; i < ky.hi; ++i)
+                            for (std::int64_t j = kx.lo; j < kx.hi; ++j) {
+                                const float *__restrict s =
+                                    g.in + (((b * g.inChannels + n) * g.h +
+                                             base_y + i) * g.w +
+                                            base_x + j) * L;
+                                const float *__restrict v =
+                                    g.wt + (((m * g.inChannels + n) * K +
+                                             i) * K + j) * L;
+                                for (std::size_t l = 0; l < L; ++l)
+                                    o[l] += s[l] * v[l];
+                            }
+                }
+            }
 }
 
 /**
@@ -607,6 +766,60 @@ addTrialSpan(float *__restrict dst, const float *__restrict src,
         dst[i] += src[i];
 }
 
+std::vector<LaneIsa>
+hostLaneIsas()
+{
+    std::vector<LaneIsa> isas;
+#if RANA_X86_GCC
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl"))
+        isas.push_back(LaneIsa::Avx512);
+    if (__builtin_cpu_supports("avx2"))
+        isas.push_back(LaneIsa::Avx2);
+#endif
+    isas.push_back(LaneIsa::Baseline);
+    return isas;
+}
+
+const char *
+laneIsaName(LaneIsa isa)
+{
+    switch (isa) {
+      case LaneIsa::Avx512:
+        return "avx512";
+      case LaneIsa::Avx2:
+        return "avx2";
+      case LaneIsa::Baseline:
+        break;
+    }
+    return "baseline";
+}
+
+void
+convolveTrialLanesOn(LaneIsa isa, const float *in, const float *wt,
+                     const float *bias, float *out, std::uint32_t batch,
+                     std::uint32_t in_channels, std::uint32_t h,
+                     std::uint32_t w, std::uint32_t out_channels,
+                     std::uint32_t r, std::uint32_t c,
+                     std::uint32_t kernel, std::uint32_t stride,
+                     std::uint32_t pad, std::uint32_t lanes)
+{
+    const ConvCall call{in, wt, bias, out, batch, in_channels, h, w,
+                        out_channels, r, c, kernel, stride, pad, lanes};
+    if (lanes > kMaxKernelLanes || kernelLanes(lanes) != lanes)
+        return convolveRuntimeLanes(call);
+    switch (isa) {
+#if RANA_X86_GCC
+      case LaneIsa::Avx512:
+        return convolveAvx512(call);
+      case LaneIsa::Avx2:
+        return convolveAvx2(call);
+#endif
+      default:
+        return convolveBaseline(call);
+    }
+}
+
 void
 convolveTrialLanes(const float *in, const float *wt, const float *bias,
                    float *out, std::uint32_t batch,
@@ -616,27 +829,10 @@ convolveTrialLanes(const float *in, const float *wt, const float *bias,
                    std::uint32_t kernel, std::uint32_t stride,
                    std::uint32_t pad, std::uint32_t lanes)
 {
-    // Two accumulator rows: the compile-time lane counts pair output
-    // channels; the runtime lane count uses only the first row.
-    std::vector<float> acc(static_cast<std::size_t>(2) * c * lanes);
-    auto run = [&](auto impl) {
-        impl(in, wt, bias, out, batch, in_channels, h, w, out_channels,
-             r, c, kernel, stride, pad, lanes, acc.data());
-    };
-    switch (lanes) {
-      case 16:
-        return run(convolveLanesImpl<16>);
-      case 8:
-        return run(convolveLanesImpl<8>);
-      case 4:
-        return run(convolveLanesImpl<4>);
-      case 2:
-        return run(convolveLanesImpl<2>);
-      case 1:
-        return run(convolveLanesImpl<1>);
-      default:
-        return run(convolveLanesImpl<0>);
-    }
+    static const LaneIsa widest = hostLaneIsas().front();
+    convolveTrialLanesOn(widest, in, wt, bias, out, batch, in_channels,
+                         h, w, out_channels, r, c, kernel, stride, pad,
+                         lanes);
 }
 
 void

@@ -18,7 +18,16 @@
  * production callers run: the campaign's trial blocks (up to 16) and
  * the serving data plane's cross-batch request blocks are padded to
  * them (kernelLanes), the training minibatch is split into them. Any
- * other count runs the same kernels with a runtime lane count.
+ * other count runs the same loops with a runtime lane count (the
+ * conv: one plain loop nest).
+ *
+ * The conv forward is register-tiled: a tile of output channels x
+ * output columns x L lanes of accumulators stays in vector registers
+ * across the whole (n, ky, kx) tap reduction and is stored once. The
+ * tile size follows the vector register file of the instruction set
+ * it runs on (LaneIsa): one template, instantiated for AVX-512, AVX2
+ * and the baseline target, the widest the CPU supports picked per
+ * call.
  *
  * The conv layer picks its kernel shape from the lane count: at
  * L > 1 each lane has its own copy-on-corrupt weights, packed
@@ -31,16 +40,17 @@
  *
  * Bit-exactness contract: for every lane, the kernels perform
  * exactly the per-element operations of a 1-lane forward in exactly
- * its order. Vectorization only spans *independent* accumulators
- * (different lanes, different output positions, different output
- * channels), never reorders the additions inside one accumulator,
- * and the kernels are compiled without FMA contraction (the AVX2 and
- * AVX-512 clones could fuse; -ffp-contract=off forbids it), so a
- * batched campaign is bit-identical to its 1-lane reference for any
- * lane count, and training is bit-identical to the reference conv
- * loop nests. The LaneForward and FaultCampaign suites assert the
- * former across lane counts; the TrainKernels suite asserts the
- * latter against the reference loops.
+ * its order. Vectorization and register tiling only span
+ * *independent* accumulators (different lanes, different output
+ * positions, different output channels), never reorder the additions
+ * inside one accumulator, and the kernels are compiled without FMA
+ * contraction (the AVX2 and AVX-512 code could fuse;
+ * -ffp-contract=off forbids it), so a batched campaign is
+ * bit-identical to its 1-lane reference for any lane count, and
+ * training is bit-identical to the reference conv loop nests. The
+ * LaneForward and FaultCampaign suites assert the former across lane
+ * counts; the TrainKernels suite asserts the latter against the
+ * reference loops.
  *
  * The kernels write every element of their outputs, and the pack
  * and extract helpers return tensors they fill in full, so none of
@@ -132,9 +142,9 @@ void addTrialSpan(float *dst, const float *src, std::size_t count);
  * Lane-major convolution: activations {B, N, H, W, L}, packed
  * weights {M, N, K, K, L}, bias {M, L}, output {B, M, R, C, L}.
  * Per lane, accumulates bias + sum over (n, ky, kx) of the valid
- * taps, in that order. Lane counts 16/8/4/2/1 run compile-time lane
- * kernels; any other count runs the same loops with a runtime lane
- * count.
+ * taps, in that order. Lane counts 16/8/4/2/1 run the register tile
+ * of the widest LaneIsa the host runs; any other count runs a plain
+ * loop nest with a runtime lane count.
  */
 void convolveTrialLanes(const float *in, const float *wt,
                         const float *bias, float *out,
@@ -144,6 +154,40 @@ void convolveTrialLanes(const float *in, const float *wt,
                         std::uint32_t c, std::uint32_t kernel,
                         std::uint32_t stride, std::uint32_t pad,
                         std::uint32_t lanes);
+
+/**
+ * The instruction-set instantiations of the lane convolution's
+ * register tile, each sized to its ISA's vector register file.
+ */
+enum class LaneIsa
+{
+    Baseline, ///< x86-64 SSE2, or the plain target elsewhere.
+    Avx2,
+    Avx512, ///< AVX-512F with AVX-512VL.
+};
+
+/**
+ * The instantiations this host runs, widest first; Baseline always
+ * runs. convolveTrialLanes uses the first.
+ */
+std::vector<LaneIsa> hostLaneIsas();
+
+/** A short name of `isa` ("avx512", "avx2", "baseline"). */
+const char *laneIsaName(LaneIsa isa);
+
+/**
+ * convolveTrialLanes on one instantiation, so tests and benchmarks
+ * can run each ISA the host supports. Every instantiation is
+ * bit-identical. @pre `isa` is in hostLaneIsas().
+ */
+void convolveTrialLanesOn(LaneIsa isa, const float *in, const float *wt,
+                          const float *bias, float *out,
+                          std::uint32_t batch, std::uint32_t in_channels,
+                          std::uint32_t h, std::uint32_t w,
+                          std::uint32_t out_channels, std::uint32_t r,
+                          std::uint32_t c, std::uint32_t kernel,
+                          std::uint32_t stride, std::uint32_t pad,
+                          std::uint32_t lanes);
 
 /**
  * Input gradient of a convolution over one lane block:

@@ -355,7 +355,7 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
         makeDesignPoint(DesignKind::RanaE5, retention);
     FaultCampaignConfig config = tinyCampaign();
     config.trials = 7;
-    config.laneBlock = 1; // scalar reference path
+    config.laneBlock = 1; // 1-lane reference passes
     const Result<FaultCampaignReport> scalar =
         runFaultCampaign(design, makeAlexNet(), config);
     ASSERT_TRUE(scalar.ok());

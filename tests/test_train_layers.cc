@@ -609,9 +609,9 @@ checkConvAgainstReference(const ConvCase &cc)
 
 TEST(TrainKernels, GeometrySweepMatchesReference)
 {
-    // Kernel 1/3/5, stride 1/2, pad 0-2 on odd, non-square maps; the
-    // odd channel count exercises both paired and single output
-    // channels of the lane kernel.
+    // Kernel 1/3/5, stride 1/2, pad 0-2 on odd, non-square maps; 5
+    // output channels leave one past the last whole channel tile of
+    // the lane kernel.
     for (std::uint32_t kernel : {1u, 3u, 5u})
         for (std::uint32_t stride : {1u, 2u})
             for (std::uint32_t pad : {0u, 1u, 2u})
@@ -711,9 +711,9 @@ TEST(TrainKernels, OutputsFullyWritten)
     Rng rng(41);
     for (std::uint32_t lanes : {1u, 2u, 3u, 4u, 8u, 16u, 17u}) {
         SCOPED_TRACE(::testing::Message() << lanes << " lanes");
-        // 5-wide rows give c <= 6 (paired output channels), 16-wide
-        // rows c > 6 (one channel); 3 output channels leave an
-        // unpaired one.
+        // 5-wide rows are mostly edge columns, 16-wide rows run
+        // full column tiles plus leftovers; 3 output channels are
+        // fewer than one channel tile.
         const std::uint32_t batch = 2, n = 2, m = 3, h = 5, k = 3;
         for (std::uint32_t stride : {1u, 2u})
             for (std::uint32_t pad : {0u, 1u})
@@ -792,6 +792,120 @@ TEST(TrainKernels, OutputsFullyWritten)
             wrong += !(lane[i] == images[indices[lanes - 1] * sample + i]);
         EXPECT_EQ(wrong, 0u) << "extractTrialLane";
     }
+}
+
+/**
+ * Naive per-lane conv: every lane's outputs from its own weights,
+ * bias + each valid tap in (n, ky, kx) order, one lane at a time.
+ */
+std::vector<float>
+naiveLaneConv(const std::vector<float> &in, const std::vector<float> &wt,
+              const std::vector<float> &bias, std::uint32_t batch,
+              std::uint32_t n_in, std::uint32_t h, std::uint32_t w,
+              std::uint32_t m_out, std::uint32_t r, std::uint32_t c,
+              std::uint32_t k, std::uint32_t stride, std::uint32_t pad,
+              std::uint32_t lanes)
+{
+    std::vector<float> out(batch * m_out * r * c * lanes);
+    const std::int64_t ih = h, iw = w;
+    for (std::uint32_t l = 0; l < lanes; ++l)
+        for (std::uint32_t b = 0; b < batch; ++b)
+            for (std::uint32_t m = 0; m < m_out; ++m)
+                for (std::uint32_t y = 0; y < r; ++y)
+                    for (std::uint32_t x = 0; x < c; ++x) {
+                        float acc = bias[m * lanes + l];
+                        for (std::uint32_t n = 0; n < n_in; ++n)
+                            for (std::uint32_t ky = 0; ky < k; ++ky)
+                                for (std::uint32_t kx = 0; kx < k; ++kx) {
+                                    const std::int64_t iy =
+                                        std::int64_t(y) * stride + ky - pad;
+                                    const std::int64_t ix =
+                                        std::int64_t(x) * stride + kx - pad;
+                                    if (iy < 0 || iy >= ih || ix < 0 ||
+                                        ix >= iw)
+                                        continue;
+                                    const float s =
+                                        in[(((b * n_in + n) * ih + iy) * iw +
+                                            ix) * lanes + l];
+                                    const float v =
+                                        wt[(((m * n_in + n) * k + ky) * k +
+                                            kx) * lanes + l];
+                                    acc += s * v;
+                                }
+                        out[(((b * m_out + m) * r + y) * c + x) * lanes + l] =
+                            acc;
+                    }
+    return out;
+}
+
+/**
+ * One lane-conv case on every ISA instantiation the host runs:
+ * distinct random weights per lane, inputs with exact zeros of both
+ * signs, NaN-poisoned outputs; compares bit for bit with the naive
+ * per-lane loop nest.
+ */
+void
+checkLaneConv(std::uint32_t n_in, std::uint32_t m_out, std::uint32_t k,
+              std::uint32_t stride, std::uint32_t pad, std::uint32_t c,
+              std::uint32_t lanes, Rng &rng)
+{
+    // The narrowest input row that gives `c` output columns.
+    const std::int64_t min_w =
+        std::int64_t(c - 1) * stride + k - 2 * std::int64_t(pad);
+    const std::uint32_t w = static_cast<std::uint32_t>(
+        std::max<std::int64_t>(min_w, 1) + (c % 2 == 0 ? stride - 1 : 0));
+    if ((w + 2 * pad - k) / stride + 1 != c)
+        return; // no input width gives c columns at this geometry
+    const std::uint32_t h = std::max<std::uint32_t>(k, 3);
+    const std::uint32_t r = (h + 2 * pad - k) / stride + 1;
+    const std::uint32_t batch = 2;
+    std::vector<float> in = finiteValues(batch * n_in * h * w * lanes, rng);
+    for (std::size_t i = 0; i < in.size(); i += 5)
+        in[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    const std::vector<float> wt = finiteValues(m_out * n_in * k * k * lanes,
+                                               rng);
+    std::vector<float> bias = finiteValues(m_out * lanes, rng);
+    bias[0] = -0.0f;
+    const std::vector<float> want = naiveLaneConv(
+        in, wt, bias, batch, n_in, h, w, m_out, r, c, k, stride, pad, lanes);
+    for (LaneIsa isa : hostLaneIsas()) {
+        std::vector<float> got(want.size(), kPoison);
+        convolveTrialLanesOn(isa, in.data(), wt.data(), bias.data(),
+                             got.data(), batch, n_in, h, w, m_out, r, c, k,
+                             stride, pad, lanes);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << laneIsaName(isa) << ": N" << n_in << " M" << m_out << " k"
+            << k << " s" << stride << " p" << pad << " c" << c << " L"
+            << lanes;
+    }
+}
+
+TEST(TrainKernels, LaneConvMatchesPerLaneReference)
+{
+    // Every register-tile instantiation the host runs against the
+    // per-lane loop nest, bit for bit, at the compile-time lane
+    // counts and two runtime ones. Output widths 1..13 give rows
+    // narrower than one column tile, leftover columns after the full
+    // tiles, and rows that are all edge columns.
+    Rng rng(43);
+    const std::uint32_t lane_counts[] = {16, 8, 4, 2, 1, 3, 17};
+    for (std::uint32_t lanes : lane_counts)
+        for (std::uint32_t k : {1u, 3u, 5u})
+            for (std::uint32_t stride : {1u, 2u})
+                for (std::uint32_t pad : {0u, 1u, 2u})
+                    for (std::uint32_t c = 1; c <= 13; ++c)
+                        checkLaneConv(3, 5, k, stride, pad, c, lanes, rng);
+    // Output channels below, at and past whole channel tiles, on a
+    // wide padded row, a strided one and an all-edge 5x5 one.
+    for (std::uint32_t lanes : lane_counts)
+        for (std::uint32_t m_out : {1u, 2u, 3u, 5u, 8u, 12u, 16u, 17u})
+            for (std::uint32_t n_in : {1u, 3u, 16u}) {
+                checkLaneConv(n_in, m_out, 3, 1, 1, 13, lanes, rng);
+                checkLaneConv(n_in, m_out, 3, 2, 1, 7, lanes, rng);
+                checkLaneConv(n_in, m_out, 5, 1, 2, 6, lanes, rng);
+            }
 }
 
 TEST(TrainKernels, NoFusedMultiplyAdd)
@@ -1060,8 +1174,8 @@ sampleOf(const Tensor &batch, std::uint32_t index)
 void
 checkLaneForward(MiniModelKind kind)
 {
-    // 12x12 images give 12-, 6- and 3-wide maps: both the
-    // one-channel (c > 6) and the paired conv kernel run.
+    // 12x12 images give 12-, 6- and 3-wide maps: full column tiles,
+    // leftover columns and all-edge rows of the conv kernel run.
     const std::uint32_t image_size = 12;
     const std::uint32_t batch = 2;
     // Rate 2e-3 per bit corrupts every lane's input and weights.

@@ -27,7 +27,7 @@
  *   --seed S             master seed (default 1)
  *   --jobs N             trial worker lanes (0 = hardware threads)
  *   --lane-block N       trials fused per batched forward pass
- *                        (0 = tuned default, 1 = scalar reference;
+ *                        (0 = tuned default, 1 = one trial per pass;
  *                        bit-identical results for any value)
  *   --slowdown FACTOR    multiply every tile's time (timing fault)
  *   --stall SECONDS      stall before each outer scan (timing fault)
