@@ -17,9 +17,8 @@
 #include "sched/layer_scheduler.hh"
 #include "sim/loopnest_simulator.hh"
 #include "sim/trace_export.hh"
-#include "train/loss.hh"
+#include "train/lane_scorer.hh"
 #include "train/mini_models.hh"
-#include "train/trial_batch.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/thread_pool.hh"
@@ -50,55 +49,6 @@ typeRefreshed(RefreshPolicy policy, const LayerSchedule &layer,
         return layer.refreshFlags[type];
     }
     panic("unreachable refresh policy in typeRefreshed");
-}
-
-/**
- * Fuse `lanes` consecutive trials starting at `first` into one
- * lane-major forward pass and write each lane's accuracy back into
- * its trial slot. The pass is padded to kernelLanes(lanes) lanes, so
- * a remainder block or an odd lane block still runs a compile-time
- * kernel; pad lanes carry no injector and are never read. Lane l
- * draws from the injectors seeded by its trial alone and runs the
- * per-lane arithmetic of a 1-lane forward, so any block size gives
- * the same accuracies bit for bit.
- */
-void
-batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
-                       std::vector<TrialResult> &trials,
-                       std::size_t first, std::uint32_t lanes)
-{
-    const std::uint32_t width = kernelLanes(lanes);
-    std::vector<BitErrorInjector> act_injectors;
-    std::vector<BitErrorInjector> weight_injectors;
-    act_injectors.reserve(lanes);
-    weight_injectors.reserve(lanes);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const TrialResult &trial = trials[first + l];
-        act_injectors.emplace_back(trial.activationFailureRate,
-                                   trial.seed * 2 + 1);
-        weight_injectors.emplace_back(trial.weightFailureRate,
-                                      trial.seed * 2 + 2);
-    }
-    ForwardContext ctx;
-    ctx.quant = &model.format;
-    ctx.weightsPreQuantized = true;
-    ctx.training = false;
-    ctx.injectors.assign(width, nullptr);
-    ctx.weightInjectors.assign(width, nullptr);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        ctx.injectors[l] = &act_injectors[l];
-        ctx.weightInjectors[l] = &weight_injectors[l];
-    }
-    const Tensor logits =
-        skeleton.forward(packTrialLanes(model.test.images, width), ctx);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const Tensor lane_logits = extractTrialLane(logits, l);
-        const LossResult loss =
-            softmaxCrossEntropy(lane_logits, model.test.labels);
-        trials[first + l].accuracy =
-            static_cast<double>(loss.correct) /
-            static_cast<double>(model.test.labels.size());
-    }
 }
 
 } // namespace
@@ -353,19 +303,36 @@ runPreparedCampaign(const DesignPoint &design,
         report.trials[trial] = result;
     });
 
-    // Phase 4b: corrupted forwards, laneBlock trials fused per
-    // lane-major pass. Every lane is bit-identical to its 1-lane
-    // pass, so the block size only moves wall-clock.
+    // Phase 4b: corrupted forwards. Each trial is a lane over the
+    // whole test batch with injectors seeded by the trial alone, and
+    // each block of laneBlock lanes is one scoreLanes call. Every
+    // lane is bit-identical to its 1-lane forward, so the block size
+    // only moves wall-clock.
+    std::vector<ScoredLane> lanes;
+    lanes.reserve(report.trials.size());
+    for (const TrialResult &trial : report.trials) {
+        lanes.push_back({0,
+                         {trial.activationFailureRate, trial.seed * 2 + 1},
+                         {trial.weightFailureRate, trial.seed * 2 + 2}});
+    }
+    const auto samples =
+        static_cast<std::uint32_t>(model.test.labels.size());
     const std::uint32_t lane_block =
         config.laneBlock == 0 ? kDefaultLaneBlock : config.laneBlock;
     const std::size_t blocks =
         (config.trials + lane_block - 1) / lane_block;
     parallelFor(blocks, jobs, [&](std::size_t block) {
         const std::size_t first = block * lane_block;
-        const auto lanes = static_cast<std::uint32_t>(
-            std::min<std::size_t>(lane_block, config.trials - first));
-        batchedBlockAccuracies(*skeleton, model, report.trials, first,
-                               lanes);
+        const std::vector<std::uint32_t> correct = scoreLanes(
+            *skeleton, model.format, model.test, samples,
+            std::span<const ScoredLane>(lanes).subspan(
+                first, std::min<std::size_t>(lane_block,
+                                             config.trials - first)));
+        for (std::size_t l = 0; l < correct.size(); ++l) {
+            report.trials[first + l].accuracy =
+                static_cast<double>(correct[l]) /
+                static_cast<double>(samples);
+        }
     });
     for (TrialResult &trial : report.trials) {
         trial.relativeAccuracy =

@@ -72,9 +72,11 @@ struct FaultCampaignConfig
     /** Worker lanes for the trial fan-out (0 = hardware threads). */
     unsigned jobs = 0;
     /**
-     * Trials fused per batched forward pass: the corrupted forwards
-     * run laneBlock trials at a time through the lane-major kernels
-     * (train/trial_batch.hh). 0 picks the tuned default block; 1
+     * Trials per parallel scoring block: the corrupted forwards run
+     * laneBlock trials per scoreLanes call (train/lane_scorer.hh),
+     * the blocks fanned out across `jobs`. A block of up to 16 is
+     * one forward; a larger one runs as consecutive 16-lane forwards
+     * plus a padded remainder. 0 picks the tuned default block; 1
      * runs each trial as its own 1-lane pass. Any value yields
      * bit-identical reports — the block size is a speed knob only.
      */

@@ -71,17 +71,10 @@ applyInterLayerReuse(const AcceleratorConfig &config,
         result.originalEnergy += layer.energy;
     }
 
-    std::size_t last_fused_consumer = network.size(); // none
     for (std::size_t i = 0; i + 1 < network.size(); ++i) {
-        if (last_fused_consumer == i) {
-            // This layer's inputs already come from the previous
-            // fusion; its outputs may still fuse onward.
-        }
         const ConvLayerSpec &producer = network.layer(i);
         const ConvLayerSpec &consumer = network.layer(i + 1);
         if (!layersChain(producer, consumer))
-            continue;
-        if (last_fused_consumer == i + 1)
             continue;
 
         const LayerSchedule &prod_sched = schedule.layers[i];
@@ -186,7 +179,6 @@ applyInterLayerReuse(const AcceleratorConfig &config,
         pair.savedEnergy = saved_energy;
         pair.carriedLifetimeSeconds = carried;
         result.fusions.push_back(pair);
-        last_fused_consumer = i + 1;
 
         auto &prod_counts = result.adjustedCounts[i];
         auto &cons_counts = result.adjustedCounts[i + 1];

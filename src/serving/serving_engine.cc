@@ -10,7 +10,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics_registry.hh"
 #include "sim/trace_timeline.hh"
-#include "train/loss.hh"
+#include "train/lane_scorer.hh"
 #include "train/mini_models.hh"
 #include "train/trial_batch.hh"
 #include "util/logging.hh"
@@ -581,97 +581,57 @@ ServingSimulation::run(unsigned jobs_override,
                 "event loop drained with work pending");
 
     // --- Data plane: replay every served request through its
-    // tenant's model. Per model, the (batch, lane) pairs of its
-    // batches are packed in batch order across batch boundaries into
-    // blocks of kMaxKernelLanes lanes; the last, short block is
-    // padded to kernelLanes(n), so every forward runs a compile-time
-    // lane kernel. A lane keeps its own batch's injector seeds, and
-    // no kernel mixes lanes, so corrupted and clean lanes share a
-    // block. Blocks fan out across the pool into per-(batch, lane)
+    // tenant's model. Each model's requests form one lane list, one
+    // sample per lane, in batch order across batch boundaries; a lane
+    // keeps its own batch's injector seeds (a clean batch's lanes get
+    // rate 0), and no kernel mixes lanes, so corrupted and clean
+    // lanes share a forward. The lists' 16-lane blocks of every model
+    // fan out across the pool in one parallelFor into per-lane
     // slots, so the results are independent of the pool size.
-    std::vector<std::vector<std::uint8_t>> correct(batches.size());
-    if (cfg.runForwards && !batches.empty()) {
-        struct ServedLane
-        {
-            std::size_t batch = 0;
-            std::uint32_t lane = 0;
-        };
-        std::vector<std::vector<ServedLane>> served(models_.size());
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const auto lanes =
-                static_cast<std::uint32_t>(batches[b].requests.size());
-            correct[b].resize(lanes, 0);
-            std::vector<ServedLane> &model_lanes =
-                served[tenantModel_[batches[b].tenant]];
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                model_lanes.push_back({b, l});
-        }
-        struct Block
-        {
-            std::size_t model = 0;
-            std::size_t first = 0;
-            std::uint32_t lanes = 0;
-        };
-        std::vector<Block> blocks;
-        for (std::size_t m = 0; m < served.size(); ++m) {
-            for (std::size_t first = 0; first < served[m].size();
-                 first += kMaxKernelLanes) {
-                blocks.push_back(
-                    {m, first,
-                     static_cast<std::uint32_t>(std::min<std::size_t>(
-                         kMaxKernelLanes, served[m].size() - first))});
+    struct ServedLanes
+    {
+        std::vector<ScoredLane> lanes;
+        std::vector<std::uint32_t> tenants;
+        std::vector<std::uint32_t> correct;
+    };
+    std::vector<ServedLanes> served(models_.size());
+    if (cfg.runForwards) {
+        for (const BatchRecord &batch : batches) {
+            ServedLanes &model = served[tenantModel_[batch.tenant]];
+            const double rate =
+                batch.corrupted ? cfg.injectedBitErrorRate : 0.0;
+            for (std::uint32_t lane = 0; lane < batch.requests.size();
+                 ++lane) {
+                model.lanes.push_back(
+                    {batch.requests[lane].sample,
+                     {rate, batch.faultSeed + lane * 2 + 1},
+                     {rate, batch.faultSeed + lane * 2 + 2}});
+                model.tenants.push_back(batch.tenant);
             }
         }
-
+        // (model, first lane) of every block.
+        std::vector<std::pair<std::size_t, std::size_t>> blocks;
+        for (std::size_t m = 0; m < served.size(); ++m) {
+            served[m].correct.resize(served[m].lanes.size());
+            for (std::size_t first = 0; first < served[m].lanes.size();
+                 first += kMaxKernelLanes)
+                blocks.emplace_back(m, first);
+        }
         const unsigned jobs =
             jobs_override > 0
                 ? jobs_override
                 : (cfg.jobs == 0 ? hardwareJobs() : cfg.jobs);
         parallelFor(blocks.size(), jobs, [&](std::size_t k) {
-            const Block &block = blocks[k];
-            const ServedModel &model = models_[block.model];
-            const ServedLane *refs =
-                served[block.model].data() + block.first;
-            const std::uint32_t width = kernelLanes(block.lanes);
-
-            // Reserved, so the injector pointers stay valid.
-            std::vector<BitErrorInjector> act;
-            std::vector<BitErrorInjector> weight;
-            act.reserve(block.lanes);
-            weight.reserve(block.lanes);
-            ForwardContext ctx;
-            ctx.quant = &model.format;
-            ctx.weightsPreQuantized = true;
-            ctx.training = false;
-            ctx.injectors.assign(width, nullptr);
-            ctx.weightInjectors.assign(width, nullptr);
-            // Pad lanes repeat the block's first sample.
-            std::vector<std::uint32_t> samples(
-                width,
-                batches[refs[0].batch].requests[refs[0].lane].sample);
-            for (std::uint32_t l = 0; l < block.lanes; ++l) {
-                const BatchRecord &batch = batches[refs[l].batch];
-                const std::uint32_t lane = refs[l].lane;
-                samples[l] = batch.requests[lane].sample;
-                if (batch.corrupted) {
-                    ctx.injectors[l] = &act.emplace_back(
-                        cfg.injectedBitErrorRate,
-                        batch.faultSeed + lane * 2 + 1);
-                    ctx.weightInjectors[l] = &weight.emplace_back(
-                        cfg.injectedBitErrorRate,
-                        batch.faultSeed + lane * 2 + 2);
-                }
-            }
-
-            const Tensor logits = model.skeleton->forward(
-                packSampleLanes(model.test.images, samples), ctx);
-            for (std::uint32_t l = 0; l < block.lanes; ++l) {
-                const Tensor lane = extractTrialLane(logits, l);
-                const LossResult loss = softmaxCrossEntropy(
-                    lane, {model.test.labels[samples[l]]});
-                correct[refs[l].batch][refs[l].lane] =
-                    loss.correct > 0 ? 1 : 0;
-            }
+            const auto [m, first] = blocks[k];
+            const ServedModel &model = models_[m];
+            const std::span<const ScoredLane> lanes = served[m].lanes;
+            const std::vector<std::uint32_t> correct = scoreLanes(
+                *model.skeleton, model.format, model.test, 1,
+                lanes.subspan(first,
+                              std::min<std::size_t>(kMaxKernelLanes,
+                                                    lanes.size() - first)));
+            std::copy(correct.begin(), correct.end(),
+                      served[m].correct.begin() + first);
         });
     }
 
@@ -686,11 +646,11 @@ ServingSimulation::run(unsigned jobs_override,
 
     std::vector<std::uint64_t> wrong(tenant_count, 0);
     std::vector<std::uint64_t> evaluated(tenant_count, 0);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        for (std::size_t l = 0; l < correct[b].size(); ++l) {
-            ++evaluated[batches[b].tenant];
-            if (correct[b][l] == 0)
-                ++wrong[batches[b].tenant];
+    for (const ServedLanes &model : served) {
+        for (std::size_t i = 0; i < model.lanes.size(); ++i) {
+            ++evaluated[model.tenants[i]];
+            if (model.correct[i] == 0)
+                ++wrong[model.tenants[i]];
         }
     }
 

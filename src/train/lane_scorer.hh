@@ -1,0 +1,71 @@
+/**
+ * @file
+ * The lane-block scorer: the one path that packs, pads, injects and
+ * scores the lane-major forwards of a bound eval-only model.
+ *
+ * A fault campaign's trials and a serving run's requests are both
+ * lists of lanes. Each lane reads a run of test samples and carries
+ * its own activation and weight bit-error draws: a campaign trial
+ * reads the whole test batch (first 0, samplesPerLane = B), a served
+ * request one sample (samplesPerLane = 1). scoreLanes runs the list
+ * as forwards of at most kMaxKernelLanes lanes, pads each to
+ * kernelLanes, and counts every lane's correct predictions.
+ *
+ * Lane l draws only from injectors seeded by its own seeds, and no
+ * kernel mixes lanes, so each lane's count equals that of a 1-lane
+ * forward of its samples with freshly seeded injectors: how a list
+ * is split into calls, and each call into forwards, never changes a
+ * count (the LaneBlocks suite asserts it).
+ */
+
+#ifndef RANA_TRAIN_LANE_SCORER_HH_
+#define RANA_TRAIN_LANE_SCORER_HH_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "train/dataset.hh"
+#include "train/fixed_point.hh"
+#include "train/layer.hh"
+
+namespace rana {
+
+/** The bit-error draws of one operand class of one lane. */
+struct LaneFaults
+{
+    /** Per-bit failure rate (0: no injection). */
+    double rate = 0.0;
+    /** Seed of the lane's injector. */
+    std::uint64_t seed = 0;
+};
+
+/** One scored lane: its samples and its bit-error draws. */
+struct ScoredLane
+{
+    /** First test sample; the lane reads samplesPerLane of them. */
+    std::uint32_t first = 0;
+    LaneFaults activation;
+    LaneFaults weight;
+};
+
+/**
+ * Score `lanes` on `skeleton`, an eval-only model bound to a weight
+ * store pre-quantized to `format`: lane l reads the samples
+ * [first, first + samples_per_lane) of `test`, and its entry of the
+ * result is the number of them predicted correctly.
+ *
+ * Any lane count runs, as ceil(n / 16) forwards each padded to
+ * kernelLanes; a pad lane repeats its forward's first input, carries
+ * null injectors and is never read. A lane gets injectors only when
+ * one of its rates is above 0.
+ */
+std::vector<std::uint32_t> scoreLanes(Layer &skeleton,
+                                      const FixedPointFormat &format,
+                                      const Batch &test,
+                                      std::uint32_t samples_per_lane,
+                                      std::span<const ScoredLane> lanes);
+
+} // namespace rana
+
+#endif // RANA_TRAIN_LANE_SCORER_HH_

@@ -33,12 +33,12 @@
  * The other hot kernels carry target_clones("default", "avx", "avx2",
  * "avx512f"): the loader picks the widest clone the CPU runs while
  * the binary stays runnable on baseline x86-64. Their lane count is
- * a template parameter for 16/8/4/2/1 lanes, the widths production
- * callers run (campaign trial blocks and serving request blocks are
- * padded to them, training minibatches split into them), so the
- * innermost lane loop has a compile-time trip count and turns into
- * straight-line vector code; other lane counts run with FixedL = 0,
- * which reads the count at run time: slower, but bit-identical.
+ * a template parameter, 16/8/4/2/1 lanes, so the innermost lane loop
+ * has a compile-time trip count and turns into straight-line vector
+ * code. Those are the only counts the conv, dense and input-gradient
+ * kernels accept (asserted on entry): scoreLanes
+ * (train/lane_scorer.hh) is the one place that pads a lane list to
+ * them, and training minibatches split into them.
  *
  * Every kernel keeps the 1-lane per-accumulator operation order —
  * vectorization only spans independent lanes, output positions and
@@ -52,6 +52,7 @@
 #include "train/trial_batch.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -69,6 +70,14 @@ namespace {
 #define RANA_X86_GCC 0
 #define RANA_TRIAL_CLONES
 #endif
+
+/** The conv, dense and input-gradient precondition. */
+void
+assertKernelLanes(std::uint32_t lanes)
+{
+    RANA_ASSERT(lanes <= kMaxKernelLanes && std::has_single_bit(lanes),
+                "a lane kernel runs 1, 2, 4, 8 or 16 lanes, not ", lanes);
+}
 
 /** A half-open index range [lo, hi); empty when lo >= hi. */
 struct TapRange
@@ -425,63 +434,15 @@ convolveBaseline(const ConvCall &g)
     convolveFixedLanes<kBaselineBudget>(g);
 }
 
-/**
- * Any other lane count: the plain loop nest, one output element (all
- * lanes) at a time, accumulating in the output in the same order.
- */
-RANA_TRIAL_CLONES void
-convolveRuntimeLanes(const ConvCall &g)
-{
-    const std::size_t L = g.lanes;
-    const std::size_t K = g.kernel;
-    for (std::size_t b = 0; b < g.batch; ++b)
-        for (std::size_t m = 0; m < g.outChannels; ++m)
-            for (std::uint32_t y = 0; y < g.r; ++y) {
-                const TapRange ky = validTaps(g, y, g.h);
-                const std::int64_t base_y =
-                    static_cast<std::int64_t>(y) * g.stride - g.pad;
-                for (std::uint32_t x = 0; x < g.c; ++x) {
-                    const TapRange kx = validTaps(g, x, g.w);
-                    const std::int64_t base_x =
-                        static_cast<std::int64_t>(x) * g.stride - g.pad;
-                    float *__restrict o =
-                        g.out +
-                        (((b * g.outChannels + m) * g.r + y) * g.c + x) * L;
-                    for (std::size_t l = 0; l < L; ++l)
-                        o[l] = g.bias[m * L + l];
-                    for (std::size_t n = 0; n < g.inChannels; ++n)
-                        for (std::int64_t i = ky.lo; i < ky.hi; ++i)
-                            for (std::int64_t j = kx.lo; j < kx.hi; ++j) {
-                                const float *__restrict s =
-                                    g.in + (((b * g.inChannels + n) * g.h +
-                                             base_y + i) * g.w +
-                                            base_x + j) * L;
-                                const float *__restrict v =
-                                    g.wt + (((m * g.inChannels + n) * K +
-                                             i) * K + j) * L;
-                                for (std::size_t l = 0; l < L; ++l)
-                                    o[l] += s[l] * v[l];
-                            }
-                }
-            }
-}
-
-/**
- * Dense layer over lane-major operands. FixedL != 0 fixes the lane
- * count at compile time and accumulates in a local array; FixedL ==
- * 0 reads it from `lanes` and accumulates in the {L} `scratch`.
- */
-template <std::uint32_t FixedL>
+/** Dense layer over L-lane operands, accumulating in registers. */
+template <std::uint32_t L>
 RANA_TRIAL_CLONES void
 denseLanesImpl(const float *__restrict in, const float *__restrict wt,
                const float *__restrict bias,
                float *__restrict out, std::uint32_t batch,
-               std::uint32_t in_features, std::uint32_t out_features,
-               std::uint32_t lanes, float *__restrict scratch)
+               std::uint32_t in_features, std::uint32_t out_features)
 {
-    const std::uint32_t L = FixedL != 0 ? FixedL : lanes;
-    float fixed_acc[FixedL != 0 ? FixedL : 1];
-    float *__restrict acc = FixedL != 0 ? fixed_acc : scratch;
+    float acc[L];
     for (std::uint32_t b = 0; b < batch; ++b) {
         const float *in_b =
             in + static_cast<std::size_t>(b) * in_features * L;
@@ -509,11 +470,8 @@ denseLanesImpl(const float *__restrict in, const float *__restrict wt,
     }
 }
 
-/**
- * Input gradient over one lane block. FixedL != 0 fixes the lane
- * count at compile time; FixedL == 0 reads it from `lanes`.
- */
-template <std::uint32_t FixedL>
+/** Input gradient over one L-lane block. */
+template <std::size_t L>
 RANA_TRIAL_CLONES void
 inputGradLanesImpl(const float *__restrict gout,
                    const float *__restrict wt, float *__restrict gin,
@@ -521,9 +479,8 @@ inputGradLanesImpl(const float *__restrict gout,
                    std::uint32_t w, std::uint32_t out_channels,
                    std::uint32_t r, std::uint32_t c,
                    std::uint32_t kernel, std::uint32_t stride,
-                   std::uint32_t pad, std::uint32_t lanes)
+                   std::uint32_t pad)
 {
-    const std::size_t L = FixedL != 0 ? FixedL : lanes;
     const std::size_t in_row = w * L;
     const std::size_t in_plane = h * in_row;
     const std::size_t out_row = c * L;
@@ -656,21 +613,25 @@ weightGradImpl(const float *__restrict in, const float *__restrict gout,
 } // namespace
 
 Tensor
-packTrialLanes(const Tensor &scalar, std::uint32_t lanes)
+gatherLanes(const Tensor &batch, const std::vector<std::uint32_t> &firsts,
+            std::uint32_t count)
 {
-    RANA_ASSERT(lanes > 0, "lane count must be positive");
-    std::vector<std::uint32_t> shape = scalar.shape();
-    shape.push_back(lanes);
+    RANA_ASSERT(!firsts.empty(), "lane gather needs at least one lane");
+    RANA_ASSERT(!batch.shape().empty(), "batch tensor has no shape");
+    const std::uint32_t batch_size = batch.shape().front();
+    const std::size_t sample_size = batch.size() / batch_size;
+    std::vector<std::uint32_t> shape = batch.shape();
+    shape.front() = count;
+    shape.push_back(static_cast<std::uint32_t>(firsts.size()));
     Tensor out = Tensor::uninitialized(std::move(shape));
-    const float *src = scalar.data();
-    float *dst = out.data();
-    const std::size_t count = scalar.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const float v = src[i];
-        float *d = dst + i * lanes;
-        for (std::uint32_t l = 0; l < lanes; ++l)
-            d[l] = v;
+    std::vector<const float *> lane_ptrs;
+    lane_ptrs.reserve(firsts.size());
+    for (const std::uint32_t first : firsts) {
+        RANA_ASSERT(count <= batch_size && first <= batch_size - count,
+                    "lane samples out of range");
+        lane_ptrs.push_back(batch.data() + first * sample_size);
     }
+    packLanePointers(lane_ptrs, count * sample_size, out.data());
     return out;
 }
 
@@ -689,31 +650,6 @@ extractTrialLane(const Tensor &stacked, std::uint32_t lane)
     const std::size_t count = out.size();
     for (std::size_t i = 0; i < count; ++i)
         dst[i] = src[i * lanes + lane];
-    return out;
-}
-
-Tensor
-packSampleLanes(const Tensor &batch,
-                const std::vector<std::uint32_t> &indices)
-{
-    RANA_ASSERT(!indices.empty(), "sample pack needs at least one lane");
-    RANA_ASSERT(!batch.shape().empty(), "batch tensor has no shape");
-    const std::uint32_t batch_size = batch.shape().front();
-    const std::size_t sample_size = batch.size() / batch_size;
-    const auto lanes = static_cast<std::uint32_t>(indices.size());
-    std::vector<std::uint32_t> shape = batch.shape();
-    shape.front() = 1;
-    shape.push_back(lanes);
-    Tensor out = Tensor::uninitialized(std::move(shape));
-    const float *src = batch.data();
-    float *dst = out.data();
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        RANA_ASSERT(indices[l] < batch_size,
-                    "sample index out of range");
-        const float *sample = src + indices[l] * sample_size;
-        for (std::size_t i = 0; i < sample_size; ++i)
-            dst[i * lanes + l] = sample[i];
-    }
     return out;
 }
 
@@ -804,10 +740,9 @@ convolveTrialLanesOn(LaneIsa isa, const float *in, const float *wt,
                      std::uint32_t kernel, std::uint32_t stride,
                      std::uint32_t pad, std::uint32_t lanes)
 {
+    assertKernelLanes(lanes);
     const ConvCall call{in, wt, bias, out, batch, in_channels, h, w,
                         out_channels, r, c, kernel, stride, pad, lanes};
-    if (lanes > kMaxKernelLanes || kernelLanes(lanes) != lanes)
-        return convolveRuntimeLanes(call);
     switch (isa) {
 #if RANA_X86_GCC
       case LaneIsa::Avx512:
@@ -843,9 +778,10 @@ convolveInputGradLanes(const float *gout, const float *wt, float *gin,
                        std::uint32_t kernel, std::uint32_t stride,
                        std::uint32_t pad, std::uint32_t lanes)
 {
+    assertKernelLanes(lanes);
     auto run = [&](auto impl) {
         impl(gout, wt, gin, in_channels, h, w, out_channels, r, c,
-             kernel, stride, pad, lanes);
+             kernel, stride, pad);
     };
     switch (lanes) {
       case 16:
@@ -856,10 +792,8 @@ convolveInputGradLanes(const float *gout, const float *wt, float *gin,
         return run(inputGradLanesImpl<4>);
       case 2:
         return run(inputGradLanesImpl<2>);
-      case 1:
-        return run(inputGradLanesImpl<1>);
       default:
-        return run(inputGradLanesImpl<0>);
+        return run(inputGradLanesImpl<1>);
     }
 }
 
@@ -906,10 +840,9 @@ denseTrialLanes(const float *in, const float *wt, const float *bias,
                 std::uint32_t in_features, std::uint32_t out_features,
                 std::uint32_t lanes)
 {
-    std::vector<float> scratch(lanes);
+    assertKernelLanes(lanes);
     auto run = [&](auto impl) {
-        impl(in, wt, bias, out, batch, in_features, out_features, lanes,
-             scratch.data());
+        impl(in, wt, bias, out, batch, in_features, out_features);
     };
     switch (lanes) {
       case 16:
@@ -920,10 +853,8 @@ denseTrialLanes(const float *in, const float *wt, const float *bias,
         return run(denseLanesImpl<4>);
       case 2:
         return run(denseLanesImpl<2>);
-      case 1:
-        return run(denseLanesImpl<1>);
       default:
-        return run(denseLanesImpl<0>);
+        return run(denseLanesImpl<1>);
     }
 }
 

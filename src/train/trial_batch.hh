@@ -6,20 +6,18 @@
  * Every forward (Layer::forward) runs over lane-major tensors: a
  * trailing *lane* dimension {..., L} with the lane index innermost,
  * so the per-output multiply-accumulate runs on L contiguous floats
- * at a time. The lanes are whatever the caller fuses: a fault
- * campaign's trials over the same test batch (packTrialLanes; only
- * the injected bit errors differ per lane), a serving block's
- * requests (packSampleLanes; one distinct sample per lane), or, at
- * one lane, a training or evaluation minibatch, whose trailing
- * dimension may be omitted because one lane has the plain layout.
- * Each lane has its own injector pair in the ForwardContext.
+ * at a time. The lanes are whatever the caller fuses: the lanes of a
+ * scoreLanes block (train/lane_scorer.hh: a fault campaign's trials
+ * over the same test batch, or served requests, one sample each;
+ * gatherLanes packs both), or, at one lane, a training or evaluation
+ * minibatch, whose trailing dimension may be omitted because one
+ * lane has the plain layout. Each lane has its own injector pair in
+ * the ForwardContext.
  *
- * Lane counts 16/8/4/2/1 run compile-time lane kernels, the widths
- * production callers run: the campaign's trial blocks (up to 16) and
- * the serving data plane's cross-batch request blocks are padded to
- * them (kernelLanes), the training minibatch is split into them. Any
- * other count runs the same loops with a runtime lane count (the
- * conv: one plain loop nest).
+ * The kernels run compile-time lane counts only: 16, 8, 4, 2 or 1,
+ * asserted on entry. scoreLanes is the one place that pads a lane
+ * list to them (kernelLanes); the training minibatch is split into
+ * them.
  *
  * The conv forward is register-tiled: a tile of output channels x
  * output columns x L lanes of accumulators stays in vector registers
@@ -48,11 +46,11 @@
  * -ffp-contract=off forbids it), so a batched campaign is
  * bit-identical to its 1-lane reference for any lane count, and
  * training is bit-identical to the reference conv loop nests. The
- * LaneForward and FaultCampaign suites assert the former across lane
- * counts; the TrainKernels suite asserts the latter against the
- * reference loops.
+ * LaneForward, LaneBlocks and FaultCampaign suites assert the former
+ * across lane counts; the TrainKernels suite asserts the latter
+ * against the reference loops.
  *
- * The kernels write every element of their outputs, and the pack
+ * The kernels write every element of their outputs, and the gather
  * and extract helpers return tensors they fill in full, so none of
  * them needs a zero-filled destination (Tensor::uninitialized).
  */
@@ -60,6 +58,7 @@
 #ifndef RANA_TRAIN_TRIAL_BATCH_HH_
 #define RANA_TRAIN_TRIAL_BATCH_HH_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -73,47 +72,35 @@ constexpr std::uint32_t kMaxKernelLanes = 16;
 
 /**
  * The lane count an `n`-lane forward is padded to so that it runs a
- * compile-time lane kernel: the smallest of 1/2/4/8/16 that is >= n,
- * and n itself above kMaxKernelLanes. A pad lane carries null
- * injectors and is never extracted; since no kernel mixes lanes, the
- * other lanes stay bit-identical.
+ * compile-time lane kernel: the smallest of 1/2/4/8/16 that is >= n.
+ * A pad lane carries null injectors and is never extracted; since no
+ * kernel mixes lanes, the other lanes stay bit-identical.
+ * @pre n <= kMaxKernelLanes
  */
 constexpr std::uint32_t
 kernelLanes(std::uint32_t n)
 {
-    if (n > kMaxKernelLanes)
-        return n;
-    std::uint32_t lanes = 1;
-    while (lanes < n)
-        lanes *= 2;
-    return lanes;
+    return std::bit_ceil(n);
 }
 
 /**
- * Replicate a scalar-layout tensor across `lanes` trial lanes:
- * shape {...} becomes {..., lanes} with every element repeated
- * `lanes` times (lane index innermost).
+ * Gather `count` consecutive samples per lane from a {B, ...} batch
+ * tensor into a lane-major tensor {count, ..., L}: lane l carries
+ * samples [firsts[l], firsts[l] + count). A fault campaign's trial
+ * lanes all read the whole batch (first 0, count B) and differ only
+ * in their injected errors; a serving block's lanes read one sample
+ * each (count 1), possibly of different requests' batches.
+ * @pre firsts non-empty and every firsts[l] + count <= B.
  */
-Tensor packTrialLanes(const Tensor &scalar, std::uint32_t lanes);
+Tensor gatherLanes(const Tensor &batch,
+                   const std::vector<std::uint32_t> &firsts,
+                   std::uint32_t count);
 
 /**
  * Extract one lane of a lane-major tensor back into scalar layout
  * (drops the trailing lane dimension).
  */
 Tensor extractTrialLane(const Tensor &stacked, std::uint32_t lane);
-
-/**
- * Gather one sample per lane from a {B, ...} batch tensor into a
- * lane-major tensor {1, ..., L}: lane l carries the whole sample
- * `indices[l]` (out[i * L + l] = sample_l[i]). Where packTrialLanes
- * replicates one tensor across lanes that differ only in injected
- * errors, this packs *distinct* samples — the serving data plane's
- * request blocks, where every lane is a different served request,
- * possibly of a different batch. @pre indices non-empty
- * and every index < B.
- */
-Tensor packSampleLanes(const Tensor &batch,
-                       const std::vector<std::uint32_t> &indices);
 
 /**
  * Quantize-dequantize every element in place: bit-identical to
@@ -142,9 +129,8 @@ void addTrialSpan(float *dst, const float *src, std::size_t count);
  * Lane-major convolution: activations {B, N, H, W, L}, packed
  * weights {M, N, K, K, L}, bias {M, L}, output {B, M, R, C, L}.
  * Per lane, accumulates bias + sum over (n, ky, kx) of the valid
- * taps, in that order. Lane counts 16/8/4/2/1 run the register tile
- * of the widest LaneIsa the host runs; any other count runs a plain
- * loop nest with a runtime lane count.
+ * taps, in that order, on the register tile of the widest LaneIsa
+ * the host runs. @pre lanes is 1, 2, 4, 8 or 16.
  */
 void convolveTrialLanes(const float *in, const float *wt,
                         const float *bias, float *out,
@@ -178,7 +164,8 @@ const char *laneIsaName(LaneIsa isa);
 /**
  * convolveTrialLanes on one instantiation, so tests and benchmarks
  * can run each ISA the host supports. Every instantiation is
- * bit-identical. @pre `isa` is in hostLaneIsas().
+ * bit-identical. @pre `isa` is in hostLaneIsas(); lanes is 1, 2, 4,
+ * 8 or 16.
  */
 void convolveTrialLanesOn(LaneIsa isa, const float *in, const float *wt,
                           const float *bias, float *out,
@@ -201,6 +188,7 @@ void convolveTrialLanesOn(LaneIsa isa, const float *in, const float *wt,
  * fixed input row, descending ky visits ascending y, and descending
  * kx ascending x. Invalid taps are clipped out of the y/x bounds, as
  * in the forward kernels, so no padding term is ever added.
+ * @pre lanes is 1, 2, 4, 8 or 16.
  */
 void convolveInputGradLanes(const float *gout, const float *wt,
                             float *gin, std::uint32_t in_channels,
@@ -233,7 +221,7 @@ void convolveWeightGrad(const float *in, const float *gout,
 /**
  * Lane-major dense layer: input {B, F, L}, packed weights {O, F, L},
  * bias {O, L}, output {B, O, L}. One sequential dot product per
- * (output, lane).
+ * (output, lane). @pre lanes is 1, 2, 4, 8 or 16.
  */
 void denseTrialLanes(const float *in, const float *wt,
                      const float *bias, float *out, std::uint32_t batch,

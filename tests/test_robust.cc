@@ -346,22 +346,23 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
     // scalar accumulation order, so accuracies must match bit for
     // bit — across a lane count that divides the trial count, one
     // that leaves a remainder block, a non-power-of-two count padded
-    // to a compile-time kernel with injector-free lanes, and the
-    // tuned default. (LaneForward at 3/7/17 lanes covers the
-    // runtime-lane kernels.)
+    // to a compile-time kernel with injector-free lanes, a block
+    // above 16 (a 16-lane forward plus a 4-lane one, then a
+    // 1-lane remainder block), and the tuned default. (LaneBlocks
+    // pins scoreLanes itself against 1-lane forwards.)
     const RetentionDistribution retention =
         RetentionDistribution::typical65nm();
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaE5, retention);
     FaultCampaignConfig config = tinyCampaign();
-    config.trials = 7;
+    config.trials = 21;
     config.laneBlock = 1; // 1-lane reference passes
     const Result<FaultCampaignReport> scalar =
         runFaultCampaign(design, makeAlexNet(), config);
     ASSERT_TRUE(scalar.ok());
     const FaultCampaignReport &reference = scalar.value();
 
-    for (std::uint32_t lanes : {3u, 5u, kDefaultLaneBlock}) {
+    for (std::uint32_t lanes : {3u, 5u, 20u, kDefaultLaneBlock}) {
         config.laneBlock = lanes;
         const Result<FaultCampaignReport> batched =
             runFaultCampaign(design, makeAlexNet(), config);

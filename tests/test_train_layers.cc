@@ -22,6 +22,7 @@
 #include <utility>
 
 #include "train/error_injection.hh"
+#include "train/lane_scorer.hh"
 #include "train/layers.hh"
 #include "train/loss.hh"
 #include "train/mini_models.hh"
@@ -658,11 +659,11 @@ TEST(TrainKernels, SignedZeroGradientsMatchReference)
 
 TEST(TrainKernels, KernelLanes)
 {
-    // Up to the widest compile-time kernel a lane count is padded to
-    // the next kernel width; above it the runtime-lane kernel runs.
+    // A lane count up to the widest compile-time kernel is padded to
+    // the next kernel width. (More lanes split into several forwards:
+    // LaneBlocks covers 17 and 33.)
     const std::pair<std::uint32_t, std::uint32_t> cases[] = {
-        {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {16, 16},
-        {17, 17}};
+        {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {16, 16}};
     for (const auto &[lanes, padded] : cases)
         EXPECT_EQ(kernelLanes(lanes), padded) << lanes << " lanes";
     EXPECT_EQ(kernelLanes(kMaxKernelLanes), kMaxKernelLanes);
@@ -709,7 +710,7 @@ TEST(TrainKernels, OutputsFullyWritten)
     // start as NaN and the operands are finite, so a NaN left over is
     // an element the kernel skipped.
     Rng rng(41);
-    for (std::uint32_t lanes : {1u, 2u, 3u, 4u, 8u, 16u, 17u}) {
+    for (std::uint32_t lanes : {1u, 2u, 4u, 8u, 16u}) {
         SCOPED_TRACE(::testing::Message() << lanes << " lanes");
         // 5-wide rows are mostly edge columns, 16-wide rows run
         // full column tiles plus leftovers; 3 output channels are
@@ -759,31 +760,33 @@ TEST(TrainKernels, OutputsFullyWritten)
                           pw, lanes);
         EXPECT_FALSE(anyNaN(pooled.data(), pooled.size())) << "avgpool";
 
-        // The pack and extract helpers return their tensors: each
-        // element must hold its source value.
+        // The gather and extract helpers return their tensors: each
+        // element must hold its source value. Trial-style lanes read
+        // the whole batch, sample-style lanes one sample each.
         Tensor images({3, 2, 2, 3});
         randomize(images, rng);
         const std::size_t count = images.size();
         poisonNextAllocation(count * lanes);
-        const Tensor trials = packTrialLanes(images, lanes);
+        const Tensor trials = gatherLanes(
+            images, std::vector<std::uint32_t>(lanes, 0), 3);
         std::size_t wrong = 0;
         for (std::size_t i = 0; i < count; ++i)
             for (std::uint32_t l = 0; l < lanes; ++l)
                 wrong += !(trials[i * lanes + l] == images[i]);
-        EXPECT_EQ(wrong, 0u) << "packTrialLanes";
+        EXPECT_EQ(wrong, 0u) << "trial-style gatherLanes";
 
         std::vector<std::uint32_t> indices;
         for (std::uint32_t l = 0; l < lanes; ++l)
             indices.push_back((l * 2) % 3);
         const std::size_t sample = count / 3;
         poisonNextAllocation(sample * lanes);
-        const Tensor samples = packSampleLanes(images, indices);
+        const Tensor samples = gatherLanes(images, indices, 1);
         wrong = 0;
         for (std::size_t i = 0; i < sample; ++i)
             for (std::uint32_t l = 0; l < lanes; ++l)
                 wrong += !(samples[i * lanes + l] ==
                            images[indices[l] * sample + i]);
-        EXPECT_EQ(wrong, 0u) << "packSampleLanes";
+        EXPECT_EQ(wrong, 0u) << "sample-style gatherLanes";
 
         poisonNextAllocation(sample);
         const Tensor lane = extractTrialLane(samples, lanes - 1);
@@ -885,12 +888,12 @@ checkLaneConv(std::uint32_t n_in, std::uint32_t m_out, std::uint32_t k,
 TEST(TrainKernels, LaneConvMatchesPerLaneReference)
 {
     // Every register-tile instantiation the host runs against the
-    // per-lane loop nest, bit for bit, at the compile-time lane
-    // counts and two runtime ones. Output widths 1..13 give rows
+    // per-lane loop nest, bit for bit, at every lane count a kernel
+    // accepts. Output widths 1..13 give rows
     // narrower than one column tile, leftover columns after the full
     // tiles, and rows that are all edge columns.
     Rng rng(43);
-    const std::uint32_t lane_counts[] = {16, 8, 4, 2, 1, 3, 17};
+    const std::uint32_t lane_counts[] = {16, 8, 4, 2, 1};
     for (std::uint32_t lanes : lane_counts)
         for (std::uint32_t k : {1u, 3u, 5u})
             for (std::uint32_t stride : {1u, 2u})
@@ -947,6 +950,17 @@ TEST(TrainKernels, ReluBackwardSpan)
     reluBackwardTrialSpan(grad.data(), in.data(), grad.size());
     EXPECT_EQ(grad, (std::vector<float>{5.0f, 0.0f, 0.0f, 0.0f, 5.0f,
                                         5.0f}));
+}
+
+TEST(TrainKernelsDeathTest, RejectsUnpaddedLaneCount)
+{
+    // The lane kernels run 1, 2, 4, 8 or 16 lanes; scoreLanes pads
+    // every other count, so a bare 3-lane call is a caller bug.
+    const std::vector<float> ones(3, 1.0f);
+    std::vector<float> out(3);
+    EXPECT_DEATH(denseTrialLanes(ones.data(), ones.data(), ones.data(),
+                                 out.data(), 1, 1, 1, 3),
+                 "1, 2, 4, 8 or 16 lanes");
 }
 
 // ---------------------------------------------------------------
@@ -1113,9 +1127,10 @@ weightSeed(std::uint32_t l)
 
 /**
  * Eval context over a pre-quantized store with one injector pair per
- * lane, seeded by lane (rate 0: a clean forward). `first_lane`
- * offsets the seeds so a 1-lane forward can replay any lane of a
- * batched one.
+ * lane, seeded by lane (rate 0: a clean forward), padded to
+ * kernelLanes(lanes) with injector-free lanes. `first_lane` offsets
+ * the seeds so a 1-lane forward can replay any lane of a batched
+ * one.
  */
 struct LaneInjectors
 {
@@ -1135,6 +1150,8 @@ struct LaneInjectors
             ctx.injectors.push_back(&act.back());
             ctx.weightInjectors.push_back(&weight.back());
         }
+        ctx.injectors.resize(kernelLanes(lanes), nullptr);
+        ctx.weightInjectors.resize(kernelLanes(lanes), nullptr);
     }
     LaneInjectors(const LaneInjectors &) = delete;
 
@@ -1153,23 +1170,28 @@ injectedForward(Layer &model, Tensor input, std::uint32_t lanes,
     return model.forward(std::move(input), injectors.ctx);
 }
 
-/** The sample `index` of a {B, ...} batch as a {1, ...} batch. */
+/**
+ * The samples [first, first + count) of a {B, ...} batch as a
+ * {count, ...} batch.
+ */
 Tensor
-sampleOf(const Tensor &batch, std::uint32_t index)
+sampleOf(const Tensor &batch, std::uint32_t first, std::uint32_t count = 1)
 {
     std::vector<std::uint32_t> shape = batch.shape();
-    const std::size_t count = batch.size() / shape.front();
-    shape.front() = 1;
-    Tensor sample(std::move(shape));
-    std::copy(batch.data() + index * count,
-              batch.data() + (index + 1) * count, sample.data());
-    return sample;
+    const std::size_t size = batch.size() / shape.front();
+    shape.front() = count;
+    Tensor samples(std::move(shape));
+    std::copy(batch.data() + first * size,
+              batch.data() + (first + count) * size, samples.data());
+    return samples;
 }
 
 /**
- * Forward `kind` at lane counts 1..17 over trial lanes and sample
- * lanes, and memcmp every lane's logits against a 1-lane forward of
- * that lane's input with freshly seeded copies of its injectors.
+ * Forward `kind` at lane counts 1..16 over trial lanes and sample
+ * lanes, each padded to kernelLanes with injector-free lanes, and
+ * memcmp every lane's logits against a 1-lane forward of that lane's
+ * input with freshly seeded copies of its injectors. (More than 16
+ * lanes run as several forwards: LaneBlocks covers 17 and 33.)
  */
 void
 checkLaneForward(MiniModelKind kind)
@@ -1187,18 +1209,22 @@ checkLaneForward(MiniModelKind kind)
     Tensor images({batch, 1, image_size, image_size});
     randomize(images, rng);
 
-    for (std::uint32_t lanes : {1u, 2u, 3u, 7u, 8u, 16u, 17u}) {
+    for (std::uint32_t lanes : {1u, 2u, 3u, 7u, 8u, 16u}) {
         SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+        const std::uint32_t width = kernelLanes(lanes);
         // Trial lanes: the whole batch replicated, errors differ.
         const Tensor trials = injectedForward(
-            model, packTrialLanes(images, lanes), lanes, rate, format);
-        // Sample lanes: one sample per lane, cycling through the batch.
-        std::vector<std::uint32_t> indices;
+            model,
+            gatherLanes(images, std::vector<std::uint32_t>(width, 0),
+                        batch),
+            lanes, rate, format);
+        // Sample lanes: one sample per lane, cycling through the
+        // batch; pad lanes repeat lane 0's.
+        std::vector<std::uint32_t> indices(width, 0);
         for (std::uint32_t l = 0; l < lanes; ++l)
-            indices.push_back(l % batch);
-        const Tensor samples =
-            injectedForward(model, packSampleLanes(images, indices),
-                            lanes, rate, format);
+            indices[l] = l % batch;
+        const Tensor samples = injectedForward(
+            model, gatherLanes(images, indices, 1), lanes, rate, format);
         for (std::uint32_t l = 0; l < lanes; ++l) {
             SCOPED_TRACE(::testing::Message() << "lane " << l);
             const Tensor trial_ref =
@@ -1239,6 +1265,117 @@ TEST(LaneForward, MiniRes)
     checkLaneForward(MiniModelKind::MiniRes);
 }
 
+// ---------------------------------------------------------------
+// LaneBlocks: scoreLanes against 1-lane forwards
+// ---------------------------------------------------------------
+
+/**
+ * Correct predictions of a 1-lane forward of `lane`'s samples with
+ * freshly seeded injectors of its rates (rate 0 included).
+ */
+std::uint32_t
+oneLaneCorrect(Layer &model, const FixedPointFormat &format,
+               const Batch &test, std::uint32_t samples_per_lane,
+               const ScoredLane &lane)
+{
+    BitErrorInjector act(lane.activation.rate, lane.activation.seed);
+    BitErrorInjector weight(lane.weight.rate, lane.weight.seed);
+    ForwardContext ctx;
+    ctx.quant = &format;
+    ctx.weightsPreQuantized = true;
+    ctx.training = false;
+    ctx.injectors = {&act};
+    ctx.weightInjectors = {&weight};
+    const auto labels = test.labels.begin() + lane.first;
+    return softmaxCrossEntropy(
+               model.forward(sampleOf(test.images, lane.first,
+                                      samples_per_lane),
+                             ctx),
+               {labels, labels + samples_per_lane})
+        .correct;
+}
+
+/**
+ * scoreLanes at 1/3/5/16/17/33 lanes (one forward, padded ones, a
+ * 16-lane forward plus a padded remainder) against oneLaneCorrect
+ * for every lane. Lanes cycle through four fault mixes: both rates
+ * 2e-3, both 0, and one of the two at 0 — an activation-only lane
+ * must keep its weights clean. The labels are the clean model's own
+ * predictions, so a clean lane scores every sample and the
+ * corrupted lanes show that the errors reach the logits.
+ * `first(l)` picks lane l's first sample.
+ */
+void
+checkLaneBlocks(std::uint32_t samples_per_lane,
+                const std::function<std::uint32_t(std::uint32_t)> &first)
+{
+    const std::uint32_t image_size = 12;
+    const std::uint32_t batch = 8;
+    const double rate = 2e-3;
+    const FixedPointFormat format{12};
+    for (MiniModelKind kind :
+         {MiniModelKind::MiniAlex, MiniModelKind::MiniVgg,
+          MiniModelKind::MiniInception, MiniModelKind::MiniRes}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "model " << static_cast<int>(kind));
+        BoundModel bound = bindQuantized(kind, image_size, format);
+        Layer &model = *bound.skeleton;
+        Rng rng(13);
+        Batch test;
+        test.images = Tensor({batch, 1, image_size, image_size});
+        randomize(test.images, rng);
+        const Tensor clean =
+            injectedForward(model, test.images, 1, 0.0, format);
+        const std::uint32_t classes = clean.shape().back();
+        for (std::uint32_t b = 0; b < batch; ++b) {
+            const float *row = clean.data() + b * classes;
+            test.labels.push_back(static_cast<std::uint32_t>(
+                std::max_element(row, row + classes) - row));
+        }
+
+        std::uint32_t corrupted_misses = 0;
+        for (std::uint32_t count : {1u, 3u, 5u, 16u, 17u, 33u}) {
+            SCOPED_TRACE(::testing::Message() << count << " lanes");
+            std::vector<ScoredLane> lanes;
+            for (std::uint32_t l = 0; l < count; ++l) {
+                const double act = l % 4 == 1 || l % 4 == 3 ? 0.0 : rate;
+                const double wt = l % 4 == 1 || l % 4 == 2 ? 0.0 : rate;
+                lanes.push_back({first(l),
+                                 {act, 0x5eed + 2 * l + 1},
+                                 {wt, 0x5eed + 2 * l + 2}});
+            }
+            const std::vector<std::uint32_t> correct = scoreLanes(
+                model, format, test, samples_per_lane, lanes);
+            ASSERT_EQ(correct.size(), count);
+            for (std::uint32_t l = 0; l < count; ++l) {
+                EXPECT_EQ(correct[l],
+                          oneLaneCorrect(model, format, test,
+                                         samples_per_lane, lanes[l]))
+                    << "lane " << l;
+                if (l % 4 == 1)
+                    EXPECT_EQ(correct[l], samples_per_lane)
+                        << "clean lane " << l;
+                else
+                    corrupted_misses += samples_per_lane - correct[l];
+            }
+        }
+        EXPECT_GT(corrupted_misses, 0u) << "no lane was corrupted";
+    }
+}
+
+TEST(LaneBlocks, TrialLanesMatchOneLaneForwards)
+{
+    // A campaign trial: every lane reads the whole test batch.
+    checkLaneBlocks(8, [](std::uint32_t) { return 0u; });
+}
+
+TEST(LaneBlocks, SampleLanesMatchOneLaneForwards)
+{
+    // Served requests: one sample per lane, firsts spread over the
+    // batch.
+    checkLaneBlocks(1, [](std::uint32_t l) { return (l * 3) % 8; });
+}
+
 TEST(LaneForward, LvalueInputIsUntouched)
 {
     // forward takes its input by value and the layers quantize,
@@ -1259,7 +1396,10 @@ TEST(LaneForward, LvalueInputIsUntouched)
         for (std::uint32_t lanes : {1u, 4u}) {
             SCOPED_TRACE(::testing::Message() << lanes << " lanes");
             const Tensor input =
-                lanes == 1 ? images : packTrialLanes(images, lanes);
+                lanes == 1
+                    ? images
+                    : gatherLanes(images,
+                                  std::vector<std::uint32_t>(lanes, 0), 2);
             Tensor arg = input;
             const LaneInjectors injectors(lanes, rate, format);
             const Tensor logits =

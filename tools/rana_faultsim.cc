@@ -26,9 +26,11 @@
  *   --trials N           retention-sampling trials (default 8)
  *   --seed S             master seed (default 1)
  *   --jobs N             trial worker lanes (0 = hardware threads)
- *   --lane-block N       trials fused per batched forward pass
+ *   --lane-block N       trials per parallel scoring block
  *                        (0 = tuned default, 1 = one trial per pass;
- *                        bit-identical results for any value)
+ *                        a block above 16 runs as 16-lane forwards
+ *                        plus a padded remainder; bit-identical
+ *                        results for any value)
  *   --slowdown FACTOR    multiply every tile's time (timing fault)
  *   --stall SECONDS      stall before each outer scan (timing fault)
  *   --guard              attach the runtime reliability guard
