@@ -230,6 +230,7 @@ BM_TrainingStep(benchmark::State &state)
     ForwardContext ctx;
     ctx.quant = &format;
     ctx.injectors = {&injector};
+    ctx.weightInjectors = {&injector};
     for (auto _ : state) {
         optimizer.zeroGrad();
         const Tensor logits = model->forward(batch.images, ctx);

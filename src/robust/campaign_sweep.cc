@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "core/report.hh"
 #include "obs/chrome_trace.hh"
@@ -175,7 +176,6 @@ PreparedSweep::prepareSweep(const DesignPoint &design,
 
     PreparedSweep plan;
     plan.design_ = design;
-    plan.networkName_ = network.name();
     plan.failureRates_ = config.failureRates;
     plan.refreshIntervals_ = config.refreshIntervals;
     // The policy axis: one row running the campaign as configured,
@@ -205,8 +205,6 @@ PreparedSweep::prepareSweep(const DesignPoint &design,
                 return simulated.error();
             per_interval.push_back(std::move(simulated).value());
         }
-        plan.policyNames_.push_back(
-            per_interval.front().guardPolicyName);
         plan.exposures_.push_back(std::move(per_interval));
     }
 
@@ -216,8 +214,7 @@ PreparedSweep::prepareSweep(const DesignPoint &design,
     RetentionAwareTrainer trainer(config.campaign.model,
                                   config.campaign.dataset,
                                   config.campaign.trainer);
-    plan.baselineAccuracy_ = trainer.pretrain();
-    plan.modelName_ = miniModelName(config.campaign.model);
+    trainer.pretrain();
     plan.models_.reserve(config.failureRates.size());
     for (double rate : config.failureRates) {
         plan.models_.push_back(
@@ -229,26 +226,12 @@ PreparedSweep::prepareSweep(const DesignPoint &design,
 std::size_t
 PreparedSweep::cellCount() const
 {
-    return policyNames_.size() * failureRates_.size() *
+    return exposures_.size() * failureRates_.size() *
            refreshIntervals_.size();
 }
 
-SweepCell
-PreparedSweep::cellAt(std::size_t cell) const
-{
-    RANA_ASSERT(cell < cellCount(),
-                "sweep cell index out of range: ", cell);
-    const std::size_t intervals = refreshIntervals_.size();
-    const std::size_t rates = failureRates_.size();
-    SweepCell entry;
-    entry.failureRate = failureRates_[(cell / intervals) % rates];
-    entry.refreshIntervalSeconds = refreshIntervals_[cell % intervals];
-    entry.policyName = policyNames_[cell / (intervals * rates)];
-    return entry;
-}
-
-Result<FaultCampaignReport>
-PreparedSweep::runCell(std::size_t cell, unsigned jobs_override) const
+PreparedCell
+PreparedSweep::preparedCell(std::size_t cell) const
 {
     RANA_ASSERT(cell < cellCount(),
                 "sweep cell index out of range: ", cell);
@@ -258,14 +241,35 @@ PreparedSweep::runCell(std::size_t cell, unsigned jobs_override) const
     const std::size_t r = (cell / intervals) % rates;
     const std::size_t p = cell / (intervals * rates);
 
-    FaultCampaignConfig campaign = campaigns_[p];
+    PreparedCell prepared;
+    prepared.design = design_;
+    prepared.design.options.refreshIntervalSeconds = refreshIntervals_[i];
+    prepared.design.failureRate = failureRates_[r];
+    prepared.exposures = &exposures_[p][i];
+    prepared.model = &models_[r];
+    prepared.config = &campaigns_[p];
+    return prepared;
+}
+
+Result<FaultCampaignReport>
+PreparedSweep::runCell(std::size_t cell, unsigned jobs_override) const
+{
+    const PreparedCell prepared = preparedCell(cell);
+    FaultCampaignConfig campaign = *prepared.config;
     if (jobs_override > 0)
         campaign.jobs = jobs_override;
-    DesignPoint point = design_;
-    point.options.refreshIntervalSeconds = refreshIntervals_[i];
-    point.failureRate = failureRates_[r];
-    return runPreparedCampaign(point, exposures_[p][i], models_[r],
-                               campaign);
+    return runPreparedCampaign(prepared.design, *prepared.exposures,
+                               *prepared.model, campaign);
+}
+
+Result<std::vector<FaultCampaignReport>>
+PreparedSweep::runCells() const
+{
+    std::vector<PreparedCell> cells;
+    cells.reserve(cellCount());
+    for (std::size_t cell = 0; cell < cellCount(); ++cell)
+        cells.push_back(preparedCell(cell));
+    return runPreparedCells(cells);
 }
 
 CampaignSweepReport
@@ -277,17 +281,24 @@ PreparedSweep::assembleSweep(
                 cells.size());
     CampaignSweepReport report;
     report.designName = design_.name;
-    report.networkName = networkName_;
-    report.modelName = modelName_;
-    report.baselineAccuracy = baselineAccuracy_;
-    report.policyNames = policyNames_;
+    // Every model shares the pretrained baseline; every exposure of
+    // a row carries the row's policy name.
+    report.networkName = exposures_.front().front().networkName;
+    report.modelName = models_.front().modelName;
+    report.baselineAccuracy = models_.front().baselineAccuracy;
+    for (const std::vector<CampaignExposures> &row : exposures_)
+        report.policyNames.push_back(row.front().guardPolicyName);
     report.failureRates = failureRates_;
     report.refreshIntervals = refreshIntervals_;
     report.cells.reserve(cells.size());
     for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-        SweepCell entry = cellAt(cell);
-        entry.report = std::move(cells[cell]);
-        report.cells.push_back(std::move(entry));
+        const DesignPoint point = preparedCell(cell).design;
+        const std::size_t p =
+            cell / (failureRates_.size() * refreshIntervals_.size());
+        report.cells.push_back({point.failureRate,
+                                point.options.refreshIntervalSeconds,
+                                std::move(cells[cell]),
+                                report.policyNames[p]});
     }
     return report;
 }
@@ -308,30 +319,26 @@ runCampaignSweep(const DesignPoint &design, const NetworkModel &network,
         return prepared.error();
     const PreparedSweep &plan = prepared.value();
 
-    std::vector<FaultCampaignReport> cells;
-    cells.reserve(plan.cellCount());
-    for (std::size_t cell = 0; cell < plan.cellCount(); ++cell) {
-        const SweepCell coordinates = plan.cellAt(cell);
-        // A labelled timeline slice per grid cell; the span-
-        // duration histograms stay per phase (simulate / retrain /
-        // trials), not per cell.
-        std::ostringstream cell_label;
-        cell_label << "cell ";
-        if (!config.guardPolicies.empty())
-            cell_label << "policy=" << coordinates.policyName << " ";
-        cell_label << "rate=" << std::scientific
-                   << std::setprecision(1) << coordinates.failureRate
-                   << " interval=" << coordinates.refreshIntervalSeconds
-                   << "s";
-        TraceRecorder &recorder = TraceRecorder::global();
-        recorder.beginSpan("sweep", cell_label.str());
-        Result<FaultCampaignReport> cell_report = plan.runCell(cell);
-        recorder.endSpan("sweep", cell_label.str());
-        if (!cell_report.ok())
-            return cell_report.error();
-        cells.push_back(std::move(cell_report).value());
-    }
-    return plan.assembleSweep(std::move(cells));
+    Result<std::vector<FaultCampaignReport>> cells = plan.runCells();
+    if (!cells.ok())
+        return cells.error();
+    return plan.assembleSweep(std::move(cells).value());
+}
+
+Result<FaultCampaignReport>
+runFaultCampaign(const DesignPoint &design, const NetworkModel &network,
+                 const FaultCampaignConfig &config)
+{
+    CampaignSweepConfig grid;
+    grid.failureRates = {design.failureRate};
+    grid.refreshIntervals = {design.options.refreshIntervalSeconds};
+    grid.campaign = config;
+    Result<CampaignSweepReport> swept =
+        runCampaignSweep(design, network, grid);
+    if (!swept.ok())
+        return swept.error();
+    CampaignSweepReport report = std::move(swept).value();
+    return std::move(report.cells.front().report);
 }
 
 } // namespace rana

@@ -17,8 +17,10 @@
  *   - the stand-in model is pretrained once and retrained once per
  *     failure rate (retention-aware training targets the rate, not
  *     the interval or the policy);
- *   - each grid cell then runs only the cheap trial fan-out against
- *     the shared pre-quantized weight store.
+ *   - every cell's trials run in one runPreparedCells call: each
+ *     rate's trials (all intervals and policies) form one lane list
+ *     on that rate's shared weight store, and one lane fan-out packs
+ *     them into blocks across cell boundaries.
  *
  * Every per-cell report carries the p5/p50/p95/worst accuracy band,
  * so the sweep output is directly comparable to the paper's bounded
@@ -159,19 +161,18 @@ class PreparedSweep
     std::size_t cellCount() const;
 
     /**
-     * Run one grid cell. Deterministic per cell for any lane count;
-     * `jobs_override` > 0 forces that many trial lanes (forked
-     * workers pass 1 — they must not touch the inherited thread
-     * pool, whose worker threads do not exist after fork).
+     * Run one grid cell alone: the same report runCells gives it, for
+     * any lane count. `jobs_override` > 0 forces that many trial
+     * lanes (forked workers pass 1, which runs inline — they must
+     * not touch the inherited thread pool, whose worker threads do
+     * not exist after fork).
      */
     Result<FaultCampaignReport>
     runCell(std::size_t cell, unsigned jobs_override = 0) const;
 
-    /**
-     * The coordinates of grid cell `cell` (policy name, rate and
-     * interval), with an empty report.
-     */
-    SweepCell cellAt(std::size_t cell) const;
+    /** Every grid cell's report, in linear order, from one
+     *  runPreparedCells call. */
+    Result<std::vector<FaultCampaignReport>> runCells() const;
 
     /**
      * Assemble the sweep report from per-cell results in linear
@@ -183,14 +184,12 @@ class PreparedSweep
   private:
     PreparedSweep() = default;
 
+    /** Cell `cell`'s design point and phase products. */
+    PreparedCell preparedCell(std::size_t cell) const;
+
     DesignPoint design_;
-    std::string networkName_;
-    std::string modelName_;
-    double baselineAccuracy_ = 0.0;
     std::vector<double> failureRates_;
     std::vector<double> refreshIntervals_;
-    /** Policy names of the grid rows. */
-    std::vector<std::string> policyNames_;
     /** Per-row campaign configs. */
     std::vector<FaultCampaignConfig> campaigns_;
     /** Simulated exposures, [policy][interval]. */

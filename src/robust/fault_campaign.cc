@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "core/experiments.hh"
 #include "energy/technology.hh"
@@ -176,86 +177,103 @@ prepareCampaignModel(RetentionAwareTrainer &trainer,
     model.baselineAccuracy = trainer.baselineAccuracy();
     model.failureRate = failure_rate;
     model.format = config.trainer.format;
-    model.weights = trainer.exportWeightsShared(&model.format);
+    model.weights = trainer.exportWeightsShared(model.format);
     model.test = trainer.dataset().testBatch();
     return model;
 }
 
-Result<FaultCampaignReport>
-runPreparedCampaign(const DesignPoint &design,
-                    const CampaignExposures &exposures,
-                    const CampaignModel &model,
-                    const FaultCampaignConfig &config)
+std::unique_ptr<Sequential>
+bindCampaignSkeleton(const FaultCampaignConfig &config,
+                     const CampaignModel &model)
 {
-    if (config.trials == 0) {
-        return makeError(ErrorCode::InvalidArgument,
-                         "fault campaign needs at least one trial");
-    }
     RANA_ASSERT(model.weights != nullptr,
                 "campaign model has no weight store");
-    ScopedSpan span("campaign", "trials");
-
-    FaultCampaignReport report;
-    report.designName = design.name;
-    report.networkName = exposures.networkName;
-    report.modelName = model.modelName;
-    report.operatingFailureRate = model.failureRate;
-    report.baselineAccuracy = model.baselineAccuracy;
-    report.guarded = exposures.guarded;
-    report.guardPolicyName = exposures.guardPolicyName;
-    report.guardStats = exposures.guardStats;
-    report.exposures = exposures.exposures;
-    report.executionSeconds = exposures.executionSeconds;
-    report.retentionViolations = exposures.retentionViolations;
-    report.refreshOps = exposures.refreshOps;
-
-    // One skeleton model serves every trial: eval-mode forward
-    // passes are re-entrant, the bound store is immutable, and a
-    // trial copies the weights only when it actually injects bit
-    // errors (copy-on-corrupt).
-    Rng skeleton_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+    // The initial weights are never read: binding replaces them.
+    Rng unused(0);
     auto skeleton =
         makeMiniModel(config.model, config.dataset.imageSize,
-                      config.dataset.numClasses, skeleton_rng);
+                      config.dataset.numClasses, unused);
     bindSharedWeights(*skeleton, *model.weights);
+    return skeleton;
+}
 
-    // Denominators of the effective-rate averages: every buffered
-    // word of the class across the network, exposed or not.
-    double total_weight_words = 0.0;
-    double total_act_words = 0.0;
-    for (const LayerExposure &exposure : report.exposures) {
-        total_weight_words +=
-            static_cast<double>(exposure.words[kWeight]);
-        total_act_words +=
-            static_cast<double>(exposure.words[kInput]) +
-            static_cast<double>(exposure.words[kOutput]);
+Result<std::vector<FaultCampaignReport>>
+runPreparedCells(std::span<const PreparedCell> cells)
+{
+    RANA_ASSERT(!cells.empty(), "no campaign cells to run");
+    const FaultCampaignConfig &shared = *cells.front().config;
+    for (const PreparedCell &cell : cells) {
+        if (cell.config->trials == 0) {
+            return makeError(ErrorCode::InvalidArgument,
+                             "fault campaign needs at least one trial");
+        }
+        RANA_ASSERT(cell.config->jobs == shared.jobs &&
+                        cell.config->laneBlock == shared.laneBlock,
+                    "campaign cells of one run share jobs and laneBlock");
+    }
+    ScopedSpan span("campaign", "trials");
+    const auto trials_started = std::chrono::steady_clock::now();
+    const unsigned jobs = shared.jobs == 0 ? hardwareJobs() : shared.jobs;
+
+    std::vector<FaultCampaignReport> reports(cells.size());
+    std::vector<RetentionSampler> samplers;
+    samplers.reserve(cells.size());
+    // (cell, trial) of every trial, cell-major.
+    std::vector<std::pair<std::size_t, std::uint32_t>> trials;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const PreparedCell &cell = cells[c];
+        const CampaignExposures &exposures = *cell.exposures;
+        FaultCampaignReport &report = reports[c];
+        report.designName = cell.design.name;
+        report.networkName = exposures.networkName;
+        report.modelName = cell.model->modelName;
+        report.operatingFailureRate = cell.model->failureRate;
+        report.baselineAccuracy = cell.model->baselineAccuracy;
+        report.guarded = exposures.guarded;
+        report.guardPolicyName = exposures.guardPolicyName;
+        report.guardStats = exposures.guardStats;
+        report.exposures = exposures.exposures;
+        report.executionSeconds = exposures.executionSeconds;
+        report.retentionViolations = exposures.retentionViolations;
+        report.refreshOps = exposures.refreshOps;
+        report.trials.resize(cell.config->trials);
+        samplers.emplace_back(cell.config->retention,
+                              cell.design.config.buffer.bankWords() * 16);
+        for (std::uint32_t t = 0; t < cell.config->trials; ++t)
+            trials.emplace_back(c, t);
     }
 
-    // Phase 4a: per-trial chip sampling. Each trial samples one chip
-    // (per-bank weakest cells) and converts exposed words into
-    // effective failure rates. Results land in per-trial slots, so
-    // the report is identical for any lane count or job count.
-    const auto trials_started = std::chrono::steady_clock::now();
-    const RetentionSampler sampler(
-        config.retention, design.config.buffer.bankWords() * 16);
-    const std::uint64_t bank_words = design.config.buffer.bankWords();
-    const double worst_case = config.retention.worstCaseRetention();
-    const unsigned jobs =
-        config.jobs == 0 ? hardwareJobs() : config.jobs;
-    report.trials.resize(config.trials);
-    parallelFor(config.trials, jobs, [&](std::size_t trial) {
-        TrialResult result;
-        const std::uint64_t trial_seed =
-            config.seed * 1000003 + trial;
-        result.seed = trial_seed;
+    // Phase 4a: per-trial chip sampling, every trial of every cell in
+    // one parallelFor. Each trial samples one chip (per-bank weakest
+    // cells) and converts exposed words into effective failure rates.
+    // Results land in per-trial slots, so the reports are identical
+    // for any lane count or job count.
+    parallelFor(trials.size(), jobs, [&](std::size_t k) {
+        const auto [c, trial] = trials[k];
+        const FaultCampaignConfig &config = *cells[c].config;
+        const auto &buffer = cells[c].design.config.buffer;
+        const std::vector<LayerExposure> &exposures =
+            reports[c].exposures;
+        TrialResult &result = reports[c].trials[trial];
+        result.seed = config.seed * 1000003 + trial;
+        Rng rng(result.seed);
+        const std::vector<double> bank_retention =
+            samplers[c].sampleBanks(buffer.numBanks, rng);
+        const std::uint64_t bank_words = buffer.bankWords();
+        const double worst_case = config.retention.worstCaseRetention();
 
-        Rng rng(trial_seed);
-        const std::vector<double> bank_retention = sampler.sampleBanks(
-            design.config.buffer.numBanks, rng);
-
+        // Denominators of the effective-rate averages: every buffered
+        // word of the class across the network, exposed or not.
+        double total_weight_words = 0.0;
+        double total_act_words = 0.0;
         double weighted_weight = 0.0;
         double weighted_act = 0.0;
-        for (const LayerExposure &exposure : report.exposures) {
+        for (const LayerExposure &exposure : exposures) {
+            total_weight_words +=
+                static_cast<double>(exposure.words[kWeight]);
+            total_act_words +=
+                static_cast<double>(exposure.words[kInput]) +
+                static_cast<double>(exposure.words[kOutput]);
             for (std::size_t t = 0; t < numDataTypes; ++t) {
                 const double exposed = exposure.exposureSeconds[t];
                 if (exposed <= 0.0 || exposure.words[t] == 0 ||
@@ -300,126 +318,130 @@ runPreparedCampaign(const DesignPoint &design,
         result.activationFailureRate =
             total_act_words > 0.0 ? weighted_act / total_act_words
                                   : 0.0;
-        report.trials[trial] = result;
     });
 
     // Phase 4b: corrupted forwards. Each trial is a lane over the
-    // whole test batch with injectors seeded by the trial alone, and
-    // each block of laneBlock lanes is one scoreLanes call. Every
-    // lane is bit-identical to its 1-lane forward, so the block size
-    // only moves wall-clock.
-    std::vector<ScoredLane> lanes;
-    lanes.reserve(report.trials.size());
-    for (const TrialResult &trial : report.trials) {
-        lanes.push_back({0,
-                         {trial.activationFailureRate, trial.seed * 2 + 1},
-                         {trial.weightFailureRate, trial.seed * 2 + 2}});
-    }
-    const auto samples =
-        static_cast<std::uint32_t>(model.test.labels.size());
-    const std::uint32_t lane_block =
-        config.laneBlock == 0 ? kDefaultLaneBlock : config.laneBlock;
-    const std::size_t blocks =
-        (config.trials + lane_block - 1) / lane_block;
-    parallelFor(blocks, jobs, [&](std::size_t block) {
-        const std::size_t first = block * lane_block;
-        const std::vector<std::uint32_t> correct = scoreLanes(
-            *skeleton, model.format, model.test, samples,
-            std::span<const ScoredLane>(lanes).subspan(
-                first, std::min<std::size_t>(lane_block,
-                                             config.trials - first)));
-        for (std::size_t l = 0; l < correct.size(); ++l) {
-            report.trials[first + l].accuracy =
-                static_cast<double>(correct[l]) /
-                static_cast<double>(samples);
+    // whole test batch with injectors seeded by the trial alone. The
+    // trials of every cell on one model form that model's lane list,
+    // cells in order, and all lists' laneBlock slices run in one
+    // fan-out. Every lane is bit-identical to its 1-lane forward, so
+    // the grouping and the block size only move wall-clock.
+    std::vector<const CampaignModel *> models;
+    std::vector<std::unique_ptr<Sequential>> skeletons;
+    std::vector<LaneList> lists;
+    // The lane list of every cell.
+    std::vector<std::size_t> list_of(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const CampaignModel *model = cells[c].model;
+        const auto m = static_cast<std::size_t>(
+            std::find(models.begin(), models.end(), model) -
+            models.begin());
+        list_of[c] = m;
+        if (m == models.size()) {
+            models.push_back(model);
+            skeletons.push_back(
+                bindCampaignSkeleton(*cells[c].config, *model));
+            lists.push_back(
+                {skeletons.back().get(), &model->format, &model->test,
+                 static_cast<std::uint32_t>(model->test.labels.size()),
+                 {}});
         }
-    });
-    for (TrialResult &trial : report.trials) {
-        trial.relativeAccuracy =
-            report.baselineAccuracy > 0.0
-                ? trial.accuracy / report.baselineAccuracy
-                : 0.0;
+        for (const TrialResult &trial : reports[c].trials) {
+            lists[m].lanes.push_back(
+                {0,
+                 {trial.activationFailureRate, trial.seed * 2 + 1},
+                 {trial.weightFailureRate, trial.seed * 2 + 2}});
+        }
     }
-    report.trialSeconds =
+    const std::vector<std::vector<std::uint32_t>> correct =
+        scoreLaneLists(lists,
+                       shared.laneBlock == 0 ? kDefaultLaneBlock
+                                             : shared.laneBlock,
+                       jobs);
+    // Each list's lanes are its cells' trials in cell-major order.
+    std::vector<std::size_t> next(lists.size(), 0);
+    for (const auto &[c, t] : trials) {
+        const std::size_t m = list_of[c];
+        reports[c].trials[t].accuracy =
+            static_cast<double>(correct[m][next[m]++]) /
+            static_cast<double>(lists[m].samplesPerLane);
+    }
+    const double trial_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - trials_started)
             .count();
-    report.trialsPerSecond =
-        report.trialSeconds > 0.0
-            ? static_cast<double>(config.trials) / report.trialSeconds
-            : 0.0;
 
-    std::vector<double> accuracies;
-    std::vector<double> relatives;
-    accuracies.reserve(report.trials.size());
-    relatives.reserve(report.trials.size());
-    report.worstAccuracy = 1.0;
-    report.worstRelativeAccuracy = 1.0;
-    for (const TrialResult &trial : report.trials) {
-        accuracies.push_back(trial.accuracy);
-        relatives.push_back(trial.relativeAccuracy);
-        report.meanAccuracy += trial.accuracy;
-        report.meanRelativeAccuracy += trial.relativeAccuracy;
-        report.meanWeightFailureRate += trial.weightFailureRate;
-        report.meanActivationFailureRate +=
-            trial.activationFailureRate;
-        report.worstAccuracy =
-            std::min(report.worstAccuracy, trial.accuracy);
-        report.worstRelativeAccuracy = std::min(
-            report.worstRelativeAccuracy, trial.relativeAccuracy);
-    }
-    // Corruption-rate counters, tallied serially from the trial
-    // slots so the registry totals are deterministic per seed.
     MetricsRegistry &registry = MetricsRegistry::global();
-    std::uint64_t corrupted = 0;
-    std::uint64_t exposed_words = 0;
-    for (const TrialResult &trial : report.trials) {
-        corrupted += trial.exposedBanks > 0 ? 1 : 0;
-        exposed_words += trial.exposedWords;
-    }
-    registry.counter("campaign_trials_total")
-        .add(report.trials.size());
-    registry.counter("campaign_corrupted_trials_total")
-        .add(corrupted);
-    registry.counter("campaign_exposed_words_total")
-        .add(exposed_words);
-    registry.gauge("campaign_trials_per_second")
-        .set(report.trialsPerSecond);
+    for (FaultCampaignReport &report : reports) {
+        report.trialSeconds = trial_seconds;
+        report.trialsPerSecond =
+            trial_seconds > 0.0
+                ? static_cast<double>(trials.size()) / trial_seconds
+                : 0.0;
+        std::vector<double> accuracies;
+        std::vector<double> relatives;
+        report.worstAccuracy = 1.0;
+        report.worstRelativeAccuracy = 1.0;
+        std::uint64_t corrupted = 0;
+        std::uint64_t exposed_words = 0;
+        for (TrialResult &trial : report.trials) {
+            trial.relativeAccuracy =
+                report.baselineAccuracy > 0.0
+                    ? trial.accuracy / report.baselineAccuracy
+                    : 0.0;
+            accuracies.push_back(trial.accuracy);
+            relatives.push_back(trial.relativeAccuracy);
+            report.meanAccuracy += trial.accuracy;
+            report.meanRelativeAccuracy += trial.relativeAccuracy;
+            report.meanWeightFailureRate += trial.weightFailureRate;
+            report.meanActivationFailureRate +=
+                trial.activationFailureRate;
+            report.worstAccuracy =
+                std::min(report.worstAccuracy, trial.accuracy);
+            report.worstRelativeAccuracy = std::min(
+                report.worstRelativeAccuracy, trial.relativeAccuracy);
+            corrupted += trial.exposedBanks > 0 ? 1 : 0;
+            exposed_words += trial.exposedWords;
+        }
+        // Corruption-rate counters, tallied serially from the trial
+        // slots so the registry totals are deterministic per seed.
+        registry.counter("campaign_trials_total")
+            .add(report.trials.size());
+        registry.counter("campaign_corrupted_trials_total")
+            .add(corrupted);
+        registry.counter("campaign_exposed_words_total")
+            .add(exposed_words);
+        registry.gauge("campaign_trials_per_second")
+            .set(report.trialsPerSecond);
 
-    const auto count = static_cast<double>(report.trials.size());
-    report.meanAccuracy /= count;
-    report.meanRelativeAccuracy /= count;
-    report.meanWeightFailureRate /= count;
-    report.meanActivationFailureRate /= count;
-    report.p5Accuracy = percentile(accuracies, 5.0);
-    report.p50Accuracy = percentile(accuracies, 50.0);
-    report.p95Accuracy = percentile(accuracies, 95.0);
-    report.p5RelativeAccuracy = percentile(relatives, 5.0);
-    report.p50RelativeAccuracy = percentile(relatives, 50.0);
-    report.p95RelativeAccuracy = percentile(relatives, 95.0);
-    return report;
+        const auto count = static_cast<double>(report.trials.size());
+        report.meanAccuracy /= count;
+        report.meanRelativeAccuracy /= count;
+        report.meanWeightFailureRate /= count;
+        report.meanActivationFailureRate /= count;
+        report.p5Accuracy = percentile(accuracies, 5.0);
+        report.p50Accuracy = percentile(accuracies, 50.0);
+        report.p95Accuracy = percentile(accuracies, 95.0);
+        report.p5RelativeAccuracy = percentile(relatives, 5.0);
+        report.p50RelativeAccuracy = percentile(relatives, 50.0);
+        report.p95RelativeAccuracy = percentile(relatives, 95.0);
+    }
+    return reports;
 }
 
 Result<FaultCampaignReport>
-runFaultCampaign(const DesignPoint &design, const NetworkModel &network,
-                 const FaultCampaignConfig &config)
+runPreparedCampaign(const DesignPoint &design,
+                    const CampaignExposures &exposures,
+                    const CampaignModel &model,
+                    const FaultCampaignConfig &config)
 {
-    if (config.trials == 0) {
-        return makeError(ErrorCode::InvalidArgument,
-                         "fault campaign needs at least one trial");
-    }
-    Result<CampaignExposures> exposures =
-        simulateExposures(design, network, config);
-    if (!exposures.ok())
-        return exposures.error();
-
-    RetentionAwareTrainer trainer(config.model, config.dataset,
-                                  config.trainer);
-    trainer.pretrain();
-    const CampaignModel model =
-        prepareCampaignModel(trainer, config, design.failureRate);
-    return runPreparedCampaign(design, exposures.value(), model,
-                               config);
+    const PreparedCell cell{design, &exposures, &model, &config};
+    Result<std::vector<FaultCampaignReport>> reports =
+        runPreparedCells({&cell, 1});
+    if (!reports.ok())
+        return reports.error();
+    std::vector<FaultCampaignReport> one = std::move(reports).value();
+    return std::move(one.front());
 }
 
 } // namespace rana

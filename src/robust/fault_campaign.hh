@@ -20,19 +20,19 @@
  *      rates into a replica of the trained mini model, and measure
  *      the end-to-end test accuracy of the corrupted forward pass.
  *
- * Trials are embarrassingly parallel and run on the shared thread
- * pool into per-trial result slots, so the report is deterministic
- * per seed regardless of the lane count.
- *
  * The phases are exposed individually (simulateExposures /
- * prepareCampaignModel / runPreparedCampaign) so a sweep over a
+ * prepareCampaignModel / runPreparedCells) so a sweep over a
  * failure-rate x refresh-interval grid can reuse the expensive
  * products: the trace is simulated once per schedule and the model
- * trained once per rate, not once per grid point. All trials of a
- * prepared campaign share one immutable pre-quantized weight store
- * bound into one skeleton model — a trial copies the weights only
- * when its sampled chip actually injects bit errors
- * (copy-on-corrupt).
+ * trained once per rate, not once per grid point.
+ *
+ * Phase 4 has one runner, runPreparedCells, for a campaign, a sweep
+ * cell or a whole grid: the trials of all cells on one CampaignModel
+ * form one lane list, scored in one lane fan-out (scoreLaneLists,
+ * shared with serving) into per-trial slots, so every report is
+ * deterministic per seed for any lane, block or job count. All
+ * trials on one model share its pre-quantized weight store and copy
+ * it only when their chip injects bit errors (copy-on-corrupt).
  */
 
 #ifndef RANA_ROBUST_FAULT_CAMPAIGN_HH_
@@ -40,6 +40,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,7 @@
 #include "nn/network_model.hh"
 #include "robust/retention_sampler.hh"
 #include "sim/performance_model.hh"
+#include "train/layers.hh"
 #include "train/trainer.hh"
 #include "train/trial_batch.hh"
 #include "util/result.hh"
@@ -74,9 +77,10 @@ struct FaultCampaignConfig
     /**
      * Trials per parallel scoring block: the corrupted forwards run
      * laneBlock trials per scoreLanes call (train/lane_scorer.hh),
-     * the blocks fanned out across `jobs`. A block of up to 16 is
-     * one forward; a larger one runs as consecutive 16-lane forwards
-     * plus a padded remainder. 0 picks the tuned default block; 1
+     * the blocks fanned out across `jobs` (a block may span cells
+     * that share a model). A block of up to 16 is one forward; a
+     * larger one runs as consecutive 16-lane forwards plus a padded
+     * remainder. 0 picks the tuned default block; 1
      * runs each trial as its own 1-lane pass. Any value yields
      * bit-identical reports — the block size is a speed knob only.
      */
@@ -355,12 +359,13 @@ struct FaultCampaignReport
     std::uint64_t refreshOps = 0;
 
     /**
-     * Wall-clock seconds the trial fan-out took (sampling, corrupted
-     * forwards and accuracy measurement). Timing only — excluded
-     * from report-equality comparisons.
+     * Wall-clock seconds of the trial phase (sampling, corrupted
+     * forwards, scoring) the campaign ran in; every cell of a shared
+     * fan-out reports the whole fan-out's time. Timing only — kept
+     * out of report equality and canonical JSON.
      */
     double trialSeconds = 0.0;
-    /** Trials per wall-clock second (the campaign throughput). */
+    /** All trials of that trial phase per trialSeconds. */
     double trialsPerSecond = 0.0;
 
     /** Whether the ReliabilityGuard was attached. */
@@ -376,9 +381,11 @@ struct FaultCampaignReport
 
 /**
  * Run one fault-injection campaign of `config` for `design` on
- * `network`. Fails with the scheduler's error when the design cannot
- * run the network, and with ErrorCode::InvalidArgument when the
- * campaign configuration is degenerate (zero trials).
+ * `network`: the 1 x 1 campaign sweep {design.failureRate} x
+ * {design's refresh interval} (robust/campaign_sweep). Fails with
+ * the scheduler's error when the design cannot run the network, and
+ * with ErrorCode::InvalidArgument when the campaign configuration is
+ * degenerate (zero trials).
  */
 Result<FaultCampaignReport>
 runFaultCampaign(const DesignPoint &design, const NetworkModel &network,
@@ -410,10 +417,37 @@ prepareCampaignModel(RetentionAwareTrainer &trainer,
                      double failure_rate);
 
 /**
- * Campaign phase 4: the parallel trial fan-out against prepared
- * exposures and a prepared model. Fails with
- * ErrorCode::InvalidArgument when the configuration asks for zero
- * trials.
+ * `config`'s mini model bound to `model`'s store: a re-entrant
+ * eval-only skeleton that serves every lane scored on the model.
+ */
+std::unique_ptr<Sequential>
+bindCampaignSkeleton(const FaultCampaignConfig &config,
+                     const CampaignModel &model);
+
+/** One campaign ready for phase 4 (a grid cell); pointees not owned. */
+struct PreparedCell
+{
+    DesignPoint design;
+    const CampaignExposures *exposures = nullptr;
+    /** Cells on one model share its lane list. */
+    const CampaignModel *model = nullptr;
+    const FaultCampaignConfig *config = nullptr;
+};
+
+/**
+ * Campaign phase 4 of every cell in one trial phase: one parallelFor
+ * samples all chips, then one lane fan-out scores each model's lane
+ * list in laneBlock slices across `jobs` lanes (all cells must share
+ * both). Returns one report per cell, in order, each identical to
+ * the cell run alone. Fails with ErrorCode::InvalidArgument when a
+ * cell asks for zero trials.
+ */
+Result<std::vector<FaultCampaignReport>>
+runPreparedCells(std::span<const PreparedCell> cells);
+
+/**
+ * runPreparedCells on one cell. Fails with ErrorCode::InvalidArgument
+ * when the configuration asks for zero trials.
  */
 Result<FaultCampaignReport>
 runPreparedCampaign(const DesignPoint &design,

@@ -317,17 +317,14 @@ class ServingSimulation
     struct ServedModel
     {
         std::string network;
-        MiniModelKind kind = MiniModelKind::MiniAlex;
         /** Simulated batch-of-1 inference time in seconds. */
         double executionSeconds = 0.0;
-        /** Error-free fixed-point baseline accuracy. */
-        double baselineAccuracy = 0.0;
-        /** Immutable pre-quantized shared weight store. */
-        WeightStore weights;
-        /** Held-out test batch requests sample from. */
-        Batch test;
-        /** Fixed-point format of the store. */
-        FixedPointFormat format = {12};
+        /**
+         * The pretrained stand-in in campaign form (rate 0): its
+         * shared store, test batch and format (empty without
+         * forwards).
+         */
+        CampaignModel model;
         /** Re-entrant skeleton bound to the shared store. */
         std::shared_ptr<Sequential> skeleton;
     };

@@ -266,25 +266,17 @@ ServingSimulation::prepare(ServingConfig config)
 
             ServedModel served;
             served.network = network;
-            served.kind = kind.value();
             served.executionSeconds =
                 exposures.value().executionSeconds;
-            served.format = cfg.trainer.format;
             if (cfg.runForwards) {
-                RetentionAwareTrainer trainer(served.kind, cfg.dataset,
-                                              campaign.trainer);
-                served.baselineAccuracy = trainer.pretrain();
-                served.weights =
-                    trainer.exportWeightsShared(&served.format);
-                served.test = trainer.dataset().testBatch();
-                // One skeleton serves every batch: eval-mode forward
-                // passes are re-entrant and the bound store is
-                // immutable, exactly as in the fault campaign.
-                Rng skeleton_rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
-                served.skeleton = makeMiniModel(
-                    served.kind, cfg.dataset.imageSize,
-                    cfg.dataset.numClasses, skeleton_rng);
-                bindSharedWeights(*served.skeleton, *served.weights);
+                campaign.model = kind.value();
+                RetentionAwareTrainer trainer(
+                    campaign.model, cfg.dataset, campaign.trainer);
+                trainer.pretrain();
+                served.model = prepareCampaignModel(trainer, campaign, 0.0);
+                // One skeleton serves every batch, as in a campaign.
+                served.skeleton =
+                    bindCampaignSkeleton(campaign, served.model);
             }
             sim.models_.push_back(std::move(served));
         }
@@ -585,54 +577,37 @@ ServingSimulation::run(unsigned jobs_override,
     // sample per lane, in batch order across batch boundaries; a lane
     // keeps its own batch's injector seeds (a clean batch's lanes get
     // rate 0), and no kernel mixes lanes, so corrupted and clean
-    // lanes share a forward. The lists' 16-lane blocks of every model
-    // fan out across the pool in one parallelFor into per-lane
-    // slots, so the results are independent of the pool size.
-    struct ServedLanes
-    {
-        std::vector<ScoredLane> lanes;
-        std::vector<std::uint32_t> tenants;
-        std::vector<std::uint32_t> correct;
-    };
-    std::vector<ServedLanes> served(models_.size());
+    // lanes share a forward. scoreLaneLists fans the lists' 16-lane
+    // slices of every model out across the pool in one parallelFor
+    // into per-lane slots, so the results are independent of the
+    // pool size.
+    std::vector<LaneList> lists(models_.size());
+    std::vector<std::vector<std::uint32_t>> lane_tenants(models_.size());
+    std::vector<std::vector<std::uint32_t>> correct(models_.size());
     if (cfg.runForwards) {
+        for (std::size_t m = 0; m < models_.size(); ++m) {
+            lists[m].skeleton = models_[m].skeleton.get();
+            lists[m].format = &models_[m].model.format;
+            lists[m].test = &models_[m].model.test;
+        }
         for (const BatchRecord &batch : batches) {
-            ServedLanes &model = served[tenantModel_[batch.tenant]];
+            const std::size_t m = tenantModel_[batch.tenant];
             const double rate =
                 batch.corrupted ? cfg.injectedBitErrorRate : 0.0;
             for (std::uint32_t lane = 0; lane < batch.requests.size();
                  ++lane) {
-                model.lanes.push_back(
+                lists[m].lanes.push_back(
                     {batch.requests[lane].sample,
                      {rate, batch.faultSeed + lane * 2 + 1},
                      {rate, batch.faultSeed + lane * 2 + 2}});
-                model.tenants.push_back(batch.tenant);
+                lane_tenants[m].push_back(batch.tenant);
             }
-        }
-        // (model, first lane) of every block.
-        std::vector<std::pair<std::size_t, std::size_t>> blocks;
-        for (std::size_t m = 0; m < served.size(); ++m) {
-            served[m].correct.resize(served[m].lanes.size());
-            for (std::size_t first = 0; first < served[m].lanes.size();
-                 first += kMaxKernelLanes)
-                blocks.emplace_back(m, first);
         }
         const unsigned jobs =
             jobs_override > 0
                 ? jobs_override
                 : (cfg.jobs == 0 ? hardwareJobs() : cfg.jobs);
-        parallelFor(blocks.size(), jobs, [&](std::size_t k) {
-            const auto [m, first] = blocks[k];
-            const ServedModel &model = models_[m];
-            const std::span<const ScoredLane> lanes = served[m].lanes;
-            const std::vector<std::uint32_t> correct = scoreLanes(
-                *model.skeleton, model.format, model.test, 1,
-                lanes.subspan(first,
-                              std::min<std::size_t>(kMaxKernelLanes,
-                                                    lanes.size() - first)));
-            std::copy(correct.begin(), correct.end(),
-                      served[m].correct.begin() + first);
-        });
+        correct = scoreLaneLists(lists, kMaxKernelLanes, jobs);
     }
 
     // --- Report assembly and metrics, serially on this thread so
@@ -646,11 +621,11 @@ ServingSimulation::run(unsigned jobs_override,
 
     std::vector<std::uint64_t> wrong(tenant_count, 0);
     std::vector<std::uint64_t> evaluated(tenant_count, 0);
-    for (const ServedLanes &model : served) {
-        for (std::size_t i = 0; i < model.lanes.size(); ++i) {
-            ++evaluated[model.tenants[i]];
-            if (model.correct[i] == 0)
-                ++wrong[model.tenants[i]];
+    for (std::size_t m = 0; m < lane_tenants.size(); ++m) {
+        for (std::size_t i = 0; i < lane_tenants[m].size(); ++i) {
+            ++evaluated[lane_tenants[m][i]];
+            if (correct[m][i] == 0)
+                ++wrong[lane_tenants[m][i]];
         }
     }
 

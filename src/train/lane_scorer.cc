@@ -6,9 +6,12 @@
 #include "train/lane_scorer.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "train/loss.hh"
 #include "train/trial_batch.hh"
+#include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace rana {
 
@@ -31,7 +34,6 @@ scoreLanes(Layer &skeleton, const FixedPointFormat &format,
         injectors.reserve(2 * count);
         ForwardContext ctx;
         ctx.quant = &format;
-        ctx.weightsPreQuantized = true;
         ctx.training = false;
         ctx.injectors.assign(width, nullptr);
         ctx.weightInjectors.assign(width, nullptr);
@@ -39,12 +41,11 @@ scoreLanes(Layer &skeleton, const FixedPointFormat &format,
         for (std::uint32_t l = 0; l < count; ++l) {
             const ScoredLane &lane = block[l];
             firsts[l] = lane.first;
-            // A faulty lane gets both injectors, even at rate 0 on
-            // one side: a lane without a weight injector would
-            // corrupt its weights with its activation injector.
-            if (lane.activation.rate > 0.0 || lane.weight.rate > 0.0) {
+            if (lane.activation.rate > 0.0) {
                 ctx.injectors[l] = &injectors.emplace_back(
                     lane.activation.rate, lane.activation.seed);
+            }
+            if (lane.weight.rate > 0.0) {
                 ctx.weightInjectors[l] = &injectors.emplace_back(
                     lane.weight.rate, lane.weight.seed);
             }
@@ -60,6 +61,35 @@ scoreLanes(Layer &skeleton, const FixedPointFormat &format,
                     predicted[i] == test.labels[firsts[l] + i] ? 1 : 0;
         }
     }
+    return correct;
+}
+
+std::vector<std::vector<std::uint32_t>>
+scoreLaneLists(std::span<const LaneList> lists, std::uint32_t slice,
+               unsigned jobs)
+{
+    RANA_ASSERT(slice > 0, "lane slices need at least one lane");
+    std::vector<std::vector<std::uint32_t>> correct(lists.size());
+    // (list, first lane) of every slice.
+    std::vector<std::pair<std::size_t, std::size_t>> slices;
+    for (std::size_t m = 0; m < lists.size(); ++m) {
+        correct[m].resize(lists[m].lanes.size());
+        for (std::size_t first = 0; first < lists[m].lanes.size();
+             first += slice)
+            slices.emplace_back(m, first);
+    }
+    parallelFor(slices.size(), jobs, [&](std::size_t k) {
+        const auto [m, first] = slices[k];
+        const LaneList &list = lists[m];
+        const std::span<const ScoredLane> lanes = list.lanes;
+        const std::vector<std::uint32_t> scored = scoreLanes(
+            *list.skeleton, *list.format, *list.test,
+            list.samplesPerLane,
+            lanes.subspan(first, std::min<std::size_t>(
+                                     slice, lanes.size() - first)));
+        std::copy(scored.begin(), scored.end(),
+                  correct[m].begin() + first);
+    });
     return correct;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * The lane-block scorer: the one path that packs, pads, injects and
- * scores the lane-major forwards of a bound eval-only model.
+ * scores the lane-major forwards of a bound eval-only model, and the
+ * one fan-out that runs lane lists across the thread pool.
  *
  * A fault campaign's trials and a serving run's requests are both
  * lists of lanes. Each lane reads a run of test samples and carries
@@ -10,12 +11,14 @@
  * request one sample (samplesPerLane = 1). scoreLanes runs the list
  * as forwards of at most kMaxKernelLanes lanes, pads each to
  * kernelLanes, and counts every lane's correct predictions.
+ * scoreLaneLists fans the slices of several lists (one per model)
+ * out in one parallelFor.
  *
  * Lane l draws only from injectors seeded by its own seeds, and no
  * kernel mixes lanes, so each lane's count equals that of a 1-lane
  * forward of its samples with freshly seeded injectors: how a list
- * is split into calls, and each call into forwards, never changes a
- * count (the LaneBlocks suite asserts it).
+ * is split into slices, calls and forwards never changes a count
+ * (the LaneBlocks suite asserts it).
  */
 
 #ifndef RANA_TRAIN_LANE_SCORER_HH_
@@ -57,14 +60,35 @@ struct ScoredLane
  *
  * Any lane count runs, as ceil(n / 16) forwards each padded to
  * kernelLanes; a pad lane repeats its forward's first input, carries
- * null injectors and is never read. A lane gets injectors only when
- * one of its rates is above 0.
+ * null injectors and is never read. A lane gets an activation
+ * (weight) injector only when its activation (weight) rate is above
+ * 0.
  */
 std::vector<std::uint32_t> scoreLanes(Layer &skeleton,
                                       const FixedPointFormat &format,
                                       const Batch &test,
                                       std::uint32_t samples_per_lane,
                                       std::span<const ScoredLane> lanes);
+
+/** The scoreLanes arguments of one model's whole lane list. */
+struct LaneList
+{
+    Layer *skeleton = nullptr;
+    const FixedPointFormat *format = nullptr;
+    const Batch *test = nullptr;
+    std::uint32_t samplesPerLane = 1;
+    std::vector<ScoredLane> lanes;
+};
+
+/**
+ * Score every list, each cut into `slice`-lane slices: one
+ * parallelFor over all slices across up to `jobs` lanes (1 runs
+ * inline), one scoreLanes call per slice. Entry m holds list m's
+ * counts in lane order, identical for any `slice` and `jobs`.
+ */
+std::vector<std::vector<std::uint32_t>>
+scoreLaneLists(std::span<const LaneList> lists, std::uint32_t slice,
+               unsigned jobs);
 
 } // namespace rana
 

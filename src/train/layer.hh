@@ -45,22 +45,12 @@ struct ForwardContext
     std::vector<BitErrorInjector *> injectors;
     /**
      * Per-lane weight injectors (empty, or a null entry: the lane's
-     * weights use its activation injector like everything else). The
-     * fault campaign sets these because weight and activation banks
+     * weights get no bit errors). The fault campaign gives a lane
+     * its own weight injector because weight and activation banks
      * see different exposure times, hence different effective
-     * failure rates.
+     * failure rates; training names its one injector for both.
      */
     std::vector<BitErrorInjector *> weightInjectors;
-    /**
-     * The model's weight tensors are already in the fixed-point
-     * format `quant` (a pre-quantized shared weight store), so the
-     * per-layer re-quantization is a no-op and is skipped. Combined
-     * with an inactive weight injector this makes the weight path
-     * copy-on-corrupt: the shared tensors are read in place and a
-     * private copy is made only when bit errors are actually
-     * injected.
-     */
-    bool weightsPreQuantized = false;
     /** Whether activations are cached for a following backward. */
     bool training = true;
 
@@ -171,6 +161,9 @@ using WeightStore = std::shared_ptr<const std::vector<Tensor>>;
 /**
  * Bind `store` into `model` in params() order. Asserts that the
  * store's tensor count and shapes match the model exactly.
+ * @pre `store` is quantized to the forwards' fixed-point format: a
+ * bound layer reads it in place and copies it only to inject weight
+ * bit errors (copy-on-corrupt).
  */
 void bindSharedWeights(Layer &model, const std::vector<Tensor> &store);
 

@@ -105,27 +105,25 @@ laneShape(std::vector<std::uint32_t> shape, const Tensor &input,
  * Copy-on-corrupt weights of one lane: the quantized / corrupted
  * private copy the hardware would compute with, or std::nullopt when
  * `weights` pass through untouched (no quantization pending because
- * the store is pre-quantized, and no active injector), so the caller
- * reads `weights` in place. A lane without a weight injector uses
- * its activation injector.
+ * they are `pre_quantized`, and no active weight injector), so the
+ * caller reads `weights` in place. A lane without a weight injector
+ * gets no weight errors.
  */
 std::optional<Tensor>
-laneWeights(const Tensor &weights, const ForwardContext &ctx,
-            std::uint32_t lane)
+laneWeights(const Tensor &weights, bool pre_quantized,
+            const ForwardContext &ctx, std::uint32_t lane)
 {
     if (ctx.quant == nullptr)
         return std::nullopt;
     BitErrorInjector *injector = nullptr;
     if (lane < ctx.weightInjectors.size())
         injector = ctx.weightInjectors[lane];
-    if (injector == nullptr && lane < ctx.injectors.size())
-        injector = ctx.injectors[lane];
     const bool corrupting =
         injector != nullptr && injector->failureRate() > 0.0;
-    if (ctx.weightsPreQuantized && !corrupting)
+    if (pre_quantized && !corrupting)
         return std::nullopt;
     Tensor copy = weights;
-    if (!ctx.weightsPreQuantized)
+    if (!pre_quantized)
         quantizeTensor(copy, *ctx.quant);
     if (corrupting)
         injector->corruptTensor(copy, *ctx.quant);
@@ -186,8 +184,9 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
     RANA_ASSERT(ctx.weightInjectors.empty() ||
                     ctx.weightInjectors.size() == lanes,
                 "one weight injector per lane");
-    const Tensor &weights =
-        sharedWeights_ != nullptr ? *sharedWeights_ : weights_;
+    // A bound store is pre-quantized (bindSharedWeights).
+    const bool bound = sharedWeights_ != nullptr;
+    const Tensor &weights = bound ? *sharedWeights_ : weights_;
     const Tensor &bias =
         sharedBias_ != nullptr ? *sharedBias_ : bias_;
     Operands ops;
@@ -204,7 +203,7 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
         }
     }
     if (lanes == 1) {
-        ops.corrupted = laneWeights(weights, ctx, 0);
+        ops.corrupted = laneWeights(weights, bound, ctx, 0);
         ops.weights =
             ops.corrupted ? ops.corrupted->data() : weights.data();
         ops.bias = bias.data();
@@ -216,7 +215,8 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
     copies.reserve(lanes);
     std::vector<const float *> ptrs(lanes, weights.data());
     for (std::uint32_t l = 0; l < lanes; ++l) {
-        std::optional<Tensor> corrupted = laneWeights(weights, ctx, l);
+        std::optional<Tensor> corrupted =
+            laneWeights(weights, bound, ctx, l);
         if (corrupted) {
             copies.push_back(std::move(*corrupted));
             ptrs[l] = copies.back().data();

@@ -43,8 +43,10 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
             BitErrorInjector injector(failure_rate, rng_.next());
             ForwardContext ctx;
             ctx.quant = quantized ? &config_.format : nullptr;
-            if (quantized && failure_rate > 0.0)
+            if (quantized && failure_rate > 0.0) {
                 ctx.injectors = {&injector};
+                ctx.weightInjectors = {&injector};
+            }
             ctx.training = true;
 
             optimizer_->zeroGrad();
@@ -70,8 +72,10 @@ RetentionAwareTrainer::evaluate(double failure_rate)
                                   config_.seed * 977 + rep);
         ForwardContext ctx;
         ctx.quant = &config_.format;
-        if (failure_rate > 0.0)
+        if (failure_rate > 0.0) {
             ctx.injectors = {&injector};
+            ctx.weightInjectors = {&injector};
+        }
         ctx.training = false;
 
         const Tensor logits = model_->forward(test.images, ctx);
@@ -125,14 +129,11 @@ RetentionAwareTrainer::exportWeights()
 }
 
 WeightStore
-RetentionAwareTrainer::exportWeightsShared(
-    const FixedPointFormat *prequantize)
+RetentionAwareTrainer::exportWeightsShared(const FixedPointFormat &format)
 {
     auto store = std::make_shared<std::vector<Tensor>>(exportWeights());
-    if (prequantize != nullptr) {
-        for (Tensor &tensor : *store)
-            quantizeTensor(tensor, *prequantize);
-    }
+    for (Tensor &tensor : *store)
+        quantizeTensor(tensor, format);
     return store;
 }
 

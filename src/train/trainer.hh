@@ -130,15 +130,13 @@ class RetentionAwareTrainer
 
     /**
      * Immutable shared snapshot of the current parameter tensors, in
-     * params() order. When `prequantize` is set the exported tensors
-     * are quantized to that format once, so every consumer can bind
-     * the store, set ForwardContext::weightsPreQuantized, and skip
-     * the per-forward re-quantization (quantization is idempotent,
-     * hence numerically identical). Campaign trials share one store
-     * across all replicas with copy-on-corrupt.
+     * params() order, quantized to `format` once, so every consumer
+     * can bind the store (bindSharedWeights) and skip the
+     * per-forward re-quantization (quantization is idempotent, hence
+     * numerically identical). Campaign trials share one store across
+     * all replicas with copy-on-corrupt.
      */
-    WeightStore
-    exportWeightsShared(const FixedPointFormat *prequantize = nullptr);
+    WeightStore exportWeightsShared(const FixedPointFormat &format);
 
     /**
      * Restore the pretrained snapshot into the model (the state

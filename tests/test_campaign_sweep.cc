@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests of the campaign sweep engine: degenerate-grid validation,
- * grid shape and cell addressing, lane-count determinism of the
- * rendered percentile table, the policy axis (a one-policy grid is
- * the guarded plain sweep; the stock policy list), and the
+ * grid shape and cell addressing, determinism of every trial across
+ * lane blocks that straddle cells and job counts (and against each
+ * cell run alone), the policy axis (a one-policy grid is the
+ * guarded plain sweep; the stock policy list), and the
  * copy-on-corrupt contract of the shared weight store.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/model_zoo.hh"
@@ -157,36 +161,45 @@ TEST(CampaignSweep, GridShapeAndPercentileBands)
 
 TEST(CampaignSweep, DeterministicAcrossLaneCounts)
 {
-    CampaignSweepConfig serial = tinySweep();
-    serial.campaign.trials = 3;
-    serial.campaign.jobs = 1;
-    CampaignSweepConfig parallel = serial;
-    parallel.campaign.jobs = 0; // one lane per hardware thread
-
-    const Result<CampaignSweepReport> first =
-        runCampaignSweep(ranaDesign(), makeAlexNet(), serial);
-    const Result<CampaignSweepReport> second =
-        runCampaignSweep(ranaDesign(), makeAlexNet(), parallel);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(second.ok());
-    const CampaignSweepReport &a = first.value();
-    const CampaignSweepReport &b = second.value();
-
-    // The rendered table must be byte-identical across lane counts.
-    EXPECT_EQ(a.percentileTable(), b.percentileTable());
-    ASSERT_EQ(a.cells.size(), b.cells.size());
-    for (std::size_t i = 0; i < a.cells.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.cells[i].report.p5Accuracy,
-                         b.cells[i].report.p5Accuracy);
-        EXPECT_DOUBLE_EQ(a.cells[i].report.p50Accuracy,
-                         b.cells[i].report.p50Accuracy);
-        EXPECT_DOUBLE_EQ(a.cells[i].report.p95Accuracy,
-                         b.cells[i].report.p95Accuracy);
-        EXPECT_DOUBLE_EQ(a.cells[i].report.worstAccuracy,
-                         b.cells[i].report.worstAccuracy);
-        EXPECT_DOUBLE_EQ(a.cells[i].report.meanAccuracy,
-                         b.cells[i].report.meanAccuracy);
+    // The grid scores its trials in one lane fan-out, and each
+    // rate's cells (both intervals) share one lane list, so blocks of
+    // 5, 16 or 20 lanes over 21 trials per cell straddle cell
+    // boundaries. Every trial of every cell must come out the same
+    // for any block and job count, and each cell must equal the same
+    // cell run alone.
+    CampaignSweepConfig config = tinySweep();
+    config.campaign.trials = 21;
+    std::optional<std::string> reference;
+    for (std::uint32_t lane_block : {1u, 5u, 16u, 20u}) {
+        for (unsigned jobs : {1u, 0u}) { // 0: one lane per hardware thread
+            SCOPED_TRACE(::testing::Message()
+                         << "laneBlock " << lane_block << ", jobs "
+                         << jobs);
+            config.campaign.laneBlock = lane_block;
+            config.campaign.jobs = jobs;
+            const Result<CampaignSweepReport> swept =
+                runCampaignSweep(ranaDesign(), makeAlexNet(), config);
+            ASSERT_TRUE(swept.ok());
+            ASSERT_EQ(swept.value().cells.size(), 4u);
+            const std::string json = canonicalSweepJson(swept.value());
+            if (!reference)
+                reference = json;
+            EXPECT_EQ(json, *reference);
+        }
     }
+
+    const Result<PreparedSweep> prepared =
+        PreparedSweep::prepareSweep(ranaDesign(), makeAlexNet(), config);
+    ASSERT_TRUE(prepared.ok());
+    const PreparedSweep &plan = prepared.value();
+    std::vector<FaultCampaignReport> alone;
+    for (std::size_t cell = 0; cell < plan.cellCount(); ++cell) {
+        Result<FaultCampaignReport> report = plan.runCell(cell);
+        ASSERT_TRUE(report.ok());
+        alone.push_back(std::move(report).value());
+    }
+    EXPECT_EQ(canonicalSweepJson(plan.assembleSweep(std::move(alone))),
+              *reference);
 }
 
 TEST(CampaignSweep, OnePolicyAxisIsTheGuardedPlainSweep)
@@ -280,8 +293,9 @@ TEST(CampaignSweep, CopyOnCorruptLeavesSharedStoreIntact)
 
 TEST(CampaignSweep, PreparedPhasesMatchSingleCampaign)
 {
-    // runFaultCampaign is the composition of the exposed phases; a
-    // caller driving the phases by hand must get the same report.
+    // runFaultCampaign, the 1 x 1 grid, is the composition of the
+    // exposed phases; a caller driving the phases by hand must get
+    // the same report.
     const DesignPoint design = ranaDesign();
     const NetworkModel network = makeAlexNet();
     FaultCampaignConfig config = tinySweep().campaign;

@@ -442,7 +442,6 @@ struct ReferenceContext
     const FixedPointFormat *quant = nullptr;
     BitErrorInjector *injector = nullptr;
     BitErrorInjector *weightInjector = nullptr;
-    bool weightsPreQuantized = false;
 };
 
 /** Reference operand transform: quantize, then corrupt. */
@@ -458,24 +457,21 @@ effectiveOperand(const Tensor &operand, const ReferenceContext &ctx)
     return effective;
 }
 
-/** Reference copy-on-corrupt weight transform of one lane. */
+/**
+ * Reference weight transform of one lane of an owning layer (which
+ * always quantizes): quantize, then corrupt with the lane's weight
+ * injector. Without one the lane gets no weight errors.
+ */
 std::optional<Tensor>
 corruptedWeights(const Tensor &weights, const ReferenceContext &ctx)
 {
     if (ctx.quant == nullptr)
         return std::nullopt;
-    BitErrorInjector *injector =
-        ctx.weightInjector != nullptr ? ctx.weightInjector
-                                      : ctx.injector;
-    const bool corrupting =
-        injector != nullptr && injector->failureRate() > 0.0;
-    if (ctx.weightsPreQuantized && !corrupting)
-        return std::nullopt;
     Tensor copy = weights;
-    if (!ctx.weightsPreQuantized)
-        quantizeTensor(copy, *ctx.quant);
-    if (corrupting)
-        injector->corruptTensor(copy, *ctx.quant);
+    quantizeTensor(copy, *ctx.quant);
+    if (ctx.weightInjector != nullptr &&
+        ctx.weightInjector->failureRate() > 0.0)
+        ctx.weightInjector->corruptTensor(copy, *ctx.quant);
     return copy;
 }
 
@@ -554,14 +550,18 @@ checkConvAgainstReference(const ConvCase &cc)
     ForwardContext ctx;
     ctx.training = true;
     ctx.quant = cc.quantized ? &format : nullptr;
-    if (cc.rate > 0.0)
+    if (cc.rate > 0.0) {
+        // Training names its one injector for both operands.
         ctx.injectors = {&injector};
+        ctx.weightInjectors = {&injector};
+    }
     const Tensor out = layer.forward(input, ctx);
 
     BitErrorInjector ref_injector(cc.rate, seed);
     ReferenceContext ref_ctx;
     ref_ctx.quant = ctx.quant;
     ref_ctx.injector = cc.rate > 0.0 ? &ref_injector : nullptr;
+    ref_ctx.weightInjector = ref_ctx.injector;
     const Tensor eff_input = effectiveOperand(input, ref_ctx);
     const std::optional<Tensor> corrupted =
         corruptedWeights(weights, ref_ctx);
@@ -1142,7 +1142,6 @@ struct LaneInjectors
         act.reserve(lanes);
         weight.reserve(lanes);
         ctx.quant = &format;
-        ctx.weightsPreQuantized = true;
         ctx.training = false;
         for (std::uint32_t l = 0; l < lanes; ++l) {
             act.emplace_back(rate, actSeed(first_lane + l));
@@ -1265,6 +1264,64 @@ TEST(LaneForward, MiniRes)
     checkLaneForward(MiniModelKind::MiniRes);
 }
 
+/**
+ * A lane with an activation injector and a null weight injector gets
+ * no weight errors: its forward equals one whose weight injector
+ * runs at rate 0, for an owning layer (which quantizes its weights)
+ * and for every lane of a model bound to a pre-quantized store.
+ */
+TEST(LaneForward, NullWeightInjectorLeavesWeightsClean)
+{
+    const FixedPointFormat format{12};
+    const double rate = 1e-2;
+
+    Rng rng(31);
+    Conv2dLayer conv(3, 8, 3, 1, 1, rng);
+    Tensor image({2, 3, 6, 6});
+    randomize(image, rng);
+    const auto convForward = [&](bool clean_weight_injector) {
+        BitErrorInjector act(rate, 5);
+        BitErrorInjector clean(0.0, 6);
+        ForwardContext ctx;
+        ctx.quant = &format;
+        ctx.training = false;
+        ctx.injectors = {&act};
+        if (clean_weight_injector)
+            ctx.weightInjectors = {&clean};
+        return conv.forward(image, ctx);
+    };
+    EXPECT_TRUE(sameBits(convForward(false), convForward(true)))
+        << "owning conv";
+
+    const std::uint32_t image_size = 12;
+    BoundModel bound =
+        bindQuantized(MiniModelKind::MiniVgg, image_size, format);
+    Tensor images({2, 1, image_size, image_size});
+    randomize(images, rng);
+    const std::uint32_t lanes = 4;
+    const Tensor input = gatherLanes(
+        images, std::vector<std::uint32_t>(lanes, 0), 2);
+    const auto boundForward = [&](bool clean_weight_injectors) {
+        std::vector<BitErrorInjector> act;
+        std::vector<BitErrorInjector> clean;
+        act.reserve(lanes);
+        clean.reserve(lanes);
+        ForwardContext ctx;
+        ctx.quant = &format;
+        ctx.training = false;
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+            ctx.injectors.push_back(&act.emplace_back(rate, actSeed(l)));
+            ctx.weightInjectors.push_back(
+                clean_weight_injectors
+                    ? &clean.emplace_back(0.0, weightSeed(l))
+                    : nullptr);
+        }
+        return bound.skeleton->forward(input, ctx);
+    };
+    EXPECT_TRUE(sameBits(boundForward(false), boundForward(true)))
+        << "bound MiniVgg, " << lanes << " lanes";
+}
+
 // ---------------------------------------------------------------
 // LaneBlocks: scoreLanes against 1-lane forwards
 // ---------------------------------------------------------------
@@ -1282,7 +1339,6 @@ oneLaneCorrect(Layer &model, const FixedPointFormat &format,
     BitErrorInjector weight(lane.weight.rate, lane.weight.seed);
     ForwardContext ctx;
     ctx.quant = &format;
-    ctx.weightsPreQuantized = true;
     ctx.training = false;
     ctx.injectors = {&act};
     ctx.weightInjectors = {&weight};
@@ -1417,6 +1473,7 @@ TEST(LaneForward, LvalueInputIsUntouched)
         ForwardContext train;
         train.quant = &format;
         train.injectors = {&injector};
+        train.weightInjectors = {&injector};
         train.training = true;
         Tensor arg = images;
         owner->forward(arg, train);

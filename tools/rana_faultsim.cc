@@ -8,13 +8,13 @@
  * faults and with the runtime reliability guard attached), samples
  * per-bank weak-cell retention times per trial, injects the implied
  * bit errors into the trained stand-in mini model, and reports the
- * end-to-end accuracy degradation. By default it runs one campaign
- * at the design's operating point. --sweep and --compare-policies
- * both run the campaign over one policy x rate x interval grid
- * (robust/campaign_sweep), in-process or sharded over --workers
- * forked processes. --sweep's grid has one policy row, the campaign
- * as configured; --compare-policies has one guarded row per stock
- * policy. Beyond that they differ only in the printed table.
+ * end-to-end accuracy degradation. Every mode runs one policy x
+ * rate x interval grid (robust/campaign_sweep): by default the one
+ * cell of the design's operating point; --sweep and
+ * --compare-policies a larger grid, in-process or sharded over
+ * --workers forked processes. --sweep's grid has one policy row, the
+ * campaign as configured; --compare-policies has one guarded row per
+ * stock policy. Beyond that they differ only in the printed table.
  *
  *   rana_faultsim <network> [options]
  *
@@ -354,34 +354,43 @@ main(int argc, char **argv)
     }
     const FaultCampaignConfig config = builder.build();
 
-    if (sweep || compare) {
-        CampaignSweepConfig sweep_config;
-        sweep_config.failureRates = sweep_rates;
-        sweep_config.refreshIntervals = sweep_intervals;
-        sweep_config.campaign = config;
-        // The comparison's hysteresis/binned knobs follow --guard-k
-        // and --guard-bins.
-        if (compare)
-            sweep_config.guardPolicies =
-                stockGuardPolicies(config.guardPolicy);
-        Result<CampaignSweepReport> swept =
-            makeError(ErrorCode::InvalidArgument, "unreachable");
-        SweepShardStats shard_stats;
-        if (sharded) {
-            Result<ShardedSweepResult> result =
-                runShardedCampaignSweep(design, network,
-                                        sweep_config, shard);
-            if (!result.ok())
-                return fail(result.error());
-            shard_stats = result.value().stats;
-            std::cerr << "shard: " << shard_stats.describe() << "\n";
-            swept = std::move(result).value().report;
-        } else {
-            swept = runCampaignSweep(design, network, sweep_config);
-        }
-        if (!swept.ok())
-            return fail(swept.error());
-        const CampaignSweepReport &report = swept.value();
+    // Without --sweep or --compare-policies the grid is the 1 x 1
+    // grid of the design's operating point.
+    const bool grid = sweep || compare;
+    CampaignSweepConfig sweep_config;
+    sweep_config.failureRates = sweep_rates;
+    sweep_config.refreshIntervals = sweep_intervals;
+    if (!grid) {
+        sweep_config.failureRates = {design.failureRate};
+        sweep_config.refreshIntervals = {
+            design.options.refreshIntervalSeconds};
+    }
+    sweep_config.campaign = config;
+    // The comparison's hysteresis/binned knobs follow --guard-k and
+    // --guard-bins.
+    if (compare)
+        sweep_config.guardPolicies =
+            stockGuardPolicies(config.guardPolicy);
+    Result<CampaignSweepReport> swept =
+        makeError(ErrorCode::InvalidArgument, "unreachable");
+    SweepShardStats shard_stats;
+    if (sharded) {
+        Result<ShardedSweepResult> result =
+            runShardedCampaignSweep(design, network, sweep_config,
+                                    shard);
+        if (!result.ok())
+            return fail(result.error());
+        shard_stats = result.value().stats;
+        std::cerr << "shard: " << shard_stats.describe() << "\n";
+        swept = std::move(result).value().report;
+    } else {
+        swept = runCampaignSweep(design, network, sweep_config);
+    }
+    if (!swept.ok())
+        return fail(swept.error());
+    const CampaignSweepReport &report = swept.value();
+
+    if (grid) {
         std::cerr << report.designName << " on "
                   << report.networkName << " ("
                   << report.modelName << "): baseline "
@@ -399,56 +408,35 @@ main(int argc, char **argv)
             for (const SweepCell &cell : report.cells)
                 std::cout << cell.report.describe() << "\n";
         }
-        const Result<int> wrote = cli::writeObservability(common);
-        if (!wrote.ok())
-            return fail(wrote.error());
-        for (const SweepCell &cell : report.cells) {
-            if (cell.report.guarded &&
-                cell.report.retentionViolations > 0)
-                return 2;
+    } else {
+        const FaultCampaignReport &campaign = report.cells.front().report;
+        std::cerr << campaign.describe() << "\n";
+        // --guard-policy prints the one-cell grid's policy row, so
+        // single-policy runs line up with --compare-policies output.
+        if (policy_row)
+            std::cout << report.comparisonTable();
+        if (markdown) {
+            ReliabilityScenarioRow row;
+            row.name = campaign.designName + " / " + campaign.networkName;
+            row.executionSeconds = campaign.executionSeconds;
+            row.violations = campaign.retentionViolations;
+            row.guarded = campaign.guarded;
+            row.guardTrips = campaign.guardStats.trips;
+            row.banksReenabled = campaign.guardStats.banksReenabled;
+            row.fallbackRefreshOps =
+                campaign.guardStats.fallbackRefreshOps;
+            row.meanRelativeAccuracy = campaign.meanRelativeAccuracy;
+            row.worstRelativeAccuracy = campaign.worstRelativeAccuracy;
+            std::cout << markdownReliabilityTable({row});
         }
-        return shard_stats.degraded() ? 3 : 0;
-    }
-
-    const Result<FaultCampaignReport> campaign =
-        runFaultCampaign(design, network, config);
-    if (!campaign.ok())
-        return fail(campaign.error());
-    const FaultCampaignReport &report = campaign.value();
-
-    std::cerr << report.describe() << "\n";
-    if (policy_row) {
-        // --guard-policy renders the campaign as the one-cell grid of
-        // its policy, so single-policy runs line up with
-        // --compare-policies output.
-        CampaignSweepReport grid;
-        grid.policyNames = {report.guardPolicyName};
-        grid.failureRates = {design.failureRate};
-        grid.refreshIntervals = {design.options.refreshIntervalSeconds};
-        grid.cells.push_back({design.failureRate,
-                              design.options.refreshIntervalSeconds,
-                              report, report.guardPolicyName});
-        std::cout << grid.comparisonTable();
-    }
-    if (markdown) {
-        ReliabilityScenarioRow row;
-        row.name = report.designName + " / " + report.networkName;
-        row.executionSeconds = report.executionSeconds;
-        row.violations = report.retentionViolations;
-        row.guarded = report.guarded;
-        row.guardTrips = report.guardStats.trips;
-        row.banksReenabled = report.guardStats.banksReenabled;
-        row.fallbackRefreshOps = report.guardStats.fallbackRefreshOps;
-        row.meanRelativeAccuracy = report.meanRelativeAccuracy;
-        row.worstRelativeAccuracy = report.worstRelativeAccuracy;
-        std::cout << markdownReliabilityTable({row});
     }
 
     const Result<int> wrote = cli::writeObservability(common);
     if (!wrote.ok())
         return fail(wrote.error());
-
-    if (report.guarded && report.retentionViolations > 0)
-        return 2;
-    return 0;
+    for (const SweepCell &cell : report.cells) {
+        if (cell.report.guarded && cell.report.retentionViolations > 0)
+            return 2;
+    }
+    return shard_stats.degraded() ? 3 : 0;
 }
