@@ -8,9 +8,9 @@
  * and pretrained model), then runs the identical prepared campaign
  * at laneBlock=1 (one trial per 1-lane pass) and at the tuned
  * default block. The batched report must be bit-identical to the
- * 1-lane one — any accuracy difference is fatal, batching is a speed
- * knob only — and the perf samples report both throughputs plus the
- * headline speedup.
+ * 1-lane one — every trial's accuracy and both of its fault rates;
+ * any difference is fatal, batching is a speed knob only — and the
+ * perf samples report both throughputs plus the headline speedup.
  */
 
 #include "harness.hh"
@@ -71,7 +71,7 @@ runCampaignBatch(rana::bench::BenchContext &ctx)
 
     double scalar_tps = 0.0;
     double batched_tps = 0.0;
-    double scalar_mean = 0.0;
+    FaultCampaignReport scalar;
     TextTable table("Scalar vs trial-batched corrupted forwards");
     table.header(
         {"lane block", "wall-clock", "trials/s", "mean accuracy"});
@@ -96,17 +96,34 @@ runCampaignBatch(rana::bench::BenchContext &ctx)
         table.row({std::to_string(lanes), wall_s, tps_s, mean_s});
         if (lanes == 1) {
             scalar_tps = tps;
-            scalar_mean = report.meanAccuracy;
-        } else {
-            batched_tps = tps;
-            // Bit-identity is the contract, not a tolerance: the
-            // batched kernels replay the scalar operation order per
-            // accumulator, so the means must match exactly.
-            if (report.meanAccuracy != scalar_mean) {
-                fatal("batched campaign diverged from scalar: mean ",
-                      report.meanAccuracy, " != ", scalar_mean);
-            }
+            scalar = report;
+            continue;
         }
+        batched_tps = tps;
+        // Bit-identity is the contract, not a tolerance: every lane
+        // draws its own injectors' streams and the batched kernels
+        // replay the scalar operation order per accumulator, so each
+        // trial must match exactly.
+        if (report.trials.size() != scalar.trials.size())
+            fatal("batched campaign ran ", report.trials.size(),
+                  " trials, scalar ", scalar.trials.size());
+        for (std::size_t t = 0; t < report.trials.size(); ++t) {
+            const TrialResult &got = report.trials[t];
+            const TrialResult &want = scalar.trials[t];
+            if (got.accuracy != want.accuracy ||
+                got.weightFailureRate != want.weightFailureRate ||
+                got.activationFailureRate != want.activationFailureRate)
+                fatal("batched campaign diverged from scalar at trial ",
+                      t, ": accuracy ", got.accuracy, " vs ",
+                      want.accuracy, ", weight rate ",
+                      got.weightFailureRate, " vs ",
+                      want.weightFailureRate, ", activation rate ",
+                      got.activationFailureRate, " vs ",
+                      want.activationFailureRate);
+        }
+        if (report.meanAccuracy != scalar.meanAccuracy)
+            fatal("batched campaign diverged from scalar: mean ",
+                  report.meanAccuracy, " != ", scalar.meanAccuracy);
     }
     table.print(std::cout);
 

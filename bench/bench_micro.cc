@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the framework's hot paths:
  * layer analysis, tiling search, trace simulation, refresh
- * accounting, error injection and the training kernels.
+ * accounting, error injection, the training kernels and the
+ * lane-block scorer.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "sched/layer_scheduler.hh"
 #include "sim/loopnest_simulator.hh"
 #include "sim/pattern_analytics.hh"
+#include "train/lane_scorer.hh"
 #include "train/layers.hh"
 #include "train/loss.hh"
 #include "train/trainer.hh"
@@ -213,6 +215,55 @@ BM_ConvLanes(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ConvLanes)->ArgsProduct({{0, 1, 2, 3, 4, 5}, {128, 1}});
+
+/**
+ * One scoreLanes block of 16 lanes of MiniVgg at the campaign scale
+ * (12x12 images, 4 classes, weights bound pre-quantized). Args: the
+ * samples per lane and both per-bit rates in units of 1e-4: 128 is a
+ * campaign trial block (every lane reads the whole test batch, in
+ * sample tiles), 1 a serving block of 16 one-sample requests.
+ */
+void
+BM_ScoreLanes(benchmark::State &state)
+{
+    const auto samples = static_cast<std::uint32_t>(state.range(0));
+    const double rate = static_cast<double>(state.range(1)) * 1e-4;
+    const std::uint32_t lanes = 16;
+    const FixedPointFormat format{12};
+    Rng rng(21);
+    const auto owner = makeMiniModel(MiniModelKind::MiniVgg, 12, 4, rng);
+    std::vector<Tensor> store;
+    for (const Param &param : owner->params()) {
+        store.push_back(*param.value);
+        quantizeTensor(store.back(), format);
+    }
+    const auto skeleton =
+        makeMiniModel(MiniModelKind::MiniVgg, 12, 4, rng);
+    bindSharedWeights(*skeleton, store);
+    DatasetConfig config;
+    config.imageSize = 12;
+    config.numClasses = 4;
+    config.trainSamples = 16;
+    config.testSamples = 128;
+    const Batch test = SyntheticDataset(config).testBatch();
+    std::vector<ScoredLane> block;
+    for (std::uint32_t l = 0; l < lanes; ++l)
+        block.push_back({samples == 1 ? l * 8 : 0,
+                         {rate, 2 * l + 1},
+                         {rate, 2 * l + 2}});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            scoreLanes(*skeleton, format, test, samples, block));
+    state.counters["samples/s"] = benchmark::Counter(
+        static_cast<double>(lanes * samples) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ScoreLanes)
+    ->Args({128, 0})
+    ->Args({128, 10})
+    ->Args({1, 0})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_TrainingStep(benchmark::State &state)

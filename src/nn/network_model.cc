@@ -78,13 +78,4 @@ NetworkModel::totalMacs() const
     return total;
 }
 
-std::uint64_t
-NetworkModel::totalWeightWords() const
-{
-    std::uint64_t total = 0;
-    for (const auto &layer : layers_)
-        total += layer.weightWords();
-    return total;
-}
-
 } // namespace rana

@@ -60,9 +60,6 @@ class NetworkModel
     /** Total MAC operations across all layers. */
     std::uint64_t totalMacs() const;
 
-    /** Total weight words across all layers. */
-    std::uint64_t totalWeightWords() const;
-
   private:
     std::string name_;
     std::vector<ConvLayerSpec> layers_;

@@ -297,12 +297,6 @@ class ServingSimulation
     /** The prepared configuration (auto qps left unresolved). */
     const ServingConfig &config() const { return config_; }
 
-    /** Resolved per-tenant open-loop rates. */
-    const std::vector<double> &resolvedQps() const
-    {
-        return resolvedQps_;
-    }
-
     /** Per-tenant bank shards. */
     const std::vector<BankShard> &shards() const { return shards_; }
 

@@ -53,17 +53,6 @@ LayerAnalysis::totalDramWords() const
     return total;
 }
 
-double
-LayerAnalysis::totalBufferWords() const
-{
-    double total = 0.0;
-    for (const auto &type : types) {
-        total += type.coreLoadWords + type.coreStoreWords +
-                 type.dramReadWords + type.dramWriteWords;
-    }
-    return total;
-}
-
 bool
 LayerAnalysis::spilled() const
 {

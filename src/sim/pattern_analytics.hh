@@ -129,8 +129,6 @@ struct LayerAnalysis
 
     /** Total off-chip traffic in words (reads + writes). */
     double totalDramWords() const;
-    /** Total on-chip buffer traffic in words (reads + writes). */
-    double totalBufferWords() const;
     /** Whether any type had to spill (phi < 1). */
     bool spilled() const;
 

@@ -12,18 +12,44 @@
  * For small rates the injector skips between affected words with a
  * geometric jump instead of testing every bit, keeping injection
  * cheap at the 1e-5 operating point.
+ *
+ * The draws depend only on counts: both paths consume the RNG as a
+ * function of the word count and the rate, never of the stored
+ * values or where they sit. So a run of words can be drawn once
+ * (drawFailures) and its failures applied to any window of it later
+ * (applyWordFailures), with the same result as corrupting the whole
+ * run in place. A lane block forwarded in sample tiles relies on it:
+ * the first tile draws each lane's failures over all of the lane's
+ * samples, and every tile applies those in its sample window (see
+ * SampleTiles in train/layer.hh).
  */
 
 #ifndef RANA_TRAIN_ERROR_INJECTION_HH_
 #define RANA_TRAIN_ERROR_INJECTION_HH_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "train/fixed_point.hh"
 #include "train/tensor.hh"
 #include "util/random.hh"
 
 namespace rana {
+
+/**
+ * One word's drawn retention failure: the bits that failed and the
+ * values they read back (bits outside `mask` are 0).
+ */
+struct WordFailure
+{
+    /** Logical word index within the drawn run. */
+    std::uint32_t index = 0;
+    /** Failed bits. */
+    std::uint16_t mask = 0;
+    /** What the failed bits read back. */
+    std::uint16_t bits = 0;
+};
 
 /** Injects bit-level retention errors into 16-bit words. */
 class BitErrorInjector
@@ -65,14 +91,47 @@ class BitErrorInjector
                                  std::size_t stride,
                                  const FixedPointFormat &format);
 
+    /**
+     * Draw the failures of `count` logical words without touching
+     * any data: the RNG consumption and failures of corruptStrided
+     * over `count` words, in increasing word order. Only words with
+     * a failed bit are listed.
+     * @pre count < 2^32
+     */
+    std::vector<WordFailure> drawFailures(std::size_t count);
+
     /** Reseed the injector. */
     void reseed(std::uint64_t seed);
 
   private:
+    /**
+     * The one draw loop: call `fail(i, mask, bits)` for the words of
+     * a `count`-word run in increasing order — on the sparse path
+     * only for failed words, on the dense path for every word (mask
+     * 0: none of its bits failed).
+     */
+    template <typename Fail>
+    void draw(std::size_t count, Fail &&fail);
+
     double rate_;
     double wordRate_;
     Rng rng_;
 };
+
+/**
+ * Apply those of `failures` (drawFailures order) whose index falls in
+ * [first, first + count) to the `count` words stored `stride` floats
+ * apart from `data`: word first + i sits at data[i * stride]. The
+ * words must already be quantized to `format`, as a forward's
+ * operands are; then applying a run's failures window by window
+ * equals corruptStrided over the whole run with the injector that
+ * drew them.
+ * @return the number of words that had at least one failed bit.
+ */
+std::uint64_t applyWordFailures(std::span<const WordFailure> failures,
+                                std::size_t first, std::size_t count,
+                                float *data, std::size_t stride,
+                                const FixedPointFormat &format);
 
 } // namespace rana
 

@@ -6,6 +6,7 @@
 #include "train/lane_scorer.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "train/loss.hh"
@@ -51,14 +52,33 @@ scoreLanes(Layer &skeleton, const FixedPointFormat &format,
             }
         }
 
-        const Tensor logits = skeleton.forward(
-            gatherLanes(test.images, firsts, samples_per_lane), ctx);
-        for (std::uint32_t l = 0; l < count; ++l) {
-            const std::vector<std::uint32_t> predicted =
-                argmaxRows(extractTrialLane(logits, l));
-            for (std::uint32_t i = 0; i < samples_per_lane; ++i)
-                correct[start + l] +=
-                    predicted[i] == test.labels[firsts[l] + i] ? 1 : 0;
+        // One tile runs untiled, recording nothing; more replay the
+        // first tile's draws and reuse its activation buffers.
+        SampleTiles tiles(samples_per_lane);
+        std::optional<BufferRecycler::Scope> recycling;
+        if (samples_per_lane > kSampleTile) {
+            ctx.tiles = &tiles;
+            recycling.emplace();
+        }
+        std::vector<std::uint32_t> tile_firsts(width);
+        for (std::uint32_t offset = 0; offset < samples_per_lane;
+             offset += kSampleTile) {
+            const std::uint32_t tile =
+                std::min(kSampleTile, samples_per_lane - offset);
+            tiles.start(offset, tile);
+            for (std::uint32_t l = 0; l < width; ++l)
+                tile_firsts[l] = firsts[l] + offset;
+            const Tensor logits = skeleton.forward(
+                gatherLanes(test.images, tile_firsts, tile), ctx);
+            for (std::uint32_t l = 0; l < count; ++l) {
+                const std::vector<std::uint32_t> predicted =
+                    argmaxRows(extractTrialLane(logits, l));
+                for (std::uint32_t i = 0; i < tile; ++i)
+                    correct[start + l] +=
+                        predicted[i] == test.labels[tile_firsts[l] + i]
+                            ? 1
+                            : 0;
+            }
         }
     }
     return correct;

@@ -14,11 +14,21 @@
  * scoreLaneLists fans the slices of several lists (one per model)
  * out in one parallelFor.
  *
- * Lane l draws only from injectors seeded by its own seeds, and no
- * kernel mixes lanes, so each lane's count equals that of a 1-lane
- * forward of its samples with freshly seeded injectors: how a list
- * is split into slices, calls and forwards never changes a count
- * (the LaneBlocks suite asserts it).
+ * A block whose lanes read more than kSampleTile samples runs as one
+ * forward per sample tile, so its activations stay cache-sized. The
+ * injectors' draws depend only on counts (train/error_injection.hh),
+ * so the first tile draws each lane's failures once over all of its
+ * samples, layer by layer, and keeps them with each layer's weight
+ * operands; every tile applies the failures in its sample window and
+ * reuses the weights (SampleTiles, train/layer.hh). A lane reading
+ * one tile or less records nothing: a served request runs as before.
+ *
+ * Lane l draws only from injectors seeded by its own seeds, each
+ * exactly once and in the untiled order, and no kernel mixes lanes,
+ * so each lane's count equals that of a 1-lane forward of its
+ * samples with freshly seeded injectors: how a list is split into
+ * slices, calls, forwards and tiles never changes a count (the
+ * LaneBlocks suite asserts it).
  */
 
 #ifndef RANA_TRAIN_LANE_SCORER_HH_
@@ -33,6 +43,14 @@
 #include "train/layer.hh"
 
 namespace rana {
+
+/**
+ * Samples per lane in one forward of a lane block: a block whose
+ * lanes read more runs as forwards of cache-sized sample tiles
+ * (SampleTiles). 32 measured fastest on a MiniVgg campaign block,
+ * against 8, 16, 64 and the untiled 128.
+ */
+inline constexpr std::uint32_t kSampleTile = 32;
 
 /** The bit-error draws of one operand class of one lane. */
 struct LaneFaults
@@ -58,11 +76,12 @@ struct ScoredLane
  * [first, first + samples_per_lane) of `test`, and its entry of the
  * result is the number of them predicted correctly.
  *
- * Any lane count runs, as ceil(n / 16) forwards each padded to
- * kernelLanes; a pad lane repeats its forward's first input, carries
- * null injectors and is never read. A lane gets an activation
- * (weight) injector only when its activation (weight) rate is above
- * 0.
+ * Any lane count runs, as ceil(n / 16) blocks each padded to
+ * kernelLanes; a pad lane repeats its block's first input, carries
+ * null injectors and is never read. Each block runs as
+ * ceil(samples_per_lane / kSampleTile) forwards. A lane gets an
+ * activation (weight) injector only when its activation (weight)
+ * rate is above 0.
  */
 std::vector<std::uint32_t> scoreLanes(Layer &skeleton,
                                       const FixedPointFormat &format,

@@ -15,13 +15,16 @@
  * One forward serves training, the fault campaign's trials and the
  * serving engine's requests: it runs one or more *lanes*, each with
  * its own injector pair, over lane-major tensors (see
- * train/trial_batch.hh).
+ * train/trial_batch.hh). A lane block may run as several forwards,
+ * one per sample tile (SampleTiles): the first tile draws every bit
+ * error and later tiles replay them.
  */
 
 #ifndef RANA_TRAIN_LAYER_HH_
 #define RANA_TRAIN_LAYER_HH_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,80 @@
 #include "util/random.hh"
 
 namespace rana {
+
+/**
+ * The weights and bias one weighted layer's lane kernel reads, with
+ * the buffers that hold them when they are not the layer's own.
+ */
+struct WeightOperands
+{
+    WeightOperands() = default;
+    // Moves only: a copy's pointers would read the source's buffers.
+    WeightOperands(WeightOperands &&) = default;
+    WeightOperands &operator=(WeightOperands &&) = default;
+
+    /** One lane's private weight copy (null: read in place). */
+    std::optional<Tensor> corrupted;
+    /** L > 1: per-lane weights and bias, lane index innermost. */
+    UninitFloats packedWeights;
+    UninitFloats packedBias;
+    /**
+     * Weights {out, ...[, L]} and bias {out[, L]} to read: into the
+     * buffers above (a move keeps them in place) or into the layer's
+     * tensors.
+     */
+    const float *weights = nullptr;
+    const float *bias = nullptr;
+};
+
+/**
+ * A lane block forwarded in sample tiles: one forward per tile, each
+ * over samples [first, first + count) of every lane's `samples`, in
+ * sample order from 0. The first tile draws, for every weighted layer
+ * in forward order, each lane's activation failures over the lane's
+ * whole run (samples x per-sample words) and the layer's weight
+ * operands, and keeps them here; every tile applies the failures
+ * that fall in its window, and later tiles read the kept weights. So
+ * each injector draws exactly what one forward of all the samples
+ * draws, once, in the same order (the draws depend only on counts,
+ * see train/error_injection.hh).
+ */
+class SampleTiles
+{
+  public:
+    /** What the first tile drew for one weighted layer. */
+    struct LayerDraws
+    {
+        /** Per lane: its activation failures (none: no injector). */
+        std::vector<std::vector<WordFailure>> activations;
+        WeightOperands weights;
+    };
+
+    /** @param samples samples per lane of the whole block */
+    explicit SampleTiles(std::uint32_t samples) : samples_(samples) {}
+
+    /** Begin the forward of samples [first, first + count). */
+    void start(std::uint32_t first, std::uint32_t count);
+
+    std::uint32_t samples() const { return samples_; }
+    std::uint32_t first() const { return first_; }
+    std::uint32_t count() const { return count_; }
+    /** Whether this tile draws (the first) or replays. */
+    bool drawing() const { return first_ == 0; }
+
+    /**
+     * The next weighted layer's draws: a new entry to fill on the
+     * first tile, the kept one after.
+     */
+    LayerDraws &nextLayer();
+
+  private:
+    std::uint32_t samples_;
+    std::uint32_t first_ = 0;
+    std::uint32_t count_ = 0;
+    std::vector<LayerDraws> layers_;
+    std::size_t cursor_ = 0;
+};
 
 /** Per-forward-pass execution options. */
 struct ForwardContext
@@ -53,6 +130,12 @@ struct ForwardContext
     std::vector<BitErrorInjector *> weightInjectors;
     /** Whether activations are cached for a following backward. */
     bool training = true;
+    /**
+     * The sample tiles this eval forward is one of (null: the
+     * forward runs its lanes' whole samples, as training and serving
+     * forwards do).
+     */
+    SampleTiles *tiles = nullptr;
 
     /** Number of lanes fused into the pass. */
     std::uint32_t lanes() const

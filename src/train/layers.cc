@@ -154,6 +154,29 @@ bindSharedWeights(Layer &model, const std::vector<Tensor> &store)
 }
 
 void
+SampleTiles::start(std::uint32_t first, std::uint32_t count)
+{
+    RANA_ASSERT(first == first_ + count_,
+                "sample tiles run in order from sample 0");
+    RANA_ASSERT(count > 0 && first + count <= samples_,
+                "sample tile outside the lanes' samples");
+    first_ = first;
+    count_ = count;
+    cursor_ = 0;
+}
+
+SampleTiles::LayerDraws &
+SampleTiles::nextLayer()
+{
+    RANA_ASSERT(count_ > 0, "no sample tile started");
+    if (drawing())
+        return layers_.emplace_back();
+    RANA_ASSERT(cursor_ < layers_.size(),
+                "a tile forward ran more weighted layers than the first");
+    return layers_[cursor_++];
+}
+
+void
 heInitialize(Tensor &tensor, std::uint32_t fan_in, Rng &rng)
 {
     RANA_ASSERT(fan_in > 0, "fan-in must be positive");
@@ -184,11 +207,13 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
     RANA_ASSERT(ctx.weightInjectors.empty() ||
                     ctx.weightInjectors.size() == lanes,
                 "one weight injector per lane");
-    // A bound store is pre-quantized (bindSharedWeights).
-    const bool bound = sharedWeights_ != nullptr;
-    const Tensor &weights = bound ? *sharedWeights_ : weights_;
-    const Tensor &bias =
-        sharedBias_ != nullptr ? *sharedBias_ : bias_;
+    SampleTiles *tiles = ctx.tiles;
+    RANA_ASSERT(tiles == nullptr || !ctx.training,
+                "sample tiles are eval-only");
+    SampleTiles::LayerDraws *draws =
+        tiles != nullptr ? &tiles->nextLayer() : nullptr;
+    if (draws != nullptr && tiles->drawing())
+        draws->activations.resize(lanes);
     Operands ops;
     ops.input = std::move(input);
     if (ctx.quant != nullptr) {
@@ -196,12 +221,45 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
                           *ctx.quant);
         const std::size_t per_lane = ops.input.size() / lanes;
         for (std::uint32_t l = 0; l < ctx.injectors.size(); ++l) {
-            if (ctx.injectors[l] != nullptr) {
-                ctx.injectors[l]->corruptStrided(
-                    ops.input.data() + l, per_lane, lanes, *ctx.quant);
+            BitErrorInjector *injector = ctx.injectors[l];
+            if (injector == nullptr)
+                continue;
+            float *lane = ops.input.data() + l;
+            if (draws == nullptr) {
+                injector->corruptStrided(lane, per_lane, lanes,
+                                         *ctx.quant);
+                continue;
             }
+            const std::size_t words = per_lane / tiles->count();
+            if (tiles->drawing())
+                draws->activations[l] =
+                    injector->drawFailures(words * tiles->samples());
+            applyWordFailures(draws->activations[l],
+                              words * tiles->first(), per_lane, lane,
+                              lanes, *ctx.quant);
         }
     }
+    if (draws == nullptr) {
+        static_cast<WeightOperands &>(ops) = weightOperands(lanes, ctx);
+    } else {
+        if (tiles->drawing())
+            draws->weights = weightOperands(lanes, ctx);
+        ops.weights = draws->weights.weights;
+        ops.bias = draws->weights.bias;
+    }
+    return ops;
+}
+
+WeightOperands
+WeightedLayer::weightOperands(std::uint32_t lanes,
+                              const ForwardContext &ctx) const
+{
+    // A bound store is pre-quantized (bindSharedWeights).
+    const bool bound = sharedWeights_ != nullptr;
+    const Tensor &weights = bound ? *sharedWeights_ : weights_;
+    const Tensor &bias =
+        sharedBias_ != nullptr ? *sharedBias_ : bias_;
+    WeightOperands ops;
     if (lanes == 1) {
         ops.corrupted = laneWeights(weights, bound, ctx, 0);
         ops.weights =

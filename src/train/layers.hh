@@ -9,7 +9,6 @@
 #define RANA_TRAIN_LAYERS_HH_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,22 +33,10 @@ class WeightedLayer : public Layer
     explicit WeightedLayer(std::vector<std::uint32_t> weight_shape);
 
     /** The operands one forward's lane kernel reads. */
-    struct Operands
+    struct Operands : WeightOperands
     {
         /** The input, quantized and corrupted per lane. */
         Tensor input;
-        /** One lane's private weight copy (null: read in place). */
-        std::optional<Tensor> corrupted;
-        /** L > 1: per-lane weights and bias, lane index innermost. */
-        UninitFloats packedWeights;
-        UninitFloats packedBias;
-        /**
-         * Weights {out, ...[, L]} and bias {out[, L]} to read: into
-         * the buffers above (a move keeps them in place) or into the
-         * layer's tensors.
-         */
-        const float *weights = nullptr;
-        const float *bias = nullptr;
     };
 
     /**
@@ -59,10 +46,16 @@ class WeightedLayer : public Layer
      * corrupted in place by its own injector at the lane stride,
      * before the lane's weights, so every injector draws the same
      * stream as in a 1-lane forward. The weights are copy-on-corrupt
-     * per lane.
+     * per lane. In a sample tile (ctx.tiles) the first tile draws and
+     * keeps the layer's failures and weights, and later tiles replay
+     * them.
      */
     Operands operands(Tensor input, std::uint32_t lanes,
                       const ForwardContext &ctx) const;
+
+    /** The weight operands of a forward with `lanes` lanes. */
+    WeightOperands weightOperands(std::uint32_t lanes,
+                                  const ForwardContext &ctx) const;
 
     /** Keep a training forward's operands for the backward. */
     void cacheForBackward(Operands &&ops, const Tensor &output);

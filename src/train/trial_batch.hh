@@ -17,7 +17,10 @@
  * The kernels run compile-time lane counts only: 16, 8, 4, 2 or 1,
  * asserted on entry. scoreLanes is the one place that pads a lane
  * list to them (kernelLanes); the training minibatch is split into
- * them.
+ * them. scoreLanes also cuts a block of campaign trials into sample
+ * tiles (SampleTiles): forwards of 32 samples per lane that replay
+ * the bit errors the first tile drew over all the samples, so a
+ * tiled block is bit-identical to one forward of the whole batch.
  *
  * The conv forward is register-tiled: a tile of output channels x
  * output columns x L lanes of accumulators stays in vector registers

@@ -71,6 +71,31 @@ TEST(TensorTest, ShapeConstructorZeroFills)
     EXPECT_EQ(u.size(), t.size());
 }
 
+TEST(TensorTest, RecyclerReusesLargeBuffersInScope)
+{
+    // An odd size no other test's tensors share.
+    const std::uint32_t large =
+        static_cast<std::uint32_t>(BufferRecycler::kMinBytes /
+                                   sizeof(float)) +
+        7;
+    const float *kept = nullptr;
+    {
+        BufferRecycler::Scope scope;
+        kept = Tensor::uninitialized({large}).data();
+        // The freed buffer is kept: another size cannot get it...
+        const Tensor other = Tensor::uninitialized({large + 1});
+        EXPECT_NE(other.data(), kept);
+        // ...and the same size gets it back.
+        const Tensor same = Tensor::uninitialized({large});
+        EXPECT_EQ(same.data(), kept);
+    }
+    // Kept past the scope, but handed out only inside one.
+    const Tensor outside = Tensor::uninitialized({large});
+    EXPECT_NE(outside.data(), kept);
+    BufferRecycler::Scope warm;
+    EXPECT_EQ(Tensor::uninitialized({large}).data(), kept);
+}
+
 TEST(TensorTest, ReshapedRvalueKeepsData)
 {
     Tensor t({2, 6});

@@ -1351,23 +1351,29 @@ oneLaneCorrect(Layer &model, const FixedPointFormat &format,
         .correct;
 }
 
+/** A lane's activation and weight bit-error rates. */
+struct FaultMix
+{
+    double activation;
+    double weight;
+};
+
 /**
- * scoreLanes at 1/3/5/16/17/33 lanes (one forward, padded ones, a
- * 16-lane forward plus a padded remainder) against oneLaneCorrect
- * for every lane. Lanes cycle through four fault mixes: both rates
- * 2e-3, both 0, and one of the two at 0 — an activation-only lane
- * must keep its weights clean. The labels are the clean model's own
- * predictions, so a clean lane scores every sample and the
- * corrupted lanes show that the errors reach the logits.
- * `first(l)` picks lane l's first sample.
+ * scoreLanes at each of `counts` lanes over a `batch`-sample test
+ * batch, against oneLaneCorrect for every lane. Lane l runs
+ * `mixes[l % mixes.size()]`; a lane with a zero rate must keep that
+ * operand clean. The labels are the clean model's own predictions,
+ * so a clean lane scores every sample and the corrupted lanes show
+ * that the errors reach the logits. `first(l)` picks lane l's first
+ * sample.
  */
 void
-checkLaneBlocks(std::uint32_t samples_per_lane,
-                const std::function<std::uint32_t(std::uint32_t)> &first)
+checkLaneBlocks(std::uint32_t batch, std::uint32_t samples_per_lane,
+                const std::function<std::uint32_t(std::uint32_t)> &first,
+                const std::vector<FaultMix> &mixes,
+                const std::vector<std::uint32_t> &counts)
 {
     const std::uint32_t image_size = 12;
-    const std::uint32_t batch = 8;
-    const double rate = 2e-3;
     const FixedPointFormat format{12};
     for (MiniModelKind kind :
          {MiniModelKind::MiniAlex, MiniModelKind::MiniVgg,
@@ -1390,15 +1396,14 @@ checkLaneBlocks(std::uint32_t samples_per_lane,
         }
 
         std::uint32_t corrupted_misses = 0;
-        for (std::uint32_t count : {1u, 3u, 5u, 16u, 17u, 33u}) {
+        for (std::uint32_t count : counts) {
             SCOPED_TRACE(::testing::Message() << count << " lanes");
             std::vector<ScoredLane> lanes;
             for (std::uint32_t l = 0; l < count; ++l) {
-                const double act = l % 4 == 1 || l % 4 == 3 ? 0.0 : rate;
-                const double wt = l % 4 == 1 || l % 4 == 2 ? 0.0 : rate;
+                const FaultMix &mix = mixes[l % mixes.size()];
                 lanes.push_back({first(l),
-                                 {act, 0x5eed + 2 * l + 1},
-                                 {wt, 0x5eed + 2 * l + 2}});
+                                 {mix.activation, 0x5eed + 2 * l + 1},
+                                 {mix.weight, 0x5eed + 2 * l + 2}});
             }
             const std::vector<std::uint32_t> correct = scoreLanes(
                 model, format, test, samples_per_lane, lanes);
@@ -1408,7 +1413,8 @@ checkLaneBlocks(std::uint32_t samples_per_lane,
                           oneLaneCorrect(model, format, test,
                                          samples_per_lane, lanes[l]))
                     << "lane " << l;
-                if (l % 4 == 1)
+                if (lanes[l].activation.rate == 0.0 &&
+                    lanes[l].weight.rate == 0.0)
                     EXPECT_EQ(correct[l], samples_per_lane)
                         << "clean lane " << l;
                 else
@@ -1419,17 +1425,47 @@ checkLaneBlocks(std::uint32_t samples_per_lane,
     }
 }
 
+/**
+ * Both rates 2e-3, both 0, and one of the two at 0, at 1/3/5/16/17/33
+ * lanes: one forward, padded ones, a 16-lane forward plus a padded
+ * remainder.
+ */
+const std::vector<FaultMix> kLaneMixes = {
+    {2e-3, 2e-3}, {0.0, 0.0}, {2e-3, 0.0}, {0.0, 2e-3}};
+const std::vector<std::uint32_t> kLaneCounts = {1, 3, 5, 16, 17, 33};
+
 TEST(LaneBlocks, TrialLanesMatchOneLaneForwards)
 {
     // A campaign trial: every lane reads the whole test batch.
-    checkLaneBlocks(8, [](std::uint32_t) { return 0u; });
+    checkLaneBlocks(8, 8, [](std::uint32_t) { return 0u; }, kLaneMixes,
+                    kLaneCounts);
 }
 
 TEST(LaneBlocks, SampleLanesMatchOneLaneForwards)
 {
     // Served requests: one sample per lane, firsts spread over the
     // batch.
-    checkLaneBlocks(1, [](std::uint32_t l) { return (l * 3) % 8; });
+    checkLaneBlocks(8, 1, [](std::uint32_t l) { return (l * 3) % 8; },
+                    kLaneMixes, kLaneCounts);
+}
+
+TEST(LaneBlocks, SampleTilesMatchOneLaneForwards)
+{
+    // Campaign trials over two full sample tiles and a 5-sample
+    // remainder: every tile must apply the failures drawn once over
+    // the whole batch and reuse the weights drawn once. Rate 2e-3
+    // takes the injector's sparse path, 1e-2 its dense path. 17 lanes
+    // end in a 1-lane forward, whose weights are a private copy.
+    const std::uint32_t batch = 2 * kSampleTile + 5;
+    checkLaneBlocks(batch, batch, [](std::uint32_t) { return 0u; },
+                    {{2e-3, 2e-3},
+                     {1e-2, 1e-2},
+                     {0.0, 0.0},
+                     {1e-2, 0.0},
+                     {0.0, 1e-2},
+                     {2e-3, 0.0},
+                     {0.0, 2e-3}},
+                    {1, 5, 17});
 }
 
 TEST(LaneForward, LvalueInputIsUntouched)
