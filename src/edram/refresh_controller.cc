@@ -65,6 +65,15 @@ dataNeedsRefresh(const LayerRefreshDemand &demand, DataType type,
 }
 
 std::uint64_t
+refreshPulses(double duration_seconds, double interval_seconds)
+{
+    if (interval_seconds <= 0.0)
+        return 0;
+    return static_cast<std::uint64_t>(std::floor(
+        duration_seconds / interval_seconds * (1.0 + 1e-12) + 1e-12));
+}
+
+std::uint64_t
 refreshOpsForLayer(RefreshPolicy policy, const BufferGeometry &geometry,
                    const LayerRefreshDemand &demand,
                    double interval_seconds)
@@ -76,12 +85,8 @@ refreshOpsForLayer(RefreshPolicy policy, const BufferGeometry &geometry,
     RANA_ASSERT(interval_seconds > 0.0,
                 "refresh interval must be positive");
 
-    // The epsilon absorbs floating-point quotient jitter so exact
-    // multiples of the interval count their final pulse (matching
-    // the event-driven controller).
-    const auto pulses = static_cast<std::uint64_t>(std::floor(
-        demand.layerSeconds / interval_seconds * (1.0 + 1e-12) +
-        1e-12));
+    const std::uint64_t pulses =
+        refreshPulses(demand.layerSeconds, interval_seconds);
     if (pulses == 0)
         return 0;
 

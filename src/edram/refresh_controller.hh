@@ -77,6 +77,16 @@ bool dataNeedsRefresh(const LayerRefreshDemand &demand, DataType type,
                       double interval_seconds);
 
 /**
+ * Refresh pulses of period `interval_seconds` during
+ * `duration_seconds`: the floor of their quotient, with a slack that
+ * absorbs floating-point quotient jitter so exact multiples of the
+ * interval count their final pulse (matching the event-driven
+ * controller). 0 for a non-positive interval.
+ */
+std::uint64_t refreshPulses(double duration_seconds,
+                            double interval_seconds);
+
+/**
  * Closed-form refresh operation count (16-bit words refreshed) for
  * one layer under the given policy and refresh interval.
  */

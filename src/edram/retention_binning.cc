@@ -132,11 +132,8 @@ RetentionBinning::refreshOpsForLayer(
             const double interval = binInterval_[bin_[bank]];
             if (demand.lifetimeSeconds[type] < interval)
                 continue;
-            const auto pulses = static_cast<std::uint64_t>(
-                std::floor(demand.layerSeconds / interval *
-                               (1.0 + 1e-12) +
-                           1e-12));
-            ops += pulses * bank_words;
+            ops += refreshPulses(demand.layerSeconds, interval) *
+                   bank_words;
         }
     }
     return ops;

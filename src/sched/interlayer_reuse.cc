@@ -13,20 +13,6 @@
 
 namespace rana {
 
-namespace {
-
-/** Pulses of `interval` during `duration` (floor with FP slack). */
-std::uint64_t
-pulsesDuring(double duration, double interval)
-{
-    if (interval <= 0.0)
-        return 0;
-    return static_cast<std::uint64_t>(
-        std::floor(duration / interval * (1.0 + 1e-12) + 1e-12));
-}
-
-} // namespace
-
 double
 InterLayerReuseResult::totalSavedDramWords() const
 {
@@ -129,8 +115,8 @@ applyInterLayerReuse(const AcceleratorConfig &config,
         std::uint64_t added_refresh = 0;
         const bool needs_refresh = carried >= interval;
         const std::uint64_t held_pulses =
-            needs_refresh ? pulsesDuring(carried, interval) : 0;
-        const std::uint64_t cons_pulses = pulsesDuring(
+            needs_refresh ? refreshPulses(carried, interval) : 0;
+        const std::uint64_t cons_pulses = refreshPulses(
             cons_sched.analysis.layerSeconds, interval);
         switch (schedule.policy) {
           case RefreshPolicy::None:

@@ -42,35 +42,21 @@ BitErrorInjector::reseed(std::uint64_t seed)
     rng_.seed(seed);
 }
 
-std::int16_t
-BitErrorInjector::corruptWord(std::int16_t word)
-{
-    auto bits = static_cast<std::uint16_t>(word);
-    // A failed bit reads a uniformly random value, i.e. it flips
-    // with probability 1/2.
-    for (int b = 0; b < wordBits; ++b) {
-        if (rng_.bernoulli(rate_)) {
-            const std::uint16_t random_bit = rng_.next() & 1u;
-            bits = static_cast<std::uint16_t>(
-                (bits & ~(1u << b)) | (random_bit << b));
-        }
-    }
-    return static_cast<std::int16_t>(bits);
-}
-
 std::uint64_t
 BitErrorInjector::corruptTensor(Tensor &tensor,
                                 const FixedPointFormat &format)
 {
-    return corruptStrided(tensor.data(), tensor.size(), 1, format);
+    return applyWordFailures(drawFailures(tensor.size()), 0,
+                             tensor.size(), tensor.data(), 1, format);
 }
 
-template <typename Fail>
-void
-BitErrorInjector::draw(std::size_t count, Fail &&fail)
+std::vector<WordFailure>
+BitErrorInjector::drawFailures(std::size_t count)
 {
+    RANA_ASSERT(count <= UINT32_MAX, "a drawn run indexes 32-bit words");
+    std::vector<WordFailure> failures;
     if (rate_ <= 0.0)
-        return;
+        return failures;
 
     if (wordRate_ < 0.05) {
         // Sparse path: geometric jumps between affected words.
@@ -88,8 +74,10 @@ BitErrorInjector::draw(std::size_t count, Fail &&fail)
             const int bit =
                 static_cast<int>(rng_.uniformInt(std::uint64_t{16}));
             const std::uint16_t random_bit = rng_.next() & 1u;
-            fail(index, static_cast<std::uint16_t>(1u << bit),
-                 static_cast<std::uint16_t>(random_bit << bit));
+            failures.push_back(
+                {static_cast<std::uint32_t>(index),
+                 static_cast<std::uint16_t>(1u << bit),
+                 static_cast<std::uint16_t>(random_bit << bit)});
             ++index;
             if (index >= count)
                 break;
@@ -107,42 +95,11 @@ BitErrorInjector::draw(std::size_t count, Fail &&fail)
                                                       (random_bit << b));
                 }
             }
-            fail(i, mask, bits);
+            if (mask != 0)
+                failures.push_back(
+                    {static_cast<std::uint32_t>(i), mask, bits});
         }
     }
-}
-
-std::uint64_t
-BitErrorInjector::corruptStrided(float *data, std::size_t count,
-                                 std::size_t stride,
-                                 const FixedPointFormat &format)
-{
-    RANA_ASSERT(stride > 0, "stride must be positive");
-    // A word counts as corrupted when any bit failed, even if the
-    // random replacement happened to match the original value. The
-    // dense path rewrites every word, quantized.
-    std::uint64_t corrupted = 0;
-    draw(count, [&](std::size_t i, std::uint16_t mask,
-                    std::uint16_t bits) {
-        float &slot = data[i * stride];
-        slot = format.dequantize(
-            failedWord(format.quantize(slot), mask, bits));
-        corrupted += mask != 0 ? 1 : 0;
-    });
-    return corrupted;
-}
-
-std::vector<WordFailure>
-BitErrorInjector::drawFailures(std::size_t count)
-{
-    RANA_ASSERT(count <= UINT32_MAX, "a drawn run indexes 32-bit words");
-    std::vector<WordFailure> failures;
-    draw(count, [&](std::size_t i, std::uint16_t mask,
-                    std::uint16_t bits) {
-        if (mask != 0)
-            failures.push_back(
-                {static_cast<std::uint32_t>(i), mask, bits});
-    });
     return failures;
 }
 
@@ -157,8 +114,8 @@ applyWordFailures(std::span<const WordFailure> failures,
         [](const WordFailure &f, std::size_t i) { return f.index < i; });
     std::uint64_t corrupted = 0;
     for (; it != failures.end() && it->index < first + count; ++it) {
-        // A quantized word round-trips exactly, so an unfailed word
-        // needs no rewrite.
+        // A word counts as corrupted when any bit failed, even if
+        // the random replacement matches the original value.
         float &slot = data[(it->index - first) * stride];
         slot = format.dequantize(
             failedWord(format.quantize(slot), it->mask, it->bits));

@@ -13,15 +13,17 @@
  * geometric jump instead of testing every bit, keeping injection
  * cheap at the 1e-5 operating point.
  *
- * The draws depend only on counts: both paths consume the RNG as a
- * function of the word count and the rate, never of the stored
- * values or where they sit. So a run of words can be drawn once
- * (drawFailures) and its failures applied to any window of it later
- * (applyWordFailures), with the same result as corrupting the whole
- * run in place. A lane block forwarded in sample tiles relies on it:
- * the first tile draws each lane's failures over all of the lane's
- * samples, and every tile applies those in its sample window (see
- * SampleTiles in train/layer.hh).
+ * Injection is one path in two steps: drawFailures draws the
+ * failures of a run of words, and applyWordFailures applies those
+ * that fall in a window of it. The draws depend only on counts: the
+ * RNG is consumed as a function of the word count and the rate,
+ * never of the stored values or where they sit. So applying a run's
+ * failures window by window, at any stride, equals applying them to
+ * the whole run at once. Every forward draws each operand's failures
+ * once over its whole run and applies them by window: a forward
+ * outside sample tiles is one window, and a lane block forwarded in
+ * sample tiles applies each tile's window of what its first tile
+ * drew (see SampleTiles in train/layer.hh).
  */
 
 #ifndef RANA_TRAIN_ERROR_INJECTION_HH_
@@ -65,37 +67,24 @@ class BitErrorInjector
     /** Per-bit failure rate. */
     double failureRate() const { return rate_; }
 
-    /** Corrupt one 16-bit word. */
-    std::int16_t corruptWord(std::int16_t word);
-
     /**
-     * Corrupt a tensor in place: quantize to `format`, inject bit
-     * errors into the stored words, dequantize back.
+     * Corrupt a tensor in place: draw the failures of its words and
+     * apply them (drawFailures, then applyWordFailures over the whole
+     * tensor at stride 1). A failed word is quantized to `format`,
+     * has its failed bits replaced and is dequantized back; an
+     * unfailed word is left as it is.
+     * @pre the tensor is quantized to `format`, as a forward's
+     * operands are
      * @return the number of words that had at least one failed bit.
      */
     std::uint64_t corruptTensor(Tensor &tensor,
                                 const FixedPointFormat &format);
 
     /**
-     * Corrupt `count` logical words stored `stride` floats apart,
-     * starting at `data`. The RNG consumption depends only on
-     * `count` and the rate, never on the stride, so corrupting one
-     * lane of a lane-major trial batch (stride = lane count) draws
-     * exactly the same error pattern as corrupting the contiguous
-     * scalar tensor — the batched campaign path stays bit-identical
-     * to the per-trial reference. corruptTensor is the stride-1
-     * special case.
-     * @return the number of words that had at least one failed bit.
-     */
-    std::uint64_t corruptStrided(float *data, std::size_t count,
-                                 std::size_t stride,
-                                 const FixedPointFormat &format);
-
-    /**
      * Draw the failures of `count` logical words without touching
-     * any data: the RNG consumption and failures of corruptStrided
-     * over `count` words, in increasing word order. Only words with
-     * a failed bit are listed.
+     * any data, in increasing word order. Only words with a failed
+     * bit are listed. The RNG consumption depends only on `count` and
+     * the rate.
      * @pre count < 2^32
      */
     std::vector<WordFailure> drawFailures(std::size_t count);
@@ -104,15 +93,6 @@ class BitErrorInjector
     void reseed(std::uint64_t seed);
 
   private:
-    /**
-     * The one draw loop: call `fail(i, mask, bits)` for the words of
-     * a `count`-word run in increasing order — on the sparse path
-     * only for failed words, on the dense path for every word (mask
-     * 0: none of its bits failed).
-     */
-    template <typename Fail>
-    void draw(std::size_t count, Fail &&fail);
-
     double rate_;
     double wordRate_;
     Rng rng_;
@@ -123,9 +103,9 @@ class BitErrorInjector
  * [first, first + count) to the `count` words stored `stride` floats
  * apart from `data`: word first + i sits at data[i * stride]. The
  * words must already be quantized to `format`, as a forward's
- * operands are; then applying a run's failures window by window
- * equals corruptStrided over the whole run with the injector that
- * drew them.
+ * operands are, so an unfailed word needs no rewrite; then applying
+ * a run's failures window by window equals applying them to the
+ * whole run at once.
  * @return the number of words that had at least one failed bit.
  */
 std::uint64_t applyWordFailures(std::span<const WordFailure> failures,

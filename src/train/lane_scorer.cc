@@ -6,7 +6,6 @@
 #include "train/lane_scorer.hh"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "train/loss.hh"
@@ -52,14 +51,12 @@ scoreLanes(Layer &skeleton, const FixedPointFormat &format,
             }
         }
 
-        // One tile runs untiled, recording nothing; more replay the
-        // first tile's draws and reuse its activation buffers.
+        // The first tile draws every lane's failures over all of its
+        // samples; later ones replay them and reuse its activation
+        // buffers. A served one-sample lane is a one-tile block.
         SampleTiles tiles(samples_per_lane);
-        std::optional<BufferRecycler::Scope> recycling;
-        if (samples_per_lane > kSampleTile) {
-            ctx.tiles = &tiles;
-            recycling.emplace();
-        }
+        ctx.tiles = &tiles;
+        const BufferRecycler::Scope recycling;
         std::vector<std::uint32_t> tile_firsts(width);
         for (std::uint32_t offset = 0; offset < samples_per_lane;
              offset += kSampleTile) {

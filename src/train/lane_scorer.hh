@@ -14,14 +14,14 @@
  * scoreLaneLists fans the slices of several lists (one per model)
  * out in one parallelFor.
  *
- * A block whose lanes read more than kSampleTile samples runs as one
- * forward per sample tile, so its activations stay cache-sized. The
- * injectors' draws depend only on counts (train/error_injection.hh),
- * so the first tile draws each lane's failures once over all of its
- * samples, layer by layer, and keeps them with each layer's weight
- * operands; every tile applies the failures in its sample window and
- * reuses the weights (SampleTiles, train/layer.hh). A lane reading
- * one tile or less records nothing: a served request runs as before.
+ * Every block runs as one forward per sample tile of at most
+ * kSampleTile samples per lane, so its activations stay cache-sized.
+ * The injectors' draws depend only on counts
+ * (train/error_injection.hh), so the first tile draws each lane's
+ * failures once over all of its samples, layer by layer, and keeps
+ * them with each layer's weight operands; every tile applies the
+ * failures in its sample window and reuses the weights (SampleTiles,
+ * train/layer.hh). A served request's block is one tile.
  *
  * Lane l draws only from injectors seeded by its own seeds, each
  * exactly once and in the untiled order, and no kernel mixes lanes,
@@ -45,10 +45,10 @@
 namespace rana {
 
 /**
- * Samples per lane in one forward of a lane block: a block whose
- * lanes read more runs as forwards of cache-sized sample tiles
- * (SampleTiles). 32 measured fastest on a MiniVgg campaign block,
- * against 8, 16, 64 and the untiled 128.
+ * Most samples per lane in one forward of a lane block: a block runs
+ * as forwards of cache-sized sample tiles (SampleTiles). 32 measured
+ * fastest on a MiniVgg campaign block, against 8, 16, 64 and the
+ * untiled 128.
  */
 inline constexpr std::uint32_t kSampleTile = 32;
 

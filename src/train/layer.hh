@@ -15,9 +15,11 @@
  * One forward serves training, the fault campaign's trials and the
  * serving engine's requests: it runs one or more *lanes*, each with
  * its own injector pair, over lane-major tensors (see
- * train/trial_batch.hh). A lane block may run as several forwards,
- * one per sample tile (SampleTiles): the first tile draws every bit
- * error and later tiles replay them.
+ * train/trial_batch.hh). Every forward draws each operand's bit
+ * errors once over its whole run and applies them by window: a lane
+ * block runs as one forward per sample tile (SampleTiles), the first
+ * drawing every bit error and each applying its window; any other
+ * forward is one window over its whole run.
  */
 
 #ifndef RANA_TRAIN_LAYER_HH_
@@ -67,10 +69,12 @@ struct WeightOperands
  * in forward order, each lane's activation failures over the lane's
  * whole run (samples x per-sample words) and the layer's weight
  * operands, and keeps them here; every tile applies the failures
- * that fall in its window, and later tiles read the kept weights. So
- * each injector draws exactly what one forward of all the samples
- * draws, once, in the same order (the draws depend only on counts,
- * see train/error_injection.hh).
+ * that fall in its window, later tiles read the kept weights, and the
+ * last tile takes them. So each injector draws exactly what one
+ * forward of all the samples draws, once, in the same order (the
+ * draws depend only on counts, see train/error_injection.hh). A
+ * forward outside any tiles runs as the one tile of a one-sample
+ * block: a single window over its whole run.
  */
 class SampleTiles
 {
@@ -94,6 +98,8 @@ class SampleTiles
     std::uint32_t count() const { return count_; }
     /** Whether this tile draws (the first) or replays. */
     bool drawing() const { return first_ == 0; }
+    /** Whether this tile is the block's last. */
+    bool last() const { return first_ + count_ == samples_; }
 
     /**
      * The next weighted layer's draws: a new entry to fill on the
@@ -131,9 +137,10 @@ struct ForwardContext
     /** Whether activations are cached for a following backward. */
     bool training = true;
     /**
-     * The sample tiles this eval forward is one of (null: the
-     * forward runs its lanes' whole samples, as training and serving
-     * forwards do).
+     * The sample tiles this eval forward is one of, as every
+     * scoreLanes block's forwards are (null: the forward is one
+     * window over its lanes' whole runs, as training and evaluation
+     * forwards are).
      */
     SampleTiles *tiles = nullptr;
 

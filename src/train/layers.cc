@@ -207,45 +207,44 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
     RANA_ASSERT(ctx.weightInjectors.empty() ||
                     ctx.weightInjectors.size() == lanes,
                 "one weight injector per lane");
-    SampleTiles *tiles = ctx.tiles;
-    RANA_ASSERT(tiles == nullptr || !ctx.training,
+    RANA_ASSERT(ctx.tiles == nullptr || !ctx.training,
                 "sample tiles are eval-only");
-    SampleTiles::LayerDraws *draws =
-        tiles != nullptr ? &tiles->nextLayer() : nullptr;
-    if (draws != nullptr && tiles->drawing())
-        draws->activations.resize(lanes);
+    // A forward outside tiles is the one tile of a one-sample block.
+    SampleTiles whole(1);
+    if (ctx.tiles == nullptr)
+        whole.start(0, 1);
+    SampleTiles &tiles = ctx.tiles != nullptr ? *ctx.tiles : whole;
+    SampleTiles::LayerDraws &draws = tiles.nextLayer();
     Operands ops;
     ops.input = std::move(input);
     if (ctx.quant != nullptr) {
         quantizeTrialSpan(ops.input.data(), ops.input.size(),
                           *ctx.quant);
         const std::size_t per_lane = ops.input.size() / lanes;
+        const std::size_t words = per_lane / tiles.count();
+        if (tiles.drawing())
+            draws.activations.resize(ctx.injectors.size());
         for (std::uint32_t l = 0; l < ctx.injectors.size(); ++l) {
             BitErrorInjector *injector = ctx.injectors[l];
             if (injector == nullptr)
                 continue;
-            float *lane = ops.input.data() + l;
-            if (draws == nullptr) {
-                injector->corruptStrided(lane, per_lane, lanes,
-                                         *ctx.quant);
-                continue;
-            }
-            const std::size_t words = per_lane / tiles->count();
-            if (tiles->drawing())
-                draws->activations[l] =
-                    injector->drawFailures(words * tiles->samples());
-            applyWordFailures(draws->activations[l],
-                              words * tiles->first(), per_lane, lane,
-                              lanes, *ctx.quant);
+            if (tiles.drawing())
+                draws.activations[l] =
+                    injector->drawFailures(words * tiles.samples());
+            applyWordFailures(draws.activations[l],
+                              words * tiles.first(), per_lane,
+                              ops.input.data() + l, lanes, *ctx.quant);
         }
     }
-    if (draws == nullptr) {
-        static_cast<WeightOperands &>(ops) = weightOperands(lanes, ctx);
+    if (tiles.drawing())
+        draws.weights = weightOperands(lanes, ctx);
+    // The last tile takes the kept weights, which then live as long
+    // as its operands (a training forward caches them).
+    if (tiles.last()) {
+        static_cast<WeightOperands &>(ops) = std::move(draws.weights);
     } else {
-        if (tiles->drawing())
-            draws->weights = weightOperands(lanes, ctx);
-        ops.weights = draws->weights.weights;
-        ops.bias = draws->weights.bias;
+        ops.weights = draws.weights.weights;
+        ops.bias = draws.weights.bias;
     }
     return ops;
 }

@@ -42,13 +42,14 @@ class WeightedLayer : public Layer
     /**
      * The effective operands of a forward over `input` with `lanes`
      * lanes. The input is quantized in place as a whole (element-wise,
-     * so each lane as a 1-lane forward would) and each lane is then
-     * corrupted in place by its own injector at the lane stride,
-     * before the lane's weights, so every injector draws the same
-     * stream as in a 1-lane forward. The weights are copy-on-corrupt
-     * per lane. In a sample tile (ctx.tiles) the first tile draws and
-     * keeps the layer's failures and weights, and later tiles replay
-     * them.
+     * so each lane as a 1-lane forward would) and each lane's window
+     * of its injector's failures is then applied in place at the lane
+     * stride. Each lane draws its activation failures before its
+     * weights, so every injector draws the same stream as in a 1-lane
+     * forward. The weights are copy-on-corrupt per lane. The first
+     * tile of ctx.tiles (or a forward outside tiles, its own one
+     * tile) draws and keeps the layer's failures and weights; later
+     * tiles apply their windows and read the kept weights.
      */
     Operands operands(Tensor input, std::uint32_t lanes,
                       const ForwardContext &ctx) const;

@@ -17,8 +17,8 @@
  * The kernels run compile-time lane counts only: 16, 8, 4, 2 or 1,
  * asserted on entry. scoreLanes is the one place that pads a lane
  * list to them (kernelLanes); the training minibatch is split into
- * them. scoreLanes also cuts a block of campaign trials into sample
- * tiles (SampleTiles): forwards of 32 samples per lane that replay
+ * them. scoreLanes also runs every block as sample tiles
+ * (SampleTiles): forwards of at most 32 samples per lane that apply
  * the bit errors the first tile drew over all the samples, so a
  * tiled block is bit-identical to one forward of the whole batch.
  *

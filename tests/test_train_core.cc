@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -293,18 +294,75 @@ TEST(ErrorInjection, CorruptedValuesStayRepresentable)
 
 TEST(ErrorInjection, HalfOfFailedBitsAreBenign)
 {
-    // A failed bit reads a random value: with all-zero words, about
-    // half the failures leave the word unchanged.
+    // At r = 1 every bit of every word fails and reads back a random
+    // value: each drawn failure covers the whole word, and about half
+    // of the failed bits read back what an all-zero word held.
     BitErrorInjector injector(1.0, 5);
-    int flipped_bits = 0;
-    const int words = 2000;
-    for (int i = 0; i < words; ++i) {
-        const std::int16_t noisy = injector.corruptWord(0);
-        flipped_bits += __builtin_popcount(
-            static_cast<std::uint16_t>(noisy));
+    const std::size_t words = 2000;
+    const std::vector<WordFailure> failures = injector.drawFailures(words);
+    ASSERT_EQ(failures.size(), words);
+    int set_bits = 0;
+    for (const WordFailure &failure : failures) {
+        EXPECT_EQ(failure.mask, 0xFFFFu);
+        set_bits += __builtin_popcount(failure.bits);
     }
     // Expect ~8 of 16 bits set per word.
-    EXPECT_NEAR(static_cast<double>(flipped_bits) / words, 8.0, 0.3);
+    EXPECT_NEAR(static_cast<double>(set_bits) / words, 8.0, 0.3);
+}
+
+TEST(ErrorInjection, WindowedApplyMatchesWholeRun)
+{
+    // One lane of a lane-major buffer, its run applied over uneven
+    // windows, equals corruptTensor on a contiguous copy drawn from
+    // the same seed. One window is empty, and two windows start at a
+    // failed word, so the window bounds are checked on both sides.
+    const FixedPointFormat format{12};
+    const std::size_t words = 20000;
+    const std::size_t lanes = 3;
+    const std::size_t lane = 1;
+    Tensor run({static_cast<std::uint32_t>(words)});
+    for (std::size_t i = 0; i < words; ++i)
+        run[i] =
+            static_cast<float>(static_cast<int>(i * 37 % 401) - 200) / 64;
+    quantizeTensor(run, format);
+    for (const double rate : {1e-4, 1e-2}) {
+        Tensor whole = run;
+        BitErrorInjector whole_injector(rate, 21);
+        const std::uint64_t whole_count =
+            whole_injector.corruptTensor(whole, format);
+
+        BitErrorInjector injector(rate, 21);
+        const std::vector<WordFailure> failures =
+            injector.drawFailures(words);
+        ASSERT_GE(failures.size(), 3u) << "rate " << rate;
+        const std::size_t mid = failures[failures.size() / 2].index;
+        const std::size_t last = failures.back().index;
+        const std::size_t cuts[] = {0, 1, 777, mid, mid, mid + 1, last, words};
+        ASSERT_TRUE(std::is_sorted(std::begin(cuts), std::end(cuts)))
+            << "rate " << rate;
+
+        std::vector<float> strided(words * lanes, 0.5f);
+        for (std::size_t i = 0; i < words; ++i)
+            strided[i * lanes + lane] = run[i];
+        std::uint64_t windowed_count = 0;
+        for (std::size_t w = 0; w + 1 < std::size(cuts); ++w)
+            windowed_count += applyWordFailures(
+                failures, cuts[w], cuts[w + 1] - cuts[w],
+                strided.data() + cuts[w] * lanes + lane, lanes, format);
+        EXPECT_EQ(windowed_count, whole_count) << "rate " << rate;
+        for (std::size_t i = 0; i < words; ++i) {
+            ASSERT_EQ(std::memcmp(&strided[i * lanes + lane], &whole[i],
+                                  sizeof(float)),
+                      0)
+                << "rate " << rate << " word " << i;
+            for (std::size_t other = 0; other < lanes; ++other) {
+                if (other == lane)
+                    continue;
+                ASSERT_EQ(strided[i * lanes + other], 0.5f)
+                    << "rate " << rate << " word " << i;
+            }
+        }
+    }
 }
 
 TEST(Loss, SoftmaxCrossEntropyHandComputed)
