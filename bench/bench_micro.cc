@@ -265,13 +265,67 @@ BENCHMARK(BM_ScoreLanes)
     ->Args({1, 0})
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The weight and bias gradients of one MiniVgg conv layer
+ * (convolveWeightGrad) at the campaign's 12x12 images and a training
+ * minibatch of 32. Arg: the shape index (MiniVgg conv1..conv4).
+ */
+void
+BM_ConvWeightGrad(benchmark::State &state)
+{
+    const LaneConvShape &shape = kLaneConvShapes[state.range(0)];
+    const std::uint32_t batch = 32;
+    const std::size_t n = shape.inChannels;
+    const std::size_t m = shape.outChannels;
+    const std::size_t s = shape.size;
+    const std::size_t k = shape.kernel;
+    Rng rng(10);
+    auto values = [&](std::size_t count) {
+        std::vector<float> data(count);
+        for (float &v : data)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        return data;
+    };
+    const std::vector<float> in = values(batch * n * s * s);
+    const std::vector<float> gout = values(batch * m * s * s);
+    std::vector<float> gwt = values(m * n * k * k);
+    std::vector<float> gbias = values(m);
+    for (auto _ : state) {
+        convolveWeightGrad(in.data(), gout.data(), gwt.data(),
+                           gbias.data(), batch, shape.inChannels,
+                           shape.size, shape.size, shape.outChannels,
+                           shape.size, shape.size, shape.kernel, 1,
+                           shape.pad);
+        benchmark::DoNotOptimize(gwt.data());
+        benchmark::ClobberMemory();
+    }
+    const double macs = static_cast<double>(batch * m * s * s * n * k * k);
+    state.SetLabel(std::string(shape.name) + " " +
+                   laneIsaName(hostLaneIsas().front()));
+    state.counters["MACs/s"] = benchmark::Counter(
+        macs * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ConvWeightGrad)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One quantized MiniVgg training step (forward, loss, backward, SGD)
+ * on a minibatch of 32 at 1e-5 injection. Args: the image size and
+ * the class count: 16 x 16 with 8 classes is the default dataset, 12
+ * x 12 with 4 classes the fault campaign's.
+ */
 void
 BM_TrainingStep(benchmark::State &state)
 {
+    const auto image_size = static_cast<std::uint32_t>(state.range(0));
+    const auto classes = static_cast<std::uint32_t>(state.range(1));
     Rng rng(5);
-    auto model = makeMiniModel(MiniModelKind::MiniVgg, 16, 8, rng);
+    auto model =
+        makeMiniModel(MiniModelKind::MiniVgg, image_size, classes, rng);
     SgdOptimizer optimizer(model->params(), 0.05);
     DatasetConfig config;
+    config.imageSize = image_size;
+    config.numClasses = classes;
     config.trainSamples = 64;
     config.testSamples = 8;
     SyntheticDataset dataset(config);
@@ -291,7 +345,10 @@ BM_TrainingStep(benchmark::State &state)
         optimizer.step();
     }
 }
-BENCHMARK(BM_TrainingStep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainingStep)
+    ->Args({16, 8})
+    ->Args({12, 4})
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Runs the registered BM_* functions through google-benchmark's own

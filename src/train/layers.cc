@@ -463,35 +463,22 @@ MaxPool2dLayer::forward(Tensor input, const ForwardContext &ctx)
     const std::uint32_t c = w / 2;
     Tensor output =
         Tensor::uninitialized(laneShape({batch, channels, r, c}, input, 4));
-    maxPoolTrialLanes(input.data(), output.data(), batch, channels, h,
-                      w, lanes);
-    if (!ctx.training)
+    if (lanes > 1) {
+        maxPoolTrialLanes(input.data(), output.data(), batch, channels, h,
+                          w, lanes);
         return output;
-
-    // The backward routes each gradient to the candidate the kernel's
-    // strict > kept: the last one that raised the running maximum.
-    inputShape_ = input.shape();
-    outputShape_ = output.shape();
-    argmax_.assign(output.size(), 0);
-    std::size_t out_index = 0;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t ch = 0; ch < channels; ++ch) {
-            for (std::uint32_t y = 0; y < r; ++y) {
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    float best = -1e30f;
-                    for (std::uint32_t off = 0; off < 4; ++off) {
-                        const float v = input.at4(b, ch, 2 * y + off / 2,
-                                                  2 * x + off % 2);
-                        if (v > best) {
-                            best = v;
-                            argmax_[out_index] = off;
-                        }
-                    }
-                    ++out_index;
-                }
-            }
-        }
     }
+    std::uint32_t *argmax = nullptr;
+    if (ctx.training) {
+        // The backward routes each gradient to the input the forward
+        // kept.
+        inputShape_ = input.shape();
+        outputShape_ = output.shape();
+        argmax_.resize(output.size());
+        argmax = argmax_.data();
+    }
+    maxPoolOneLane(input.data(), output.data(), argmax, batch, channels, h,
+                   w);
     return output;
 }
 
@@ -500,24 +487,10 @@ MaxPool2dLayer::backward(const Tensor &grad_output)
 {
     checkGradShape(grad_output, outputShape_, "maxpool");
     Tensor grad_input(inputShape_);
-    const std::uint32_t batch = grad_output.dim(0);
-    const std::uint32_t channels = grad_output.dim(1);
-    const std::uint32_t r = grad_output.dim(2);
-    const std::uint32_t c = grad_output.dim(3);
-    std::size_t out_index = 0;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t ch = 0; ch < channels; ++ch) {
-            for (std::uint32_t y = 0; y < r; ++y) {
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    const std::uint32_t off = argmax_[out_index];
-                    grad_input.at4(b, ch, 2 * y + off / 2,
-                                   2 * x + off % 2) +=
-                        grad_output.at4(b, ch, y, x);
-                    ++out_index;
-                }
-            }
-        }
-    }
+    float *gin = grad_input.data();
+    const float *gout = grad_output.data();
+    for (std::size_t i = 0; i < argmax_.size(); ++i)
+        gin[argmax_[i]] += gout[i];
     return grad_input;
 }
 
@@ -609,13 +582,25 @@ DenseLayer::backward(const Tensor &grad_output)
     checkGradShape(grad_output, outputShape_, "dense");
     const std::uint32_t batch = grad_output.dim(0);
     Tensor grad_input({batch, inFeatures_});
+    const float *gout = grad_output.data();
+    const float *in = cachedInput_.data();
+    const float *wt = cachedWeights_.data();
+    float *gin = grad_input.data();
+    float *gwt = weightGrad_.data();
+    float *gbias = biasGrad_.data();
     for (std::uint32_t b = 0; b < batch; ++b) {
+        const float *gout_b = gout + static_cast<std::size_t>(b) * outFeatures_;
+        const float *in_b = in + static_cast<std::size_t>(b) * inFeatures_;
+        float *gin_b = gin + static_cast<std::size_t>(b) * inFeatures_;
         for (std::uint32_t o = 0; o < outFeatures_; ++o) {
-            const float g = grad_output.at2(b, o);
-            biasGrad_[o] += g;
+            const float g = gout_b[o];
+            gbias[o] += g;
+            float *gwt_o = gwt + static_cast<std::size_t>(o) * inFeatures_;
+            const float *wt_o =
+                wt + static_cast<std::size_t>(o) * inFeatures_;
             for (std::uint32_t i = 0; i < inFeatures_; ++i) {
-                weightGrad_.at2(o, i) += g * cachedInput_.at2(b, i);
-                grad_input.at2(b, i) += g * cachedWeights_.at2(o, i);
+                gwt_o[i] += g * in_b[i];
+                gin_b[i] += g * wt_o[i];
             }
         }
     }

@@ -123,6 +123,7 @@ class MaxPool2dLayer : public Layer
     std::string describe() const override { return "maxpool2x2"; }
 
   private:
+    /** Per output of the last training forward, the flat input index kept. */
     std::vector<std::uint32_t> argmax_;
     std::vector<std::uint32_t> inputShape_;
     /** Output shape of the last training forward. */

@@ -30,6 +30,18 @@
  * of operations; the tile only decides which independent
  * accumulators are in flight together.
  *
+ * The conv weight gradient is a second register tile on the same
+ * budgets (weightGradTile): for one input channel and W output
+ * channels, the K x K taps' accumulators, one W-float vector each,
+ * stay in registers across the whole (b, y, x) reduction, so each
+ * still gets its terms in the reference's order. gradTile sizes it:
+ * all taps when they fit beside three working registers, else one
+ * tap row.
+ *
+ * -falign-loops=64 (see the CMakeLists) starts every loop on a cache
+ * line, so the hot loops' alignment does not move with the code the
+ * linker places before them.
+ *
  * The other hot kernels carry target_clones("default", "avx", "avx2",
  * "avx512f"): the loader picks the widest clone the CPU runs while
  * the binary stays runnable on baseline x86-64. Their lane count is
@@ -541,73 +553,218 @@ inputGradLanesImpl(const float *__restrict gout,
 }
 
 /**
- * Weight and bias gradients into a transposed {N*K*K, M} weight
- * gradient, from a transposed {B, R, C, M} output gradient. Scratch:
- * `in_m` holds one sample's input with every value repeated M times
- * ({N, H, W, M}), `g_taps` one output gradient repeated K times
- * ({K, M}). With both, the taps of one kernel row are a single
- * contiguous span in all three operands, whatever the stride.
+ * Operands and geometry of one weight-gradient call: input {B, N, H,
+ * W}, and the output gradient and the weight gradient transposed to
+ * {B, R, C, M} and {N, K, K, M}, so that the output channels of one
+ * point or one tap are contiguous. The weight gradient accumulates in
+ * place.
  */
-RANA_TRIAL_CLONES void
-weightGradImpl(const float *__restrict in, const float *__restrict gout,
-               float *__restrict gwt, float *__restrict gbias,
-               std::uint32_t batch, std::uint32_t in_channels,
-               std::uint32_t h, std::uint32_t w,
-               std::uint32_t out_channels, std::uint32_t r,
-               std::uint32_t c, std::uint32_t kernel,
-               std::uint32_t stride, std::uint32_t pad,
-               float *__restrict in_m, float *__restrict g_taps)
+struct WeightGradCall
 {
-    const std::size_t M = out_channels;
-    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = in_plane * in_channels;
-    const std::size_t wt_kernel =
-        static_cast<std::size_t>(kernel) * kernel;
-    const std::int64_t K = kernel;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        const float *in_b = in + b * in_sample;
-        for (std::size_t i = 0; i < in_sample; ++i)
-            for (std::size_t m = 0; m < M; ++m)
-                in_m[i * M + m] = in_b[i];
-        for (std::uint32_t y = 0; y < r; ++y) {
-            const std::int64_t base_y =
-                static_cast<std::int64_t>(y) * stride - pad;
-            const std::int64_t ky_lo = std::max<std::int64_t>(0, -base_y);
-            const std::int64_t ky_hi = std::min(K, h - base_y);
-            for (std::uint32_t x = 0; x < c; ++x) {
-                const std::int64_t base_x =
-                    static_cast<std::int64_t>(x) * stride - pad;
-                const std::int64_t kx_lo =
-                    std::max<std::int64_t>(0, -base_x);
-                const std::int64_t kx_hi = std::min(K, w - base_x);
-                const float *g =
-                    gout + ((static_cast<std::size_t>(b) * r + y) * c +
-                            x) *
-                               M;
-                for (std::size_t m = 0; m < M; ++m)
-                    gbias[m] += g[m];
-                if (kx_lo >= kx_hi)
-                    continue;
-                for (std::int64_t kx = 0; kx < K; ++kx)
-                    for (std::size_t m = 0; m < M; ++m)
-                        g_taps[kx * M + m] = g[m];
-                const std::size_t span = (kx_hi - kx_lo) * M;
-                for (std::uint32_t n = 0; n < in_channels; ++n) {
-                    const float *in_n = in_m + n * in_plane * M;
-                    float *gwt_n = gwt + n * wt_kernel * M;
-                    for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-                        float *__restrict a =
-                            gwt_n + (ky * K + kx_lo) * M;
-                        const float *__restrict s =
-                            in_n +
-                            ((base_y + ky) * w + base_x + kx_lo) * M;
-                        for (std::size_t i = 0; i < span; ++i)
-                            a[i] += g_taps[i] * s[i];
-                    }
+    const float *in;
+    const float *gout;
+    float *gwt;
+    std::uint32_t batch;
+    std::uint32_t inChannels;
+    std::uint32_t h;
+    std::uint32_t w;
+    std::uint32_t outChannels;
+    std::uint32_t r;
+    std::uint32_t c;
+    std::uint32_t kernel;
+    std::uint32_t stride;
+    std::uint32_t pad;
+};
+
+/**
+ * The taps of one weight-gradient register tile: `rows` x `cols`
+ * taps of one input channel, each tap's accumulator one vector over
+ * output channels.
+ */
+struct GradTile
+{
+    std::uint32_t rows;
+    std::uint32_t cols;
+};
+
+/**
+ * The tile a K x K weight gradient runs on `budget`: all K*K taps
+ * when their accumulators leave three registers (the output-gradient
+ * vector, the broadcast input and the product), else one tap row.
+ * The unrolled kernels are K = 1, 3 and 5, the mini models' sizes;
+ * any other K runs one tap at a time.
+ */
+constexpr GradTile
+gradTile(RegisterBudget budget, std::uint32_t kernel)
+{
+    if (kernel != 1 && kernel != 3 && kernel != 5)
+        return {1, 1};
+    if (kernel * kernel + 3 <= budget.registers)
+        return {kernel, kernel};
+    return {1, kernel};
+}
+
+/**
+ * The outputs [lo, hi) of a `count`-wide axis at which every tap
+ * offset in [first, last] lands inside an `extent`-wide input axis,
+ * clipped to 0 <= lo <= hi <= count.
+ */
+TapRange
+allTapsValid(std::int64_t first, std::int64_t last, std::uint32_t stride,
+             std::uint32_t extent, std::uint32_t count)
+{
+    const TapRange a = validOutputs(first, stride, extent, count);
+    const TapRange b = validOutputs(last, stride, extent, count);
+    const std::int64_t lo = std::min<std::int64_t>(std::max(a.lo, b.lo),
+                                                   count);
+    return {lo, std::max(lo, std::min(a.hi, b.hi))};
+}
+
+/**
+ * One weight-gradient register tile: output channels [m0, m0 + W) of
+ * input channel n, taps ky in [ky0, ky0 + TR) and kx in [kx0, kx0 +
+ * TK). The TR x TK accumulators, one W-float vector each, are loaded
+ * once, stay in registers across the whole (b, y, x) reduction and
+ * are stored once. Every point multiplies its output-gradient vector
+ * by the tap's input value and adds, so each accumulator gets its
+ * terms in the reference's (b, y, x) order. Interior points, where
+ * every tap of the tile is valid, run the taps unrolled; edge points
+ * skip exactly the taps that fall outside the input, as the reference
+ * does (adding a padding term could turn a -0.0 into +0.0).
+ */
+template <std::uint32_t W, std::uint32_t TR, std::uint32_t TK>
+RANA_TILE_INLINE void
+weightGradTile(const WeightGradCall &g, std::uint32_t m0,
+               std::uint32_t n, std::uint32_t ky0, std::uint32_t kx0)
+{
+    using Vec = typename FloatVec<W>::type;
+    const std::size_t M = g.outChannels;
+    // Tap (i, j)'s accumulator is at gwt_tile + (i * K + j) * M.
+    float *gwt_tile =
+        g.gwt + ((static_cast<std::size_t>(n) * g.kernel + ky0) * g.kernel +
+                 kx0) * M + m0;
+    Vec acc[TR][TK];
+    RANA_UNROLL
+    for (std::uint32_t i = 0; i < TR; ++i)
+        RANA_UNROLL
+        for (std::uint32_t j = 0; j < TK; ++j)
+            loadVec(acc[i][j], gwt_tile + (i * g.kernel + j) * M);
+
+    const std::int64_t S = g.stride;
+    const std::int64_t P = g.pad;
+    const std::int64_t H = g.h;
+    const std::int64_t Wd = g.w;
+    const TapRange rows = allTapsValid(ky0 - P, ky0 + TR - 1 - P, g.stride,
+                                       g.h, g.r);
+    const TapRange cols = allTapsValid(kx0 - P, kx0 + TK - 1 - P, g.stride,
+                                       g.w, g.c);
+    const std::size_t in_plane = static_cast<std::size_t>(g.h) * g.w;
+    const std::size_t out_row = static_cast<std::size_t>(g.c) * M;
+    for (std::uint32_t b = 0; b < g.batch; ++b) {
+        const float *in_bn =
+            g.in + (static_cast<std::size_t>(b) * g.inChannels + n) *
+                       in_plane;
+        const float *gout_b =
+            g.gout + static_cast<std::size_t>(b) * g.r * out_row + m0;
+        for (std::uint32_t y = 0; y < g.r; ++y) {
+            // The input row of the tile's first tap row.
+            const std::int64_t iy0 = y * S - P + ky0;
+            const float *gout_y = gout_b + y * out_row;
+            auto edge = [&](std::int64_t x) __attribute__((always_inline)) {
+                Vec gv;
+                loadVec(gv, gout_y + x * M);
+                const std::int64_t ix0 = x * S - P + kx0;
+                RANA_UNROLL
+                for (std::uint32_t i = 0; i < TR; ++i) {
+                    if (iy0 + i < 0 || iy0 + i >= H)
+                        continue;
+                    const float *row = in_bn + (iy0 + i) * Wd;
+                    RANA_UNROLL
+                    for (std::uint32_t j = 0; j < TK; ++j)
+                        if (ix0 + j >= 0 && ix0 + j < Wd)
+                            acc[i][j] += gv * row[ix0 + j];
+                }
+            };
+            std::int64_t x = 0;
+            if (y >= rows.lo && y < rows.hi) {
+                for (; x < cols.lo; ++x)
+                    edge(x);
+                for (; x < cols.hi; ++x) {
+                    Vec gv;
+                    loadVec(gv, gout_y + x * M);
+                    const float *s = in_bn + (iy0 * Wd + x * S - P + kx0);
+                    RANA_UNROLL
+                    for (std::uint32_t i = 0; i < TR; ++i)
+                        RANA_UNROLL
+                        for (std::uint32_t j = 0; j < TK; ++j)
+                            acc[i][j] += gv * s[i * Wd + j];
                 }
             }
+            for (; x < g.c; ++x)
+                edge(x);
         }
     }
+    RANA_UNROLL
+    for (std::uint32_t i = 0; i < TR; ++i)
+        RANA_UNROLL
+        for (std::uint32_t j = 0; j < TK; ++j)
+            storeVec(gwt_tile + (i * g.kernel + j) * M, acc[i][j]);
+}
+
+/**
+ * The weight gradient in blocks of W output channels, then the
+ * channels left over in blocks of W/2, W/4, ..., 1: every input
+ * channel and tap tile of a block runs one register tile.
+ */
+template <std::uint32_t W, GradTile T>
+RANA_TILE_INLINE void
+weightGradBlocks(const WeightGradCall &g, std::uint32_t m)
+{
+    for (; m + W <= g.outChannels; m += W)
+        for (std::uint32_t n = 0; n < g.inChannels; ++n)
+            for (std::uint32_t ky = 0; ky < g.kernel; ky += T.rows)
+                for (std::uint32_t kx = 0; kx < g.kernel; kx += T.cols)
+                    weightGradTile<W, T.rows, T.cols>(g, m, n, ky, kx);
+    if constexpr (W > 1)
+        weightGradBlocks<W / 2, T>(g, m);
+}
+
+/** The weight gradient on one register budget. */
+template <RegisterBudget Budget>
+RANA_TILE_INLINE void
+weightGradTiled(const WeightGradCall &g)
+{
+    switch (g.kernel) {
+      case 3:
+        return weightGradBlocks<Budget.vectorFloats, gradTile(Budget, 3)>(
+            g, 0);
+      case 5:
+        return weightGradBlocks<Budget.vectorFloats, gradTile(Budget, 5)>(
+            g, 0);
+      default:
+        return weightGradBlocks<Budget.vectorFloats, gradTile(Budget, 1)>(
+            g, 0);
+    }
+}
+
+#if RANA_X86_GCC
+__attribute__((target("avx512f,avx512vl"))) void
+weightGradAvx512(const WeightGradCall &g)
+{
+    weightGradTiled<kAvx512Budget>(g);
+}
+
+__attribute__((target("avx2"))) void
+weightGradAvx2(const WeightGradCall &g)
+{
+    weightGradTiled<kAvx2Budget>(g);
+}
+#endif
+
+void
+weightGradBaseline(const WeightGradCall &g)
+{
+    weightGradTiled<kBaselineBudget>(g);
 }
 
 } // namespace
@@ -798,13 +955,13 @@ convolveInputGradLanes(const float *gout, const float *wt, float *gin,
 }
 
 void
-convolveWeightGrad(const float *in, const float *gout,
-                   float *weight_grad, float *bias_grad,
-                   std::uint32_t batch, std::uint32_t in_channels,
-                   std::uint32_t h, std::uint32_t w,
-                   std::uint32_t out_channels, std::uint32_t r,
-                   std::uint32_t c, std::uint32_t kernel,
-                   std::uint32_t stride, std::uint32_t pad)
+convolveWeightGradOn(LaneIsa isa, const float *in, const float *gout,
+                     float *weight_grad, float *bias_grad,
+                     std::uint32_t batch, std::uint32_t in_channels,
+                     std::uint32_t h, std::uint32_t w,
+                     std::uint32_t out_channels, std::uint32_t r,
+                     std::uint32_t c, std::uint32_t kernel,
+                     std::uint32_t stride, std::uint32_t pad)
 {
     // Output channels innermost on both sides: gout {B, M, R*C} ->
     // {B, R*C, M} and weight_grad {M, N*K*K} -> {N*K*K, M}, then
@@ -813,25 +970,54 @@ convolveWeightGrad(const float *in, const float *gout,
     const std::size_t out_plane = static_cast<std::size_t>(r) * c;
     const std::size_t taps =
         static_cast<std::size_t>(in_channels) * kernel * kernel;
-    std::vector<float> gout_t(batch * out_plane * M);
+    UninitFloats gout_t(batch * out_plane * M);
     for (std::size_t b = 0; b < batch; ++b)
         for (std::size_t m = 0; m < M; ++m)
             for (std::size_t i = 0; i < out_plane; ++i)
                 gout_t[(b * out_plane + i) * M + m] =
                     gout[(b * M + m) * out_plane + i];
-    std::vector<float> gwt_t(taps * M);
+    UninitFloats gwt_t(taps * M);
     for (std::size_t m = 0; m < M; ++m)
         for (std::size_t t = 0; t < taps; ++t)
             gwt_t[t * M + m] = weight_grad[m * taps + t];
-    std::vector<float> in_m(static_cast<std::size_t>(in_channels) * h *
-                            w * M);
-    std::vector<float> g_taps(static_cast<std::size_t>(kernel) * M);
-    weightGradImpl(in, gout_t.data(), gwt_t.data(), bias_grad, batch,
-                   in_channels, h, w, out_channels, r, c, kernel,
-                   stride, pad, in_m.data(), g_taps.data());
+    // The bias gradient sums every point in (b, y, x) order.
+    for (std::size_t p = 0; p < batch * out_plane; ++p)
+        for (std::size_t m = 0; m < M; ++m)
+            bias_grad[m] += gout_t[p * M + m];
+    const WeightGradCall call{in, gout_t.data(), gwt_t.data(), batch,
+                              in_channels, h, w, out_channels, r, c,
+                              kernel, stride, pad};
+    switch (isa) {
+#if RANA_X86_GCC
+      case LaneIsa::Avx512:
+        weightGradAvx512(call);
+        break;
+      case LaneIsa::Avx2:
+        weightGradAvx2(call);
+        break;
+#endif
+      default:
+        weightGradBaseline(call);
+        break;
+    }
     for (std::size_t m = 0; m < M; ++m)
         for (std::size_t t = 0; t < taps; ++t)
             weight_grad[m * taps + t] = gwt_t[t * M + m];
+}
+
+void
+convolveWeightGrad(const float *in, const float *gout,
+                   float *weight_grad, float *bias_grad,
+                   std::uint32_t batch, std::uint32_t in_channels,
+                   std::uint32_t h, std::uint32_t w,
+                   std::uint32_t out_channels, std::uint32_t r,
+                   std::uint32_t c, std::uint32_t kernel,
+                   std::uint32_t stride, std::uint32_t pad)
+{
+    static const LaneIsa widest = hostLaneIsas().front();
+    convolveWeightGradOn(widest, in, gout, weight_grad, bias_grad, batch,
+                         in_channels, h, w, out_channels, r, c, kernel,
+                         stride, pad);
 }
 
 void
@@ -902,6 +1088,59 @@ maxPoolTrialLanes(const float *__restrict in, float *__restrict out,
             }
         }
     }
+}
+
+namespace {
+
+/**
+ * One-lane max pooling over `planes` H x W planes in one pass: each
+ * window's four candidates in (dy, dx) order, kept by a strict > over
+ * a -1e30 start, and with Argmax the flat input index of the one
+ * kept (candidate (0, 0) when none beats the start).
+ */
+template <bool Argmax>
+RANA_TRIAL_CLONES void
+maxPoolOneLaneImpl(const float *__restrict in, float *__restrict out,
+                   std::uint32_t *__restrict argmax, std::size_t planes,
+                   std::uint32_t h, std::uint32_t w)
+{
+    const std::uint32_t r = h / 2;
+    const std::uint32_t c = w / 2;
+    const std::uint32_t candidates[4] = {0, 1, w, w + 1};
+    for (std::size_t row = 0; row < planes * r; ++row) {
+        // Output row `row` reads input rows 2 * row and 2 * row + 1.
+        const std::size_t first = 2 * row * w;
+        for (std::uint32_t x = 0; x < c; ++x) {
+            const auto at = static_cast<std::uint32_t>(first + 2 * x);
+            float best = -1e30f;
+            std::uint32_t kept = at;
+            for (const std::uint32_t off : candidates) {
+                if (in[at + off] > best) {
+                    best = in[at + off];
+                    kept = at + off;
+                }
+            }
+            out[row * c + x] = best;
+            if constexpr (Argmax)
+                argmax[row * c + x] = kept;
+        }
+    }
+}
+
+} // namespace
+
+void
+maxPoolOneLane(const float *in, float *out, std::uint32_t *argmax,
+               std::uint32_t batch, std::uint32_t channels,
+               std::uint32_t h, std::uint32_t w)
+{
+    const std::size_t planes = static_cast<std::size_t>(batch) * channels;
+    RANA_ASSERT(planes * h * w <= UINT32_MAX,
+                "max-pool argmax indices are 32-bit");
+    if (argmax != nullptr)
+        maxPoolOneLaneImpl<true>(in, out, argmax, planes, h, w);
+    else
+        maxPoolOneLaneImpl<false>(in, out, nullptr, planes, h, w);
 }
 
 RANA_TRIAL_CLONES void

@@ -37,7 +37,10 @@
  * through the same convolveTrialLanes, and the input gradient
  * through convolveInputGradLanes. The weight and bias gradients
  * reduce over the minibatch, so convolveWeightGrad vectorizes over
- * output channels instead.
+ * output channels instead, as a register tile of its own: one input
+ * channel's K x K tap accumulators stay in registers across the whole
+ * (b, y, x) reduction. A one-lane max-pool runs maxPoolOneLane, which
+ * also records the argmax a training backward scatters to.
  *
  * Bit-exactness contract: for every lane, the kernels perform
  * exactly the per-element operations of a 1-lane forward in exactly
@@ -207,11 +210,13 @@ void convolveInputGradLanes(const float *gout, const float *wt,
  * (+=) into weight_grad {M, N, K, K} and bias_grad {M}.
  *
  * Both reduce over the minibatch, so the kernel vectorizes over the
- * output channels instead: it accumulates into a transposed
- * {N*K*K, M} copy of weight_grad, walking (b, y, x) in the
- * reference's order, so every accumulator still receives its terms
- * in (b, y, x) order. Exactly the taps the reference skips are
- * skipped (no zero padding, hence no +0/-0 sign changes).
+ * output channels instead. It is a register tile, like the forward:
+ * for one input channel, the K x K taps' accumulators, each a vector
+ * over output channels, stay in registers across the whole (b, y, x)
+ * reduction, so every accumulator still receives its terms in the
+ * reference's (b, y, x) order, each a multiply then an add. Exactly
+ * the taps the reference skips are skipped (no zero padding, hence no
+ * +0/-0 sign changes). Runs on the widest LaneIsa the host supports.
  */
 void convolveWeightGrad(const float *in, const float *gout,
                         float *weight_grad, float *bias_grad,
@@ -220,6 +225,20 @@ void convolveWeightGrad(const float *in, const float *gout,
                         std::uint32_t out_channels, std::uint32_t r,
                         std::uint32_t c, std::uint32_t kernel,
                         std::uint32_t stride, std::uint32_t pad);
+
+/**
+ * convolveWeightGrad on one instantiation, so tests and benchmarks
+ * can run each ISA the host supports. Every instantiation is
+ * bit-identical. @pre `isa` is in hostLaneIsas().
+ */
+void convolveWeightGradOn(LaneIsa isa, const float *in,
+                          const float *gout, float *weight_grad,
+                          float *bias_grad, std::uint32_t batch,
+                          std::uint32_t in_channels, std::uint32_t h,
+                          std::uint32_t w, std::uint32_t out_channels,
+                          std::uint32_t r, std::uint32_t c,
+                          std::uint32_t kernel, std::uint32_t stride,
+                          std::uint32_t pad);
 
 /**
  * Lane-major dense layer: input {B, F, L}, packed weights {O, F, L},
@@ -239,6 +258,19 @@ void denseTrialLanes(const float *in, const float *wt,
 void maxPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
                        std::uint32_t channels, std::uint32_t h,
                        std::uint32_t w, std::uint32_t lanes);
+
+/**
+ * One-lane 2x2/stride-2 max pooling, input {B, C, H, W}, output {B,
+ * C, H/2, W/2}, in one pass: bit-identical to maxPoolTrialLanes at
+ * one lane (same candidates, same strict > over -1e30). When
+ * `argmax` is not null it also receives, per output, the flat input
+ * index of the candidate kept: the first maximum, or candidate (0, 0)
+ * when none beats -1e30 (NaN never does). A training forward keeps
+ * it for the backward's scatter.
+ */
+void maxPoolOneLane(const float *in, float *out, std::uint32_t *argmax,
+                    std::uint32_t batch, std::uint32_t channels,
+                    std::uint32_t h, std::uint32_t w);
 
 /**
  * Lane-major 2x2/stride-2 average pooling: input {B, C, H, W, L},

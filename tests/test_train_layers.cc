@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -911,6 +912,160 @@ TEST(TrainKernels, LaneConvMatchesPerLaneReference)
             }
 }
 
+/**
+ * One weight-gradient case on every ISA instantiation the host runs,
+ * against the reference backward's weight and bias gradients, bit for
+ * bit. Inputs carry exact zeros of both signs; the gradients start
+ * from random values, pinning the += semantics.
+ */
+void
+checkWeightGrad(std::uint32_t batch, std::uint32_t n_in,
+                std::uint32_t m_out, std::uint32_t k, std::uint32_t stride,
+                Rng &rng)
+{
+    // An odd, non-square map with "same" padding: edge rows and
+    // columns on every side, and interior points for every tap.
+    const std::uint32_t h = 7, w = 9, pad = k / 2;
+    const std::uint32_t r = (h + 2 * pad - k) / stride + 1;
+    const std::uint32_t c = (w + 2 * pad - k) / stride + 1;
+    std::vector<float> in = finiteValues(batch * n_in * h * w, rng);
+    for (std::size_t i = 0; i < in.size(); i += 5)
+        in[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    const std::vector<float> wt = finiteValues(m_out * n_in * k * k, rng);
+    const std::vector<float> gout = finiteValues(batch * m_out * r * c, rng);
+    const std::vector<float> gwt0 = finiteValues(m_out * n_in * k * k, rng);
+    const std::vector<float> gbias0 = finiteValues(m_out, rng);
+    std::vector<float> want_gwt = gwt0;
+    std::vector<float> want_gbias = gbias0;
+    std::vector<float> gin(in.size());
+    referenceConvolveBackward(in.data(), wt.data(), gout.data(), gin.data(),
+                              want_gwt.data(), want_gbias.data(), batch,
+                              n_in, h, w, m_out, r, c, k, stride, pad);
+    for (LaneIsa isa : hostLaneIsas()) {
+        std::vector<float> gwt = gwt0;
+        std::vector<float> gbias = gbias0;
+        convolveWeightGradOn(isa, in.data(), gout.data(), gwt.data(),
+                             gbias.data(), batch, n_in, h, w, m_out, r, c,
+                             k, stride, pad);
+        const std::string where =
+            std::string(laneIsaName(isa)) + ": B" + std::to_string(batch) +
+            " N" + std::to_string(n_in) + " M" + std::to_string(m_out) +
+            " k" + std::to_string(k) + " s" + std::to_string(stride);
+        EXPECT_EQ(std::memcmp(gwt.data(), want_gwt.data(),
+                              gwt.size() * sizeof(float)),
+                  0)
+            << where << " weight gradient";
+        EXPECT_EQ(std::memcmp(gbias.data(), want_gbias.data(),
+                              gbias.size() * sizeof(float)),
+                  0)
+            << where << " bias gradient";
+    }
+}
+
+TEST(TrainKernels, WeightGradSweepMatchesReference)
+{
+    // Every register-tile instantiation the host runs: output channels
+    // below, at and past each vector width (remainders included), every
+    // unrolled kernel size, both strides, and batches of one sample, an
+    // odd count and the training minibatch.
+    Rng rng(47);
+    for (std::uint32_t n_in : {1u, 3u, 16u})
+        for (std::uint32_t m_out : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 16u, 17u})
+            for (std::uint32_t k : {1u, 3u, 5u})
+                for (std::uint32_t stride : {1u, 2u})
+                    for (std::uint32_t batch : {1u, 17u, 32u})
+                        checkWeightGrad(batch, n_in, m_out, k, stride, rng);
+}
+
+TEST(TrainKernels, MaxPoolOneLaneMatchesLanesAndRoutesFirstMaximum)
+{
+    // Windows with ties, signed zeros, NaNs and nothing above the
+    // -1e30 start, between random ones.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<std::vector<float>> special = {
+        {0.5f, 0.5f, 0.5f, 0.5f},   {0.25f, 0.75f, 0.75f, 0.1f},
+        {-0.0f, 0.0f, -1.0f, -2.0f}, {0.0f, -0.0f, -1.0f, -2.0f},
+        {-1.0f, -0.0f, 0.0f, -0.0f}, {nan, 1.0f, nan, 2.0f},
+        {nan, nan, nan, nan},       {3.0f, nan, 3.0f, nan},
+        {-inf, -inf, -inf, -inf},   {-1e30f, -1e30f, -2e30f, -inf},
+        {-1e30f, -inf, -0.5f, -0.5f}, {inf, inf, 1.0f, inf},
+    };
+    const std::uint32_t batch = 3, channels = 5, h = 6, w = 8;
+    Rng rng(53);
+    Tensor input({batch, channels, h, w});
+    randomize(input, rng);
+    const std::uint32_t r = h / 2, c = w / 2;
+    const std::size_t windows = static_cast<std::size_t>(batch) * channels *
+                                r * c;
+    // The input index of candidate (dy, dx) of window `i`.
+    auto candidate = [&](std::size_t i, std::uint32_t off) {
+        const std::size_t plane = i / (r * c);
+        const std::size_t y = i / c % r;
+        const std::size_t x = i % c;
+        return (plane * h + 2 * y + off / 2) * w + 2 * x + off % 2;
+    };
+    for (std::size_t i = 0; i < windows; i += 2)
+        for (std::uint32_t off = 0; off < 4; ++off)
+            input[candidate(i, off)] = special[i / 2 % special.size()][off];
+
+    MaxPool2dLayer pool;
+    ForwardContext ctx;
+    ctx.training = true;
+    const Tensor out = pool.forward(input, ctx);
+
+    // The 16-lane kernel, lane 5 carrying this input and the others
+    // different random maps.
+    const std::uint32_t lanes = 16;
+    std::vector<Tensor> maps(lanes, input);
+    for (std::uint32_t l = 0; l < lanes; ++l)
+        if (l != 5)
+            randomize(maps[l], rng);
+    std::vector<const float *> ptrs;
+    for (const Tensor &map : maps)
+        ptrs.push_back(map.data());
+    std::vector<float> packed(input.size() * lanes);
+    packLanePointers(ptrs, input.size(), packed.data());
+    Tensor pooled({batch, channels, r, c, lanes});
+    maxPoolTrialLanes(packed.data(), pooled.data(), batch, channels, h, w,
+                      lanes);
+    EXPECT_TRUE(sameBits(out, extractTrialLane(pooled, 5)))
+        << "1-lane training forward against lane 5 of 16";
+
+    // Every gradient goes to the first candidate that beats the running
+    // maximum by a strict >, or to candidate (0, 0) when none beats
+    // -1e30; every other input gets +0.0.
+    Tensor grad_out(out.shape());
+    for (std::size_t i = 0; i < windows; ++i)
+        grad_out[i] = static_cast<float>(i + 1);
+    const Tensor grad_in = pool.backward(grad_out);
+    Tensor want(input.shape());
+    for (std::size_t i = 0; i < windows; ++i) {
+        float best = -1e30f;
+        std::uint32_t kept = 0;
+        for (std::uint32_t off = 0; off < 4; ++off)
+            if (input[candidate(i, off)] > best) {
+                best = input[candidate(i, off)];
+                kept = off;
+            }
+        want[candidate(i, kept)] = grad_out[i];
+    }
+    EXPECT_TRUE(sameBits(grad_in, want)) << "backward routing";
+
+    // The eval forward gives the same values, and every kernel output
+    // is written in full.
+    std::vector<float> values(windows, kPoison);
+    std::vector<std::uint32_t> argmax(windows, UINT32_MAX);
+    maxPoolOneLane(input.data(), values.data(), argmax.data(), batch,
+                   channels, h, w);
+    EXPECT_EQ(std::memcmp(values.data(), out.data(),
+                          windows * sizeof(float)),
+              0);
+    EXPECT_EQ(std::count(argmax.begin(), argmax.end(), UINT32_MAX), 0);
+    ctx.training = false;
+    EXPECT_TRUE(sameBits(pool.forward(input, ctx), out)) << "eval forward";
+}
+
 TEST(TrainKernels, NoFusedMultiplyAdd)
 {
     // x = 1 + 2^-12: x * x = 1 + 2^-11 + 2^-24 rounds (to even) to
@@ -937,6 +1092,35 @@ TEST(TrainKernels, NoFusedMultiplyAdd)
             EXPECT_EQ(out[l], 0.0f) << "conv lane " << l << ": "
                                     << std::hexfloat << out[l];
     }
+    // The weight gradient adds g * x to a pre-filled b on every ISA:
+    // one K x K tap window over a K x K map (interior: every tap
+    // valid), and the same window padded around a 1 x 1 map (edge:
+    // only the centre tap valid, the others keep b). M spans each
+    // vector width and the scalar remainder.
+    for (LaneIsa isa : hostLaneIsas())
+        for (std::uint32_t k : {1u, 3u, 5u})
+            for (std::uint32_t m : {16u, 8u, 4u, 1u})
+                for (std::uint32_t size : {k, 1u}) {
+                    const std::uint32_t pad = (k - size) / 2;
+                    const std::vector<float> in(size * size, x);
+                    const std::vector<float> gout(m, x);
+                    std::vector<float> gwt(m * k * k, b);
+                    std::vector<float> gbias(m, 0.0f);
+                    convolveWeightGradOn(isa, in.data(), gout.data(),
+                                         gwt.data(), gbias.data(), 1, 1,
+                                         size, size, m, 1, 1, k, 1, pad);
+                    for (std::uint32_t i = 0; i < m; ++i)
+                        for (std::uint32_t t = 0; t < k * k; ++t) {
+                            const bool valid =
+                                size == k || t == k * k / 2;
+                            const float v = gwt[i * k * k + t];
+                            EXPECT_EQ(v, valid ? 0.0f : b)
+                                << laneIsaName(isa) << " weight gradient k"
+                                << k << " M" << m << " map " << size
+                                << " tap " << t << ": " << std::hexfloat
+                                << v;
+                        }
+                }
 }
 
 TEST(TrainKernels, ReluBackwardSpan)
