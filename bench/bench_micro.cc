@@ -221,7 +221,8 @@ BENCHMARK(BM_ConvLanes)->ArgsProduct({{0, 1, 2, 3, 4, 5}, {128, 1}});
  * (12x12 images, 4 classes, weights bound pre-quantized). Args: the
  * samples per lane and both per-bit rates in units of 1e-4: 128 is a
  * campaign trial block (every lane reads the whole test batch, in
- * sample tiles), 1 a serving block of 16 one-sample requests.
+ * forward lanes of 32 samples, every pair from layer 0: scoreLanes
+ * keeps no clean cache), 1 a serving block of 16 one-sample requests.
  */
 void
 BM_ScoreLanes(benchmark::State &state)

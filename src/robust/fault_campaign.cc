@@ -323,11 +323,15 @@ runPreparedCells(std::span<const PreparedCell> cells)
     // Phase 4b: corrupted forwards. Each trial is a lane over the
     // whole test batch with injectors seeded by the trial alone. The
     // trials of every cell on one model form that model's lane list,
-    // cells in order, and all lists' laneBlock slices run in one
-    // fan-out. Every lane is bit-identical to its 1-lane forward, so
-    // the grouping and the block size only move wall-clock.
+    // cells in order, scored against the model's clean cache: every
+    // (trial, sample) pair resumes at its first failed layer or takes
+    // its clean prediction, and all lists' blocks run in one fan-out.
+    // Every lane is bit-identical to its 1-lane forward, so the
+    // grouping and the block size only move wall-clock. The caches
+    // live for this call.
     std::vector<const CampaignModel *> models;
     std::vector<std::unique_ptr<Sequential>> skeletons;
+    std::vector<std::unique_ptr<CleanCache>> caches;
     std::vector<LaneList> lists;
     // The lane list of every cell.
     std::vector<std::size_t> list_of(cells.size());
@@ -341,10 +345,13 @@ runPreparedCells(std::span<const PreparedCell> cells)
             models.push_back(model);
             skeletons.push_back(
                 bindCampaignSkeleton(*cells[c].config, *model));
+            caches.push_back(std::make_unique<CleanCache>(
+                *skeletons.back(), model->format, model->test, jobs));
             lists.push_back(
                 {skeletons.back().get(), &model->format, &model->test,
                  static_cast<std::uint32_t>(model->test.labels.size()),
-                 {}});
+                 {},
+                 caches.back().get()});
         }
         for (const TrialResult &trial : reports[c].trials) {
             lists[m].lanes.push_back(
@@ -353,7 +360,7 @@ runPreparedCells(std::span<const PreparedCell> cells)
                  {trial.weightFailureRate, trial.seed * 2 + 2}});
         }
     }
-    const std::vector<std::vector<std::uint32_t>> correct =
+    const LaneScores scores =
         scoreLaneLists(lists,
                        shared.laneBlock == 0 ? kDefaultLaneBlock
                                              : shared.laneBlock,
@@ -363,15 +370,23 @@ runPreparedCells(std::span<const PreparedCell> cells)
     for (const auto &[c, t] : trials) {
         const std::size_t m = list_of[c];
         reports[c].trials[t].accuracy =
-            static_cast<double>(correct[m][next[m]++]) /
+            static_cast<double>(scores.correct[m][next[m]++]) /
             static_cast<double>(lists[m].samplesPerLane);
     }
+    std::uint64_t forward_macs = scores.forwardMacs;
+    for (const std::unique_ptr<CleanCache> &cache : caches)
+        forward_macs += cache->forwardMacs();
+    caches.clear();
     const double trial_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - trials_started)
             .count();
 
     MetricsRegistry &registry = MetricsRegistry::global();
+    // Work counters of the trial phase, from the plan: deterministic
+    // per seed and block size.
+    registry.counter("campaign_forward_macs_total").add(forward_macs);
+    registry.counter("campaign_clean_pairs_total").add(scores.cleanPairs);
     for (FaultCampaignReport &report : reports) {
         report.trialSeconds = trial_seconds;
         report.trialsPerSecond =

@@ -28,11 +28,19 @@
  *
  * Phase 4 has one runner, runPreparedCells, for a campaign, a sweep
  * cell or a whole grid: the trials of all cells on one CampaignModel
- * form one lane list, scored in one lane fan-out (scoreLaneLists,
- * shared with serving) into per-trial slots, so every report is
- * deterministic per seed for any lane, block or job count. All
- * trials on one model share its pre-quantized weight store and copy
- * it only when their chip injects bit errors (copy-on-corrupt).
+ * form one lane list, scored by the lane-block scorer shared with
+ * serving (scoreLaneLists, train/lane_scorer.hh) into per-trial
+ * slots, so every report is deterministic per seed for any lane,
+ * block or job count. Scoring draws first: every trial's failures
+ * are drawn for every layer before any forward. Per call, each model
+ * runs one clean forward of its test batch (CleanCache, freed when
+ * the call ends), keeping each sample's input to every top-level
+ * layer and its clean prediction. Each (trial, sample) pair then
+ * resumes at its first failed top-level layer, or takes its clean
+ * prediction when nothing failed, and the resumed pairs are regrouped
+ * into blocks by start layer. All trials on one model share its
+ * pre-quantized weight store and copy it only when their draws hold
+ * a weight failure (copy-on-corrupt).
  */
 
 #ifndef RANA_ROBUST_FAULT_CAMPAIGN_HH_
@@ -60,8 +68,8 @@ namespace rana {
 class TraceSink;
 
 /**
- * Default trial block of the batched forward path (laneBlock=0): the
- * widest compile-time lane kernel.
+ * Default scoring block of the batched forward path (laneBlock=0):
+ * the widest compile-time lane kernel.
  */
 constexpr std::uint32_t kDefaultLaneBlock = kMaxKernelLanes;
 
@@ -75,14 +83,13 @@ struct FaultCampaignConfig
     /** Worker lanes for the trial fan-out (0 = hardware threads). */
     unsigned jobs = 0;
     /**
-     * Trials per parallel scoring block: the corrupted forwards run
-     * laneBlock trials per scoreLanes call (train/lane_scorer.hh),
-     * the blocks fanned out across `jobs` (a block may span cells
-     * that share a model). A block of up to 16 is one forward; a
-     * larger one runs as consecutive 16-lane forwards plus a padded
-     * remainder. 0 picks the tuned default block; 1
-     * runs each trial as its own 1-lane pass. Any value yields
-     * bit-identical reports — the block size is a speed knob only.
+     * Most lanes per scoring block: the resumed (trial, sample) pairs
+     * run as forwards of at most laneBlock lanes (capped at 16; see
+     * train/lane_scorer.hh), the blocks fanned out across `jobs` (a
+     * block may span cells that share a model). 0 picks the tuned
+     * default block; 1 runs every block as a 1-lane pass. Any value
+     * yields bit-identical reports — the block size is a speed knob
+     * only.
      */
     std::uint32_t laneBlock = 0;
     /** Mini model standing in for the paper benchmark. */
@@ -146,7 +153,7 @@ class FaultCampaignConfigBuilder
         return *this;
     }
 
-    /** Trials fused per batched forward (0 = default, 1 = one per pass). */
+    /** Most lanes per scoring block (0 = default, 1 = 1-lane passes). */
     FaultCampaignConfigBuilder &laneBlock(std::uint32_t value)
     {
         config_.laneBlock = value;
@@ -436,11 +443,14 @@ struct PreparedCell
 
 /**
  * Campaign phase 4 of every cell in one trial phase: one parallelFor
- * samples all chips, then one lane fan-out scores each model's lane
- * list in laneBlock slices across `jobs` lanes (all cells must share
+ * samples all chips, each model runs its clean cache, then one draw
+ * pass and one fan-out of blocks of at most laneBlock lanes score
+ * every model's lane list across `jobs` lanes (all cells must share
  * both). Returns one report per cell, in order, each identical to
- * the cell run alone. Fails with ErrorCode::InvalidArgument when a
- * cell asks for zero trials.
+ * the cell run alone. Adds the phase's work to the
+ * campaign_forward_macs_total and campaign_clean_pairs_total
+ * counters. Fails with ErrorCode::InvalidArgument when a cell asks
+ * for zero trials.
  */
 Result<std::vector<FaultCampaignReport>>
 runPreparedCells(std::span<const PreparedCell> cells);

@@ -213,12 +213,6 @@ readConfigStringChecked(const std::string &text)
 }
 
 NetworkConfigRecord
-readConfig(std::istream &is)
-{
-    return readConfigChecked(is).valueOrDie();
-}
-
-NetworkConfigRecord
 readConfigString(const std::string &text)
 {
     return readConfigStringChecked(text).valueOrDie();

@@ -83,9 +83,6 @@ Result<NetworkConfigRecord> readConfigChecked(std::istream &is);
 Result<NetworkConfigRecord>
 readConfigStringChecked(const std::string &text);
 
-/** readConfigChecked, but fatal() on failure (historical contract). */
-NetworkConfigRecord readConfig(std::istream &is);
-
 /** readConfigStringChecked, but fatal() on failure. */
 NetworkConfigRecord readConfigString(const std::string &text);
 

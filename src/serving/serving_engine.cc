@@ -577,10 +577,11 @@ ServingSimulation::run(unsigned jobs_override,
     // sample per lane, in batch order across batch boundaries; a lane
     // keeps its own batch's injector seeds (a clean batch's lanes get
     // rate 0), and no kernel mixes lanes, so corrupted and clean
-    // lanes share a forward. scoreLaneLists fans the lists' 16-lane
-    // slices of every model out across the pool in one parallelFor
-    // into per-lane slots, so the results are independent of the
-    // pool size.
+    // lanes share a forward. scoreLaneLists draws every lane's bit
+    // errors first, then fans the lists' 16-lane blocks of every
+    // model out across the pool in one parallelFor into per-lane
+    // slots, so the results are independent of the pool size. With
+    // no clean cache, every request runs from the first layer.
     std::vector<LaneList> lists(models_.size());
     std::vector<std::vector<std::uint32_t>> lane_tenants(models_.size());
     std::vector<std::vector<std::uint32_t>> correct(models_.size());
@@ -607,7 +608,7 @@ ServingSimulation::run(unsigned jobs_override,
             jobs_override > 0
                 ? jobs_override
                 : (cfg.jobs == 0 ? hardwareJobs() : cfg.jobs);
-        correct = scoreLaneLists(lists, kMaxKernelLanes, jobs);
+        correct = scoreLaneLists(lists, kMaxKernelLanes, jobs).correct;
     }
 
     // --- Report assembly and metrics, serially on this thread so

@@ -19,11 +19,11 @@
  * RNG is consumed as a function of the word count and the rate,
  * never of the stored values or where they sit. So applying a run's
  * failures window by window, at any stride, equals applying them to
- * the whole run at once. Every forward draws each operand's failures
- * once over its whole run and applies them by window: a forward
- * outside sample tiles is one window, and a lane block forwarded in
- * sample tiles applies each tile's window of what its first tile
- * drew (see SampleTiles in train/layer.hh).
+ * the whole run at once. Every lane draws each operand's failures
+ * once over its whole run and applies them by window: a training or
+ * evaluation forward as one window over its run, and a scored lane
+ * block (train/lane_scorer.hh) sample by sample, from draws made
+ * before any forward (DrawnFailures in train/layer.hh).
  */
 
 #ifndef RANA_TRAIN_ERROR_INJECTION_HH_

@@ -14,12 +14,14 @@
  *
  * One forward serves training, the fault campaign's trials and the
  * serving engine's requests: it runs one or more *lanes*, each with
- * its own injector pair, over lane-major tensors (see
- * train/trial_batch.hh). Every forward draws each operand's bit
- * errors once over its whole run and applies them by window: a lane
- * block runs as one forward per sample tile (SampleTiles), the first
- * drawing every bit error and each applying its window; any other
- * forward is one window over its whole run.
+ * its own bit errors, over lane-major tensors (see
+ * train/trial_batch.hh). A training or evaluation forward's lanes
+ * carry injectors that draw each operand's bit errors over the
+ * lane's whole run as the forward reaches it. A scored lane block
+ * (train/lane_scorer.hh) carries its lanes' failures drawn before the
+ * forward (DrawnFailures), and each of its samples applies its own
+ * window of its run's draws, so a block may hold any samples of a
+ * run and may start at any top-level layer.
  */
 
 #ifndef RANA_TRAIN_LAYER_HH_
@@ -27,6 +29,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,57 +65,65 @@ struct WeightOperands
     const float *bias = nullptr;
 };
 
-/**
- * A lane block forwarded in sample tiles: one forward per tile, each
- * over samples [first, first + count) of every lane's `samples`, in
- * sample order from 0. The first tile draws, for every weighted layer
- * in forward order, each lane's activation failures over the lane's
- * whole run (samples x per-sample words) and the layer's weight
- * operands, and keeps them here; every tile applies the failures
- * that fall in its window, later tiles read the kept weights, and the
- * last tile takes them. So each injector draws exactly what one
- * forward of all the samples draws, once, in the same order (the
- * draws depend only on counts, see train/error_injection.hh). A
- * forward outside any tiles runs as the one tile of a one-sample
- * block: a single window over its whole run.
- */
-class SampleTiles
+/** One weighted layer of a model, as a lane forward meets it. */
+struct WeightedLayerShape
 {
-  public:
-    /** What the first tile drew for one weighted layer. */
-    struct LayerDraws
+    /** The top-level layer it runs in (its model's resume point). */
+    std::uint32_t level = 0;
+    /**
+     * Input words per sample: a run's activation failures here give
+     * sample s the words [s * inputWords, (s + 1) * inputWords).
+     */
+    std::size_t inputWords = 0;
+    /** Weight words (the bias takes no bit errors). */
+    std::size_t weightWords = 0;
+    /** Multiply-accumulates per sample. */
+    std::uint64_t macs = 0;
+};
+
+/** The bit errors one lane run drew at one weighted layer. */
+struct LayerFailures
+{
+    /** Over the run's samples x inputWords words. */
+    std::vector<WordFailure> activations;
+    std::vector<WordFailure> weights;
+};
+
+/** A run's draws: one entry per weighted layer, in forward order. */
+using RunFailures = std::vector<LayerFailures>;
+
+/**
+ * The bit errors of an eval lane forward, drawn before it runs. Lane
+ * l applies its run's failures: at every weighted layer, each of its
+ * samples gets its own window of the run's activation failures (the
+ * forward may hold any of the run's samples, in any order), and its
+ * weights the run's weight failures. The draws depend only on counts
+ * (train/error_injection.hh), so a run drawn up front and applied
+ * window by window equals a forward of all its samples that draws as
+ * it goes.
+ */
+struct DrawnFailures
+{
+    /** One lane of the forward. */
+    struct Lane
     {
-        /** Per lane: its activation failures (none: no injector). */
-        std::vector<std::vector<WordFailure>> activations;
-        WeightOperands weights;
+        /** The lane's run's draws (null: no bit errors). */
+        const RunFailures *run = nullptr;
+        /** Per sample of the forward, its index in the run. */
+        std::span<const std::uint32_t> samples;
     };
 
-    /** @param samples samples per lane of the whole block */
-    explicit SampleTiles(std::uint32_t samples) : samples_(samples) {}
-
-    /** Begin the forward of samples [first, first + count). */
-    void start(std::uint32_t first, std::uint32_t count);
-
-    std::uint32_t samples() const { return samples_; }
-    std::uint32_t first() const { return first_; }
-    std::uint32_t count() const { return count_; }
-    /** Whether this tile draws (the first) or replays. */
-    bool drawing() const { return first_ == 0; }
-    /** Whether this tile is the block's last. */
-    bool last() const { return first_ + count_ == samples_; }
-
+    std::vector<Lane> lanes;
     /**
-     * The next weighted layer's draws: a new entry to fill on the
-     * first tile, the kept one after.
+     * Forward index of the next weighted layer to run: a forward that
+     * resumes at a top-level layer starts at that layer's first.
      */
-    LayerDraws &nextLayer();
-
-  private:
-    std::uint32_t samples_;
-    std::uint32_t first_ = 0;
-    std::uint32_t count_ = 0;
-    std::vector<LayerDraws> layers_;
-    std::size_t cursor_ = 0;
+    std::size_t next = 0;
+    /**
+     * When set, every weighted layer appends its shape here (a shape
+     * pass, with level 0 for the caller to fill in).
+     */
+    std::vector<WeightedLayerShape> *shapes = nullptr;
 };
 
 /** Per-forward-pass execution options. */
@@ -137,16 +148,18 @@ struct ForwardContext
     /** Whether activations are cached for a following backward. */
     bool training = true;
     /**
-     * The sample tiles this eval forward is one of, as every
-     * scoreLanes block's forwards are (null: the forward is one
-     * window over its lanes' whole runs, as training and evaluation
-     * forwards are).
+     * The lanes' pre-drawn bit errors, as every scoreLanes block has
+     * them (null: the injectors above draw as the forward runs, each
+     * over its lane's whole run, as training and evaluation forwards
+     * do). Set, it names the lanes, and the injectors stay empty.
      */
-    SampleTiles *tiles = nullptr;
+    DrawnFailures *drawn = nullptr;
 
     /** Number of lanes fused into the pass. */
     std::uint32_t lanes() const
     {
+        if (drawn != nullptr)
+            return static_cast<std::uint32_t>(drawn->lanes.size());
         return injectors.empty()
                    ? 1
                    : static_cast<std::uint32_t>(injectors.size());
@@ -222,6 +235,16 @@ class Layer
      * gradients, and return the gradient w.r.t. the input.
      */
     virtual Tensor backward(const Tensor &grad_output) = 0;
+
+    /**
+     * backward for a caller that drops the input gradient: accumulate
+     * the parameter gradients only (bit-identical to backward's). A
+     * layer that cannot skip the input gradient runs backward.
+     */
+    virtual void backwardParams(const Tensor &grad_output)
+    {
+        backward(grad_output);
+    }
 
     /** Learnable parameters (empty for stateless layers). */
     virtual std::vector<Param> params() { return {}; }

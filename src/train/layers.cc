@@ -6,7 +6,9 @@
 #include "train/layers.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "train/trial_batch.hh"
@@ -102,31 +104,39 @@ laneShape(std::vector<std::uint32_t> shape, const Tensor &input,
 }
 
 /**
- * Copy-on-corrupt weights of one lane: the quantized / corrupted
- * private copy the hardware would compute with, or std::nullopt when
- * `weights` pass through untouched (no quantization pending because
- * they are `pre_quantized`, and no active weight injector), so the
- * caller reads `weights` in place. A lane without a weight injector
- * gets no weight errors.
+ * Copy-on-corrupt weights of one lane at forward index `layer` among
+ * the weighted layers: the quantized / corrupted private copy the
+ * hardware would compute with, or std::nullopt when `weights` pass
+ * through untouched (no quantization pending because they are
+ * `pre_quantized`, and no bit errors), so the caller reads `weights`
+ * in place. The bit errors come from the lane's weight injector,
+ * drawn now, or from its run's pre-drawn weight failures.
  */
 std::optional<Tensor>
 laneWeights(const Tensor &weights, bool pre_quantized,
-            const ForwardContext &ctx, std::uint32_t lane)
+            const ForwardContext &ctx, std::uint32_t lane,
+            std::size_t layer)
 {
     if (ctx.quant == nullptr)
         return std::nullopt;
     BitErrorInjector *injector = nullptr;
     if (lane < ctx.weightInjectors.size())
         injector = ctx.weightInjectors[lane];
-    const bool corrupting =
+    const bool drawing =
         injector != nullptr && injector->failureRate() > 0.0;
-    if (pre_quantized && !corrupting)
+    std::span<const WordFailure> drawn;
+    if (ctx.drawn != nullptr && ctx.drawn->lanes[lane].run != nullptr)
+        drawn = (*ctx.drawn->lanes[lane].run)[layer].weights;
+    if (pre_quantized && !drawing && drawn.empty())
         return std::nullopt;
     Tensor copy = weights;
     if (!pre_quantized)
         quantizeTensor(copy, *ctx.quant);
-    if (corrupting)
+    if (drawing)
         injector->corruptTensor(copy, *ctx.quant);
+    else
+        applyWordFailures(drawn, 0, copy.size(), copy.data(), 1,
+                          *ctx.quant);
     return copy;
 }
 
@@ -154,29 +164,6 @@ bindSharedWeights(Layer &model, const std::vector<Tensor> &store)
 }
 
 void
-SampleTiles::start(std::uint32_t first, std::uint32_t count)
-{
-    RANA_ASSERT(first == first_ + count_,
-                "sample tiles run in order from sample 0");
-    RANA_ASSERT(count > 0 && first + count <= samples_,
-                "sample tile outside the lanes' samples");
-    first_ = first;
-    count_ = count;
-    cursor_ = 0;
-}
-
-SampleTiles::LayerDraws &
-SampleTiles::nextLayer()
-{
-    RANA_ASSERT(count_ > 0, "no sample tile started");
-    if (drawing())
-        return layers_.emplace_back();
-    RANA_ASSERT(cursor_ < layers_.size(),
-                "a tile forward ran more weighted layers than the first");
-    return layers_[cursor_++];
-}
-
-void
 heInitialize(Tensor &tensor, std::uint32_t fan_in, Rng &rng)
 {
     RANA_ASSERT(fan_in > 0, "fan-in must be positive");
@@ -200,6 +187,7 @@ WeightedLayer::WeightedLayer(std::vector<std::uint32_t> weight_shape)
 
 WeightedLayer::Operands
 WeightedLayer::operands(Tensor input, std::uint32_t lanes,
+                        std::size_t positions,
                         const ForwardContext &ctx) const
 {
     RANA_ASSERT(!(ctx.training && sharedWeights_ != nullptr),
@@ -207,50 +195,63 @@ WeightedLayer::operands(Tensor input, std::uint32_t lanes,
     RANA_ASSERT(ctx.weightInjectors.empty() ||
                     ctx.weightInjectors.size() == lanes,
                 "one weight injector per lane");
-    RANA_ASSERT(ctx.tiles == nullptr || !ctx.training,
-                "sample tiles are eval-only");
-    // A forward outside tiles is the one tile of a one-sample block.
-    SampleTiles whole(1);
-    if (ctx.tiles == nullptr)
-        whole.start(0, 1);
-    SampleTiles &tiles = ctx.tiles != nullptr ? *ctx.tiles : whole;
-    SampleTiles::LayerDraws &draws = tiles.nextLayer();
+    RANA_ASSERT(ctx.drawn == nullptr ||
+                    (!ctx.training && ctx.injectors.empty() &&
+                     ctx.weightInjectors.empty()),
+                "pre-drawn bit errors are eval-only and replace the "
+                "injectors");
+    // This layer's forward index among the weighted layers: where its
+    // failures sit in every pre-drawn run.
+    const std::size_t layer =
+        ctx.drawn != nullptr ? ctx.drawn->next++ : 0;
     Operands ops;
     ops.input = std::move(input);
+    const std::size_t per_lane = ops.input.size() / lanes;
+    const std::uint32_t batch = ops.input.dim(0);
+    const std::size_t words = per_lane / batch;
+    if (ctx.drawn != nullptr && ctx.drawn->shapes != nullptr) {
+        const std::size_t weight_words = weights_.size();
+        ctx.drawn->shapes->push_back(
+            {0, words, weight_words, weight_words * positions});
+    }
     if (ctx.quant != nullptr) {
         quantizeTrialSpan(ops.input.data(), ops.input.size(),
                           *ctx.quant);
-        const std::size_t per_lane = ops.input.size() / lanes;
-        const std::size_t words = per_lane / tiles.count();
-        if (tiles.drawing())
-            draws.activations.resize(ctx.injectors.size());
-        for (std::uint32_t l = 0; l < ctx.injectors.size(); ++l) {
-            BitErrorInjector *injector = ctx.injectors[l];
-            if (injector == nullptr)
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+            float *lane = ops.input.data() + l;
+            if (l < ctx.injectors.size()) {
+                if (ctx.injectors[l] != nullptr)
+                    applyWordFailures(
+                        ctx.injectors[l]->drawFailures(per_lane), 0,
+                        per_lane, lane, lanes, *ctx.quant);
                 continue;
-            if (tiles.drawing())
-                draws.activations[l] =
-                    injector->drawFailures(words * tiles.samples());
-            applyWordFailures(draws.activations[l],
-                              words * tiles.first(), per_lane,
-                              ops.input.data() + l, lanes, *ctx.quant);
+            }
+            if (ctx.drawn == nullptr ||
+                ctx.drawn->lanes[l].run == nullptr)
+                continue;
+            const DrawnFailures::Lane &drawn = ctx.drawn->lanes[l];
+            RANA_ASSERT(layer < drawn.run->size(),
+                        "a forward ran more weighted layers than its "
+                        "runs drew");
+            const std::vector<WordFailure> &failures =
+                (*drawn.run)[layer].activations;
+            if (failures.empty())
+                continue;
+            // Sample b of the forward is sample drawn.samples[b] of
+            // the run: it applies that sample's window.
+            for (std::uint32_t b = 0; b < batch; ++b)
+                applyWordFailures(failures, words * drawn.samples[b],
+                                  words, lane + b * words * lanes,
+                                  lanes, *ctx.quant);
         }
     }
-    if (tiles.drawing())
-        draws.weights = weightOperands(lanes, ctx);
-    // The last tile takes the kept weights, which then live as long
-    // as its operands (a training forward caches them).
-    if (tiles.last()) {
-        static_cast<WeightOperands &>(ops) = std::move(draws.weights);
-    } else {
-        ops.weights = draws.weights.weights;
-        ops.bias = draws.weights.bias;
-    }
+    static_cast<WeightOperands &>(ops) =
+        weightOperands(lanes, layer, ctx);
     return ops;
 }
 
 WeightOperands
-WeightedLayer::weightOperands(std::uint32_t lanes,
+WeightedLayer::weightOperands(std::uint32_t lanes, std::size_t layer,
                               const ForwardContext &ctx) const
 {
     // A bound store is pre-quantized (bindSharedWeights).
@@ -260,7 +261,7 @@ WeightedLayer::weightOperands(std::uint32_t lanes,
         sharedBias_ != nullptr ? *sharedBias_ : bias_;
     WeightOperands ops;
     if (lanes == 1) {
-        ops.corrupted = laneWeights(weights, bound, ctx, 0);
+        ops.corrupted = laneWeights(weights, bound, ctx, 0, layer);
         ops.weights =
             ops.corrupted ? ops.corrupted->data() : weights.data();
         ops.bias = bias.data();
@@ -273,11 +274,19 @@ WeightedLayer::weightOperands(std::uint32_t lanes,
     std::vector<const float *> ptrs(lanes, weights.data());
     for (std::uint32_t l = 0; l < lanes; ++l) {
         std::optional<Tensor> corrupted =
-            laneWeights(weights, bound, ctx, l);
+            laneWeights(weights, bound, ctx, l, layer);
         if (corrupted) {
             copies.push_back(std::move(*corrupted));
             ptrs[l] = copies.back().data();
         }
+    }
+    if (bound && copies.empty() && std::has_single_bit(lanes) &&
+        lanes <= kMaxKernelLanes) {
+        // Every lane reads the store: its packing, built at binding.
+        const int packed = std::countr_zero(lanes) - 1;
+        ops.weights = sharedPackedWeights_[packed].data();
+        ops.bias = sharedPackedBias_[packed].data();
+        return ops;
     }
     ops.packedWeights.resize(weights.size() * lanes);
     packLanePointers(ptrs, weights.size(), ops.packedWeights.data());
@@ -311,6 +320,15 @@ WeightedLayer::bindSharedParams(SharedParamCursor &cursor)
     RANA_ASSERT(sharedWeights_->shape() == weights_.shape() &&
                 sharedBias_->shape() == bias_.shape(),
                 "shared weight store shape mismatch at ", describe());
+    static_assert(2u << 3 == kMaxKernelLanes,
+                  "one store packing per kernel lane count above 1");
+    for (std::size_t k = 0; k < sharedPackedWeights_.size(); ++k) {
+        const std::uint32_t lanes = 2u << k;
+        sharedPackedWeights_[k] = replicateLanes(
+            sharedWeights_->data(), sharedWeights_->size(), lanes);
+        sharedPackedBias_[k] =
+            replicateLanes(sharedBias_->data(), sharedBias_->size(), lanes);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -345,7 +363,8 @@ Conv2dLayer::forward(Tensor input, const ForwardContext &ctx)
     const std::uint32_t r = (h + 2 * pad_ - kernel_) / stride_ + 1;
     const std::uint32_t c = (w + 2 * pad_ - kernel_) / stride_ + 1;
 
-    Operands ops = operands(std::move(input), lanes, ctx);
+    Operands ops = operands(std::move(input), lanes,
+                            static_cast<std::size_t>(r) * c, ctx);
     Tensor output = Tensor::uninitialized(
         laneShape({batch, outChannels_, r, c}, ops.input, 4));
     if (lanes > 1) {
@@ -386,7 +405,7 @@ Conv2dLayer::forward(Tensor input, const ForwardContext &ctx)
 Tensor
 Conv2dLayer::backward(const Tensor &grad_output)
 {
-    checkGradShape(grad_output, outputShape_, "conv");
+    backwardParams(grad_output);
     const std::uint32_t batch = cachedInput_.dim(0);
     const std::uint32_t h = cachedInput_.dim(2);
     const std::uint32_t w = cachedInput_.dim(3);
@@ -407,11 +426,19 @@ Conv2dLayer::backward(const Tensor &grad_output)
                                    outChannels_, r, c, kernel_,
                                    stride_, pad_, lanes);
         });
-    convolveWeightGrad(cachedInput_.data(), grad_output.data(),
-                       weightGrad_.data(), biasGrad_.data(), batch,
-                       inChannels_, h, w, outChannels_, r, c, kernel_,
-                       stride_, pad_);
     return grad_input;
+}
+
+void
+Conv2dLayer::backwardParams(const Tensor &grad_output)
+{
+    checkGradShape(grad_output, outputShape_, "conv");
+    convolveWeightGrad(cachedInput_.data(), grad_output.data(),
+                       weightGrad_.data(), biasGrad_.data(),
+                       cachedInput_.dim(0), inChannels_,
+                       cachedInput_.dim(2), cachedInput_.dim(3),
+                       outChannels_, grad_output.dim(2),
+                       grad_output.dim(3), kernel_, stride_, pad_);
 }
 
 std::string
@@ -565,7 +592,7 @@ DenseLayer::forward(Tensor input, const ForwardContext &ctx)
     RANA_ASSERT(input.dim(1) == inFeatures_,
                 "dense input shape mismatch");
     const std::uint32_t batch = input.dim(0);
-    Operands ops = operands(std::move(input), lanes, ctx);
+    Operands ops = operands(std::move(input), lanes, 1, ctx);
     Tensor output = Tensor::uninitialized(
         laneShape({batch, outFeatures_}, ops.input, 2));
     denseTrialLanes(ops.input.data(), ops.weights, ops.bias,
@@ -654,19 +681,45 @@ Sequential::add(std::unique_ptr<Layer> layer)
 Tensor
 Sequential::forward(Tensor input, const ForwardContext &ctx)
 {
+    return forwardLayers(std::move(input), ctx, 0, layers_.size());
+}
+
+Tensor
+Sequential::forwardLayers(Tensor input, const ForwardContext &ctx,
+                          std::size_t first, std::size_t last)
+{
+    RANA_ASSERT(first <= last && last <= layers_.size(),
+                "top-level layers [", first, ", ", last,
+                ") outside a model of ", layers_.size());
     // The activation moves from layer to layer.
-    for (auto &layer : layers_)
-        input = layer->forward(std::move(input), ctx);
+    for (std::size_t i = first; i < last; ++i)
+        input = layers_[i]->forward(std::move(input), ctx);
     return input;
+}
+
+Tensor
+Sequential::backwardToFirst(const Tensor &grad_output)
+{
+    Tensor grad = grad_output;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i)
+        grad = layers_[i]->backward(grad);
+    return grad;
 }
 
 Tensor
 Sequential::backward(const Tensor &grad_output)
 {
-    Tensor grad = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        grad = (*it)->backward(grad);
-    return grad;
+    if (layers_.empty())
+        return grad_output;
+    return layers_.front()->backward(backwardToFirst(grad_output));
+}
+
+void
+Sequential::backwardParams(const Tensor &grad_output)
+{
+    if (layers_.empty())
+        return;
+    layers_.front()->backwardParams(backwardToFirst(grad_output));
 }
 
 std::vector<Param>

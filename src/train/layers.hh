@@ -8,6 +8,7 @@
 #ifndef RANA_TRAIN_LAYERS_HH_
 #define RANA_TRAIN_LAYERS_HH_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,21 +42,26 @@ class WeightedLayer : public Layer
 
     /**
      * The effective operands of a forward over `input` with `lanes`
-     * lanes. The input is quantized in place as a whole (element-wise,
-     * so each lane as a 1-lane forward would) and each lane's window
-     * of its injector's failures is then applied in place at the lane
-     * stride. Each lane draws its activation failures before its
-     * weights, so every injector draws the same stream as in a 1-lane
-     * forward. The weights are copy-on-corrupt per lane. The first
-     * tile of ctx.tiles (or a forward outside tiles, its own one
-     * tile) draws and keeps the layer's failures and weights; later
-     * tiles apply their windows and read the kept weights.
+     * lanes, whose output has `positions` values per output channel
+     * and sample. The input is quantized in place as a whole
+     * (element-wise, so each lane as a 1-lane forward would), then
+     * each lane's bit errors are applied in place at the lane stride:
+     * an injector draws its lane's failures over the lane's whole run
+     * now, activations before weights, so every injector draws the
+     * same stream as in a 1-lane forward; ctx.drawn's lanes apply
+     * each sample's window of their pre-drawn run. The weights are
+     * copy-on-corrupt per lane. A shape pass (ctx.drawn->shapes)
+     * records the layer here.
      */
     Operands operands(Tensor input, std::uint32_t lanes,
+                      std::size_t positions,
                       const ForwardContext &ctx) const;
 
-    /** The weight operands of a forward with `lanes` lanes. */
-    WeightOperands weightOperands(std::uint32_t lanes,
+    /**
+     * The weight operands of a forward with `lanes` lanes at forward
+     * index `layer` among its weighted layers.
+     */
+    WeightOperands weightOperands(std::uint32_t lanes, std::size_t layer,
                                   const ForwardContext &ctx) const;
 
     /** Keep a training forward's operands for the backward. */
@@ -72,6 +78,13 @@ class WeightedLayer : public Layer
     /** Bound shared store tensors (null = use the owned ones). */
     const Tensor *sharedWeights_ = nullptr;
     const Tensor *sharedBias_ = nullptr;
+    /**
+     * The bound weights and bias packed for 2, 4, 8 and 16 lanes
+     * (entry log2(L) - 1), built at binding: what an L-lane forward
+     * reads when no lane copies its weights.
+     */
+    std::array<UninitFloats, 4> sharedPackedWeights_;
+    std::array<UninitFloats, 4> sharedPackedBias_;
 };
 
 /** 2-D convolution with square kernels, stride and zero padding. */
@@ -92,6 +105,7 @@ class Conv2dLayer : public WeightedLayer
 
     Tensor forward(Tensor input, const ForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
+    void backwardParams(const Tensor &grad_output) override;
     std::string describe() const override;
 
   private:
@@ -186,12 +200,28 @@ class Sequential : public Layer
     std::size_t size() const { return layers_.size(); }
 
     Tensor forward(Tensor input, const ForwardContext &ctx) override;
+
+    /**
+     * Forward `input` through the top-level layers [first, last) only:
+     * it is layer `first`'s input, and the result is layer
+     * `last - 1`'s output. forward runs [0, size()). A lane block
+     * resumes here at the top-level layer of its first failure, a
+     * nested inception or residual block at its own index.
+     */
+    Tensor forwardLayers(Tensor input, const ForwardContext &ctx,
+                         std::size_t first, std::size_t last);
+
     Tensor backward(const Tensor &grad_output) override;
+    /** The first layer skips its input gradient (backwardParams). */
+    void backwardParams(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
     std::string describe() const override;
 
   private:
+    /** Back through layers [1, size()): the first layer's output gradient. */
+    Tensor backwardToFirst(const Tensor &grad_output);
+
     std::vector<std::unique_ptr<Layer>> layers_;
 };
 

@@ -23,78 +23,7 @@ shapeSize(const std::vector<std::uint32_t> &shape)
     return shape.empty() ? 0 : total;
 }
 
-/** One thread's kept buffers. */
-struct RecyclerPool
-{
-    RecyclerPool() = default;
-    RecyclerPool(const RecyclerPool &) = delete;
-    RecyclerPool &operator=(const RecyclerPool &) = delete;
-
-    /** (bytes, buffer), oldest first. */
-    std::vector<std::pair<std::size_t, void *>> kept;
-    std::size_t bytes = 0;
-
-    ~RecyclerPool()
-    {
-        for (const auto &[size, buffer] : kept)
-            ::operator delete(buffer, size);
-    }
-};
-
-thread_local RecyclerPool recyclerPool;
-/**
- * Whether a scope is open on this thread. A plain flag, so the
- * allocations outside a scope never touch the pool.
- */
-thread_local bool recycling = false;
-
 } // namespace
-
-BufferRecycler::Scope::Scope()
-{
-    RANA_ASSERT(!recycling,
-                "one buffer recycling scope per thread at a time");
-    recycling = true;
-}
-
-BufferRecycler::Scope::~Scope()
-{
-    recycling = false;
-}
-
-void *
-BufferRecycler::take(std::size_t bytes)
-{
-    if (!recycling)
-        return nullptr;
-    RecyclerPool &pool = recyclerPool;
-    for (auto it = pool.kept.begin(); it != pool.kept.end(); ++it) {
-        if (it->first == bytes) {
-            void *buffer = it->second;
-            pool.kept.erase(it);
-            pool.bytes -= bytes;
-            return buffer;
-        }
-    }
-    return nullptr;
-}
-
-bool
-BufferRecycler::keep(void *buffer, std::size_t bytes)
-{
-    if (!recycling || bytes > kMaxBytes)
-        return false;
-    RecyclerPool &pool = recyclerPool;
-    while (pool.bytes + bytes > kMaxBytes) {
-        const auto [size, oldest] = pool.kept.front();
-        ::operator delete(oldest, size);
-        pool.kept.erase(pool.kept.begin());
-        pool.bytes -= size;
-    }
-    pool.kept.emplace_back(bytes, buffer);
-    pool.bytes += bytes;
-    return true;
-}
 
 Tensor::Tensor(std::vector<std::uint32_t> shape)
     : Tensor(uninitialized(std::move(shape)))

@@ -19,79 +19,15 @@
 namespace rana {
 
 /**
- * Recycles large tensor buffers within one thread. While a Scope is
- * open on a thread, DefaultInitAllocator storage of at least
- * kMinBytes freed on that thread is kept in the thread's pool and
- * handed back to the next allocation of exactly its size there.
- * A lane block's sample tiles repeat one forward's allocations tile
- * after tile, and block after block on a worker; without the pool
- * the allocator returns the freed activations to the system between
- * forwards (glibc's trim threshold follows the largest block freed),
- * and every forward page-faults them in again. Kept buffers outlive
- * the scope, so the next block on the thread starts warm; the pool
- * holds at most kMaxBytes (the oldest buffers go first) and frees
- * them at thread exit.
- */
-class BufferRecycler
-{
-  public:
-    /** Buffers below this size are left to the allocator. */
-    static constexpr std::size_t kMinBytes = std::size_t{128} << 10;
-    /** Most bytes one thread's pool keeps. */
-    static constexpr std::size_t kMaxBytes = std::size_t{64} << 20;
-
-    /** Recycle on this thread while alive. @pre none open here. */
-    class Scope
-    {
-      public:
-        Scope();
-        ~Scope();
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-    };
-
-    /**
-     * A kept buffer of exactly `bytes` (in a scope), or null.
-     * @pre bytes >= kMinBytes
-     */
-    static void *take(std::size_t bytes);
-
-    /**
-     * Keep `buffer` (`bytes` long, from ::operator new) when a scope
-     * is open on this thread.
-     * @pre bytes >= kMinBytes
-     * @return false when the caller must free it.
-     */
-    static bool keep(void *buffer, std::size_t bytes);
-};
-
-/**
  * An allocator whose value-less construct() default-initializes: a
  * vector<float> built or resized with it leaves its new elements
  * unwritten instead of zero-filling them. Storage for buffers a
- * kernel overwrites in full. Large buffers go through the thread's
- * BufferRecycler while a scope is open.
+ * kernel overwrites in full.
  */
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T>
 {
     using std::allocator<T>::allocator;
-
-    T *allocate(std::size_t n)
-    {
-        if (n * sizeof(T) >= BufferRecycler::kMinBytes) {
-            if (void *kept = BufferRecycler::take(n * sizeof(T)))
-                return static_cast<T *>(kept);
-        }
-        return std::allocator<T>::allocate(n);
-    }
-
-    void deallocate(T *p, std::size_t n)
-    {
-        if (n * sizeof(T) < BufferRecycler::kMinBytes ||
-            !BufferRecycler::keep(p, n * sizeof(T)))
-            std::allocator<T>::deallocate(p, n);
-    }
 
     template <typename U>
     void construct(U *p)

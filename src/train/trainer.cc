@@ -54,7 +54,8 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
                 model_->forward(std::move(batch.images), ctx);
             const LossResult loss =
                 softmaxCrossEntropy(logits, batch.labels);
-            model_->backward(loss.gradLogits);
+            // The input gradient of the first layer is never read.
+            model_->backwardParams(loss.gradLogits);
             optimizer_->step();
         }
     }

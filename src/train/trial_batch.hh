@@ -11,16 +11,13 @@
  * over the same test batch, or served requests, one sample each;
  * gatherLanes packs both), or, at one lane, a training or evaluation
  * minibatch, whose trailing dimension may be omitted because one
- * lane has the plain layout. Each lane has its own injector pair in
- * the ForwardContext.
+ * lane has the plain layout. Each lane has its own bit errors in the
+ * ForwardContext.
  *
  * The kernels run compile-time lane counts only: 16, 8, 4, 2 or 1,
- * asserted on entry. scoreLanes is the one place that pads a lane
- * list to them (kernelLanes); the training minibatch is split into
- * them. scoreLanes also runs every block as sample tiles
- * (SampleTiles): forwards of at most 32 samples per lane that apply
- * the bit errors the first tile drew over all the samples, so a
- * tiled block is bit-identical to one forward of the whole batch.
+ * asserted on entry. The lane-block scorer is the one place that pads
+ * a block to them (kernelLanes); the training minibatch is split into
+ * them.
  *
  * The conv forward is register-tiled: a tile of output channels x
  * output columns x L lanes of accumulators stays in vector registers

@@ -9,6 +9,7 @@
 
 #include "core/experiments.hh"
 #include "nn/model_zoo.hh"
+#include "obs/metrics_registry.hh"
 #include "robust/fault_campaign.hh"
 #include "sched/layer_scheduler.hh"
 #include "util/units.hh"
@@ -385,6 +386,39 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
             EXPECT_EQ(report.trials[i].activationFailureRate,
                       reference.trials[i].activationFailureRate);
         }
+    }
+}
+
+TEST(FaultCampaign, WorkCountersArePinned)
+{
+    // The trial phase's work counters are tallied from its plan: the
+    // multiply-accumulates of every forward it ran (the clean cache's
+    // and the blocks', pads included) and the (trial, sample) pairs
+    // that took their clean prediction. Both depend on the draws
+    // alone, so they are pinned for this cell at any job count. The
+    // stall exposes some banks: some pairs resume, most stay clean.
+    const RetentionDistribution retention =
+        RetentionDistribution::typical65nm();
+    const DesignPoint design =
+        makeDesignPoint(DesignKind::RanaE5, retention);
+    FaultCampaignConfig config = tinyCampaign();
+    config.timingFaults.scanStallSeconds = 0.002;
+    config.retrain = false;
+    MetricsRegistry &registry = MetricsRegistry::global();
+    MetricsRegistry::Counter &macs =
+        registry.counter("campaign_forward_macs_total");
+    MetricsRegistry::Counter &clean =
+        registry.counter("campaign_clean_pairs_total");
+    for (unsigned jobs : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << jobs << " jobs");
+        config.jobs = jobs;
+        const std::uint64_t macs_before = macs.value();
+        const std::uint64_t clean_before = clean.value();
+        const Result<FaultCampaignReport> report =
+            runFaultCampaign(design, makeAlexNet(), config);
+        ASSERT_TRUE(report.ok());
+        EXPECT_EQ(macs.value() - macs_before, 163014336u);
+        EXPECT_EQ(clean.value() - clean_before, 27u);
     }
 }
 

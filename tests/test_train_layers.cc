@@ -1652,6 +1652,141 @@ TEST(LaneBlocks, SampleTilesMatchOneLaneForwards)
                     {1, 5, 17});
 }
 
+// ---------------------------------------------------------------
+// LaneResume: pairs resumed at their first failure, against
+// scoreLanes and 1-lane forwards
+// ---------------------------------------------------------------
+
+TEST(LaneResume, ResumedPairsMatchScoreLanesAndOneLaneForwards)
+{
+    // Campaign trials scored against a clean cache: each (lane,
+    // sample) pair starts at its first failed top-level layer, or
+    // takes its clean prediction. Every lane must count what scoreLanes
+    // (every pair from layer 0) and a 1-lane forward count. The mixes
+    // cover dense (1e-2) and sparse rates on both operands, each
+    // operand alone and a clean lane; the 3e-5 lanes leave most pairs
+    // clean and resume the rest at every layer. Two sample tiles plus
+    // a remainder split the larger groups across forward lanes.
+    const std::uint32_t image_size = 12;
+    const std::uint32_t batch = 2 * kSampleTile + 5;
+    const FixedPointFormat format{12};
+    const std::vector<FaultMix> mixes = {
+        {1e-2, 1e-2}, {2e-4, 2e-4}, {3e-5, 3e-5}, {3e-5, 0.0},
+        {1e-3, 0.0},  {0.0, 1e-3},  {0.0, 3e-5},  {0.0, 0.0}};
+    for (MiniModelKind kind :
+         {MiniModelKind::MiniAlex, MiniModelKind::MiniVgg,
+          MiniModelKind::MiniInception, MiniModelKind::MiniRes}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "model " << static_cast<int>(kind));
+        BoundModel bound = bindQuantized(kind, image_size, format);
+        Rng rng(13);
+        Batch test;
+        test.images = Tensor({batch, 1, image_size, image_size});
+        randomize(test.images, rng);
+        const Tensor clean =
+            injectedForward(*bound.skeleton, test.images, 1, 0.0, format);
+        const std::uint32_t classes = clean.shape().back();
+        for (std::uint32_t b = 0; b < batch; ++b) {
+            const float *row = clean.data() + b * classes;
+            test.labels.push_back(static_cast<std::uint32_t>(
+                std::max_element(row, row + classes) - row));
+        }
+
+        LaneList list{bound.skeleton.get(), &format, &test, batch, {},
+                      nullptr};
+        for (std::uint32_t l = 0; l < 2 * mixes.size() + 1; ++l) {
+            const FaultMix &mix = mixes[l % mixes.size()];
+            list.lanes.push_back({0,
+                                  {mix.activation, 0x5eed + 2 * l + 1},
+                                  {mix.weight, 0x5eed + 2 * l + 2}});
+        }
+        const LaneScores from_start = scoreLaneLists({&list, 1}, 16, 1);
+        EXPECT_EQ(from_start.cleanPairs, 0u);
+
+        // One job: this suite starts no pool threads, since a later
+        // death test forks (the FaultCampaign and CampaignSweep
+        // suites run the cache and the blocks fanned out).
+        const CleanCache cache(*bound.skeleton, format, test, 1);
+        list.clean = &cache;
+        for (std::uint32_t block_lanes : {16u, 5u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << block_lanes << "-lane blocks");
+            const LaneScores resumed =
+                scoreLaneLists({&list, 1}, block_lanes, 1);
+            ASSERT_EQ(resumed.correct.front().size(), list.lanes.size());
+            EXPECT_GT(resumed.cleanPairs, 0u);
+            EXPECT_LT(resumed.cleanPairs,
+                      static_cast<std::uint64_t>(batch) * list.lanes.size());
+            std::uint32_t corrupted_misses = 0;
+            for (std::size_t l = 0; l < list.lanes.size(); ++l) {
+                const ScoredLane &lane = list.lanes[l];
+                const std::uint32_t correct = resumed.correct.front()[l];
+                EXPECT_EQ(correct, from_start.correct.front()[l])
+                    << "lane " << l;
+                EXPECT_EQ(correct, oneLaneCorrect(*bound.skeleton, format,
+                                                  test, batch, lane))
+                    << "lane " << l;
+                if (lane.activation.rate == 0.0 && lane.weight.rate == 0.0)
+                    EXPECT_EQ(correct, batch) << "clean lane " << l;
+                else
+                    corrupted_misses += batch - correct;
+            }
+            EXPECT_GT(corrupted_misses, 0u) << "no lane was corrupted";
+        }
+        // Resumed pairs skip the layers before their first failure.
+        EXPECT_LT(scoreLaneLists({&list, 1}, 16, 1).forwardMacs,
+                  from_start.forwardMacs);
+    }
+}
+
+TEST(LaneResume, CleanCacheKeepsEveryResumePoint)
+{
+    // The cache's predictions are the clean forward's, and every
+    // weighted layer's top-level layer keeps each sample's input:
+    // layer 0 reads the test images, later ones the clean
+    // activations (MiniRes resumes at its two residual blocks).
+    const std::uint32_t image_size = 12;
+    const FixedPointFormat format{12};
+    BoundModel bound =
+        bindQuantized(MiniModelKind::MiniRes, image_size, format);
+    Rng rng(31);
+    Batch test;
+    test.images = Tensor({37, 1, image_size, image_size});
+    randomize(test.images, rng);
+    const Tensor clean =
+        injectedForward(*bound.skeleton, test.images, 1, 0.0, format);
+    test.labels.assign(37, 0);
+    const CleanCache cache(*bound.skeleton, format, test, 1);
+    const std::uint32_t classes = clean.shape().back();
+    for (std::uint32_t b = 0; b < 37; ++b) {
+        const float *row = clean.data() + b * classes;
+        EXPECT_EQ(cache.prediction(b),
+                  static_cast<std::uint32_t>(
+                      std::max_element(row, row + classes) - row))
+            << "sample " << b;
+    }
+    // conv, relu, pool, residual, relu, residual, relu, pool,
+    // flatten, dense: the stem conv, both blocks' two convs, dense.
+    std::vector<std::uint32_t> levels;
+    for (const WeightedLayerShape &shape : cache.shapes())
+        levels.push_back(shape.level);
+    EXPECT_EQ(levels, (std::vector<std::uint32_t>{0, 3, 3, 5, 5, 9}));
+    EXPECT_EQ(cache.input(0, 36), test.images.data() + 36 * 144);
+    EXPECT_EQ(cache.inputDims(3),
+              (std::vector<std::uint32_t>{12, image_size / 2,
+                                          image_size / 2}));
+    // Sample 36's input to the first block equals a one-sample
+    // forward through the stem.
+    ForwardContext ctx;
+    ctx.quant = &format;
+    ctx.training = false;
+    const Tensor stem = bound.skeleton->forwardLayers(
+        sampleOf(test.images, 36), ctx, 0, 3);
+    EXPECT_EQ(std::memcmp(cache.input(3, 36), stem.data(),
+                          stem.size() * sizeof(float)),
+              0);
+}
+
 TEST(LaneForward, LvalueInputIsUntouched)
 {
     // forward takes its input by value and the layers quantize,

@@ -26,11 +26,10 @@
  *   --trials N           retention-sampling trials (default 8)
  *   --seed S             master seed (default 1)
  *   --jobs N             trial worker lanes (0 = hardware threads)
- *   --lane-block N       trials per parallel scoring block
- *                        (0 = tuned default, 1 = one trial per pass;
- *                        a block above 16 runs as 16-lane forwards
- *                        plus a padded remainder; bit-identical
- *                        results for any value)
+ *   --lane-block N       most lanes per scoring block
+ *                        (0 = tuned default, 1 = 1-lane passes;
+ *                        values above 16 run 16-lane blocks;
+ *                        bit-identical results for any value)
  *   --slowdown FACTOR    multiply every tile's time (timing fault)
  *   --stall SECONDS      stall before each outer scan (timing fault)
  *   --guard              attach the runtime reliability guard
@@ -79,8 +78,8 @@
  *                        corrupt=C (corrupt cell C's first result
  *                        frame)
  *
- * --lane-block 1 runs every trial as its own 1-lane forward, the
- * reference path the batched trial blocks are bit-identical to.
+ * --lane-block 1 runs every scoring block as a 1-lane forward, the
+ * reference path the batched blocks are bit-identical to.
  *
  * Exit codes: 0 success, 1 bad usage or failed campaign, 2 a guarded
  * campaign or grid cell still observed corrupted-word events (the
