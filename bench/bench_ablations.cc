@@ -42,7 +42,8 @@ controllerAblation()
                 DesignKind::RanaStarE5, retention());
             design.options.policy = policy;
             design.options.refreshIntervalSeconds = interval;
-            const DesignResult result = runDesign(design, net);
+            const DesignResult result =
+                runDesignChecked(design, net).valueOrDie();
             table.row({formatTime(interval),
                        refreshPolicyName(policy),
                        formatEnergy(result.energy.refresh),
@@ -53,7 +54,7 @@ controllerAblation()
         DesignPoint design =
             makeDesignPoint(DesignKind::RanaStarE5, retention());
         design.options.refreshIntervalSeconds = interval;
-        const DesignResult base = runDesign(design, net);
+        const DesignResult base = runDesignChecked(design, net).valueOrDie();
         RetentionBinningParams params;
         params.tolerableFailureRate =
             retention().failureRateAt(interval);
@@ -90,11 +91,15 @@ patternAblation()
         std::vector<std::string> row = {net.name()};
         DesignPoint design =
             makeDesignPoint(DesignKind::RanaStarE5, retention());
-        const double hybrid = runDesign(design, net).energy.total();
+        const double hybrid =
+            runDesignChecked(design, net).valueOrDie().energy.total();
         for (DataflowKind dataflow : legacyDataflows()) {
             design.options.dataflows = {dataflow};
             row.push_back(
-                ratio(runDesign(design, net).energy.total() / hybrid));
+                ratio(runDesignChecked(design, net)
+                          .valueOrDie()
+                          .energy.total() /
+                      hybrid));
         }
         row.push_back("1.000");
         table.row(row);
@@ -116,7 +121,7 @@ timingModelAblation()
         DesignPoint design =
             makeDesignPoint(DesignKind::RanaStarE5, retention());
         design.config.timing = timing;
-        const DesignResult result = runDesign(design, net);
+        const DesignResult result = runDesignChecked(design, net).valueOrDie();
         const double utilization =
             static_cast<double>(net.totalMacs()) /
             (result.seconds *
@@ -142,7 +147,8 @@ promotionAblation()
     table.header({"Promotion", "Off-chip energy", "Off-chip words",
                   "Total energy"});
     {
-        const DesignResult result = runDesign(designs[0], net);
+        const DesignResult result =
+            runDesignChecked(designs[0], net).valueOrDie();
         table.row({"on (spare capacity pins inputs)",
                    formatEnergy(result.energy.offChipAccess),
                    std::to_string(result.counts.ddrAccesses),
@@ -152,8 +158,8 @@ promotionAblation()
         // Rebuild the baseline schedule without exploring promotion
         // by re-evaluating the same tiling choices unpromoted.
         DesignPoint design = designs[0];
-        const NetworkSchedule schedule = scheduleNetworkOrDie(
-            design.config, net, design.options);
+        const NetworkSchedule schedule = scheduleNetwork(
+            design.config, net, design.options).valueOrDie();
         OperationCounts counts;
         for (std::size_t i = 0; i < net.size(); ++i) {
             const LayerAnalysis unpromoted = analyzeLayer(
@@ -185,8 +191,8 @@ performanceAblation()
     table.header({"Design", "Compute", "Memory", "Refresh busy",
                   "Bounded", "Slowdown"});
     for (const DesignPoint &design : tableIvDesigns(retention())) {
-        const NetworkSchedule schedule = scheduleNetworkOrDie(
-            design.config, net, design.options);
+        const NetworkSchedule schedule = scheduleNetwork(
+            design.config, net, design.options).valueOrDie();
         PerformanceReport total;
         for (std::size_t i = 0; i < net.size(); ++i) {
             total += evaluatePerformance(
@@ -217,7 +223,7 @@ dramModelAblation()
     const NetworkModel net = makeResNet50();
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaStarE5, retention());
-    const DesignResult result = runDesign(design, net);
+    const DesignResult result = runDesignChecked(design, net).valueOrDie();
     const double words =
         static_cast<double>(result.counts.ddrAccesses);
 

@@ -81,10 +81,10 @@ runDataflowSearch(BenchContext &ctx)
             design.config, network, legacy_options);
         const std::uint64_t widened_space = searchSpaceSize(
             design.config, network, widened_options);
-        const NetworkSchedule legacy_best = scheduleNetworkOrDie(
-            design.config, network, legacy_options);
-        const NetworkSchedule widened_best = scheduleNetworkOrDie(
-            design.config, network, widened_options);
+        const NetworkSchedule legacy_best = scheduleNetwork(
+            design.config, network, legacy_options).valueOrDie();
+        const NetworkSchedule widened_best = scheduleNetwork(
+            design.config, network, widened_options).valueOrDie();
         const EnergyBreakdown legacy_energy =
             networkEnergy(legacy_best);
         const EnergyBreakdown widened_energy =

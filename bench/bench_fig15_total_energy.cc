@@ -9,6 +9,7 @@
 
 #include "harness.hh"
 
+#include "core/report.hh"
 #include "util/ascii_chart.hh"
 
 namespace {
@@ -21,14 +22,10 @@ runFig15TotalEnergy(rana::bench::BenchContext &ctx)
     using namespace rana;
     using namespace rana::bench;
 
-
     const auto designs = tableIvDesigns(retention());
     const auto &nets = networks();
-
-    // results[d][n]
-    std::vector<std::vector<DesignResult>> results;
-    for (const auto &design : designs)
-        results.push_back(runDesignSuite(design, nets));
+    const ResultGrid grid(designs, nets);
+    using Metric = ResultGrid::Metric;
 
     TextTable table;
     {
@@ -38,16 +35,11 @@ runFig15TotalEnergy(rana::bench::BenchContext &ctx)
         header.push_back("GMEAN");
         table.header(header);
     }
-    for (std::size_t d = 0; d < designs.size(); ++d) {
+    for (std::size_t d = 0; d < grid.numDesigns(); ++d) {
         std::vector<std::string> row = {designs[d].name};
-        std::vector<double> norms;
-        for (std::size_t n = 0; n < nets.size(); ++n) {
-            const double norm = results[d][n].energy.total() /
-                                results[0][n].energy.total();
-            norms.push_back(norm);
-            row.push_back(ratio(norm));
-        }
-        row.push_back(ratio(geomean(norms)));
+        for (std::size_t n = 0; n < grid.numNetworks(); ++n)
+            row.push_back(ratio(grid.normalizedEnergy(d, n)));
+        row.push_back(ratio(grid.normalizedEnergyGmean(d)));
         table.row(row);
     }
     table.print(std::cout);
@@ -57,10 +49,10 @@ runFig15TotalEnergy(rana::bench::BenchContext &ctx)
     TextTable parts;
     parts.header({"Design", "Computing", "Buffer", "Refresh",
                   "Off-chip", "Total"});
-    std::vector<EnergyBreakdown> sums(designs.size());
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-        for (std::size_t n = 0; n < nets.size(); ++n)
-            sums[d] += results[d][n].energy;
+    std::vector<EnergyBreakdown> sums(grid.numDesigns());
+    for (std::size_t d = 0; d < grid.numDesigns(); ++d) {
+        for (std::size_t n = 0; n < grid.numNetworks(); ++n)
+            sums[d] += grid.at(d, n).energy;
         parts.row({designs[d].name, formatEnergy(sums[d].computing),
                    formatEnergy(sums[d].bufferAccess),
                    formatEnergy(sums[d].refresh),
@@ -70,14 +62,14 @@ runFig15TotalEnergy(rana::bench::BenchContext &ctx)
     parts.print(std::cout);
 
     // Figure-style stacked bars, normalized per network to S+ID.
-    for (std::size_t n = 0; n < nets.size(); ++n) {
+    for (std::size_t n = 0; n < grid.numNetworks(); ++n) {
         BarChart chart("\n" + nets[n].name() +
                        " (normalized to S+ID)");
         chart.segments({"computing", "buffer", "refresh",
                         "off-chip"});
-        const double base = results[0][n].energy.total();
-        for (std::size_t d = 0; d < designs.size(); ++d) {
-            const EnergyBreakdown &e = results[d][n].energy;
+        const double base = grid.at(0, n).energy.total();
+        for (std::size_t d = 0; d < grid.numDesigns(); ++d) {
+            const EnergyBreakdown &e = grid.at(d, n).energy;
             chart.bar(designs[d].name,
                       {e.computing / base, e.bufferAccess / base,
                        e.refresh / base, e.offChipAccess / base});
@@ -86,49 +78,29 @@ runFig15TotalEnergy(rana::bench::BenchContext &ctx)
     }
 
     // Headline statistics (Section V-B1).
-    auto avg_saving = [&](std::size_t d_new, std::size_t d_base,
-                          auto metric) {
-        std::vector<double> savings;
-        for (std::size_t n = 0; n < nets.size(); ++n) {
-            const double base = metric(results[d_base][n]);
-            const double now = metric(results[d_new][n]);
-            if (base > 0.0)
-                savings.push_back(1.0 - now / base);
-        }
-        return mean(savings);
-    };
-    const auto offchip = [](const DesignResult &r) {
-        return static_cast<double>(r.counts.ddrAccesses);
-    };
-    const auto refresh_ops = [](const DesignResult &r) {
-        return static_cast<double>(r.counts.refreshOps);
-    };
-    const auto total_energy = [](const DesignResult &r) {
-        return r.energy.total();
-    };
-
     std::cout << "\nHeadline comparison (average over networks):\n"
               << "  eD+ID vs S+ID off-chip access saved:      "
-              << formatPercent(avg_saving(1, 0, offchip))
+              << formatPercent(grid.meanSaving(1, 0, Metric::OffChipWords))
               << "  (paper: 40.3%)\n"
               << "  eD+OD vs eD+ID refresh energy saved:      "
-              << formatPercent(1.0 - sums[2].refresh / sums[1].refresh)
+              << formatPercent(
+                     1.0 - grid.metricSum(2, Metric::RefreshEnergy) /
+                               grid.metricSum(1, Metric::RefreshEnergy))
               << "  (paper: 43.7%)\n"
               << "  RANA(0) vs eD+OD total energy (VGG):      "
-              << formatPercent(1.0 - results[3][1].energy.total() /
-                                         results[2][1].energy.total())
+              << formatPercent(1.0 - grid.normalizedEnergy(3, 1, 2))
               << "  (paper: 19.4%)\n"
               << "  RANA(E-5) vs RANA(0) refresh ops removed: "
-              << formatPercent(avg_saving(4, 3, refresh_ops))
+              << formatPercent(grid.meanSaving(4, 3, Metric::RefreshOps))
               << "  (paper: 98.5%)\n"
               << "  RANA*(E-5) vs eD+ID refresh ops removed:  "
-              << formatPercent(avg_saving(5, 1, refresh_ops))
+              << formatPercent(grid.meanSaving(5, 1, Metric::RefreshOps))
               << "  (paper: 99.7%)\n"
               << "  RANA*(E-5) vs S+ID off-chip access saved: "
-              << formatPercent(avg_saving(5, 0, offchip))
+              << formatPercent(grid.meanSaving(5, 0, Metric::OffChipWords))
               << "  (paper: 41.7%)\n"
               << "  RANA*(E-5) vs S+ID system energy saved:   "
-              << formatPercent(avg_saving(5, 0, total_energy))
+              << formatPercent(grid.meanSaving(5, 0, Metric::TotalEnergy))
               << "  (paper: 66.2%)\n"
               << "  RANA*(E-5) refresh share of total energy: "
               << formatPercent(sums[5].refresh / sums[5].total())

@@ -31,9 +31,9 @@ runFig16RtSweep(rana::bench::BenchContext &ctx)
     DesignPointParams base_params;
     base_params.retentionSeconds = 45e-6;
     const double base =
-        runDesign(makeDesignPoint(DesignKind::EdramId, retention(),
+        runDesignChecked(makeDesignPoint(DesignKind::EdramId, retention(),
                                   base_params),
-                  net)
+                  net).valueOrDie()
             .energy.acceleratorEnergy();
 
     TextTable table;
@@ -45,7 +45,8 @@ runFig16RtSweep(rana::bench::BenchContext &ctx)
             params.retentionSeconds = rt;
             const DesignPoint design =
                 makeDesignPoint(kind, retention(), params);
-            const DesignResult result = runDesign(design, net);
+            const DesignResult result =
+                runDesignChecked(design, net).valueOrDie();
             const EnergyBreakdown &e = result.energy;
             table.row({formatTime(rt), design.name,
                        formatEnergy(e.computing),
@@ -62,8 +63,8 @@ runFig16RtSweep(rana::bench::BenchContext &ctx)
     auto refresh_at = [&](DesignKind kind, double rt) {
         DesignPointParams params;
         params.retentionSeconds = rt;
-        return runDesign(makeDesignPoint(kind, retention(), params),
-                         net)
+        return runDesignChecked(makeDesignPoint(kind, retention(), params),
+                         net).valueOrDie()
             .energy.refresh;
     };
     const double id_drop = 1.0 - refresh_at(DesignKind::EdramId,

@@ -27,9 +27,10 @@ runFig17VggLayerwise(rana::bench::BenchContext &ctx)
     const DesignPoint rana_design =
         makeDesignPoint(DesignKind::Rana0, retention());
     const NetworkSchedule od =
-        scheduleNetworkOrDie(od_design.config, net, od_design.options);
+        scheduleNetwork(od_design.config, net, od_design.options).valueOrDie();
     const NetworkSchedule rana =
-        scheduleNetworkOrDie(rana_design.config, net, rana_design.options);
+        scheduleNetwork(rana_design.config, net, rana_design.options)
+            .valueOrDie();
 
     TextTable table;
     table.header({"Layer", "eD+OD", "RANA (0)", "RANA pattern",

@@ -51,7 +51,9 @@ runFig18CapacitySweep(rana::bench::BenchContext &ctx)
             const DesignPoint design =
                 makeDesignPoint(kind, retention(), params);
             for (std::size_t n = 0; n < nets.size(); ++n)
-                base[n] = runDesign(design, nets[n]).energy.total();
+                base[n] = runDesignChecked(design, nets[n])
+                              .valueOrDie()
+                              .energy.total();
         }
 
         for (std::uint32_t banks : bank_counts) {
@@ -63,7 +65,7 @@ runFig18CapacitySweep(rana::bench::BenchContext &ctx)
                 design.config.buffer.capacityBytes())};
             for (std::size_t n = 0; n < nets.size(); ++n) {
                 const DesignResult result =
-                    runDesign(design, nets[n]);
+                    runDesignChecked(design, nets[n]).valueOrDie();
                 row.push_back(ratio(result.energy.total() / base[n]));
                 row.push_back(formatPercent(result.energy.refresh /
                                             result.energy.total()));
@@ -90,8 +92,10 @@ runFig18CapacitySweep(rana::bench::BenchContext &ctx)
         const DesignPoint d_star = makeDesignPoint(
             DesignKind::RanaStarE5, retention(), params);
         for (const auto &net : nets) {
-            gated += runDesign(d_gated, net).energy.refresh;
-            per_bank += runDesign(d_star, net).energy.refresh;
+            gated += runDesignChecked(d_gated, net)
+                .valueOrDie().energy.refresh;
+            per_bank += runDesignChecked(d_star, net)
+                .valueOrDie().energy.refresh;
         }
         saved.row({formatBytes(d_gated.config.buffer.capacityBytes()),
                    formatEnergy(gated), formatEnergy(per_bank),

@@ -8,6 +8,8 @@
 
 #include "harness.hh"
 
+#include "core/report.hh"
+
 namespace {
 
 /** Figure 19 - scalability analysis on DaDianNao */
@@ -18,13 +20,10 @@ runFig19Dadiannao(rana::bench::BenchContext &ctx)
     using namespace rana;
     using namespace rana::bench;
 
-
     const auto designs = daDianNaoDesigns(retention());
     const auto &nets = networks();
-
-    std::vector<std::vector<DesignResult>> results;
-    for (const auto &design : designs)
-        results.push_back(runDesignSuite(design, nets));
+    const ResultGrid grid(designs, nets);
+    using Metric = ResultGrid::Metric;
 
     TextTable table;
     {
@@ -34,16 +33,11 @@ runFig19Dadiannao(rana::bench::BenchContext &ctx)
         header.push_back("GMEAN");
         table.header(header);
     }
-    for (std::size_t d = 0; d < designs.size(); ++d) {
+    for (std::size_t d = 0; d < grid.numDesigns(); ++d) {
         std::vector<std::string> row = {designs[d].name};
-        std::vector<double> norms;
-        for (std::size_t n = 0; n < nets.size(); ++n) {
-            const double norm = results[d][n].energy.total() /
-                                results[0][n].energy.total();
-            norms.push_back(norm);
-            row.push_back(ratio(norm));
-        }
-        row.push_back(ratio(geomean(norms)));
+        for (std::size_t n = 0; n < grid.numNetworks(); ++n)
+            row.push_back(ratio(grid.normalizedEnergy(d, n)));
+        row.push_back(ratio(grid.normalizedEnergyGmean(d)));
         table.row(row);
     }
     table.print(std::cout);
@@ -52,10 +46,10 @@ runFig19Dadiannao(rana::bench::BenchContext &ctx)
     TextTable parts;
     parts.header({"Design", "Computing", "Buffer", "Refresh",
                   "Off-chip"});
-    std::vector<EnergyBreakdown> sums(designs.size());
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-        for (std::size_t n = 0; n < nets.size(); ++n)
-            sums[d] += results[d][n].energy;
+    std::vector<EnergyBreakdown> sums(grid.numDesigns());
+    for (std::size_t d = 0; d < grid.numDesigns(); ++d) {
+        for (std::size_t n = 0; n < grid.numNetworks(); ++n)
+            sums[d] += grid.at(d, n).energy;
         parts.row({designs[d].name, formatEnergy(sums[d].computing),
                    formatEnergy(sums[d].bufferAccess),
                    formatEnergy(sums[d].refresh),
@@ -63,31 +57,22 @@ runFig19Dadiannao(rana::bench::BenchContext &ctx)
     }
     parts.print(std::cout);
 
-    auto count_sum = [&results, &nets](std::size_t d, auto metric) {
-        double total = 0.0;
-        for (std::size_t n = 0; n < nets.size(); ++n)
-            total += metric(results[d][n]);
-        return total;
-    };
-    const auto refresh_ops = [](const DesignResult &r) {
-        return static_cast<double>(r.counts.refreshOps);
-    };
-
     std::cout
         << "\nHeadline comparison:\n"
         << "  Buffer-access share of original DaDianNao energy: "
         << formatPercent(sums[0].bufferAccess / sums[0].total())
         << "  (paper: 23.5%)\n"
         << "  RANA (0) buffer access saved vs DaDianNao:        "
-        << formatPercent(1.0 -
-                         sums[1].bufferAccess / sums[0].bufferAccess)
+        << formatPercent(1.0 - grid.metricSum(1, Metric::BufferEnergy) /
+                                   grid.metricSum(0, Metric::BufferEnergy))
         << "  (paper: 97.2%)\n"
         << "  RANA (E-5) refresh energy saved vs RANA (0):      "
-        << formatPercent(1.0 - sums[2].refresh / sums[1].refresh)
+        << formatPercent(1.0 - grid.metricSum(2, Metric::RefreshEnergy) /
+                                   grid.metricSum(1, Metric::RefreshEnergy))
         << "  (paper: 94.9%)\n"
         << "  RANA*(E-5) refresh ops removed vs DaDianNao:      "
-        << formatPercent(1.0 - count_sum(3, refresh_ops) /
-                                   count_sum(0, refresh_ops))
+        << formatPercent(1.0 - grid.metricSum(3, Metric::RefreshOps) /
+                                   grid.metricSum(0, Metric::RefreshOps))
         << "  (paper: 99.9%)\n"
         << "  RANA*(E-5) system energy saved vs DaDianNao:      "
         << formatPercent(1.0 - sums[3].total() / sums[0].total())

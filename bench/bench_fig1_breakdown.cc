@@ -23,7 +23,7 @@ runFig1Breakdown(rana::bench::BenchContext &ctx)
     const DesignPoint design =
         makeDesignPoint(DesignKind::EdramId, retention());
     const NetworkModel net = makeResNet50();
-    const DesignResult result = runDesign(design, net);
+    const DesignResult result = runDesignChecked(design, net).valueOrDie();
 
     // Group layers by ResNet stage (conv1, res2, res3, res4, res5).
     const std::vector<std::string> groups = {"conv1", "res2", "res3",

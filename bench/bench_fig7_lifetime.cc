@@ -29,7 +29,7 @@ runFig7Lifetime(rana::bench::BenchContext &ctx)
         makeDesignPoint(DesignKind::EdramId, retention());
     const NetworkModel net = makeResNet50();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
 
     const double rt_typical = 45e-6;
     const double rt_tolerable = retention().retentionTimeFor(1e-5);

@@ -33,8 +33,8 @@ runInterlayerReuse(rana::bench::BenchContext &ctx)
     for (const NetworkModel &net : nets) {
         const DesignPoint design =
             makeDesignPoint(DesignKind::RanaStarE5, retention());
-        const NetworkSchedule schedule = scheduleNetworkOrDie(
-            design.config, net, design.options);
+        const NetworkSchedule schedule = scheduleNetwork(
+            design.config, net, design.options).valueOrDie();
         const InterLayerReuseResult result =
             applyInterLayerReuse(design.config, net, schedule);
         std::uint64_t added_refresh = 0;
@@ -58,7 +58,7 @@ runInterlayerReuse(rana::bench::BenchContext &ctx)
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkModel vgg = makeVgg16();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, vgg, design.options);
+        scheduleNetwork(design.config, vgg, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, vgg, schedule);
     TextTable detail;

@@ -48,7 +48,8 @@ BM_ScheduleLayer(benchmark::State &state)
     options.policy = RefreshPolicy::PerBank;
     options.refreshIntervalSeconds = 734e-6;
     for (auto _ : state)
-        benchmark::DoNotOptimize(scheduleLayerOrDie(config, layer, options));
+        benchmark::DoNotOptimize(
+            scheduleLayer(config, layer, options).valueOrDie());
 }
 BENCHMARK(BM_ScheduleLayer);
 
@@ -62,7 +63,7 @@ BM_ScheduleResNet(benchmark::State &state)
     options.refreshIntervalSeconds = 734e-6;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            scheduleNetworkOrDie(config, net, options));
+            scheduleNetwork(config, net, options).valueOrDie());
     }
 }
 BENCHMARK(BM_ScheduleResNet)->Unit(benchmark::kMillisecond);
@@ -77,7 +78,8 @@ BM_TraceSimulateLayer(benchmark::State &state)
     std::uint64_t tiles = 0;
     for (auto _ : state) {
         LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
-        benchmark::DoNotOptimize(sim.runLayer(layer, analysis));
+        benchmark::DoNotOptimize(
+            sim.runLayerChecked(layer, analysis).valueOrDie());
         tiles += tripCounts(layer, analysis.tiling).total();
     }
     state.counters["tiles/s"] = benchmark::Counter(

@@ -40,8 +40,8 @@ runResolutionSweep(rana::bench::BenchContext &ctx)
                 makeDesignPoint(DesignKind::SramId, retention());
             const DesignPoint rana =
                 makeDesignPoint(DesignKind::RanaStarE5, retention());
-            const DesignResult base = runDesign(sram, net);
-            const DesignResult star = runDesign(rana, net);
+            const DesignResult base = runDesignChecked(sram, net).valueOrDie();
+            const DesignResult star = runDesignChecked(rana, net).valueOrDie();
             table.row(
                 {std::to_string(hw) + "x" + std::to_string(hw),
                  paperMb(std::max(net.maxInputWords(),

@@ -44,7 +44,7 @@ timeSchedule(const AcceleratorConfig &config, const NetworkModel &net,
     for (std::uint32_t i = 0; i < repeat; ++i) {
         const auto start = std::chrono::steady_clock::now();
         const NetworkSchedule schedule =
-            scheduleNetworkOrDie(config, net, options);
+            scheduleNetwork(config, net, options).valueOrDie();
         const auto stop = std::chrono::steady_clock::now();
         best = std::min(
             best,
@@ -124,7 +124,7 @@ runSchedScaling(rana::bench::BenchContext &ctx)
     const SchedulerOptions serial_options =
         SchedulerOptionsBuilder().jobs(1).memoize(false).build();
     const std::string serial_bytes = writeConfigString(toConfigRecord(
-        scheduleNetworkOrDie(config, net, serial_options)));
+        scheduleNetwork(config, net, serial_options).valueOrDie()));
 
     std::cout << "host: " << hw << " hardware thread(s); "
               << net.name() << ", " << net.size()
@@ -150,7 +150,7 @@ runSchedScaling(rana::bench::BenchContext &ctx)
             serial_seconds = best;
         best_speedup = std::max(best_speedup, serial_seconds / best);
         const std::string bytes = writeConfigString(toConfigRecord(
-            scheduleNetworkOrDie(config, net, options)));
+            scheduleNetwork(config, net, options).valueOrDie()));
         table.row({std::to_string(jobs), seconds(best),
                    times(serial_seconds / best),
                    bytes == serial_bytes ? "yes" : "NO"});
@@ -201,7 +201,7 @@ runSchedScaling(rana::bench::BenchContext &ctx)
     design.options.jobs = hw;
     const NetworkModel resnet = makeResNet50();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, resnet, design.options);
+        scheduleNetwork(design.config, resnet, design.options).valueOrDie();
     ExecutionResult serial_result;
     ExecutionResult parallel_result;
     design.options.jobs = 1;

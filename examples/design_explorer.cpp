@@ -18,7 +18,8 @@ main(int argc, char **argv)
     using namespace rana;
 
     const std::string network_name = argc > 1 ? argv[1] : "ResNet";
-    const NetworkModel network = makeBenchmark(network_name);
+    const NetworkModel network =
+        makeBenchmarkChecked(network_name).valueOrDie();
     const RetentionDistribution retention =
         RetentionDistribution::typical65nm();
 
@@ -34,7 +35,8 @@ main(int argc, char **argv)
                   "Refresh", "Off-chip", "OD/WD/ID layers",
                   "Runtime"});
     for (const DesignPoint &design : tableIvDesigns(retention)) {
-        const DesignResult result = runDesign(design, network);
+        const DesignResult result =
+            runDesignChecked(design, network).valueOrDie();
         if (baseline == 0.0)
             baseline = result.energy.total();
         const auto &schedule = result.schedule;

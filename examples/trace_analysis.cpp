@@ -44,12 +44,13 @@ main(int argc, char **argv)
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
     sim.setTraceSink(&writer);
-    const LayerSimResult with_csv = sim.runLayer(layer, analysis);
+    const LayerSimResult with_csv =
+        sim.runLayerChecked(layer, analysis).valueOrDie();
 
     LoopNestSimulator counting_sim(config, RefreshPolicy::PerBank,
                                    734e-6);
     counting_sim.setTraceSink(&counter);
-    counting_sim.runLayer(layer, analysis);
+    counting_sim.runLayerChecked(layer, analysis).valueOrDie();
 
     std::cout << "Traced " << layer.describe() << " under "
               << dataflowName(analysis.dataflow)

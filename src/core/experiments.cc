@@ -31,12 +31,6 @@ runDesignChecked(const DesignPoint &design, const NetworkModel &network)
     return result;
 }
 
-DesignResult
-runDesign(const DesignPoint &design, const NetworkModel &network)
-{
-    return runDesignChecked(design, network).valueOrDie();
-}
-
 std::vector<DesignResult>
 runDesignSuite(const DesignPoint &design,
                const std::vector<NetworkModel> &networks)
@@ -44,26 +38,8 @@ runDesignSuite(const DesignPoint &design,
     std::vector<DesignResult> results;
     results.reserve(networks.size());
     for (const auto &network : networks)
-        results.push_back(runDesign(design, network));
+        results.push_back(runDesignChecked(design, network).valueOrDie());
     return results;
-}
-
-ExecutionResult
-executeSchedule(const DesignPoint &design, const NetworkModel &network,
-                const NetworkSchedule &schedule)
-{
-    return executeSchedule(design, network, schedule, TimingFaults{},
-                           nullptr);
-}
-
-ExecutionResult
-executeSchedule(const DesignPoint &design, const NetworkModel &network,
-                const NetworkSchedule &schedule,
-                const TimingFaults &faults, ReliabilityGuard *guard)
-{
-    return executeScheduleChecked(design, network, schedule, faults,
-                                  guard)
-        .valueOrDie();
 }
 
 Result<std::vector<LayerSimResult>>

@@ -41,10 +41,6 @@ struct DesignResult
 Result<DesignResult> runDesignChecked(const DesignPoint &design,
                                       const NetworkModel &network);
 
-/** runDesignChecked, but fatal() on failure. */
-DesignResult runDesign(const DesignPoint &design,
-                       const NetworkModel &network);
-
 /** Evaluate a design on several networks. */
 std::vector<DesignResult>
 runDesignSuite(const DesignPoint &design,
@@ -102,15 +98,17 @@ simulateLayersChecked(const DesignPoint &design,
                       TraceSink *sink = nullptr);
 
 /**
- * Checked core of executeSchedule: simulates the schedule with
+ * Execute a compiled schedule: simulates it with
  * simulateLayersChecked (so `design.options.jobs` also sets the
  * width of the layer fan-out) and sums the layers in order. Fails
  * with Mismatch when the schedule does not describe `network`
  * (instead of aborting), runs the simulation under `faults`, and
  * optionally attaches the reliability guard and a trace sink (either
- * may be nullptr; either keeps the run on one lane). The sink
- * receives every simulator event — the timeline exporter hangs off
- * this parameter.
+ * may be nullptr; either keeps the run on one lane). Guarded runs
+ * convert retention overages into per-bank refresh fallbacks:
+ * `violations` stays zero and the guard counters report the trips.
+ * The sink receives every simulator event — the timeline exporter
+ * hangs off this parameter.
  */
 Result<ExecutionResult>
 executeScheduleChecked(const DesignPoint &design,
@@ -119,24 +117,6 @@ executeScheduleChecked(const DesignPoint &design,
                        const TimingFaults &faults = TimingFaults{},
                        ReliabilityGuard *guard = nullptr,
                        TraceSink *sink = nullptr);
-
-ExecutionResult executeSchedule(const DesignPoint &design,
-                                const NetworkModel &network,
-                                const NetworkSchedule &schedule);
-
-/**
- * executeSchedule under injected timing faults, optionally with the
- * runtime reliability guard attached (nullptr = unguarded). Guarded
- * runs convert retention overages into per-bank refresh fallbacks:
- * `violations` stays zero and the guard counters report the trips.
- * The default TimingFaults and a null guard reproduce the plain
- * overload bit for bit.
- */
-ExecutionResult executeSchedule(const DesignPoint &design,
-                                const NetworkModel &network,
-                                const NetworkSchedule &schedule,
-                                const TimingFaults &faults,
-                                ReliabilityGuard *guard);
 
 } // namespace rana
 

@@ -38,13 +38,15 @@ runRanaPipeline(const NetworkModel &network,
     result.design.options.refreshIntervalSeconds =
         result.tolerableRetentionSeconds;
 
-    result.schedule = scheduleNetworkOrDie(config, network,
-                                           result.design.options);
+    result.schedule =
+        scheduleNetwork(config, network, result.design.options)
+            .valueOrDie();
     result.scheduledEnergy = result.schedule.totalEnergy();
 
     if (inputs.execute) {
-        result.executed =
-            executeSchedule(result.design, network, result.schedule);
+        result.executed = executeScheduleChecked(result.design, network,
+                                                 result.schedule)
+                              .valueOrDie();
         result.executedPhase = true;
         if (result.executed.violations > 0) {
             warn("execution phase observed ",

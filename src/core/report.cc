@@ -17,12 +17,8 @@ ResultGrid::ResultGrid(const std::vector<DesignPoint> &designs,
 {
     RANA_ASSERT(!designs.empty() && !networks.empty(),
                 "result grid needs designs and networks");
-    for (const NetworkModel &network : networks)
-        networkNames_.push_back(network.name());
-    for (const DesignPoint &design : designs) {
-        designNames_.push_back(design.name);
+    for (const DesignPoint &design : designs)
         results_.push_back(runDesignSuite(design, networks));
-    }
 }
 
 const DesignResult &
@@ -94,28 +90,6 @@ ResultGrid::metricSum(std::size_t design, Metric metric) const
     for (std::size_t n = 0; n < numNetworks(); ++n)
         total += metricOf(at(design, n), metric);
     return total;
-}
-
-std::string
-ResultGrid::markdownNormalizedTable(std::size_t baseline) const
-{
-    std::ostringstream oss;
-    oss << "| Design |";
-    for (const std::string &name : networkNames_)
-        oss << " " << name << " |";
-    oss << " GMEAN |\n|---|";
-    for (std::size_t n = 0; n <= numNetworks(); ++n)
-        oss << "---|";
-    oss << "\n";
-    oss.setf(std::ios::fixed);
-    oss.precision(3);
-    for (std::size_t d = 0; d < numDesigns(); ++d) {
-        oss << "| " << designNames_[d] << " |";
-        for (std::size_t n = 0; n < numNetworks(); ++n)
-            oss << " " << normalizedEnergy(d, n, baseline) << " |";
-        oss << " " << normalizedEnergyGmean(d, baseline) << " |\n";
-    }
-    return oss.str();
 }
 
 std::string

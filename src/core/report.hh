@@ -4,11 +4,11 @@
  *
  * The paper's Section V-B1 quotes a set of summary percentages
  * (off-chip access saved, refresh operations removed, total system
- * energy saved, ...). This module computes the same statistics from
- * a designs x networks result grid so the benchmark harnesses, the
- * regression tests and EXPERIMENTS.md all derive them from one
- * implementation — and the tests can pin each statistic to the band
- * the paper establishes.
+ * energy saved, ...). ResultGrid computes them from a designs x
+ * networks result grid: the Figure 15 and Figure 19 harnesses print
+ * them from it, and tests/test_report.cc pins each one to the band
+ * the paper establishes. The markdown helpers below render the
+ * robustness layer's reliability and guard-policy reports.
  */
 
 #ifndef RANA_CORE_REPORT_HH_
@@ -41,17 +41,6 @@ class ResultGrid
     const DesignResult &at(std::size_t design,
                            std::size_t network) const;
 
-    /** Design names in grid order. */
-    const std::vector<std::string> &designNames() const
-    {
-        return designNames_;
-    }
-    /** Network names in grid order. */
-    const std::vector<std::string> &networkNames() const
-    {
-        return networkNames_;
-    }
-
     /** Total energy of design d on network n, normalized to design
      *  `baseline` on the same network. */
     double normalizedEnergy(std::size_t design, std::size_t network,
@@ -79,15 +68,9 @@ class ResultGrid
     /** Sum of a metric over all networks for one design. */
     double metricSum(std::size_t design, Metric metric) const;
 
-    /** Markdown table of normalized energies (plus GMEAN column). */
-    std::string markdownNormalizedTable(std::size_t baseline = 0)
-        const;
-
   private:
     static double metricOf(const DesignResult &result, Metric metric);
 
-    std::vector<std::string> designNames_;
-    std::vector<std::string> networkNames_;
     std::vector<std::vector<DesignResult>> results_;
 };
 

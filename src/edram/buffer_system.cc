@@ -103,13 +103,4 @@ allocateBanksChecked(const BufferGeometry &geometry,
     return alloc;
 }
 
-BankAllocation
-allocateBanks(const BufferGeometry &geometry, std::uint64_t input_words,
-              std::uint64_t output_words, std::uint64_t weight_words)
-{
-    return allocateBanksChecked(geometry, input_words, output_words,
-                                weight_words)
-        .valueOrDie();
-}
-
 } // namespace rana

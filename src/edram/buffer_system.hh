@@ -95,13 +95,6 @@ allocateBanksChecked(const BufferGeometry &geometry,
                      std::uint64_t output_words,
                      std::uint64_t weight_words);
 
-/** allocateBanksChecked, but fatal() on failure: callers that pass
- * pre-validated requirements treat overflow as a scheduling bug. */
-BankAllocation allocateBanks(const BufferGeometry &geometry,
-                             std::uint64_t input_words,
-                             std::uint64_t output_words,
-                             std::uint64_t weight_words);
-
 } // namespace rana
 
 #endif // RANA_EDRAM_BUFFER_SYSTEM_HH_

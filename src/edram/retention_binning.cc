@@ -145,21 +145,4 @@ RetentionBinning::conservativeInterval() const
     return *std::min_element(capability_.begin(), capability_.end());
 }
 
-std::uint64_t
-RetentionBinning::uniformRefreshOpsForLayer(
-    const LayerRefreshDemand &demand,
-    const std::array<bool, numDataTypes> &flags,
-    double interval_seconds) const
-{
-    // A single-interval controller with per-type flags.
-    LayerRefreshDemand gated = demand;
-    for (std::size_t type = 0; type < numDataTypes; ++type) {
-        if (!flags[type])
-            gated.lifetimeSeconds[type] = 0.0;
-    }
-    return ::rana::refreshOpsForLayer(RefreshPolicy::PerBank,
-                                      geometry_, gated,
-                                      interval_seconds);
-}
-
 } // namespace rana

@@ -92,19 +92,6 @@ class RetentionBinning
                        const std::array<bool, numDataTypes> &flags)
         const;
 
-    /**
-     * Refresh operations for the same layer under a single-interval
-     * per-bank-flag controller (the paper's RANA* when
-     * `interval_seconds` is the chip-average tolerable time; the
-     * conservative per-bank-guarantee baseline when it is
-     * conservativeInterval()).
-     */
-    std::uint64_t
-    uniformRefreshOpsForLayer(const LayerRefreshDemand &demand,
-                              const std::array<bool, numDataTypes>
-                                  &flags,
-                              double interval_seconds) const;
-
   private:
     BufferGeometry geometry_;
     double uniformInterval_;

@@ -5,7 +5,6 @@
 
 #include "edram/retention_distribution.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -112,17 +111,6 @@ double
 RetentionDistribution::worstCaseRetention() const
 {
     return points_.front().retentionSeconds;
-}
-
-double
-RetentionDistribution::sampleCellRetention(Rng &rng) const
-{
-    const double u = rng.uniform();
-    if (u >= points_.back().failureRate) {
-        // Beyond the last anchor: conservative flat tail.
-        return points_.back().retentionSeconds;
-    }
-    return retentionTimeFor(std::max(u, points_.front().failureRate));
 }
 
 } // namespace rana

@@ -26,8 +26,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/random.hh"
-
 namespace rana {
 
 /** One (retention time, cumulative failure rate) anchor point. */
@@ -76,14 +74,6 @@ class RetentionDistribution
      * time (45us in the paper).
      */
     double worstCaseRetention() const;
-
-    /**
-     * Sample the retention time of one random cell by inverse
-     * transform from the cumulative distribution. Cells above the
-     * last anchor return the last anchor's time scaled by the
-     * remaining probability mass (a conservative long tail).
-     */
-    double sampleCellRetention(Rng &rng) const;
 
     /** The anchor points. */
     const std::vector<RetentionPoint> &points() const { return points_; }

@@ -299,13 +299,4 @@ makeBenchmarkChecked(const std::string &name)
                      "ResNet)");
 }
 
-NetworkModel
-makeBenchmark(const std::string &name)
-{
-    Result<NetworkModel> network = makeBenchmarkChecked(name);
-    if (!network.ok())
-        fatal(network.error().describe());
-    return std::move(network).value();
-}
-
 } // namespace rana

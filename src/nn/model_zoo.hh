@@ -69,9 +69,6 @@ std::vector<NetworkModel> makeBenchmarkSuite();
  */
 Result<NetworkModel> makeBenchmarkChecked(const std::string &name);
 
-/** makeBenchmark, aborting on unknown names (prototyping wrapper). */
-NetworkModel makeBenchmark(const std::string &name);
-
 } // namespace rana
 
 #endif // RANA_NN_MODEL_ZOO_HH_

@@ -212,12 +212,6 @@ readConfigStringChecked(const std::string &text)
     return readConfigChecked(iss);
 }
 
-NetworkConfigRecord
-readConfigString(const std::string &text)
-{
-    return readConfigStringChecked(text).valueOrDie();
-}
-
 Result<NetworkSchedule>
 rebuildScheduleChecked(const AcceleratorConfig &config,
                        const NetworkModel &network,
@@ -253,15 +247,6 @@ rebuildScheduleChecked(const AcceleratorConfig &config,
         schedule.layers.push_back(std::move(rebuilt).value());
     }
     return schedule;
-}
-
-NetworkSchedule
-rebuildSchedule(const AcceleratorConfig &config,
-                const NetworkModel &network,
-                const NetworkConfigRecord &record)
-{
-    return rebuildScheduleChecked(config, network, record)
-        .valueOrDie();
 }
 
 } // namespace rana

@@ -83,9 +83,6 @@ Result<NetworkConfigRecord> readConfigChecked(std::istream &is);
 Result<NetworkConfigRecord>
 readConfigStringChecked(const std::string &text);
 
-/** readConfigStringChecked, but fatal() on failure. */
-NetworkConfigRecord readConfigString(const std::string &text);
-
 /**
  * Rebuild a full NetworkSchedule from a record by re-analyzing each
  * layer of `network` on `config` (the analysis is deterministic
@@ -98,11 +95,6 @@ Result<NetworkSchedule>
 rebuildScheduleChecked(const AcceleratorConfig &config,
                        const NetworkModel &network,
                        const NetworkConfigRecord &record);
-
-/** rebuildScheduleChecked, but fatal() on failure. */
-NetworkSchedule rebuildSchedule(const AcceleratorConfig &config,
-                                const NetworkModel &network,
-                                const NetworkConfigRecord &record);
 
 } // namespace rana
 

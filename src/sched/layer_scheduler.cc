@@ -234,33 +234,4 @@ scheduleNetwork(const AcceleratorConfig &config,
     return schedule;
 }
 
-LayerSchedule
-scheduleLayerOrDie(const AcceleratorConfig &config,
-                   const ConvLayerSpec &layer,
-                   const SchedulerOptions &options)
-{
-    return scheduleLayer(config, layer, options).valueOrDie();
-}
-
-LayerSchedule
-evaluateLayerChoiceOrDie(const AcceleratorConfig &config,
-                         const ConvLayerSpec &layer,
-                         DataflowKind dataflow,
-                         const Tiling &tiling,
-                         const SchedulerOptions &options,
-                         bool promote_inputs)
-{
-    return evaluateLayerChoice(config, layer, dataflow, tiling, options,
-                               promote_inputs)
-        .valueOrDie();
-}
-
-NetworkSchedule
-scheduleNetworkOrDie(const AcceleratorConfig &config,
-                     const NetworkModel &network,
-                     const SchedulerOptions &options)
-{
-    return scheduleNetwork(config, network, options).valueOrDie();
-}
-
 } // namespace rana

@@ -23,9 +23,8 @@
  *
  * Failure contract: these functions return Result<T> and never
  * terminate the process on infeasible or invalid input, so they are
- * safe to call from a long-running service. The ...OrDie wrappers
- * keep the historical abort-on-failure convenience for tools,
- * benches and tests.
+ * safe to call from a long-running service. Tools, benches and tests
+ * that treat a failure as fatal call valueOrDie() on the result.
  */
 
 #ifndef RANA_SCHED_LAYER_SCHEDULER_HH_
@@ -70,24 +69,6 @@ Result<LayerSchedule> evaluateLayerChoice(
 Result<NetworkSchedule> scheduleNetwork(const AcceleratorConfig &config,
                                         const NetworkModel &network,
                                         const SchedulerOptions &options);
-
-/** scheduleLayer, but fatal() on failure (historical contract). */
-LayerSchedule scheduleLayerOrDie(const AcceleratorConfig &config,
-                                 const ConvLayerSpec &layer,
-                                 const SchedulerOptions &options);
-
-/** evaluateLayerChoice, but fatal() on failure. */
-LayerSchedule evaluateLayerChoiceOrDie(const AcceleratorConfig &config,
-                                       const ConvLayerSpec &layer,
-                                       DataflowKind dataflow,
-                                       const Tiling &tiling,
-                                       const SchedulerOptions &options,
-                                       bool promote_inputs = false);
-
-/** scheduleNetwork, but fatal() on failure. */
-NetworkSchedule scheduleNetworkOrDie(const AcceleratorConfig &config,
-                                     const NetworkModel &network,
-                                     const SchedulerOptions &options);
 
 } // namespace rana
 

@@ -110,13 +110,6 @@ LoopNestSimulator::layerEnd(const ConvLayerSpec &layer,
            static_cast<double>(passes) * timing.preloadSeconds;
 }
 
-LayerSimResult
-LoopNestSimulator::runLayer(const ConvLayerSpec &layer,
-                            const LayerAnalysis &analysis)
-{
-    return runLayerChecked(layer, analysis).valueOrDie();
-}
-
 Result<LayerSimResult>
 LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                                    const LayerAnalysis &analysis)

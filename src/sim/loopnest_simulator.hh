@@ -95,13 +95,6 @@ class LoopNestSimulator
                     const LayerAnalysis &analysis);
 
     /**
-     * Abort-on-failure wrapper around runLayerChecked() for callers
-     * that validated the analysis themselves.
-     */
-    LayerSimResult runLayer(const ConvLayerSpec &layer,
-                            const LayerAnalysis &analysis);
-
-    /**
      * Simulated time at which `layer` ends when it starts at `start`
      * under `analysis` and the injected timing faults: every scan
      * stall, tile and systolic preload of the walk, added in one

@@ -326,10 +326,11 @@ analysisBankAllocation(const AcceleratorConfig &config,
 {
     RANA_ASSERT(analysis.feasible,
                 "bank allocation of an infeasible analysis");
-    return allocateBanks(config.buffer,
-                         analysis.of(DataType::Input).storageWords,
-                         analysis.of(DataType::Output).storageWords,
-                         analysis.of(DataType::Weight).storageWords);
+    return allocateBanksChecked(
+               config.buffer, analysis.of(DataType::Input).storageWords,
+               analysis.of(DataType::Output).storageWords,
+               analysis.of(DataType::Weight).storageWords)
+        .valueOrDie();
 }
 
 LayerRefreshDemand

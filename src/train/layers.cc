@@ -522,57 +522,6 @@ MaxPool2dLayer::backward(const Tensor &grad_output)
 }
 
 // ---------------------------------------------------------------
-// AvgPool2dLayer
-// ---------------------------------------------------------------
-
-Tensor
-AvgPool2dLayer::forward(Tensor input, const ForwardContext &ctx)
-{
-    const std::uint32_t lanes = inputLanes(input, 4, ctx, "avgpool");
-    const std::uint32_t batch = input.dim(0);
-    const std::uint32_t channels = input.dim(1);
-    const std::uint32_t h = input.dim(2);
-    const std::uint32_t w = input.dim(3);
-    RANA_ASSERT(h % 2 == 0 && w % 2 == 0,
-                "avgpool2x2 needs even spatial dims");
-    Tensor output = Tensor::uninitialized(
-        laneShape({batch, channels, h / 2, w / 2}, input, 4));
-    avgPoolTrialLanes(input.data(), output.data(), batch, channels, h,
-                      w, lanes);
-    if (ctx.training) {
-        inputShape_ = input.shape();
-        outputShape_ = output.shape();
-    }
-    return output;
-}
-
-Tensor
-AvgPool2dLayer::backward(const Tensor &grad_output)
-{
-    checkGradShape(grad_output, outputShape_, "avgpool");
-    Tensor grad_input(inputShape_);
-    const std::uint32_t batch = grad_output.dim(0);
-    const std::uint32_t channels = grad_output.dim(1);
-    const std::uint32_t r = grad_output.dim(2);
-    const std::uint32_t c = grad_output.dim(3);
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t ch = 0; ch < channels; ++ch) {
-            for (std::uint32_t y = 0; y < r; ++y) {
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    const float g =
-                        grad_output.at4(b, ch, y, x) * 0.25f;
-                    for (std::uint32_t dy = 0; dy < 2; ++dy)
-                        for (std::uint32_t dx = 0; dx < 2; ++dx)
-                            grad_input.at4(b, ch, 2 * y + dy,
-                                           2 * x + dx) += g;
-                }
-            }
-        }
-    }
-    return grad_input;
-}
-
-// ---------------------------------------------------------------
 // DenseLayer
 // ---------------------------------------------------------------
 

@@ -144,20 +144,6 @@ class MaxPool2dLayer : public Layer
     std::vector<std::uint32_t> outputShape_;
 };
 
-/** 2x2 average pooling with stride 2. */
-class AvgPool2dLayer : public Layer
-{
-  public:
-    Tensor forward(Tensor input, const ForwardContext &ctx) override;
-    Tensor backward(const Tensor &grad_output) override;
-    std::string describe() const override { return "avgpool2x2"; }
-
-  private:
-    std::vector<std::uint32_t> inputShape_;
-    /** Output shape of the last training forward. */
-    std::vector<std::uint32_t> outputShape_;
-};
-
 /** Fully connected layer on flattened inputs. */
 class DenseLayer : public WeightedLayer
 {

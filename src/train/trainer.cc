@@ -214,23 +214,4 @@ RetentionAwareTrainer::sweep(const std::vector<double> &failure_rates)
     return points;
 }
 
-double
-RetentionAwareTrainer::findTolerableFailureRate(
-    const std::vector<double> &ladder, double min_relative_accuracy)
-{
-    RANA_ASSERT(!ladder.empty(), "ladder must be non-empty");
-    std::vector<double> sorted = ladder;
-    std::sort(sorted.begin(), sorted.end());
-    double best = sorted.front();
-    for (double rate : sorted) {
-        const AccuracyPoint point = retrainAndEvaluate(rate);
-        if (point.relativeAccuracy >= min_relative_accuracy) {
-            best = rate;
-        } else {
-            break;
-        }
-    }
-    return best;
-}
-
 } // namespace rana

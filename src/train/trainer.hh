@@ -106,15 +106,6 @@ class RetentionAwareTrainer
     std::vector<AccuracyPoint>
     sweep(const std::vector<double> &failure_rates);
 
-    /**
-     * Highest failure rate in `ladder` whose retrained relative
-     * accuracy stays at or above `min_relative_accuracy`; returns
-     * the smallest ladder rate if even that fails (callers should
-     * then fall back to the worst-case refresh interval).
-     */
-    double findTolerableFailureRate(const std::vector<double> &ladder,
-                                    double min_relative_accuracy);
-
     /** Evaluate test accuracy under injection at `failure_rate`. */
     double evaluate(double failure_rate);
 

@@ -1143,50 +1143,6 @@ maxPoolOneLane(const float *in, float *out, std::uint32_t *argmax,
         maxPoolOneLaneImpl<false>(in, out, nullptr, planes, h, w);
 }
 
-RANA_TRIAL_CLONES void
-avgPoolTrialLanes(const float *__restrict in, float *__restrict out,
-                  std::uint32_t batch,
-                  std::uint32_t channels, std::uint32_t h,
-                  std::uint32_t w, std::uint32_t lanes)
-{
-    const std::uint32_t r = h / 2;
-    const std::uint32_t c = w / 2;
-    const std::size_t in_row = static_cast<std::size_t>(w) * lanes;
-    const std::size_t out_row = static_cast<std::size_t>(c) * lanes;
-    for (std::uint32_t b = 0; b < batch; ++b) {
-        for (std::uint32_t ch = 0; ch < channels; ++ch) {
-            const float *in_plane =
-                in + (static_cast<std::size_t>(b) * channels + ch) *
-                         h * in_row;
-            float *out_plane =
-                out + (static_cast<std::size_t>(b) * channels + ch) *
-                          r * out_row;
-            for (std::uint32_t y = 0; y < r; ++y) {
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    float *d = out_plane + y * out_row +
-                               static_cast<std::size_t>(x) * lanes;
-                    for (std::uint32_t l = 0; l < lanes; ++l)
-                        d[l] = 0.0f;
-                    // Summation order (dy, dx).
-                    for (std::uint32_t dy = 0; dy < 2; ++dy) {
-                        for (std::uint32_t dx = 0; dx < 2; ++dx) {
-                            const float *s =
-                                in_plane +
-                                (2 * y + dy) * in_row +
-                                static_cast<std::size_t>(2 * x + dx) *
-                                    lanes;
-                            for (std::uint32_t l = 0; l < lanes; ++l)
-                                d[l] += s[l];
-                        }
-                    }
-                    for (std::uint32_t l = 0; l < lanes; ++l)
-                        d[l] *= 0.25f;
-                }
-            }
-        }
-    }
-}
-
 void
 packLanePointers(const std::vector<const float *> &lane_ptrs,
                  std::size_t count, float *out)

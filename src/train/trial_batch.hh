@@ -270,15 +270,6 @@ void maxPoolOneLane(const float *in, float *out, std::uint32_t *argmax,
                     std::uint32_t h, std::uint32_t w);
 
 /**
- * Lane-major 2x2/stride-2 average pooling: input {B, C, H, W, L},
- * output {B, C, H/2, W/2, L}. Sums the window in (dy, dx) order,
- * then scales by 0.25.
- */
-void avgPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
-                       std::uint32_t channels, std::uint32_t h,
-                       std::uint32_t w, std::uint32_t lanes);
-
-/**
  * Pack per-lane scalar-layout tensors into one lane-major buffer:
  * out[i * lanes + l] = lanes_ptrs[l][i]. Used for the per-lane
  * copy-on-corrupt weight copies.

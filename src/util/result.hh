@@ -6,8 +6,9 @@
  * configuration, a malformed artifact) return Result<T> instead of
  * calling fatal(): a long-running service embedding the scheduler
  * must be able to reject one request without losing the process.
- * The thin ...OrDie wrappers preserve the historical
- * abort-on-failure convenience for command-line harnesses.
+ * Each such entry point has this one form. Callers at the edges
+ * (tools, benches, tests) that treat a failure as fatal call
+ * valueOrDie() on the result.
  */
 
 #ifndef RANA_UTIL_RESULT_HH_
@@ -113,8 +114,8 @@ class Result
     }
 
     /**
-     * The value, or fatal() with the error message: the historical
-     * abort-on-failure contract, for tools and tests.
+     * The value, or fatal() with the error's describe() string: the
+     * abort-on-failure contract, for tools, benches and tests.
      */
     T &&valueOrDie() &&
     {

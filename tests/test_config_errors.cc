@@ -1,12 +1,14 @@
 /**
  * @file
- * Error-path tests of the checked configuration reader: every
+ * Error-path tests of the configuration reader and rebuilder: every
  * malformed-input case returns a ParseError Result naming the
- * offending construct instead of aborting the process.
+ * offending construct, and a record that does not describe the
+ * network returns a Mismatch, instead of aborting the process.
  */
 
 #include <gtest/gtest.h>
 
+#include "nn/model_zoo.hh"
 #include "sched/config_io.hh"
 #include "util/units.hh"
 
@@ -56,6 +58,7 @@ TEST(ConfigErrors, BadHeader)
 TEST(ConfigErrors, IncompleteStream)
 {
     expectParseError("", "incomplete rana-config stream");
+    expectParseError("rana-config v1\n", "incomplete rana-config stream");
     expectParseError("rana-config v1\nnetwork a\n",
                      "incomplete rana-config stream");
 }
@@ -133,11 +136,20 @@ TEST(ConfigErrors, UnknownKeyword)
                      "unknown config keyword");
 }
 
-TEST(ConfigErrors, OrDieWrapperStillAborts)
+TEST(ConfigErrors, MismatchedNetwork)
 {
-    // The historical abort-on-failure contract of the unchecked
-    // reader is preserved for command-line harnesses.
-    EXPECT_DEATH(readConfigString("bogus v1\nend\n"), "header");
+    // A one-layer record cannot rebuild AlexNet's schedule.
+    const NetworkConfigRecord record =
+        readConfigStringChecked("rana-config v2\n"
+                                "layer conv1 OD 16 3 8 8 0 010 1\n"
+                                "end\n")
+            .valueOrDie();
+    const Result<NetworkSchedule> rebuilt = rebuildScheduleChecked(
+        testAcceleratorEdram(), makeAlexNet(), record);
+    ASSERT_FALSE(rebuilt.ok());
+    EXPECT_EQ(rebuilt.error().code, ErrorCode::Mismatch);
+    EXPECT_NE(rebuilt.error().message.find("layers"), std::string::npos)
+        << rebuilt.error().message;
 }
 
 } // namespace

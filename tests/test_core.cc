@@ -221,9 +221,9 @@ TEST(Execution, TraceMatchesAnalyticSchedule)
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkModel net = makeGoogLeNet();
-    const DesignResult scheduled = runDesign(design, net);
+    const DesignResult scheduled = runDesignChecked(design, net).valueOrDie();
     const ExecutionResult executed =
-        executeSchedule(design, net, scheduled.schedule);
+        executeScheduleChecked(design, net, scheduled.schedule).valueOrDie();
     EXPECT_EQ(executed.violations, 0u);
     EXPECT_NEAR(executed.seconds, scheduled.seconds,
                 scheduled.seconds * 1e-9);
@@ -237,9 +237,11 @@ TEST(Execution, AllDesignsRunViolationFree)
 {
     const NetworkModel net = makeAlexNet();
     for (const auto &design : tableIvDesigns(retention())) {
-        const DesignResult scheduled = runDesign(design, net);
+        const DesignResult scheduled =
+            runDesignChecked(design, net).valueOrDie();
         const ExecutionResult executed =
-            executeSchedule(design, net, scheduled.schedule);
+            executeScheduleChecked(design, net, scheduled.schedule)
+                .valueOrDie();
         EXPECT_EQ(executed.violations, 0u) << design.name;
     }
 }
@@ -275,9 +277,9 @@ TEST(DaDianNaoScalability, RanaSavesBufferAndRefreshEnergy)
     // access stays unchanged (everything fits in 36MB).
     const auto designs = daDianNaoDesigns(retention());
     const NetworkModel net = makeResNet50();
-    const DesignResult base = runDesign(designs[0], net);
-    const DesignResult rana0 = runDesign(designs[1], net);
-    const DesignResult star = runDesign(designs[3], net);
+    const DesignResult base = runDesignChecked(designs[0], net).valueOrDie();
+    const DesignResult rana0 = runDesignChecked(designs[1], net).valueOrDie();
+    const DesignResult star = runDesignChecked(designs[3], net).valueOrDie();
 
     EXPECT_LT(rana0.energy.bufferAccess,
               base.energy.bufferAccess * 0.2);

@@ -168,7 +168,8 @@ expectParity(int seed, DataflowKind kind, bool promote)
     EXPECT_EQ(analysis.inputsPromoted, promote);
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
-    const LayerSimResult result = sim.runLayer(s.layer, analysis);
+    const LayerSimResult result =
+        sim.runLayerChecked(s.layer, analysis).valueOrDie();
 
     const std::string label = std::string(spec.name) +
                               (promote ? "+promoted " : " ") +
@@ -282,7 +283,8 @@ TEST(DataflowStaging, RaggedChannelTilesChargeOnlyExistingWords)
         const OperationCounts counts = layerOperationCounts(
             config, layer, analysis, RefreshPolicy::PerBank, interval);
         LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
-        const LayerSimResult traced = sim.runLayer(layer, analysis);
+        const LayerSimResult traced =
+            sim.runLayerChecked(layer, analysis).valueOrDie();
         EXPECT_EQ(traced.counts.ddrAccesses, counts.ddrAccesses)
             << dataflowName(kind);
         dram_words[kind] = counts.ddrAccesses;
@@ -357,9 +359,9 @@ TEST(DataflowSearch, WidenedAxisNeverWorsensEnergy)
     widened.dataflows.assign(all.begin(), all.end());
 
     const LayerSchedule legacy_best =
-        scheduleLayerOrDie(config, layer, legacy);
+        scheduleLayer(config, layer, legacy).valueOrDie();
     const LayerSchedule widened_best =
-        scheduleLayerOrDie(config, layer, widened);
+        scheduleLayer(config, layer, widened).valueOrDie();
     EXPECT_LE(widened_best.energy.total(),
               legacy_best.energy.total() * (1.0 + 1e-3));
 }

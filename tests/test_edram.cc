@@ -35,7 +35,7 @@ TEST(BufferSystem, AllocationRoundsUpToBanks)
 {
     const BufferGeometry geometry = edramBuffer(10);
     const BankAllocation alloc =
-        allocateBanks(geometry, 16385, 16384, 1);
+        allocateBanksChecked(geometry, 16385, 16384, 1).valueOrDie();
     EXPECT_EQ(alloc.banksOf(DataType::Input), 2u);
     EXPECT_EQ(alloc.banksOf(DataType::Output), 1u);
     EXPECT_EQ(alloc.banksOf(DataType::Weight), 1u);
@@ -46,16 +46,10 @@ TEST(BufferSystem, AllocationRoundsUpToBanks)
 TEST(BufferSystem, EmptyTypesGetNoBanks)
 {
     const BankAllocation alloc =
-        allocateBanks(edramBuffer(4), 0, 100, 0);
+        allocateBanksChecked(edramBuffer(4), 0, 100, 0).valueOrDie();
     EXPECT_EQ(alloc.banksOf(DataType::Input), 0u);
     EXPECT_EQ(alloc.banksOf(DataType::Output), 1u);
     EXPECT_EQ(alloc.unusedBanks, 3u);
-}
-
-TEST(BufferSystem, OverflowIsFatal)
-{
-    EXPECT_DEATH(allocateBanks(edramBuffer(1), 16385, 0, 0),
-                 "overflow");
 }
 
 TEST(BufferSystem, CheckedOverflowIsRecoverable)
@@ -72,12 +66,14 @@ TEST(BufferSystem, CheckedOverflowIsRecoverable)
 
 TEST(BufferSystem, CheckedAllocationMatchesOrDieWrapper)
 {
+    // value() on a checked success and valueOrDie() at an edge read
+    // the same allocation.
     const BufferGeometry geometry = edramBuffer(10);
     const Result<BankAllocation> checked =
         allocateBanksChecked(geometry, 16385, 16384, 1);
     ASSERT_TRUE(checked.ok());
     const BankAllocation direct =
-        allocateBanks(geometry, 16385, 16384, 1);
+        allocateBanksChecked(geometry, 16385, 16384, 1).valueOrDie();
     EXPECT_EQ(checked.value().banks, direct.banks);
     EXPECT_EQ(checked.value().words, direct.words);
     EXPECT_EQ(checked.value().unusedBanks, direct.unusedBanks);
@@ -119,7 +115,7 @@ demoDemand(const BufferGeometry &geometry, double layer_seconds,
     demand.layerSeconds = layer_seconds;
     demand.lifetimeSeconds = {lt_in, lt_out, lt_w};
     demand.allocation =
-        allocateBanks(geometry, 20000, 40000, 10000);
+        allocateBanksChecked(geometry, 20000, 40000, 10000).valueOrDie();
     return demand;
 }
 
@@ -174,7 +170,8 @@ TEST(RefreshPolicyTest, PerBankSkipsUnusedBanks)
     LayerRefreshDemand demand;
     demand.layerSeconds = 450e-6;
     demand.lifetimeSeconds = {450e-6, 450e-6, 450e-6};
-    demand.allocation = allocateBanks(geometry, 16384, 0, 0);
+    demand.allocation =
+        allocateBanksChecked(geometry, 16384, 0, 0).valueOrDie();
     const std::uint64_t ops = refreshOpsForLayer(
         RefreshPolicy::PerBank, geometry, demand, 45e-6);
     EXPECT_EQ(ops, geometry.bankWords() * 10);
@@ -255,7 +252,8 @@ TEST(RefreshControllerSim, StartAtIssuesNoPulses)
                                  45e-6);
     started.startAt(5e-3);
     EXPECT_EQ(started.refreshOps(), 0u);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 0).valueOrDie();
     started.beginLayer(alloc, {true, false, false}, true, 5e-3);
     EXPECT_EQ(started.refreshOps(), 0u);
     // From the start time on it pulses as a walked controller does.
@@ -273,7 +271,8 @@ TEST(RefreshSim, DetectsStaleRead)
     const BufferGeometry geometry = edramBuffer(4);
     RefreshControllerSim sim(geometry, RefreshPolicy::GatedGlobal,
                              200e6, 45e-6);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 0).valueOrDie();
     // Gate off although the data will live 10 intervals.
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
@@ -288,7 +287,8 @@ TEST(RefreshSim, RefreshPreventsViolation)
     const BufferGeometry geometry = edramBuffer(4);
     RefreshControllerSim sim(geometry, RefreshPolicy::GatedGlobal,
                              200e6, 45e-6);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 0).valueOrDie();
     sim.beginLayer(alloc, {true, false, false}, true, 0.0);
     sim.onWrite(DataType::Input, 0.0);
     sim.onRead(DataType::Input, 450e-6, 0.0);
@@ -301,7 +301,8 @@ TEST(RefreshSim, PerBankLeavesUnflaggedStale)
     const BufferGeometry geometry = edramBuffer(4);
     RefreshControllerSim sim(geometry, RefreshPolicy::PerBank, 200e6,
                              45e-6);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 100);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 100).valueOrDie();
     // Refresh inputs but not weights.
     sim.beginLayer(alloc, {true, false, false}, true, 0.0);
     sim.onWrite(DataType::Input, 0.0);
@@ -318,7 +319,8 @@ TEST(RefreshSim, SelfRefreshingDataIsSafe)
     const BufferGeometry geometry = edramBuffer(4);
     RefreshControllerSim sim(geometry, RefreshPolicy::PerBank, 200e6,
                              45e-6);
-    const BankAllocation alloc = allocateBanks(geometry, 0, 1000, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 0, 1000, 0).valueOrDie();
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     double t = 0.0;
     for (int pass = 0; pass < 20; ++pass) {

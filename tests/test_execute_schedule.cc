@@ -46,8 +46,8 @@ referenceWalk(const DesignPoint &design, const NetworkModel &network,
     simulator.setTraceSink(sink);
     ExecutionResult result;
     for (std::size_t i = 0; i < network.size(); ++i) {
-        const LayerSimResult layer = simulator.runLayer(
-            network.layer(i), schedule.layers[i].analysis);
+        const LayerSimResult layer = simulator.runLayerChecked(
+            network.layer(i), schedule.layers[i].analysis).valueOrDie();
         result.counts += layer.counts;
         result.seconds += layer.layerSeconds;
         result.violations += layer.violations;
@@ -157,8 +157,8 @@ TEST(ExecuteSchedule, GuardedAndTracedRunsMatchTheSerialWalk)
     std::uint64_t trips = 0;
     for (const DesignPoint &design : tableIvDesigns(retention())) {
         const DesignPoint wide = withJobs(design, 4);
-        const NetworkSchedule schedule = scheduleNetworkOrDie(
-            design.config, network, wide.options);
+        const NetworkSchedule schedule = scheduleNetwork(
+            design.config, network, wide.options).valueOrDie();
 
         ReliabilityGuard guard(design.options.refreshIntervalSeconds);
         ReliabilityGuard reference_guard(
@@ -201,7 +201,7 @@ TEST(ExecuteSchedule, FirstInfeasibleLayerWinsUnderEveryLaneCount)
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaE5, retention());
     NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, network, design.options);
+        scheduleNetwork(design.config, network, design.options).valueOrDie();
     const std::size_t k = 1;
     ASSERT_LT(k + 3, network.size());
     schedule.layers[k].analysis.feasible = false;

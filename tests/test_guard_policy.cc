@@ -120,7 +120,7 @@ TEST(GuardPolicyPermanent, MatchesDefaultConstructedGuardBitForBit)
     // controller's refresh schedule exactly.
     const BufferGeometry geometry = edramBuffer(4);
     const BankAllocation alloc =
-        allocateBanks(geometry, 2 * 16384, 0, 0);
+        allocateBanksChecked(geometry, 2 * 16384, 0, 0).valueOrDie();
 
     auto run = [&](ReliabilityGuard &guard,
                    RefreshControllerSim &sim) {
@@ -190,7 +190,7 @@ TEST(GuardPolicyHysteresis, RedisarmsAfterKCleanIntervalsAndRetrips)
                            std::make_unique<HysteresisRedisarm>(3));
     sim.attachGuard(&guard);
     const BankAllocation alloc =
-        allocateBanks(geometry, 2 * 16384, 0, 0);
+        allocateBanksChecked(geometry, 2 * 16384, 0, 0).valueOrDie();
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
     sim.onRead(DataType::Input, 450e-6, 0.0);
@@ -240,7 +240,7 @@ TEST(GuardPolicyBinned, EscalatesThroughLadderToExhaustion)
             std::vector<double>{90e-6, 180e-6}));
     sim.attachGuard(&guard);
     const BankAllocation alloc =
-        allocateBanks(geometry, 2 * 16384, 0, 0);
+        allocateBanksChecked(geometry, 2 * 16384, 0, 0).valueOrDie();
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
 

@@ -44,7 +44,7 @@ TEST(InterLayerReuse, FindsFusionsOnChainedNetwork)
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     EXPECT_GE(result.fusions.size(), 1u);
@@ -66,7 +66,7 @@ TEST(InterLayerReuse, ConsumersAreDistinctAndOrdered)
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     EXPECT_GE(result.fusions.size(), 2u);
@@ -86,7 +86,7 @@ TEST(InterLayerReuse, AccountsCarriedRetention)
     const DesignPoint design =
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     for (const FusedPair &pair : result.fusions) {
@@ -111,7 +111,7 @@ TEST(InterLayerReuse, VggBenefits)
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkModel net = makeVgg16();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     // Only the conv5 pairs fuse on the 46-bank buffer: the conv4
@@ -128,7 +128,7 @@ TEST(InterLayerReuse, CountsStayConsistent)
         makeDesignPoint(DesignKind::RanaStarE5, retention());
     const NetworkModel net = makeVgg16();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     ASSERT_EQ(result.adjustedCounts.size(), schedule.layers.size());
@@ -154,7 +154,7 @@ TEST(InterLayerReuse, SramDesignAlsoFuses)
     net.addLayer(makeConv("p", 16, 28, 16, 3, 1, 1));
     net.addLayer(makeConv("q", 16, 28, 16, 3, 1, 1));
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(design.config, net, design.options);
+        scheduleNetwork(design.config, net, design.options).valueOrDie();
     const InterLayerReuseResult result =
         applyInterLayerReuse(design.config, net, schedule);
     for (const FusedPair &pair : result.fusions)

@@ -145,7 +145,7 @@ TEST(ModelZoo, LayerBShape)
 
 TEST(ModelZoo, BenchmarkLookup)
 {
-    EXPECT_EQ(makeBenchmark("ResNet").name(), "ResNet");
+    EXPECT_EQ(makeBenchmarkChecked("ResNet").valueOrDie().name(), "ResNet");
     EXPECT_EQ(makeBenchmarkSuite().size(), 4u);
 }
 

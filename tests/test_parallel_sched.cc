@@ -105,11 +105,12 @@ TEST(ParallelSched, NetworkScheduleByteIdenticalAcrossJobs)
         // memoize off so every jobs value runs the full search
         // rather than replaying the first run's cache entries.
         const std::string serial = writeConfigString(toConfigRecord(
-            scheduleNetworkOrDie(config, net, sweepOptions(1, false))));
+            scheduleNetwork(config, net, sweepOptions(1, false))
+                .valueOrDie()));
         for (unsigned jobs : {2u, 8u}) {
             const std::string parallel =
-                writeConfigString(toConfigRecord(scheduleNetworkOrDie(
-                    config, net, sweepOptions(jobs, false))));
+                writeConfigString(toConfigRecord(scheduleNetwork(
+                    config, net, sweepOptions(jobs, false)).valueOrDie()));
             EXPECT_EQ(serial, parallel)
                 << net.name() << " with jobs=" << jobs;
         }
@@ -121,10 +122,10 @@ TEST(ParallelSched, AutoJobsMatchesSerial)
     const AcceleratorConfig config = testAcceleratorEdram();
     const NetworkModel net = makeAlexNet();
     const std::string serial = writeConfigString(toConfigRecord(
-        scheduleNetworkOrDie(config, net, sweepOptions(1, false))));
+        scheduleNetwork(config, net, sweepOptions(1, false)).valueOrDie()));
     // jobs = 0 resolves to the hardware width.
     const std::string automatic = writeConfigString(toConfigRecord(
-        scheduleNetworkOrDie(config, net, sweepOptions(0, false))));
+        scheduleNetwork(config, net, sweepOptions(0, false)).valueOrDie()));
     EXPECT_EQ(serial, automatic);
 }
 
@@ -139,12 +140,12 @@ TEST(EvalCacheTest, SecondSearchHitsAndReturnsIdenticalSchedule)
     const SchedulerOptions options = sweepOptions(2, true);
 
     const LayerSchedule first =
-        scheduleLayerOrDie(config, layer, options);
+        scheduleLayer(config, layer, options).valueOrDie();
     const EvalCache::Stats after_first = EvalCache::global().stats();
     EXPECT_GE(after_first.entries, 1u);
 
     const LayerSchedule second =
-        scheduleLayerOrDie(config, layer, options);
+        scheduleLayer(config, layer, options).valueOrDie();
     const EvalCache::Stats after_second = EvalCache::global().stats();
     EXPECT_GT(after_second.hits, after_first.hits);
 
@@ -165,7 +166,7 @@ TEST(EvalCacheTest, EvaluateLayerChoiceMemoizes)
     const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
     const SchedulerOptions options = sweepOptions(1, true);
     const LayerSchedule chosen =
-        scheduleLayerOrDie(config, layer, options);
+        scheduleLayer(config, layer, options).valueOrDie();
 
     // The winning choice was inserted under its candidate key, so an
     // explicit re-evaluation of that exact choice is a hit.
@@ -187,9 +188,9 @@ TEST(EvalCacheTest, DistinctOptionsDoNotCollide)
     SchedulerOptions a = sweepOptions(1, true);
     SchedulerOptions b = a;
     b.refreshIntervalSeconds = 734e-6;
-    const LayerSchedule first = scheduleLayerOrDie(config, layer, a);
+    const LayerSchedule first = scheduleLayer(config, layer, a).valueOrDie();
     const EvalCache::Stats between = EvalCache::global().stats();
-    const LayerSchedule second = scheduleLayerOrDie(config, layer, b);
+    const LayerSchedule second = scheduleLayer(config, layer, b).valueOrDie();
     const EvalCache::Stats after = EvalCache::global().stats();
     // The interval is part of the key: the second search must miss
     // (and re-run), not replay the 45us record verbatim.
@@ -255,10 +256,13 @@ TEST(ResultContract, InfeasibleEvaluateLayerChoiceReturnsError)
 
 TEST(ResultContractDeathTest, OrDieWrapperStillAborts)
 {
+    // The one death test of valueOrDie(): an edge that treats a
+    // failure as fatal aborts with the error's describe() string.
     const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
-    EXPECT_DEATH(scheduleLayerOrDie(impossibleHardware(), layer,
-                                    sweepOptions(1, false)),
-                 "no feasible schedule");
+    EXPECT_DEATH(scheduleLayer(impossibleHardware(), layer,
+                               sweepOptions(1, false))
+                     .valueOrDie(),
+                 "infeasible: no feasible schedule");
 }
 
 } // namespace

@@ -63,9 +63,11 @@ TEST_P(PipelineProperty, AllDesignsExecuteSafely)
     const NetworkModel net = randomNetwork(rng);
 
     for (const DesignPoint &design : tableIvDesigns(retention())) {
-        const DesignResult scheduled = runDesign(design, net);
+        const DesignResult scheduled =
+            runDesignChecked(design, net).valueOrDie();
         const ExecutionResult executed =
-            executeSchedule(design, net, scheduled.schedule);
+            executeScheduleChecked(design, net, scheduled.schedule)
+                .valueOrDie();
 
         // The execution phase never reads stale data.
         EXPECT_EQ(executed.violations, 0u) << design.name;
@@ -107,7 +109,7 @@ TEST_P(PipelineProperty, PerBankEnergyMonotoneInCapacity)
         const DesignPoint design = makeDesignPoint(
             DesignKind::RanaStarE5, retention(), params);
         const double energy =
-            runDesign(design, net).energy.total();
+            runDesignChecked(design, net).valueOrDie().energy.total();
         EXPECT_LE(energy, previous * 1.005) << banks;
         previous = energy;
     }
@@ -124,7 +126,7 @@ TEST_P(PipelineProperty, RefreshMonotoneInInterval)
         const DesignPoint design = makeDesignPoint(
             DesignKind::RanaE5, retention(), params);
         const std::uint64_t ops =
-            runDesign(design, net).counts.refreshOps;
+            runDesignChecked(design, net).valueOrDie().counts.refreshOps;
         EXPECT_LE(ops, previous);
         previous = ops;
     }
@@ -135,7 +137,7 @@ TEST_P(PipelineProperty, MacCountInvariantAcrossDesigns)
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 65537 + 11);
     const NetworkModel net = randomNetwork(rng);
     for (const DesignPoint &design : tableIvDesigns(retention())) {
-        EXPECT_EQ(runDesign(design, net).counts.macOps,
+        EXPECT_EQ(runDesignChecked(design, net).valueOrDie().counts.macOps,
                   net.totalMacs())
             << design.name;
     }

@@ -44,8 +44,6 @@ TEST_F(ReportGrid, Shape)
 {
     EXPECT_EQ(grid_->numDesigns(), 6u);
     EXPECT_EQ(grid_->numNetworks(), 4u);
-    EXPECT_EQ(grid_->designNames()[5], "RANA*(E-5)");
-    EXPECT_EQ(grid_->networkNames()[3], "ResNet");
 }
 
 TEST_F(ReportGrid, BaselineNormalizesToOne)
@@ -88,8 +86,7 @@ TEST_F(ReportGrid, DesignOrderingHolds)
     double previous = grid_->normalizedEnergyGmean(kEdramId);
     for (std::size_t d : {kEdramOd, kRana0, kRanaE5, kRanaStar}) {
         const double current = grid_->normalizedEnergyGmean(d);
-        EXPECT_LE(current, previous * (1.0 + 1e-9))
-            << grid_->designNames()[d];
+        EXPECT_LE(current, previous * (1.0 + 1e-9)) << "design " << d;
         previous = current;
     }
 }
@@ -104,19 +101,6 @@ TEST_F(ReportGrid, RefreshEnergyMonotoneAcrossLevels)
         EXPECT_LT(current, previous);
         previous = current;
     }
-}
-
-TEST_F(ReportGrid, MarkdownTableWellFormed)
-{
-    const std::string table = grid_->markdownNormalizedTable();
-    EXPECT_NE(table.find("| Design |"), std::string::npos);
-    EXPECT_NE(table.find("GMEAN"), std::string::npos);
-    EXPECT_NE(table.find("RANA*(E-5)"), std::string::npos);
-    // One header row, one rule row, six design rows.
-    std::size_t lines = 0;
-    for (char c : table)
-        lines += c == '\n';
-    EXPECT_EQ(lines, 8u);
 }
 
 } // namespace

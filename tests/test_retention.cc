@@ -78,22 +78,7 @@ TEST(Retention, LongerToleranceForHigherRates)
     EXPECT_GT(dist.retentionTimeFor(1e-5), 45e-6);
 }
 
-TEST(Retention, SampleCellStatistics)
-{
-    const auto dist = RetentionDistribution::typical65nm();
-    Rng rng(99);
-    const int n = 200000;
-    int below_734us = 0;
-    for (int i = 0; i < n; ++i) {
-        const double t = dist.sampleCellRetention(rng);
-        EXPECT_GE(t, 45e-6);
-        below_734us += t <= 734e-6 ? 1 : 0;
-    }
-    // P(retention <= 734us) = 1e-5; with n=2e5, expect ~2 cells.
-    EXPECT_LT(below_734us, 20);
-}
-
-TEST(Retention, CustomAnchorsValidated)
+TEST(RetentionDeathTest, CustomAnchorsValidated)
 {
     EXPECT_NO_THROW(RetentionDistribution(
         {{1e-5, 1e-6}, {1e-3, 1e-2}}));

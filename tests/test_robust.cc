@@ -86,7 +86,7 @@ TEST(ReliabilityGuard, CoversOverageInsteadOfViolation)
     ReliabilityGuard guard(sim.pulsePeriod());
     sim.attachGuard(&guard);
     const BankAllocation alloc =
-        allocateBanks(geometry, 2 * 16384, 0, 0);
+        allocateBanksChecked(geometry, 2 * 16384, 0, 0).valueOrDie();
     // Refresh disabled although the data will live 10 intervals.
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
@@ -119,7 +119,8 @@ TEST(ReliabilityGuard, ReenabledBankStaysCovered)
                              45e-6);
     ReliabilityGuard guard(sim.pulsePeriod());
     sim.attachGuard(&guard);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 0).valueOrDie();
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
     sim.onRead(DataType::Input, 450e-6, 0.0);
@@ -144,7 +145,8 @@ TEST(ReliabilityGuard, GatedGlobalFallsBackPerBank)
                              200e6, 45e-6);
     ReliabilityGuard guard(sim.pulsePeriod());
     sim.attachGuard(&guard);
-    const BankAllocation alloc = allocateBanks(geometry, 100, 0, 0);
+    const BankAllocation alloc =
+        allocateBanksChecked(geometry, 100, 0, 0).valueOrDie();
     sim.beginLayer(alloc, {false, false, false}, false, 0.0);
     sim.onWrite(DataType::Input, 0.0);
     sim.onRead(DataType::Input, 450e-6, 0.0);
@@ -197,16 +199,17 @@ TEST(TimingFaults, SlowdownScalesExecution)
     ASSERT_TRUE(schedule.ok());
 
     const ExecutionResult nominal =
-        executeSchedule(design, network, schedule.value());
+        executeScheduleChecked(design, network, schedule.value()).valueOrDie();
     TimingFaults faults;
     faults.slowdownFactor = 2.0;
-    const ExecutionResult slowed = executeSchedule(
-        design, network, schedule.value(), faults, nullptr);
+    const ExecutionResult slowed = executeScheduleChecked(
+        design, network, schedule.value(), faults, nullptr).valueOrDie();
     EXPECT_GT(slowed.seconds, 1.9 * nominal.seconds);
 
-    // Defaults and a null guard reproduce the plain overload.
-    const ExecutionResult replay = executeSchedule(
-        design, network, schedule.value(), TimingFaults{}, nullptr);
+    // Explicit default faults and a null guard replay the nominal run.
+    const ExecutionResult replay = executeScheduleChecked(
+        design, network, schedule.value(), TimingFaults{}, nullptr)
+            .valueOrDie();
     EXPECT_DOUBLE_EQ(replay.seconds, nominal.seconds);
     EXPECT_EQ(replay.violations, nominal.violations);
     EXPECT_EQ(replay.counts.refreshOps, nominal.counts.refreshOps);

@@ -75,7 +75,7 @@ TEST(Scheduler, MatchesExhaustiveMinimum)
                                                       128)),
             3, 1, 1);
         const LayerSchedule best =
-            scheduleLayerOrDie(config, layer, options);
+            scheduleLayer(config, layer, options).valueOrDie();
         double exhaustive_min = 1e300;
         for (DataflowKind pattern : options.dataflows) {
             for (const Tiling &t : tilingCandidates(config, layer)) {
@@ -109,7 +109,7 @@ TEST(Scheduler, PicksWdForShallowVggLayers)
     options.refreshIntervalSeconds = 45e-6;
     const NetworkModel vgg = makeVgg16();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(config, vgg, options);
+        scheduleNetwork(config, vgg, options).valueOrDie();
     // Layers 2..7 (indices 1..6) have output maps larger than the
     // buffer, so OD would spill partial sums and WD wins.
     for (std::size_t i = 1; i < 7; ++i) {
@@ -129,7 +129,8 @@ TEST(Scheduler, FixedTilingIsRespected)
     options.policy = RefreshPolicy::GatedGlobal;
     options.refreshIntervalSeconds = 45e-6;
     const ConvLayerSpec layer = makeConv("c", 256, 14, 256, 3, 1, 1);
-    const LayerSchedule schedule = scheduleLayerOrDie(ddn, layer, options);
+    const LayerSchedule schedule =
+        scheduleLayer(ddn, layer, options).valueOrDie();
     EXPECT_EQ(schedule.tiling(), clampTiling({64, 64, 1, 1}, layer));
     EXPECT_EQ(schedule.dataflow(), DataflowKind::WD);
 }
@@ -142,7 +143,7 @@ TEST(Scheduler, GateFollowsLifetimes)
     options.refreshIntervalSeconds = 45e-6;
     const ConvLayerSpec layer = makeVgg16().findLayer("conv4_2");
     const LayerSchedule schedule =
-        scheduleLayerOrDie(config, layer, options);
+        scheduleLayer(config, layer, options).valueOrDie();
     bool any_long_lifetime = false;
     const auto lifetimes = schedule.analysis.lifetimes();
     for (std::size_t i = 0; i < numDataTypes; ++i) {
@@ -165,7 +166,8 @@ TEST(Scheduler, LongerRetentionNeverRaisesEnergy)
         options.policy = RefreshPolicy::GatedGlobal;
         options.refreshIntervalSeconds = interval;
         const double energy =
-            scheduleNetworkOrDie(config, net, options).totalEnergy().total();
+            scheduleNetwork(config, net, options)
+                .valueOrDie().totalEnergy().total();
         EXPECT_LE(energy, previous * (1.0 + 1e-6));
         previous = energy;
     }
@@ -181,9 +183,11 @@ TEST(Scheduler, HybridNoWorseThanSinglePattern)
     SchedulerOptions od_only = hybrid;
     od_only.dataflows = {DataflowKind::OD};
     const double hybrid_energy =
-        scheduleNetworkOrDie(config, net, hybrid).totalEnergy().total();
+        scheduleNetwork(config, net, hybrid)
+            .valueOrDie().totalEnergy().total();
     const double od_energy =
-        scheduleNetworkOrDie(config, net, od_only).totalEnergy().total();
+        scheduleNetwork(config, net, od_only)
+            .valueOrDie().totalEnergy().total();
     EXPECT_LE(hybrid_energy, od_energy * (1.0 + 1e-6));
 }
 
@@ -194,9 +198,10 @@ TEST(Scheduler, EvaluateLayerChoiceMatchesScheduler)
     options.policy = RefreshPolicy::GatedGlobal;
     options.refreshIntervalSeconds = 45e-6;
     const ConvLayerSpec layer = makeConv("c", 32, 28, 32, 3, 1, 1);
-    const LayerSchedule best = scheduleLayerOrDie(config, layer, options);
-    const LayerSchedule same = evaluateLayerChoiceOrDie(
-        config, layer, best.dataflow(), best.tiling(), options);
+    const LayerSchedule best =
+        scheduleLayer(config, layer, options).valueOrDie();
+    const LayerSchedule same = evaluateLayerChoice(
+        config, layer, best.dataflow(), best.tiling(), options).valueOrDie();
     EXPECT_DOUBLE_EQ(best.energy.total(), same.energy.total());
 }
 
@@ -208,7 +213,7 @@ TEST(Scheduler, NetworkScheduleAggregates)
     options.refreshIntervalSeconds = 45e-6;
     const NetworkModel net = makeAlexNet();
     const NetworkSchedule schedule =
-        scheduleNetworkOrDie(config, net, options);
+        scheduleNetwork(config, net, options).valueOrDie();
     EXPECT_EQ(schedule.layers.size(), net.size());
     OperationCounts manual;
     for (const auto &layer : schedule.layers)

@@ -50,7 +50,8 @@ TEST_P(SimEquivalence, AnalyticsMatchTrace)
     ASSERT_TRUE(analysis.feasible) << "seed " << seed;
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
-    const LayerSimResult result = sim.runLayer(s.layer, analysis);
+    const LayerSimResult result =
+        sim.runLayerChecked(s.layer, analysis).valueOrDie();
 
     // Runtime and utilization.
     EXPECT_NEAR(result.layerSeconds, analysis.layerSeconds,
@@ -118,7 +119,7 @@ TEST(SimEquivalenceFixed, ObservedLifetimeApproachesAnalytic)
         analyzeLayer(config, layer, dataflowSpec(DataflowKind::ID), t);
     ASSERT_TRUE(analysis.feasible);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 45e-6);
-    const auto result = sim.runLayer(layer, analysis);
+    const auto result = sim.runLayerChecked(layer, analysis).valueOrDie();
     const double analytic =
         analysis.of(DataType::Input).lifetimeSeconds;
     EXPECT_GT(result.observedLifetime[0], analytic * 0.95);
@@ -133,7 +134,7 @@ TEST(SimEquivalenceFixed, OdOutputLifetimeObserved)
         analyzeLayer(config, layer, dataflowSpec(DataflowKind::OD), t);
     ASSERT_TRUE(analysis.feasible);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 45e-6);
-    const auto result = sim.runLayer(layer, analysis);
+    const auto result = sim.runLayerChecked(layer, analysis).valueOrDie();
     // Partial sums are re-read exactly one Loop-N pass after their
     // write: the observed output lifetime equals T2.
     EXPECT_NEAR(result.observedLifetime[1], analysis.levelSeconds[1],
@@ -153,7 +154,7 @@ TEST(SimEquivalenceFixed, GateOffCausesViolations)
     ASSERT_GT(analysis.of(DataType::Input).lifetimeSeconds, 45e-6);
 
     LoopNestSimulator sim(config, RefreshPolicy::None, 45e-6);
-    const auto result = sim.runLayer(layer, analysis);
+    const auto result = sim.runLayerChecked(layer, analysis).valueOrDie();
     // With RefreshPolicy::None on eDRAM no checking happens (SRAM
     // semantics); instead run per-bank with flags forced off via a
     // gated controller whose gate the analysis would have set on.
@@ -163,7 +164,7 @@ TEST(SimEquivalenceFixed, GateOffCausesViolations)
     // runLayer derives flags from the analysis, so to construct the
     // unsafe case use an interval long enough that no flag is set
     // but check against it... instead verify the safe case:
-    const auto safe = gated.runLayer(layer, analysis);
+    const auto safe = gated.runLayerChecked(layer, analysis).valueOrDie();
     EXPECT_EQ(safe.violations, 0u);
     EXPECT_GT(safe.refreshOps, 0u);
 }
@@ -177,8 +178,8 @@ TEST(SimEquivalenceFixed, MultiLayerAccumulation)
                                        dataflowSpec(DataflowKind::OD),
                                        {16, 16, 7, 7});
     ASSERT_TRUE(analysis.feasible);
-    const auto first = sim.runLayer(layer, analysis);
-    const auto second = sim.runLayer(layer, analysis);
+    const auto first = sim.runLayerChecked(layer, analysis).valueOrDie();
+    const auto second = sim.runLayerChecked(layer, analysis).valueOrDie();
     EXPECT_EQ(first.counts.refreshOps + second.counts.refreshOps,
               sim.totalRefreshOps());
     EXPECT_NEAR(sim.now(), 2.0 * analysis.layerSeconds,

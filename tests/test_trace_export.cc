@@ -34,7 +34,7 @@ runTraced(DataflowKind pattern)
     EXPECT_TRUE(run.analysis.feasible);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
     sim.setTraceSink(&run.sink);
-    run.result = sim.runLayer(layer, run.analysis);
+    run.result = sim.runLayerChecked(layer, run.analysis).valueOrDie();
     return run;
 }
 
@@ -99,7 +99,7 @@ TEST(TraceExport, CsvWriterProducesRows)
     CsvTraceWriter writer(oss);
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, 734e-6);
     sim.setTraceSink(&writer);
-    sim.runLayer(layer, analysis);
+    sim.runLayerChecked(layer, analysis).valueOrDie();
     const std::string csv = oss.str();
     // Header plus one line per row.
     std::size_t lines = 0;
@@ -124,7 +124,7 @@ TEST(TraceExport, DetachedSinkCostsNothing)
     CountingTraceSink sink;
     sim.setTraceSink(&sink);
     sim.setTraceSink(nullptr);
-    sim.runLayer(layer, analysis);
+    sim.runLayerChecked(layer, analysis).valueOrDie();
     EXPECT_EQ(sink.layers(), 0u);
     EXPECT_EQ(sink.count(TraceEventKind::TileCompute), 0u);
 }

@@ -134,28 +134,6 @@ TEST(LayerGradients, Conv2dOneByOne)
     checkGradients(layer, input);
 }
 
-TEST(LayerGradients, AvgPool)
-{
-    Rng rng(12);
-    AvgPool2dLayer layer;
-    Tensor input({2, 2, 4, 4});
-    randomize(input, rng);
-    checkGradients(layer, input);
-}
-
-TEST(LayerShapes, AvgPoolAverages)
-{
-    AvgPool2dLayer pool;
-    Tensor input({1, 1, 2, 2});
-    input.at4(0, 0, 0, 0) = 1.0f;
-    input.at4(0, 0, 0, 1) = 2.0f;
-    input.at4(0, 0, 1, 0) = 3.0f;
-    input.at4(0, 0, 1, 1) = 6.0f;
-    ForwardContext ctx;
-    const Tensor out = pool.forward(input, ctx);
-    EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 3.0f);
-}
-
 TEST(LayerGradients, Dense)
 {
     Rng rng(4);
@@ -756,10 +734,6 @@ TEST(TrainKernels, OutputsFullyWritten)
         maxPoolTrialLanes(maps.data(), pooled.data(), batch, channels, ph,
                           pw, lanes);
         EXPECT_FALSE(anyNaN(pooled.data(), pooled.size())) << "maxpool";
-        std::fill(pooled.begin(), pooled.end(), kPoison);
-        avgPoolTrialLanes(maps.data(), pooled.data(), batch, channels, ph,
-                          pw, lanes);
-        EXPECT_FALSE(anyNaN(pooled.data(), pooled.size())) << "avgpool";
 
         // The gather and extract helpers return their tensors: each
         // element must hold its source value. Trial-style lanes read
@@ -1211,19 +1185,6 @@ TEST(LayerBackwardDeathTest, DenseMismatchedGradient)
     EXPECT_DEATH(dense.backward(Tensor({5, 4})), "dense backward");
     DenseLayer fresh(6, 4, rng);
     EXPECT_DEATH(fresh.backward(Tensor({3, 4})), "dense backward");
-}
-
-TEST(LayerBackwardDeathTest, AvgPoolMismatchedGradient)
-{
-    AvgPool2dLayer pool;
-    ForwardContext train;
-    train.training = true;
-    pool.forward(Tensor({1, 2, 4, 4}), train);
-    EXPECT_DEATH(pool.backward(Tensor({1, 2, 4, 4})),
-                 "avgpool backward");
-    AvgPool2dLayer fresh;
-    EXPECT_DEATH(fresh.backward(Tensor({1, 2, 2, 2})),
-                 "avgpool backward");
 }
 
 /** Inception block of a 1x1 (2 channels) and a 3x3 (3) branch. */

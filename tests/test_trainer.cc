@@ -77,17 +77,6 @@ TEST(Trainer, SweepIsMonotoneAtTheEnds)
               points[1].relativeAccuracy);
 }
 
-TEST(Trainer, FindTolerableFailureRate)
-{
-    RetentionAwareTrainer trainer(MiniModelKind::MiniAlex,
-                                  tinyDataset(), tinyTrainer());
-    trainer.pretrain();
-    const double rate =
-        trainer.findTolerableFailureRate({1e-5, 1e-1}, 0.97);
-    // 1e-5 must be tolerable; 1e-1 must not certify.
-    EXPECT_DOUBLE_EQ(rate, 1e-5);
-}
-
 TEST(Trainer, AllMiniModelsTrain)
 {
     for (MiniModelKind kind : allMiniModels()) {
